@@ -31,6 +31,8 @@ from .matrixcore import (
     EigenPairs,
     SparseSymmetric,
     SymmetricDense,
+    _stored_triplets,
+    dimension,
     nnz,
     principal_angle,
     sym_eig_full,
@@ -193,12 +195,8 @@ def run_tail_slopes(n: int = 200, m: int = 10, seed: int = 0, grid=None,
 def matched_topleft_size(K, target_nnz: float, minimum: int = 1) -> int:
     """Smallest l whose top-left l x l block holds at least target_nnz
     stored nonzeros (symmetric pairs counted twice)."""
-    n = K.n if hasattr(K, "n") else K.shape[0]
-    if isinstance(K, SparseSymmetric):
-        rows, cols, _ = K.rows, K.cols, K.vals
-    else:
-        a = K.a
-        rows, cols = np.nonzero(np.triu(a))
+    n = dimension(K)
+    rows, cols, _ = _stored_triplets(K)
     weight = np.where(rows == cols, 1, 2)
     per_col = np.bincount(cols, weights=weight, minlength=n)
     cum = np.cumsum(per_col)

@@ -2,8 +2,9 @@
 
 A selector describes which entries of the kernel K form the submatrix K^s
 (all other entries zero).  The leading eigenpairs of K^s are computed and
-then extended toward those of K by treating K - K^s as a perturbation; the
-difference is never materialized, matvecs hit K and K^s separately.
+then extended toward those of K by treating E = K - K^s as a perturbation.
+E is subtracted once and stored as a matrix of K's own type: dense for a
+dense K, triplet-sparse (holding only the unselected entries) for a sparse K.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from .matrixcore import (
     EigenPairs,
     SparseSymmetric,
     SymmetricDense,
+    _stored_triplets,
+    add_scaled,
     dimension,
-    matvec,
-    nnz,
     read_mask,
     spectral_norm,
     sym_eig_full,
     sym_eig_partial,
-    trace,
 )
 
 
@@ -143,41 +143,6 @@ class ExtensionResult:
     source_pairs: EigenPairs
 
 
-class KernelDifference:
-    """Implicit E = K - K^s; matvecs evaluate both operands separately."""
-
-    __slots__ = ("K", "Ks")
-
-    def __init__(self, K, Ks):
-        if dimension(K) != dimension(Ks):
-            raise ValueError("dimension mismatch between K and K^s")
-        self.K = K
-        self.Ks = Ks
-
-    @property
-    def n(self) -> int:
-        return dimension(self.K)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return matvec(self.K, x) - matvec(self.Ks, x)
-
-    def to_dense(self) -> SymmetricDense:
-        # only the small-dimension norm path densifies the difference
-        from .matrixcore import _to_dense_array
-
-        return SymmetricDense(_to_dense_array(self.K) - _to_dense_array(self.Ks),
-                              symmetrize=True)
-
-
-def _stored_triplets(K):
-    """Upper-triangle (rows, cols, vals) of the stored nonzeros of K."""
-    if isinstance(K, SparseSymmetric):
-        return K.rows, K.cols, K.vals
-    a = K.a if isinstance(K, SymmetricDense) else np.asarray(K)
-    r, c = np.nonzero(np.triu(a))
-    return r, c, a[r, c]
-
-
 def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     """Materialize K^s: K restricted to the selected index set, zero elsewhere."""
     n = dimension(K)
@@ -216,9 +181,11 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
 def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> ExtensionResult:
     """Extend the leading eigenpairs of an already-selected K^s to those of K."""
     pairs = sym_eig_partial(Ks, cfg.m)
-    diff = KernelDifference(K, Ks)
-    problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=diff,
-                                       trace_base=trace(Ks))
+    # the bounds-only full spectrum is taken before E exists, so that a dense
+    # E does not add to the peak memory of the dense eigensolve
+    spectrum = sym_eig_full(Ks).values
+    E = add_scaled(K, Ks, -1.0)
+    problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=E)
     mu_val = cfg.mu.resolve(problem)
     if cfg.order == 1:
         vectors = pert.truncated_first_order(problem, mu_val)
@@ -226,8 +193,7 @@ def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> Exten
         vectors = pert.truncated_second_order(problem, mu_val)
     values = pert.classical_eigval_update(problem)
 
-    spectrum = sym_eig_full(Ks).values
-    norm_diff = spectral_norm(diff)
+    norm_diff = spectral_norm(E)
     if cfg.order == 1:
         bounds = pert.first_order_bounds(pairs.values, spectrum[cfg.m:], mu_val, norm_diff)
     else:
@@ -250,37 +216,29 @@ def pert_extend(K, sel: Selector, cfg: ExtensionConfig,
     return extend_with_submatrix(K, select_submatrix(K, sel), cfg)
 
 
-def pert_extend_values(source_pairs: EigenPairs, K, Ks) -> np.ndarray:
-    """Eigenvalue updates alone: lambda_i^s + u_i^s^T (K - K^s) u_i^s."""
-    U = source_pairs.vectors
-    EU = matvec(KernelDifference(K, Ks), U)
-    return source_pairs.values + np.einsum("ij,ij->j", U, EU)
-
-
-def extension_error_bound(values_s: np.ndarray, tail_values, mu: float,
-                          norm_diff: float, order: int = 1) -> np.ndarray:
-    """Computable bound terms for extended pairs, given the K^s tail spectrum
-    (or its precomputed |.-mu| sum) and ||K - K^s||_2."""
-    if order == 1:
-        return pert.first_order_bounds(values_s, tail_values, mu, norm_diff)
-    return pert.second_order_bounds(values_s, tail_values, mu, norm_diff)
-
-
 def kernel_approx(result: ExtensionResult) -> SymmetricDense:
     """Rank-m kernel approximation sum_i lambda_i u_i u_i^T from extended pairs."""
     W = result.vectors
     return SymmetricDense((W * result.values[None, :]) @ W.T, symmetrize=True)
 
 
-def _kahan_weighted_sum(mats, weights) -> np.ndarray:
-    total = np.zeros_like(mats[0])
-    comp = np.zeros_like(mats[0])
-    for w, mat in zip(weights, mats):
+def _weighted_combination(members, q: int, weights=None) -> SymmetricDense:
+    """sum_j weights[j] * members[j] by compensated summation, in order.
+
+    ``members`` yields the q matrices one at a time; it is consumed only
+    after ``weights`` (uniform by default) is checked to be q nonnegative
+    values summing to one.
+    """
+    weights = np.full(q, 1.0 / q) if weights is None else np.asarray(weights, dtype=float)
+    if weights.size != q or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        raise ValueError("weights must be nonnegative and sum to one")
+    total = comp = 0.0
+    for w, mat in zip(weights, members):
         y = w * mat - comp
         t = total + y
         comp = (t - total) - y
         total = t
-    return total
+    return SymmetricDense(total, symmetrize=True)
 
 
 def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> SymmetricDense:
@@ -294,25 +252,14 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     block_sizes = tuple(int(s) for s in block_sizes)
     if sum(block_sizes) != n:
         raise ValueError(f"block sizes sum to {sum(block_sizes)}, expected {n}")
-    q = len(block_sizes)
-    if weights is None:
-        weights = np.full(q, 1.0 / q)
-    weights = np.asarray(weights, dtype=float)
-    if weights.size != q or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be nonnegative and sum to one")
-
     rows, cols, vals = _stored_triplets(K)
     bounds = np.cumsum((0,) + block_sizes)
     block_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
-    approxes = []
-    for j in range(q):
+
+    def member(j):
         inside = (block_of[rows] == j) & (block_of[cols] == j)
         Ks_j = SparseSymmetric(n, rows[inside], cols[inside], vals[inside])
-        res = extend_with_submatrix(K, Ks_j, cfg)
-        approxes.append(kernel_approx(res).a)
-    return SymmetricDense(_kahan_weighted_sum(approxes, weights), symmetrize=True)
+        return kernel_approx(extend_with_submatrix(K, Ks_j, cfg)).a
 
-
-def nnz_fraction(Ks, K) -> float:
-    """Stored-nonzero budget of K^s relative to K (symmetric pairs counted twice)."""
-    return nnz(Ks) / nnz(K)
+    q = len(block_sizes)
+    return _weighted_combination(map(member, range(q)), q, weights)

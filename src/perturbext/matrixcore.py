@@ -1,8 +1,8 @@
 """Symmetric matrix types, eigensolvers, norms and subspace angles.
 
-Everything downstream works with two concrete matrix types (dense and
-triplet-sparse, both immutable after construction) plus duck-typed linear
-operators that only need a ``matvec`` method.  Eigenvalues are always
+Everything downstream works with exactly two concrete matrix types, dense
+and triplet-sparse, both immutable after construction; the helpers below
+dispatch on those two only.  Eigenvalues are always
 ordered descending by algebraic value and eigenvector signs are fixed so
 that independently computed decompositions can be compared entrywise.
 """
@@ -107,12 +107,13 @@ class SparseSymmetric:
                 raise ValueError("triplets must satisfy row <= col")
         keep = vals != 0.0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        order = np.lexsort((cols, rows))
+        # row-major order; a stable sort of the flat index is fast on the
+        # already-sorted triplets that files, selections and merges supply
+        key = rows * n + cols
+        order = np.argsort(key, kind="stable")
         rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1:
-            dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if np.any(dup):
-                raise ValueError("duplicate (row, col) triplet")
+        if np.any(np.diff(key[order]) == 0):
+            raise ValueError("duplicate (row, col) triplet")
         for arr in (rows, cols, vals):
             arr.setflags(write=False)
         self._n = int(n)
@@ -144,8 +145,7 @@ class SparseSymmetric:
 
     @classmethod
     def from_dense(cls, K: SymmetricDense) -> "SparseSymmetric":
-        r, c = np.nonzero(np.triu(K.a))
-        return cls(K.n, r, c, K.a[r, c])
+        return cls(K.n, *_stored_triplets(K))
 
     def __repr__(self):
         return f"SparseSymmetric(n={self.n}, nnz={self.nnz})"
@@ -200,60 +200,50 @@ class EigenPairs:
 
 
 def dimension(A) -> int:
-    if isinstance(A, (SymmetricDense, SparseSymmetric)):
-        return A.n
-    if isinstance(A, np.ndarray):
-        return A.shape[0]
-    if hasattr(A, "n"):
-        return A.n
-    raise TypeError(f"cannot determine dimension of {type(A)!r}")
+    return A.n
 
 
 def matvec(A, x: np.ndarray) -> np.ndarray:
-    """Apply a symmetric operator to a vector or to a block of columns."""
-    if isinstance(A, np.ndarray):
-        return A @ x
-    if hasattr(A, "matvec"):
-        return A.matvec(x)
-    raise TypeError(f"unsupported operator type {type(A)!r}")
+    """Apply a symmetric matrix to a vector or to a block of columns."""
+    return A.matvec(x)
 
 
 def trace(A) -> float:
     if isinstance(A, SymmetricDense):
         return float(np.trace(A.a))
-    if isinstance(A, SparseSymmetric):
-        diag = A.rows == A.cols
-        return float(A.vals[diag].sum())
-    if isinstance(A, np.ndarray):
-        return float(np.trace(A))
-    raise TypeError(f"cannot take trace of {type(A)!r}")
+    diag = A.rows == A.cols
+    return float(A.vals[diag].sum())
 
 
 def frobenius_norm(A) -> float:
     if isinstance(A, SymmetricDense):
         return float(np.linalg.norm(A.a))
-    if isinstance(A, SparseSymmetric):
-        diag = A.rows == A.cols
-        off = A.vals[~diag]
-        return float(np.sqrt(2.0 * np.dot(off, off) + np.dot(A.vals[diag], A.vals[diag])))
-    if isinstance(A, np.ndarray):
-        return float(np.linalg.norm(A))
-    raise TypeError(f"cannot take frobenius norm of {type(A)!r}")
+    diag = A.rows == A.cols
+    off = A.vals[~diag]
+    return float(np.sqrt(2.0 * np.dot(off, off) + np.dot(A.vals[diag], A.vals[diag])))
 
 
 def nnz(A) -> int:
     """Structural nonzeros, counting symmetric pairs twice."""
-    if isinstance(A, SparseSymmetric):
-        return A.nnz
     if isinstance(A, SymmetricDense):
         return int(np.count_nonzero(A.a))
-    if isinstance(A, np.ndarray):
-        return int(np.count_nonzero(A))
-    raise TypeError(f"cannot count nonzeros of {type(A)!r}")
+    return A.nnz
+
+
+def _stored_triplets(A):
+    """Upper-triangle (rows, cols, vals) of the stored nonzeros of A."""
+    if isinstance(A, SparseSymmetric):
+        return A.rows, A.cols, A.vals
+    r, c = np.nonzero(np.triu(A.a))
+    return r, c, A.a[r, c]
 
 
 def add_scaled(A, B, c: float):
-    """A + c * B, preserving sparsity when both operands are sparse."""
+    """A + c * B, preserving sparsity when both operands are sparse.
+
+    Entries that cancel to exactly 0.0 are dropped, so K - K^s for a
+    selection K^s of a sparse K stores only the unselected entries.
+    """
     if dimension(A) != dimension(B):
         raise ValueError("dimension mismatch")
     if isinstance(A, SparseSymmetric) and isinstance(B, SparseSymmetric):
@@ -265,21 +255,19 @@ def add_scaled(A, B, c: float):
         merged = np.zeros(uniq.size)
         np.add.at(merged, inv, vals)
         return SparseSymmetric(A.n, uniq // A.n, uniq % A.n, merged)
-    da = A.a if isinstance(A, SymmetricDense) else (A.to_dense().a if isinstance(A, SparseSymmetric) else np.asarray(A))
-    db = B.a if isinstance(B, SymmetricDense) else (B.to_dense().a if isinstance(B, SparseSymmetric) else np.asarray(B))
-    return SymmetricDense(da + c * db, symmetrize=True)
+    return SymmetricDense(A.to_dense().a + c * B.to_dense().a, symmetrize=True)
 
 
 def _to_dense_array(A) -> np.ndarray:
-    if isinstance(A, SymmetricDense):
-        return A.a
-    if isinstance(A, SparseSymmetric):
-        return A.to_dense().a
+    # the ndarray case serves sym_eig_full, the oracle, which is called on raw arrays
     if isinstance(A, np.ndarray):
         return A
-    if hasattr(A, "to_dense"):
-        return A.to_dense().a
-    raise TypeError(f"cannot densify {type(A)!r}")
+    return A.to_dense().a
+
+
+def _stored_operator(A):
+    """What eigsh iterates on: the CSR form of a sparse matrix, else the array."""
+    return A._csr if isinstance(A, SparseSymmetric) else A.a
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +312,10 @@ def sym_eig_partial(A, m: int, seed: int = 0) -> EigenPairs:
         full = sym_eig_full(A)
         return EigenPairs(full.values[:m], full.vectors[:, :m])
 
-    op = A._csr if isinstance(A, SparseSymmetric) else (
-        A.a if isinstance(A, SymmetricDense) else
-        spla.LinearOperator((n, n), matvec=lambda x: matvec(A, x), dtype=float))
     k = m + 1
     try:
-        w, v = spla.eigsh(op, k=k, which="LA", v0=_start_vector(n, seed), maxiter=50 * n)
+        w, v = spla.eigsh(_stored_operator(A), k=k, which="LA", v0=_start_vector(n, seed),
+                          maxiter=50 * n)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Lanczos failed to converge ({len(exc.eigenvalues)} of {k} pairs found)") from exc
@@ -342,22 +328,22 @@ def sym_eig_partial(A, m: int, seed: int = 0) -> EigenPairs:
 
 
 def spectral_norm(A) -> float:
-    """max |eigenvalue| of a symmetric operator."""
+    """max |eigenvalue| of a symmetric matrix.
+
+    Like ``sym_eig_partial``, small matrices (n <= 256) go to dense LAPACK
+    and larger ones to a seeded Lanczos iteration on the stored array.
+    """
     n = dimension(A)
-    if isinstance(A, (SymmetricDense, np.ndarray)) or n <= DENSE_FALLBACK_N:
-        a = _to_dense_array(A)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
+    if n <= DENSE_FALLBACK_N:
+        a = A.to_dense().a
         if not a.any():
             return 0.0
         return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    op = A._csr if isinstance(A, SparseSymmetric) else spla.LinearOperator(
-        (n, n), matvec=lambda x: matvec(A, x), dtype=float)
+    op = _stored_operator(A)
     v0 = _start_vector(n, 1)
-    probe = op @ v0 if isinstance(A, SparseSymmetric) else op.matvec(v0)
-    if not np.any(probe):
+    if not np.any(op @ v0):
         # start vector annihilated; one dense retry decides zero vs unlucky
-        return float(np.max(np.abs(np.linalg.eigvalsh(_to_dense_array(A)))))
+        return float(np.max(np.abs(np.linalg.eigvalsh(A.to_dense().a))))
     try:
         w = spla.eigsh(op, k=1, which="LM", v0=v0, maxiter=50 * n,
                        return_eigenvectors=False)
@@ -435,7 +421,8 @@ def write_sparse(path, S: SparseSymmetric) -> None:
             fh.write(f"{i} {j} {v:.17g}\n")
 
 
-def read_sparse(path) -> SparseSymmetric:
+def _read_triplets(path):
+    """Parse the sparse file format into (n, rows, cols, vals) lists."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -454,21 +441,14 @@ def read_sparse(path) -> SparseSymmetric:
             vals.append(float(parts[2]))
     if len(vals) != count:
         raise ValueError(f"{path}: header promised {count} triplets, found {len(vals)}")
-    return SparseSymmetric(n, rows, cols, vals)
+    return n, rows, cols, vals
+
+
+def read_sparse(path) -> SparseSymmetric:
+    return SparseSymmetric(*_read_triplets(path))
 
 
 def read_mask(path):
     """Sparse-format file whose values are ignored; returns (n, rows, cols)."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected header 'n nnz_stored'")
-        n = int(header[0])
-        rows, cols = [], []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
+    n, rows, cols, _ = _read_triplets(path)
     return n, np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)

@@ -8,13 +8,10 @@ equivalence check deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import perturbation as pert
-from .extension import ExtensionConfig, Selector, pert_extend
-from .kernels import rng_for
+from .extension import ExtensionConfig, Selector, _weighted_combination, pert_extend
 from .matrixcore import (
     SparseSymmetric,
     SymmetricDense,
@@ -28,67 +25,6 @@ from .matrixcore import (
 
 class SingularSampleError(ValueError):
     """A sampled submatrix eigenvalue is too close to zero to divide by."""
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """q independent members; weights default to uniform, subsets are drawn
-    from the member seeds (sampling l columns each, without replacement)."""
-
-    q: int
-    weights: tuple = ()
-    subset_seeds: tuple = ()
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("ensemble needs q >= 1")
-        if self.weights:
-            w = np.asarray(self.weights, dtype=float)
-            if w.size != self.q or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must be q nonnegative values summing to one")
-        if self.subset_seeds and len(self.subset_seeds) != self.q:
-            raise ValueError("need one subset seed per member")
-
-
-@dataclass(frozen=True)
-class NystromConfig:
-    """Pairs extended (k), block size (l >= k), optional shift and ensemble."""
-
-    k: int
-    l: int | None = None
-    shift: float | None = None
-    ensemble: EnsembleSpec | None = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("need k >= 1")
-        if self.l is not None and self.l < self.k:
-            raise ValueError("need k <= l")
-        if self.shift is not None and self.shift < 0:
-            raise ValueError("shift must be nonnegative")
-        if self.shift is not None and self.l not in (None, self.k):
-            raise ValueError("the shifted variant samples exactly k columns")
-
-
-def apply_config(K, cfg: NystromConfig):
-    """Run the configured variant on K.
-
-    Returns (values, vectors) for the plain/generalized/shifted variants and
-    a SymmetricDense kernel approximation for the ensemble variant.
-    """
-    n = dimension(K)
-    if cfg.ensemble is not None:
-        spec = cfg.ensemble
-        l = cfg.l if cfg.l is not None else cfg.k
-        seeds = spec.subset_seeds or tuple(range(spec.q))
-        subsets = [np.sort(rng_for(s).choice(n, size=l, replace=False)) for s in seeds]
-        weights = spec.weights if spec.weights else None
-        return ensemble_nystrom(K, cfg.k, subsets, weights)
-    if cfg.shift is not None:
-        return shifted_nystrom(K, cfg.k, cfg.shift)
-    if cfg.l is not None and cfg.l != cfg.k:
-        return generalized_nystrom(K, cfg.k, cfg.l)
-    return nystrom_extend(K, cfg.k)
 
 
 def permute_symmetric(K, perm):
@@ -191,13 +127,8 @@ def ensemble_nystrom(K, k: int, subsets, weights=None) -> SymmetricDense:
     subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
     if not subsets:
         raise ValueError("need at least one subset")
-    if weights is None:
-        weights = np.full(len(subsets), 1.0 / len(subsets))
-    weights = np.asarray(weights, dtype=float)
-    if weights.size != len(subsets) or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be nonnegative and sum to one")
-    members = []
-    for subset in subsets:
+
+    def member(subset):
         if np.unique(subset).size != subset.size:
             raise ValueError("subset indices must be distinct")
         rest = np.setdiff1d(np.arange(n), subset)
@@ -206,15 +137,9 @@ def ensemble_nystrom(K, k: int, subsets, weights=None) -> SymmetricDense:
         approx = (vecs * vals[None, :]) @ vecs.T
         inv = np.empty(n, dtype=np.int64)
         inv[perm] = np.arange(n)
-        members.append(approx[np.ix_(inv, inv)])
-    total = np.zeros((n, n))
-    comp = np.zeros((n, n))
-    for w, mat in zip(weights, members):
-        y = w * mat - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return SymmetricDense(total, symmetrize=True)
+        return approx[np.ix_(inv, inv)]
+
+    return _weighted_combination(map(member, subsets), len(subsets), weights)
 
 
 # ---------------------------------------------------------------------------

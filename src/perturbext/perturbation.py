@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import EigengapError, EigenPairs, GAP_TOL, dimension, matvec, trace
+from .matrixcore import EigengapError, EigenPairs, GAP_TOL, SymmetricDense, dimension, matvec, trace
 
 
 class MuCollisionError(ValueError):
@@ -72,32 +72,36 @@ class MuPolicy:
             return 0.0
         if self.kind == "explicit":
             return self.value
-        return mu_mean(problem.trace_base, problem.known.values, problem.n)
+        return mu_mean(trace(problem.base), problem.known.values, problem.n)
+
+
+def _as_matrix(A):
+    """A raw (exactly symmetric) ndarray wrapped as SymmetricDense; the two
+    matrix types pass through unchanged."""
+    return SymmetricDense(A) if isinstance(A, np.ndarray) else A
 
 
 @dataclass
 class PerturbationProblem:
     """A' (base), its m known leading eigenpairs, and the perturbation E.
 
-    ``base`` and ``perturbation`` may be any operator accepted by
-    matrixcore.matvec; ``trace_base`` is computed from the base when it is a
-    stored matrix and must be supplied for implicit operators.
+    ``base`` and ``perturbation`` are SymmetricDense or SparseSymmetric; an
+    exactly symmetric ndarray is accepted and wrapped as SymmetricDense.
     """
 
     base: object
     known: EigenPairs
     perturbation: object
-    trace_base: float | None = None
 
     def __post_init__(self):
+        self.base = _as_matrix(self.base)
+        self.perturbation = _as_matrix(self.perturbation)
         n = dimension(self.base)
         if dimension(self.perturbation) != n or self.known.n != n:
             raise ValueError("base, perturbation and eigenpairs must share dimension")
         gaps = -np.diff(self.known.values)
         if self.known.m > 1 and gaps.min() < GAP_TOL:
             raise EigengapError(f"known eigenvalue gap {gaps.min():.3e} below {GAP_TOL}")
-        if self.trace_base is None:
-            self.trace_base = trace(self.base)
 
     @property
     def n(self) -> int:
@@ -171,7 +175,7 @@ def residual_r(known: EigenPairs, E, i: int) -> np.ndarray:
     if not 0 <= i < known.m:
         raise IndexError(f"index {i} out of range for m={known.m}")
     V = known.vectors
-    Ev = matvec(E, V[:, i])
+    Ev = matvec(_as_matrix(E), V[:, i])
     return Ev - V @ (V.T @ Ev)
 
 
@@ -221,46 +225,9 @@ def tail_sq_sum(tail_values: np.ndarray, mu: float) -> float:
     return float(np.dot(d, d))
 
 
-def tail_abs_sum_psd_from_trace(trace_base: float, known_values: np.ndarray) -> float:
-    """For mu = 0 and a PSD base: sum |t_k| = trace(A') - sum of known values."""
-    return float(trace_base - np.sum(known_values))
-
-
 def tail_sq_sum_from_traces(trace_base_sq: float, known_values: np.ndarray) -> float:
     """For mu = 0: sum t_k^2 = trace(A'^2) - sum of squared known values."""
     return float(trace_base_sq - np.sum(np.square(known_values)))
-
-
-def error_bound_first(tail, gap: float, t_i: float, mu: float, norm_e: float) -> float:
-    """Computable first term of the first-order error bound for one index:
-
-        (sum_{k > m} |t_k - mu|) / (|t_i - t_m| * |t_i - mu|) * ||E||_2.
-
-    ``tail`` is either the array of trailing eigenvalues or the precomputed
-    sum of |t_k - mu|.  The true error carries an additional O(||E||^2)
-    remainder that is not returned (its constant is instance-dependent).
-    """
-    total = tail_abs_sum(tail, mu) if np.ndim(tail) else float(tail)
-    if abs(gap) < GAP_TOL:
-        raise EigengapError("zero gap |t_i - t_m| in bound denominator")
-    if abs(t_i - mu) < GAP_TOL:
-        raise MuCollisionError("t_i = mu in bound denominator")
-    return total / (abs(gap) * abs(t_i - mu)) * norm_e
-
-
-def error_bound_second(tail, gap: float, t_i: float, mu: float, norm_e: float) -> float:
-    """Computable first term of the second-order bound:
-
-        (sum_{k > m} (t_k - mu)^2) / (|t_i - t_m| * (t_i - mu)^2) * ||E||_2,
-
-    with the same O(||E||^2) caveat as the first-order bound.
-    """
-    total = tail_sq_sum(tail, mu) if np.ndim(tail) else float(tail)
-    if abs(gap) < GAP_TOL:
-        raise EigengapError("zero gap |t_i - t_m| in bound denominator")
-    if abs(t_i - mu) < GAP_TOL:
-        raise MuCollisionError("t_i = mu in bound denominator")
-    return total / (abs(gap) * (t_i - mu) ** 2) * norm_e
 
 
 def _bound_vector(values: np.ndarray, total: float, mu: float, norm_e: float,

@@ -30,6 +30,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("mask", ["5 2\n0 1 1.0\n3\n", "5 9\n0 1 1.0\n2 2 1.0\n"],
+                             ids=["one_field_line", "short_of_header_count"])
+    def test_malformed_mask_file_is_usage_error(self, tmp_path, capsys, mask):
+        matrix, mask_path = tmp_path / "K5.txt", tmp_path / "mask.txt"
+        write_dense(matrix, gen_wishart_psd(5, seed=1))
+        mask_path.write_text(mask)
+        code = main(["extend", "--matrix", str(matrix), "--selector", f"mask:{mask_path}",
+                     "--m", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_mu_collision_is_numerical_error(self, dense_matrix_file, tmp_path, capsys):
         # explicit mu equal to the top submatrix eigenvalue hits the guard
         K = read_dense(dense_matrix_file)

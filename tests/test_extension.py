@@ -4,14 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from perturbext.extension import (
     ExtensionConfig,
-    KernelDifference,
     Selector,
     block_extend,
     extend_with_submatrix,
     kernel_approx,
-    nnz_fraction,
     pert_extend,
-    pert_extend_values,
     select_submatrix,
 )
 from perturbext.kernels import gen_band_matrix, gen_wishart_psd
@@ -25,6 +22,7 @@ from perturbext.matrixcore import (
     write_sparse,
 )
 from perturbext.nystrom import nystrom_extend
+from perturbext.perturbation import MuPolicy
 
 
 def to_full(S):
@@ -168,6 +166,19 @@ class TestPertExtend:
         exact = sym_eig_full(K).vectors[:, :3]
         assert principal_angle(res2.vectors, exact) <= principal_angle(res1.vectors, exact) * 1.5
 
+    def test_dense_and_sparse_kernel_agree(self):
+        # E = K - K^s is stored in K's own type; both must give one answer,
+        # on the dense-LAPACK (n=20) and the Lanczos (n=300) size
+        for n, p in ((20, 4), (300, 40)):
+            K = gen_wishart_psd(n, seed=23)
+            S = SparseSymmetric.from_dense(K)
+            for cfg in (ExtensionConfig(m=4), ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())):
+                dense = extend_with_submatrix(K, select_submatrix(K, Selector.band(p)), cfg)
+                sparse = extend_with_submatrix(S, select_submatrix(S, Selector.band(p)), cfg)
+                for a, b in ((dense.values, sparse.values), (dense.vectors, sparse.vectors),
+                             (dense.bound_terms, sparse.bound_terms)):
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
     def test_psd_validation_flags_indefinite(self):
         a = np.diag([1.0, -1.0, 0.5])
         with pytest.raises(ValueError, match="PSD"):
@@ -180,8 +191,7 @@ class TestValueUpdates:
         K = gen_wishart_psd(15, seed=11)
         Ks = select_submatrix(K, Selector.full_mask(15))
         res = extend_with_submatrix(K, Ks, ExtensionConfig(m=4))
-        vals = pert_extend_values(res.source_pairs, K, Ks)
-        assert np.array_equal(vals, res.source_pairs.values)
+        assert np.array_equal(res.values, res.source_pairs.values)
 
     def test_topleft_quadratic_form_vanishes(self):
         K = gen_wishart_psd(20, seed=12)
@@ -330,17 +340,3 @@ class TestBlockExtend:
         K = gen_wishart_psd(8, seed=22)
         with pytest.raises(ValueError, match="weights"):
             block_extend(K, [4, 4], ExtensionConfig(m=2), weights=[0.5, 0.2])
-
-
-class TestKernelDifference:
-    def test_matvec_matches_dense_difference(self):
-        K = gen_wishart_psd(20, seed=23)
-        Ks = select_submatrix(K, Selector.band(4))
-        diff = KernelDifference(K, Ks)
-        x = np.random.default_rng(0).standard_normal(20)
-        assert np.allclose(diff.matvec(x), (K.a - to_full(Ks)) @ x, atol=1e-13)
-
-    def test_nnz_fraction(self):
-        K = gen_wishart_psd(10, seed=24)
-        Ks = select_submatrix(K, Selector.full_mask(10))
-        assert nnz_fraction(Ks, K) == 1.0

@@ -203,6 +203,7 @@ class TestSpectralNorm:
         S = SparseSymmetric(n, iu[0][keep], iu[1][keep], rng.standard_normal(keep.sum()))
         oracle = np.max(np.abs(np.linalg.eigvalsh(S.to_dense().a)))
         assert spectral_norm(S) == pytest.approx(oracle, rel=1e-8)
+        assert spectral_norm(S.to_dense()) == pytest.approx(oracle, rel=1e-8)
 
 
 class TestPrincipalAngle:

@@ -13,9 +13,6 @@ from perturbext.kernels import (
 )
 from perturbext.matrixcore import SymmetricDense, principal_angle, spectral_norm, sym_eig_full
 from perturbext.nystrom import (
-    EnsembleSpec,
-    NystromConfig,
-    apply_config,
     SingularSampleError,
     check_shifted_equivalence,
     check_topleft_equivalence,
@@ -166,6 +163,7 @@ class TestEnsemble:
         rng = rng_for(13)
         subsets = [np.sort(rng.choice(n, size=8, replace=False)) for _ in range(q)]
         approx = ensemble_nystrom(K, k, subsets)
+        assert np.array_equal(approx.a, ensemble_nystrom(K, k, subsets).a)
         members = []
         for subset in subsets:
             rest = np.setdiff1d(np.arange(n), subset)
@@ -223,36 +221,13 @@ class TestEquivalenceChecks:
 
 class TestConfig:
     def test_invariants(self):
+        K = gen_wishart_psd(10, seed=15)
         with pytest.raises(ValueError):
-            NystromConfig(k=0)
+            nystrom_extend(K, 0)
         with pytest.raises(ValueError):
-            NystromConfig(k=5, l=3)
-        with pytest.raises(ValueError):
-            NystromConfig(k=2, shift=-0.1)
-        with pytest.raises(ValueError):
-            EnsembleSpec(q=2, weights=(0.9, 0.3))
-        with pytest.raises(ValueError):
-            EnsembleSpec(q=2, subset_seeds=(1,))
-
-    def test_dispatch_matches_direct_calls(self):
-        K = gen_wishart_psd(30, seed=40)
-        v1, u1 = apply_config(K, NystromConfig(k=4))
-        v2, u2 = nystrom_extend(K, 4)
-        assert np.array_equal(v1, v2) and np.array_equal(u1, u2)
-        v1, u1 = apply_config(K, NystromConfig(k=4, l=12))
-        v2, u2 = generalized_nystrom(K, 4, 12)
-        assert np.array_equal(v1, v2) and np.array_equal(u1, u2)
-        v1, u1 = apply_config(K, NystromConfig(k=4, shift=0.2))
-        v2, u2 = shifted_nystrom(K, 4, 0.2)
-        assert np.array_equal(v1, v2) and np.array_equal(u1, u2)
-
-    def test_ensemble_dispatch(self):
-        K = gen_wishart_psd(30, seed=41)
-        cfg = NystromConfig(k=3, l=10, ensemble=EnsembleSpec(q=3, subset_seeds=(7, 8, 9)))
-        approx = apply_config(K, cfg)
-        assert isinstance(approx, SymmetricDense)
-        again = apply_config(K, cfg)
-        assert np.array_equal(approx.a, again.a)
+            generalized_nystrom(K, 5, 3)
+        with pytest.raises(ValueError, match="weights"):
+            ensemble_nystrom(K, 2, [np.arange(4), np.arange(4, 8)], weights=(0.9, 0.3))
 
     def test_shifted_check_guards_mu_collision(self):
         K = gen_wishart_psd(40, seed=42)

@@ -5,15 +5,12 @@ from hypothesis import given, settings, strategies as st
 from perturbext.kernels import gen_rank_m_spectrum, gen_unit_random_symmetric
 from perturbext.matrixcore import EigengapError, EigenPairs, SymmetricDense, sym_eig_full
 from perturbext.perturbation import (
-    tail_abs_sum_psd_from_trace,
     tail_sq_sum_from_traces,
     MuCollisionError,
     MuPolicy,
     PerturbationProblem,
     classical_eigval_update,
     classical_eigvec_update,
-    error_bound_first,
-    error_bound_second,
     first_order_bounds,
     is_lowrank_plus_shift,
     mu_mean,
@@ -74,6 +71,9 @@ class TestClassicalUpdates:
         W = classical_eigvec_update(problem)
         errs = aligned_column_errors(W, A.a + E, 8)
         assert np.max(errs) <= 1e-8
+        # a raw ndarray perturbation is the same problem as its SymmetricDense
+        wrapped = PerturbationProblem(base=A, known=problem.known, perturbation=SymmetricDense(E))
+        assert np.array_equal(classical_eigvec_update(wrapped), W)
 
     def test_diagonal_value_update_exact(self):
         A = SymmetricDense(np.diag([2.0, 1.0]))
@@ -214,22 +214,18 @@ class TestTruncatedFormulas:
 
 class TestErrorBounds:
     def test_tail_exactly_mu_gives_zero(self):
-        assert error_bound_first(np.array([0.5, 0.5]), gap=1.0, t_i=5.0, mu=0.5, norm_e=0.01) == 0.0
-        assert error_bound_second(np.array([0.5, 0.5]), gap=1.0, t_i=5.0, mu=0.5, norm_e=0.01) == 0.0
+        values, tail = np.array([5.0, 4.0]), np.array([0.5, 0.5])
+        assert first_order_bounds(values, tail, 0.5, 0.01)[0] == 0.0
+        assert second_order_bounds(values, tail, 0.5, 0.01)[0] == 0.0
 
     def test_first_order_arithmetic(self):
         # spectrum (5, 4, 1, 1), m=2, mu=0, ||E||=0.01, i=1
-        bound = error_bound_first(np.array([1.0, 1.0]), gap=abs(5.0 - 4.0), t_i=5.0,
-                                  mu=0.0, norm_e=0.01)
+        bound = first_order_bounds(np.array([5.0, 4.0]), np.array([1.0, 1.0]), 0.0, 0.01)[0]
         assert bound == pytest.approx(0.004, abs=1e-15)
 
     def test_second_order_arithmetic(self):
-        bound = error_bound_second(np.array([1.0, 1.0]), gap=1.0, t_i=5.0, mu=0.0, norm_e=0.01)
+        bound = second_order_bounds(np.array([5.0, 4.0]), np.array([1.0, 1.0]), 0.0, 0.01)[0]
         assert bound == pytest.approx(0.0008, abs=1e-15)
-
-    def test_zero_gap_rejected(self):
-        with pytest.raises(EigengapError):
-            error_bound_first(np.array([1.0]), gap=0.0, t_i=4.0, mu=0.0, norm_e=0.01)
 
     def test_bound_vector_inf_at_last_index(self):
         bounds = first_order_bounds(np.array([5.0, 4.0]), np.array([1.0, 1.0]), 0.0, 0.01)
@@ -307,16 +303,6 @@ class TestLowrankPlusShift:
 
 
 class TestTraceIdentities:
-    def test_psd_tail_sum_from_trace(self):
-        A = gen_unit_random_symmetric(20, seed=40)
-        # shift to PSD so |t_k| = t_k
-        psd = SymmetricDense(A.a + 1.5 * np.eye(20), symmetrize=True)
-        full = sym_eig_full(psd)
-        m = 4
-        expected = np.sum(np.abs(full.values[m:]))
-        via_trace = tail_abs_sum_psd_from_trace(np.trace(psd.a), full.values[:m])
-        assert via_trace == pytest.approx(expected, abs=1e-10)
-
     def test_sq_sum_from_traces(self):
         A = gen_unit_random_symmetric(20, seed=41)
         full = sym_eig_full(A)
@@ -326,6 +312,8 @@ class TestTraceIdentities:
         assert via_trace == pytest.approx(expected, abs=1e-10)
 
     def test_bounds_accept_precomputed_sums(self):
-        direct = error_bound_first(np.array([1.0, 1.0]), gap=1.0, t_i=5.0, mu=0.0, norm_e=0.01)
-        summed = error_bound_first(2.0, gap=1.0, t_i=5.0, mu=0.0, norm_e=0.01)
-        assert direct == summed
+        values, tail = np.array([5.0, 4.0]), np.array([1.0, 1.0])
+        assert np.array_equal(first_order_bounds(values, tail, 0.0, 0.01),
+                              first_order_bounds(values, 2.0, 0.0, 0.01))
+        assert np.array_equal(second_order_bounds(values, tail, 0.0, 0.01),
+                              second_order_bounds(values, 2.0, 0.0, 0.01))
