@@ -163,7 +163,6 @@ class TestEnsemble:
         rng = rng_for(13)
         subsets = [np.sort(rng.choice(n, size=8, replace=False)) for _ in range(q)]
         approx = ensemble_nystrom(K, k, subsets)
-        assert np.array_equal(approx.a, ensemble_nystrom(K, k, subsets).a)
         members = []
         for subset in subsets:
             rest = np.setdiff1d(np.arange(n), subset)
@@ -228,6 +227,14 @@ class TestConfig:
             generalized_nystrom(K, 5, 3)
         with pytest.raises(ValueError, match="weights"):
             ensemble_nystrom(K, 2, [np.arange(4), np.arange(4, 8)], weights=(0.9, 0.3))
+
+    def test_ensemble_dispatch(self):
+        K = gen_wishart_psd(30, seed=41)
+        subsets = [np.sort(rng_for(s).choice(30, size=10, replace=False)) for s in (7, 8, 9)]
+        approx = ensemble_nystrom(K, 3, subsets)
+        assert isinstance(approx, SymmetricDense)
+        again = ensemble_nystrom(K, 3, subsets)
+        assert np.array_equal(approx.a, again.a)
 
     def test_shifted_check_guards_mu_collision(self):
         K = gen_wishart_psd(40, seed=42)
