@@ -28,16 +28,17 @@ from .kernels import (
     standardize,
 )
 from .matrixcore import (
+    EigengapError,
     EigenPairs,
     SparseSymmetric,
     SymmetricDense,
     _stored_triplets,
     dimension,
-    nnz,
     principal_angle,
     sym_eig_full,
 )
 from .nystrom import (
+    SingularSampleError,
     check_shifted_equivalence,
     check_topleft_equivalence,
     generalized_nystrom,
@@ -123,6 +124,31 @@ def _aligned_leading_error(A_perturbed, approx_col: np.ndarray) -> float:
 # slope experiments
 
 
+def _slope_sweep(experiment_id: str, grid, problem_at, seed: int):
+    """Leading-eigenvector error of both truncated orders (mu = 0) at each
+    grid point c, where problem_at(c) gives (base, its known leading pairs,
+    perturbation array).  Returns (rows, slopes): slopes maps order name to
+    the fitted log-log slope of the error against c.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 2:
+        raise ValueError("slope experiment needs at least two grid points")
+    rows = []
+    errors = {"order1": [], "order2": []}
+    for c in grid:
+        base, known, E = problem_at(c)
+        problem = pert.PerturbationProblem(base=base, known=known, perturbation=E)
+        perturbed = base.a + E
+        for name, update in (("order1", pert.truncated_first_order),
+                             ("order2", pert.truncated_second_order)):
+            err = _aligned_leading_error(perturbed, update(problem, 0.0)[:, 0])
+            errors[name].append(err)
+            rows.append(ReportRow(experiment_id, name, float(c), 1.0,
+                                  "vector_error", err, 0, seed))
+    slopes = {name: fit_loglog_slope(grid, errs) for name, errs in errors.items()}
+    return rows, slopes
+
+
 def run_norm_slopes(n: int = 200, m: int = 10, seed: int = 0, grid=None):
     """Leading-eigenvector error of both truncated orders versus ||c E||.
 
@@ -131,77 +157,83 @@ def run_norm_slopes(n: int = 200, m: int = 10, seed: int = 0, grid=None):
     """
     if grid is None:
         grid = np.logspace(-6, -3, 10)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise ValueError("slope experiment needs at least two grid points")
     base = gen_unit_random_symmetric(n, derive_seed(seed, 0))
     direction = gen_unit_random_symmetric(n, derive_seed(seed, 1))
     known = leading_pairs(base, m)
-    rows = []
-    errors = {"order1": [], "order2": []}
-    for c in grid:
-        E = c * direction.a
-        problem = pert.PerturbationProblem(base=base, known=known, perturbation=E)
-        W1 = pert.truncated_first_order(problem, 0.0)
-        W2 = pert.truncated_second_order(problem, 0.0)
-        perturbed = base.a + E
-        for name, W in (("order1", W1), ("order2", W2)):
-            err = _aligned_leading_error(perturbed, W[:, 0])
-            errors[name].append(err)
-            rows.append(ReportRow("slope_vs_norm", name, float(c), 1.0,
-                                  "vector_error", err, 0, seed))
-    slopes = {name: fit_loglog_slope(grid, errs) for name, errs in errors.items()}
-    return rows, slopes
+    return _slope_sweep("slope_vs_norm", grid, lambda c: (base, known, c * direction.a), seed)
 
 
-def run_tail_slopes(n: int = 200, m: int = 10, seed: int = 0, grid=None,
-                    perturbation_norm: float = 1e-6):
+def run_tail_slopes(n: int = 200, m: int = 10, seed: int = 0, grid=None):
     """Leading-eigenvector error of both orders versus the tail value c.
 
     The base matrix has m leading values in [1, 2] and all remaining values
-    exactly c; the perturbation norm is fixed and small so the tail term
-    dominates.  First order responds linearly in c, second order
+    exactly c; the perturbation norm is fixed at 1e-6, small enough that the
+    tail term dominates.  First order responds linearly in c, second order
     quadratically.
     """
     if grid is None:
         grid = np.logspace(np.log10(3e-2), np.log10(5e-1), 8)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise ValueError("slope experiment needs at least two grid points")
-    E = perturbation_norm * gen_unit_random_symmetric(n, derive_seed(seed, 2)).a
+    E = 1e-6 * gen_unit_random_symmetric(n, derive_seed(seed, 2)).a
     spectrum_seed = derive_seed(seed, 3)
-    rows = []
-    errors = {"order1": [], "order2": []}
-    for c in grid:
-        base = gen_rank_m_spectrum(n, m, (1.0, 2.0), tail_value=float(c), seed=spectrum_seed)
-        known = leading_pairs(base, m)
-        problem = pert.PerturbationProblem(base=base, known=known, perturbation=E)
-        W1 = pert.truncated_first_order(problem, 0.0)
-        W2 = pert.truncated_second_order(problem, 0.0)
-        perturbed = base.a + E
-        for name, W in (("order1", W1), ("order2", W2)):
-            err = _aligned_leading_error(perturbed, W[:, 0])
-            errors[name].append(err)
-            rows.append(ReportRow("slope_vs_tail", name, float(c), 1.0,
-                                  "vector_error", err, 0, seed))
-    slopes = {name: fit_loglog_slope(grid, errs) for name, errs in errors.items()}
-    return rows, slopes
+
+    def problem_at(c):
+        base = gen_rank_m_spectrum(n, m, tail_value=float(c), seed=spectrum_seed)
+        return base, leading_pairs(base, m), E
+
+    return _slope_sweep("slope_vs_tail", grid, problem_at, seed)
 
 
 # ---------------------------------------------------------------------------
 # budget experiments (band and sparse selections vs. generalized Nystrom)
 
 
+def _topleft_nnz(K) -> np.ndarray:
+    """Stored nonzeros of the top-left l x l block at index l - 1, for every
+    l (symmetric pairs counted twice)."""
+    rows, cols, _ = _stored_triplets(K)
+    weight = np.where(rows == cols, 1, 2)
+    return np.cumsum(np.bincount(cols, weights=weight, minlength=dimension(K)))
+
+
 def matched_topleft_size(K, target_nnz: float, minimum: int = 1) -> int:
     """Smallest l whose top-left l x l block holds at least target_nnz
     stored nonzeros (symmetric pairs counted twice)."""
     n = dimension(K)
-    rows, cols, _ = _stored_triplets(K)
-    weight = np.where(rows == cols, 1, 2)
-    per_col = np.bincount(cols, weights=weight, minlength=n)
-    cum = np.cumsum(per_col)
-    l = int(np.searchsorted(cum, target_nnz) + 1)
+    l = int(np.searchsorted(_topleft_nnz(K), target_nnz) + 1)
     return max(minimum, min(l, n))
+
+
+def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: ExtensionConfig,
+                  l_grid, trial: int, seed: int):
+    """One trial of a budget experiment: extension from each (parameter,
+    selector) pair against generalized Nystrom.
+
+    The exact leading-m subspace of K is the oracle; each method's largest
+    principal angle against it is recorded together with its selected
+    share of the stored nonzeros.  Without an explicit l_grid the Nystrom
+    block sizes are budget-matched to the selections.
+    """
+    m = cfg.m
+    total_nnz = K.nnz
+    exact = sym_eig_full(K).vectors[:, :m]
+    rows = []
+    matched_ls = []
+    for param, sel in selections:
+        Ks = select_submatrix(K, sel)
+        res = extend_with_submatrix(K, Ks, cfg)
+        angle = principal_angle(res.vectors, exact)
+        rows.append(ReportRow(experiment_id, f"{experiment_id}_extension", float(param),
+                              Ks.nnz / total_nnz, "principal_angle", angle, trial, seed))
+        matched_ls.append(matched_topleft_size(K, Ks.nnz, minimum=m))
+    ls = [int(l) for l in (l_grid if l_grid is not None else matched_ls)]
+    topleft_nnz = _topleft_nnz(K)
+    for l in sorted(set(ls)):
+        _, vecs = generalized_nystrom(K, m, l)
+        angle = principal_angle(vecs, exact)
+        rows.append(ReportRow(experiment_id, "nystrom_generalized", float(l),
+                              int(topleft_nnz[l - 1]) / total_nnz, "principal_angle",
+                              angle, trial, seed))
+    return rows
 
 
 def run_band_experiment(n: int = 500, m: int = 10, p_grid=None, l_grid=None,
@@ -210,11 +242,6 @@ def run_band_experiment(n: int = 500, m: int = 10, p_grid=None, l_grid=None,
     """Band selections versus generalized Nystrom on gen_band_matrix instances,
     whose stored count is concentrated near the diagonal while the
     magnitudes have a harmonic tail (see gen_band_matrix).
-
-    Per trial, the exact leading-m subspace of the generated matrix is the
-    oracle; each method's largest principal angle against it is recorded
-    together with the selected-nonzero budget.  Without an explicit l_grid
-    the Nystrom runs are budget-matched to the band selections.
     """
     if p_grid is None:
         p_grid = (2, 5, 10, 20, 40, 80, 150, 250, 350, 450)
@@ -224,28 +251,11 @@ def run_band_experiment(n: int = 500, m: int = 10, p_grid=None, l_grid=None,
     if mu is None:
         mu = pert.MuPolicy.zero()
     cfg = ExtensionConfig(m=m, order=order, mu=mu)
+    selections = [(p, Selector.band(min(p, n - 1))) for p in p_grid]
     rows = []
     for trial in range(trials):
-        trial_seed = derive_seed(seed, 10, trial)
-        K = gen_band_matrix(n, seed=trial_seed)
-        total_nnz = K.nnz
-        exact = sym_eig_full(K).vectors[:, :m]
-        matched_ls = []
-        for p in p_grid:
-            Ks = select_submatrix(K, Selector.band(min(p, n - 1)))
-            res = extend_with_submatrix(K, Ks, cfg)
-            angle = principal_angle(res.vectors, exact)
-            frac = Ks.nnz / total_nnz
-            rows.append(ReportRow("band", "band_extension", float(p), frac,
-                                  "principal_angle", angle, trial, seed))
-            matched_ls.append(matched_topleft_size(K, Ks.nnz, minimum=m))
-        ls = [int(l) for l in (l_grid if l_grid is not None else matched_ls)]
-        for l in sorted(set(ls)):
-            _, vecs = generalized_nystrom(K, m, l)
-            angle = principal_angle(vecs, exact)
-            frac = nnz(select_submatrix(K, Selector.top_left(l))) / total_nnz
-            rows.append(ReportRow("band", "nystrom_generalized", float(l), frac,
-                                  "principal_angle", angle, trial, seed))
+        K = gen_band_matrix(n, seed=derive_seed(seed, 10, trial))
+        rows += _budget_trial("band", K, selections, cfg, l_grid, trial, seed)
     return rows
 
 
@@ -286,28 +296,11 @@ def run_sparse_experiment(dataset: Dataset | None = None,
     if mu is None:
         mu = pert.MuPolicy.zero()
     cfg = ExtensionConfig(m=m, order=order, mu=mu)
+    selections = [(q, Selector.sparse_top_q(q)) for q in q_grid]
     rows = []
     for trial in range(trials):
-        trial_seed = derive_seed(seed, 20, trial)
-        K = _sparse_trial_kernel(dataset, kernel_spec, n, keep, trial_seed)
-        total_nnz = K.nnz
-        exact = sym_eig_full(K).vectors[:, :m]
-        matched_ls = []
-        for q in q_grid:
-            Ks = select_submatrix(K, Selector.sparse_top_q(q))
-            res = extend_with_submatrix(K, Ks, cfg)
-            angle = principal_angle(res.vectors, exact)
-            frac = Ks.nnz / total_nnz
-            rows.append(ReportRow("sparse", "sparse_extension", float(q), frac,
-                                  "principal_angle", angle, trial, seed))
-            matched_ls.append(matched_topleft_size(K, Ks.nnz, minimum=m))
-        ls = [int(l) for l in (l_grid if l_grid is not None else matched_ls)]
-        for l in sorted(set(ls)):
-            _, vecs = generalized_nystrom(K, m, l)
-            angle = principal_angle(vecs, exact)
-            frac = nnz(select_submatrix(K, Selector.top_left(l))) / total_nnz
-            rows.append(ReportRow("sparse", "nystrom_generalized", float(l), frac,
-                                  "principal_angle", angle, trial, seed))
+        K = _sparse_trial_kernel(dataset, kernel_spec, n, keep, derive_seed(seed, 20, trial))
+        rows += _budget_trial("sparse", K, selections, cfg, l_grid, trial, seed)
     return rows
 
 
@@ -347,7 +340,7 @@ def run_verification(n: int = 200, m: int = 20, trials: int = 50, seed: int = 0,
         for tag, mu_val in mus:
             try:
                 rep = check_shifted_equivalence(K, m, mu_val, tolerance)
-            except (pert.MuCollisionError, pert.EigengapError, ValueError) as exc:
+            except (pert.MuCollisionError, EigengapError, SingularSampleError) as exc:
                 guarded.append((trial, tag, str(exc)))
                 continue
             rows.append(ReportRow("verify", f"shifted_equivalence_{tag}", float(m), 1.0,
@@ -358,7 +351,7 @@ def run_verification(n: int = 200, m: int = 20, trials: int = 50, seed: int = 0,
 
         # low-rank base plus spectrum shift: both truncated orders coincide
         delta = 0.5
-        base = gen_rank_m_spectrum(n, m, (1.0, 2.0), tail_value=0.0, seed=derive_seed(seed, 31, trial))
+        base = gen_rank_m_spectrum(n, m, tail_value=0.0, seed=derive_seed(seed, 31, trial))
         shifted = SymmetricDense(base.a + delta * np.eye(n), symmetrize=True)
         detected = pert.is_lowrank_plus_shift(shifted, m, tolerance=1e-8)
         detect_err = abs((detected if detected is not None else np.inf) - delta)

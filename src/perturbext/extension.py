@@ -43,8 +43,8 @@ class Selector:
     bandwidth: int = 0                 # band: p
     fraction: float = 0.0              # sparse: q
     block_sizes: tuple = ()            # blocks
-    mask_rows: np.ndarray | None = None
-    mask_cols: np.ndarray | None = None
+    mask_rows: tuple = ()              # mask, as tuples so that == and hash work
+    mask_cols: tuple = ()
 
     @classmethod
     def top_left(cls, l: int) -> "Selector":
@@ -85,12 +85,13 @@ class Selector:
         hi = np.maximum(rows, cols)
         base = int(hi.max()) + 1
         key = np.unique(lo * base + hi)
-        return cls("mask", mask_rows=key // base, mask_cols=key % base)
+        return cls("mask", mask_rows=tuple((key // base).tolist()),
+                   mask_cols=tuple((key % base).tolist()))
 
     @classmethod
     def full_mask(cls, n: int) -> "Selector":
         iu = np.triu_indices(n)
-        return cls("mask", mask_rows=iu[0], mask_cols=iu[1])
+        return cls("mask", mask_rows=tuple(iu[0].tolist()), mask_cols=tuple(iu[1].tolist()))
 
     @classmethod
     def parse(cls, text: str) -> "Selector":
@@ -170,9 +171,11 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
         block_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
         keep = block_of[rows] == block_of[cols]
     elif sel.kind == "mask":
-        if int(sel.mask_cols.max()) >= n:
+        mask_rows = np.array(sel.mask_rows, dtype=np.int64)
+        mask_cols = np.array(sel.mask_cols, dtype=np.int64)
+        if int(mask_cols.max()) >= n:
             raise ValueError("mask index out of range")
-        keep = np.isin(rows * n + cols, sel.mask_rows * n + sel.mask_cols)
+        keep = np.isin(rows * n + cols, mask_rows * n + mask_cols)
     else:
         raise ValueError(f"unknown selector kind {sel.kind!r}")
     return SparseSymmetric(n, rows[keep], cols[keep], vals[keep])
@@ -202,17 +205,11 @@ def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> Exten
                            selector_nnz=Ks.nnz, source_pairs=pairs)
 
 
-def pert_extend(K, sel: Selector, cfg: ExtensionConfig,
-                validate_psd: bool = False) -> ExtensionResult:
+def pert_extend(K, sel: Selector, cfg: ExtensionConfig) -> ExtensionResult:
     """Select K^s from K and extend its leading eigenpairs to those of K.
 
-    With ``validate_psd`` the kernel's smallest eigenvalue is checked against
-    -1e-8 * ||K|| (a full decomposition; off by default on cost grounds).
+    K need not be positive semidefinite.
     """
-    if validate_psd:
-        spectrum = sym_eig_full(K).values
-        if spectrum[-1] < -1e-8 * max(abs(spectrum[0]), abs(spectrum[-1])):
-            raise ValueError(f"kernel is not PSD within tolerance (min eigenvalue {spectrum[-1]:.3e})")
     return extend_with_submatrix(K, select_submatrix(K, sel), cfg)
 
 

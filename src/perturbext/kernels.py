@@ -172,27 +172,32 @@ def sparsify(K: SymmetricDense, keep_fraction: float) -> SparseSymmetric:
 # synthetic instance generators
 
 
-def gen_band_matrix(n: int, decay: float = 0.1, cutoff: float = 1e-10, seed: int = 0) -> SparseSymmetric:
-    """Random banded matrix: entry (i, j) is X ** (|i - j| / decay) with
+BAND_DECAY = 0.1
+BAND_CUTOFF = 1e-10
+
+
+def gen_band_matrix(n: int, seed: int = 0) -> SparseSymmetric:
+    """Random banded matrix: entry (i, j) is X ** (|i - j| / BAND_DECAY) with
     X ~ Uniform(0, 1) drawn once per symmetric pair, and entries below
-    ``cutoff`` dropped.
+    BAND_CUTOFF dropped.
 
     The exponent is positive by design: off-diagonal magnitudes decay, and a
     negative exponent would grow without bound away from the diagonal.  The
     diagonal is exactly one (X ** 0).  The stored count is concentrated near
-    the diagonal, but the magnitudes are not: E|K_ij| = decay / (decay +
-    |i - j|), a harmonic tail, so rare large couplings survive at any
-    distance (at n = 500, ||K - K^s|| is still 0.99 for the band |i - j| <= 250).
+    the diagonal, but the magnitudes are not: E|K_ij| = BAND_DECAY /
+    (BAND_DECAY + |i - j|), a harmonic tail, so rare large couplings survive
+    at any distance (at n = 500, ||K - K^s|| is still 0.99 for the band
+    |i - j| <= 250).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     rng = rng_for(seed)
     iu = np.triu_indices(n, k=1)
     x = rng.uniform(size=iu[0].size)
-    expo = (iu[1] - iu[0]).astype(float) / decay
+    expo = (iu[1] - iu[0]).astype(float) / BAND_DECAY
     with np.errstate(under="ignore"):
         vals = x ** expo
-    keep = vals >= cutoff
+    keep = vals >= BAND_CUTOFF
     rows = np.concatenate([np.arange(n), iu[0][keep]])
     cols = np.concatenate([np.arange(n), iu[1][keep]])
     vals = np.concatenate([np.ones(n), vals[keep]])
@@ -215,10 +220,9 @@ def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs[None, :]
 
 
-def gen_rank_m_spectrum(n: int, m: int, leading_range=(1.0, 2.0), tail_value: float = 0.0,
-                        seed: int = 0) -> SymmetricDense:
+def gen_rank_m_spectrum(n: int, m: int, tail_value: float = 0.0, seed: int = 0) -> SymmetricDense:
     """Q diag(leading, tail_value, ..., tail_value) Q^T with random orthogonal Q
-    and m sorted leading values drawn uniformly from ``leading_range``.
+    and m sorted leading values drawn uniformly from [1, 2].
 
     The same seed reproduces the same Q and leading values for every
     ``tail_value``, so sweeps over the tail share their leading structure.
@@ -226,22 +230,22 @@ def gen_rank_m_spectrum(n: int, m: int, leading_range=(1.0, 2.0), tail_value: fl
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     rng = rng_for(seed)
-    leading = np.sort(rng.uniform(leading_range[0], leading_range[1], size=m))[::-1]
+    leading = np.sort(rng.uniform(1.0, 2.0, size=m))[::-1]
     q = _random_orthogonal(n, rng)
     vals = np.concatenate([leading, np.full(n - m, float(tail_value))])
     return SymmetricDense((q * vals[None, :]) @ q.T, symmetrize=True)
 
 
-def gen_slow_decay(n: int, seed: int = 0, coherence: float = 0.1) -> SymmetricDense:
+def gen_slow_decay(n: int, seed: int = 0) -> SymmetricDense:
     """Slowly decaying spectrum (eigenvalues 1/i) with near-coordinate eigenvectors.
 
-    The orthogonal factor is the QR of I + coherence * G, keeping eigenvectors
+    The orthogonal factor is the QR of I + 0.1 * G, keeping eigenvectors
     localized: column sampling then actually observes the spectrum, which is
     the regime sampling-based extensions are meant for.  Haar-random
     eigenvectors would make any column sample carry no spectral information.
     """
     rng = rng_for(seed)
-    g = np.eye(n) + coherence * rng.standard_normal((n, n))
+    g = np.eye(n) + 0.1 * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
@@ -250,47 +254,49 @@ def gen_slow_decay(n: int, seed: int = 0, coherence: float = 0.1) -> SymmetricDe
     return SymmetricDense((q * vals[None, :]) @ q.T, symmetrize=True)
 
 
-def gen_wishart_psd(n: int, seed: int = 0, shift: float = 0.5) -> SymmetricDense:
-    """Well-conditioned random PSD matrix G G^T / n + shift * I."""
+def gen_wishart_psd(n: int, seed: int = 0) -> SymmetricDense:
+    """Well-conditioned random PSD matrix G G^T / n + 0.5 * I."""
     rng = rng_for(seed)
     g = rng.standard_normal((n, n))
-    return SymmetricDense(g @ g.T / n + shift * np.eye(n), symmetrize=True)
+    return SymmetricDense(g @ g.T / n + 0.5 * np.eye(n), symmetrize=True)
 
 
-def gen_psd_separated_block(n: int, m: int, seed: int = 0, shift: float = 0.5,
-                            block_range=(1.0, 2.2)) -> SymmetricDense:
+def gen_psd_separated_block(n: int, m: int, seed: int = 0) -> SymmetricDense:
     """Random PSD matrix whose leading m x m block has evenly spaced eigenvalues.
 
     Equivalence checks between two independently computed decompositions are
     exact algebra, but their numerical agreement degrades like roundoff over
     the block's internal eigengaps; a Wishart block occasionally has gaps of
     1e-4 and less, which drowns a 1e-10 comparison in decomposition noise.
-    Here the block spectrum is pinned to linspace over ``block_range`` (the
+    Here the block spectrum is pinned to linspace over [1, 2.2] (the
     eigenbasis, the coupling to the remaining rows and the tail all stay
     random), so deviations measure the algebra rather than the conditioning.
+    The whole matrix carries a 0.5 * I shift.
     """
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     rng = rng_for(seed)
     d = n
     g = rng.standard_normal((n, d))
-    s = np.linspace(block_range[1], block_range[0], m)  # descending
+    shift = 0.5
+    s = np.linspace(2.2, 1.0, m)  # descending
     qm = _random_orthogonal(m, rng)
     v = np.linalg.qr(rng.standard_normal((d, m)))[0]
     g[:m] = (qm * np.sqrt(d * (s - shift))[None, :]) @ v.T
     return SymmetricDense(g @ g.T / d + shift * np.eye(n), symmetrize=True)
 
 
-def gen_clustered_dataset(n: int = 1000, dim: int = 81, seed: int = 0,
-                          tight_clusters: int = 5, loose_clusters: int = 5,
-                          tight_share: float = 0.35, tight_spread: float = 0.056,
-                          loose_spread: float = 0.26) -> Dataset:
-    """Gaussian-mixture point cloud with a few tight and a few loose clusters.
+def gen_clustered_dataset(n: int = 1000, dim: int = 81, seed: int = 0) -> Dataset:
+    """Gaussian-mixture point cloud with five tight and five loose clusters.
 
-    Tight clusters are smaller but produce the largest kernel entries, so
-    after sparsification they own the leading eigenvectors; the rows are
-    shuffled so the first rows of the kernel are a random cross-section.
+    The tight clusters hold 35% of the points with spread 0.056, the loose
+    ones the rest with spread 0.26.  Tight clusters are smaller but produce
+    the largest kernel entries, so after sparsification they own the leading
+    eigenvectors; the rows are shuffled so the first rows of the kernel are a
+    random cross-section.
     """
+    tight_clusters = loose_clusters = 5
+    tight_share, tight_spread, loose_spread = 0.35, 0.056, 0.26
     rng = rng_for(seed)
     total = tight_clusters + loose_clusters
     tight_size = int(round(n * tight_share / tight_clusters))

@@ -297,7 +297,7 @@ def sym_eig_full(A) -> EigenPairs:
     return EigenPairs(w[order], canonical_signs(v[:, order]))
 
 
-def sym_eig_partial(A, m: int, seed: int = 0) -> EigenPairs:
+def sym_eig_partial(A, m: int) -> EigenPairs:
     """The m leading eigenpairs by algebraic value.
 
     Small problems (n <= 256) are solved densely; larger ones use a
@@ -314,7 +314,7 @@ def sym_eig_partial(A, m: int, seed: int = 0) -> EigenPairs:
 
     k = m + 1
     try:
-        w, v = spla.eigsh(_stored_operator(A), k=k, which="LA", v0=_start_vector(n, seed),
+        w, v = spla.eigsh(_stored_operator(A), k=k, which="LA", v0=_start_vector(n, 0),
                           maxiter=50 * n)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
@@ -330,19 +330,19 @@ def sym_eig_partial(A, m: int, seed: int = 0) -> EigenPairs:
 def spectral_norm(A) -> float:
     """max |eigenvalue| of a symmetric matrix.
 
-    Like ``sym_eig_partial``, small matrices (n <= 256) go to dense LAPACK
-    and larger ones to a seeded Lanczos iteration on the stored array.
+    A matrix without nonzeros returns 0.0 at once.  Otherwise, like
+    ``sym_eig_partial``, small matrices (n <= 256) go to dense LAPACK and
+    larger ones to a seeded Lanczos iteration on the stored array.
     """
+    if nnz(A) == 0:
+        return 0.0
     n = dimension(A)
     if n <= DENSE_FALLBACK_N:
-        a = A.to_dense().a
-        if not a.any():
-            return 0.0
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+        return float(np.max(np.abs(np.linalg.eigvalsh(A.to_dense().a))))
     op = _stored_operator(A)
     v0 = _start_vector(n, 1)
     if not np.any(op @ v0):
-        # start vector annihilated; one dense retry decides zero vs unlucky
+        # an unlucky start vector in the null space; fall back to dense LAPACK
         return float(np.max(np.abs(np.linalg.eigvalsh(A.to_dense().a))))
     try:
         w = spla.eigsh(op, k=1, which="LM", v0=v0, maxiter=50 * n,

@@ -1,9 +1,11 @@
 """The Nystrom family: classical, generalized, spectrum-shifted, ensemble.
 
-Column sampling is the caller's job: the functions here always take the
-first columns as the sample.  To sample randomly, apply a seeded symmetric
-permutation to the kernel first (``permute_symmetric``), which keeps every
-equivalence check deterministic.
+Every variant extends the leading pairs of a block of sampled columns
+through one core.  The classical, generalized and shifted methods sample the
+first columns, which keeps every equivalence check deterministic; to sample
+them randomly, apply a seeded symmetric permutation to the kernel first
+(``permute_symmetric``).  The ensemble samples each member's subset of
+columns directly.
 """
 
 from __future__ import annotations
@@ -40,26 +42,31 @@ def permute_symmetric(K, perm):
     return out
 
 
-def _top_block_pairs(K, k: int, l: int, shift: float = 0.0):
-    """Leading k eigenpairs of the l x l top-left block (minus shift), plus C."""
+def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
+    """Extend the k leading pairs of K[cols, cols] - shift * I to all n rows.
+
+    Returns values (n/l) * lambda_i' + shift and vectors sqrt(l/n) *
+    C u_i' / lambda_i', where l = len(cols) and C = K[:, cols] - shift *
+    I[:, cols] holds the sampled columns.
+    """
     n = dimension(K)
+    l = len(cols)
     if not 1 <= k <= l <= n:
         raise ValueError(f"need 1 <= k <= l <= n, got k={k}, l={l}, n={n}")
-    a = _to_dense_array(K)
-    block = np.array(a[:l, :l])
-    C = np.array(a[:, :l])
-    if shift:
-        block[np.diag_indices(l)] -= shift
-        C[np.diag_indices(l)] -= shift
+    # a C-ordered copy: a fancy-indexed column slice is F-ordered, which sends
+    # C @ U down another BLAS path and changes the last bits of the vectors
+    C = np.ascontiguousarray(_to_dense_array(K)[:, cols])
+    C[cols, np.arange(l)] -= shift
+    block = C[cols]
     w, v = np.linalg.eigh((block + block.T) / 2.0)
     order = np.argsort(-w, kind="stable")[:k]
     lam = w[order]
     U = canonical_signs(v[:, order])
-    scale = spectral_norm(K)
-    if np.min(np.abs(lam)) < 1e-12 * scale:
+    if np.min(np.abs(lam)) < 1e-12 * spectral_norm(K):
         raise SingularSampleError(
             f"sampled block eigenvalue {lam[np.argmin(np.abs(lam))]:.3e} below 1e-12 * ||K||")
-    return lam, U, C
+    vectors = np.sqrt(l / n) * (C @ U) / lam[None, :]
+    return (n / l) * lam + shift, vectors
 
 
 def nystrom_extend(K, k: int):
@@ -69,10 +76,7 @@ def nystrom_extend(K, k: int):
     sqrt(k/n) * C u_i' / lambda_i', for the k leading pairs of the k x k
     top-left block.
     """
-    n = dimension(K)
-    lam, U, C = _top_block_pairs(K, k, k)
-    vectors = np.sqrt(k / n) * (C @ U) / lam[None, :]
-    return (n / k) * lam, vectors
+    return _sampled_pairs(K, k, np.arange(k))
 
 
 def generalized_nystrom(K, k: int, l: int):
@@ -81,10 +85,7 @@ def generalized_nystrom(K, k: int, l: int):
     l = k reduces to the classical method; l = n reproduces the exact
     leading pairs.  The scale factors use the block size l.
     """
-    n = dimension(K)
-    lam, U, C = _top_block_pairs(K, k, l)
-    vectors = np.sqrt(l / n) * (C @ U) / lam[None, :]
-    return (n / l) * lam, vectors
+    return _sampled_pairs(K, k, np.arange(l))
 
 
 def shift_mu_mean(K, k: int) -> float:
@@ -102,12 +103,9 @@ def shifted_nystrom(K, k: int, mu: float | None = None):
     mu defaults to the mean of the n - k smallest eigenvalues of K.  With
     mu = 0 this is exactly ``nystrom_extend``.
     """
-    n = dimension(K)
     if mu is None:
         mu = shift_mu_mean(K, k)
-    lam, U, C = _top_block_pairs(K, k, k, shift=float(mu))
-    vectors = np.sqrt(k / n) * (C @ U) / lam[None, :]
-    return (n / k) * lam + mu, vectors
+    return _sampled_pairs(K, k, np.arange(k), shift=float(mu))
 
 
 def nystrom_kernel_approx(values: np.ndarray, vectors: np.ndarray) -> SymmetricDense:
@@ -118,8 +116,8 @@ def nystrom_kernel_approx(values: np.ndarray, vectors: np.ndarray) -> SymmetricD
 def ensemble_nystrom(K, k: int, subsets, weights=None) -> SymmetricDense:
     """Weighted mean of independent Nystrom kernel approximations.
 
-    Each subset is a list of column indices (length >= k); the member
-    approximation extends the k leading pairs of that subset's block
+    Each subset is a list of distinct column indices (length >= k); the
+    member approximation extends the k leading pairs of that subset's block
     (generalized method when the subset is larger than k).  The weighted
     combination uses compensated summation so it is order-independent.
     """
@@ -131,13 +129,10 @@ def ensemble_nystrom(K, k: int, subsets, weights=None) -> SymmetricDense:
     def member(subset):
         if np.unique(subset).size != subset.size:
             raise ValueError("subset indices must be distinct")
-        rest = np.setdiff1d(np.arange(n), subset)
-        perm = np.concatenate([subset, rest])
-        vals, vecs = generalized_nystrom(permute_symmetric(K, perm), k, subset.size)
-        approx = (vecs * vals[None, :]) @ vecs.T
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n)
-        return approx[np.ix_(inv, inv)]
+        if np.any((subset < 0) | (subset >= n)):
+            raise ValueError(f"subset indices must lie in [0, {n})")
+        vals, vecs = _sampled_pairs(K, k, subset)
+        return (vecs * vals[None, :]) @ vecs.T
 
     return _weighted_combination(map(member, subsets), len(subsets), weights)
 
@@ -155,23 +150,12 @@ def _sign_align(target: np.ndarray, reference: np.ndarray) -> np.ndarray:
 def check_topleft_equivalence(K, m: int, tolerance: float = 1e-10) -> dict:
     """Classical extension vs. perturbation extension of the top-left block.
 
-    The two must agree up to fixed scale factors: nystrom vectors equal
-    sqrt(m/n) times the extension vectors and nystrom values equal (n/m)
-    times the extension values.  Reports max deviations after sign alignment
-    (values relative to ||K||).
+    The shifted check at mu = 0: nystrom vectors equal sqrt(m/n) times the
+    extension vectors and nystrom values equal (n/m) times the extension
+    values.  Reports max deviations after sign alignment (values relative
+    to ||K||).
     """
-    n = dimension(K)
-    nys_vals, nys_vecs = nystrom_extend(K, m)
-    res = pert_extend(K, Selector.top_left(m), ExtensionConfig(m=m, order=1, mu=pert.MuPolicy.zero()))
-    ref_vecs = np.sqrt(m / n) * res.vectors
-    nys_vecs = _sign_align(nys_vecs, ref_vecs)
-    vec_dev = float(np.max(np.abs(nys_vecs - ref_vecs)))
-    val_dev = float(np.max(np.abs(nys_vals - (n / m) * res.values)) / spectral_norm(K))
-    return {
-        "max_vector_deviation": vec_dev,
-        "max_value_deviation": val_dev,
-        "passed": vec_dev <= tolerance and val_dev <= tolerance,
-    }
+    return check_shifted_equivalence(K, m, 0.0, tolerance)
 
 
 def check_shifted_equivalence(K, k: int, mu: float, tolerance: float = 1e-10) -> dict:

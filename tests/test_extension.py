@@ -121,7 +121,16 @@ class TestSelectors:
         write_sparse(path, S)
         sel = Selector.parse(f"mask:{path}")
         assert sel.kind == "mask"
-        assert sel.mask_rows.tolist() == [0, 1]
+        assert sel.mask_rows == (0, 1)
+
+    def test_mask_selectors_compare_and_hash(self):
+        a = Selector.custom_mask([2, 0, 1], [0, 3, 1])
+        b = Selector.custom_mask([0, 3, 1], [2, 0, 1])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != Selector.custom_mask([0, 1], [2, 1])
+        assert Selector.full_mask(4) == Selector.full_mask(4)
+        assert Selector.full_mask(4) != Selector.full_mask(5)
 
 
 class TestPertExtend:
@@ -178,12 +187,6 @@ class TestPertExtend:
                 for a, b in ((dense.values, sparse.values), (dense.vectors, sparse.vectors),
                              (dense.bound_terms, sparse.bound_terms)):
                     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    def test_psd_validation_flags_indefinite(self):
-        a = np.diag([1.0, -1.0, 0.5])
-        with pytest.raises(ValueError, match="PSD"):
-            pert_extend(SymmetricDense(a), Selector.band(0), ExtensionConfig(m=1),
-                        validate_psd=True)
 
 
 class TestValueUpdates:

@@ -187,8 +187,14 @@ class TestSpectralNorm:
     def test_diagonal_max_magnitude(self):
         assert spectral_norm(SymmetricDense(np.diag([-7.0, 3.0]))) == pytest.approx(7.0)
 
-    def test_zero_matrix(self):
+    def test_zero_matrix(self, monkeypatch):
+        # no eigensolver runs on a matrix without nonzeros, at any size
+        def no_dense_solve(a):
+            raise AssertionError("dense eigvalsh called on a zero matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_dense_solve)
         assert spectral_norm(SymmetricDense(np.zeros((4, 4)))) == 0.0
+        assert spectral_norm(SparseSymmetric(1200, [0], [0], [0.0])) == 0.0
 
     def test_matches_full_eig_oracle(self):
         A = random_symmetric(50, 41)

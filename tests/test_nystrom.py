@@ -227,6 +227,9 @@ class TestConfig:
             generalized_nystrom(K, 5, 3)
         with pytest.raises(ValueError, match="weights"):
             ensemble_nystrom(K, 2, [np.arange(4), np.arange(4, 8)], weights=(0.9, 0.3))
+        for subset in ([-1, 2, 3], [0, 1, 10]):
+            with pytest.raises(ValueError, match="subset indices"):
+                ensemble_nystrom(K, 2, [subset])
 
     def test_ensemble_dispatch(self):
         K = gen_wishart_psd(30, seed=41)
