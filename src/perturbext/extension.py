@@ -15,16 +15,18 @@ import numpy as np
 
 from . import perturbation as pert
 from .matrixcore import (
+    DENSE_FALLBACK_N,
     EigenPairs,
     SparseSymmetric,
     SymmetricDense,
     _stored_triplets,
     add_scaled,
     dimension,
+    frobenius_norm,
     read_mask,
     spectral_norm,
-    sym_eig_full,
     sym_eig_partial,
+    trace,
 )
 
 
@@ -135,6 +137,13 @@ class ExtensionResult:
     ``vectors`` are unnormalized, exactly as the update formula produces
     them.  ``bound_terms`` carries one value per extended pair (the entry for
     the last pair is infinite: its gap factor degenerates).
+
+    The terms take sums over the unknown eigenvalues t_k of K^s.  The
+    second-order sum, sum (t_k - mu)^2, is exact: above DENSE_FALLBACK_N it
+    comes from ||K^s||_F and tr K^s, so no full eigensolve of K^s is run.
+    The first-order sum, sum |t_k - mu|, is exact up to DENSE_FALLBACK_N;
+    above it the Cauchy-Schwarz upper bound sqrt((n - m) sum (t_k - mu)^2)
+    takes its place, so those terms are looser but still bounds.
     """
 
     values: np.ndarray
@@ -181,12 +190,26 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     return SparseSymmetric(n, rows[keep], cols[keep], vals[keep])
 
 
+def _tail_totals(Ks: SparseSymmetric, known_values: np.ndarray, mu: float):
+    """(sum |t_k - mu|, sum (t_k - mu)^2) over the eigenvalues t_k of K^s
+    beyond the known ones.
+
+    Above DENSE_FALLBACK_N the squared sum comes from traces and the absolute
+    sum from its Cauchy-Schwarz bound.  Below it both are exact, from the
+    dense spectrum: there the trace identity's cancellation error, about
+    eps * ||K^s||_F^2, would swamp a tail that is exactly zero.
+    """
+    n, m = Ks.n, known_values.size
+    if n <= DENSE_FALLBACK_N:
+        tail = np.linalg.eigvalsh(Ks.to_dense().a)[::-1][m:]
+        return pert.tail_abs_sum(tail, mu), pert.tail_sq_sum(tail, mu)
+    sq = pert.tail_sq_sum_from_traces(frobenius_norm(Ks) ** 2, known_values, mu, trace(Ks), n)
+    return float(np.sqrt((n - m) * sq)), sq
+
+
 def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> ExtensionResult:
     """Extend the leading eigenpairs of an already-selected K^s to those of K."""
     pairs = sym_eig_partial(Ks, cfg.m)
-    # the bounds-only full spectrum is taken before E exists, so that a dense
-    # E does not add to the peak memory of the dense eigensolve
-    spectrum = sym_eig_full(Ks).values
     E = add_scaled(K, Ks, -1.0)
     problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=E)
     mu_val = cfg.mu.resolve(problem)
@@ -197,10 +220,11 @@ def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> Exten
     values = pert.classical_eigval_update(problem)
 
     norm_diff = spectral_norm(E)
+    abs_total, sq_total = _tail_totals(Ks, pairs.values, mu_val)
     if cfg.order == 1:
-        bounds = pert.first_order_bounds(pairs.values, spectrum[cfg.m:], mu_val, norm_diff)
+        bounds = pert.first_order_bounds(pairs.values, abs_total, mu_val, norm_diff)
     else:
-        bounds = pert.second_order_bounds(pairs.values, spectrum[cfg.m:], mu_val, norm_diff)
+        bounds = pert.second_order_bounds(pairs.values, sq_total, mu_val, norm_diff)
     return ExtensionResult(values=values, vectors=vectors, bound_terms=bounds,
                            selector_nnz=Ks.nnz, source_pairs=pairs)
 

@@ -327,29 +327,58 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
     return EigenPairs(w[:m], canonical_signs(v[:, :m]))
 
 
+def _extreme_eigvals(A, k: int, which: str) -> np.ndarray:
+    """The k eigenvalues of a symmetric matrix that are largest by algebraic
+    value (``which="LA"``) or by magnitude (``"LM"``), in that order, without
+    eigenvectors.
+
+    Like ``sym_eig_partial``, small problems (n <= 256, or k > n - 2) go to
+    dense LAPACK and larger ones to a seeded Lanczos iteration on the stored
+    array; no eigengap is checked, since no subspace is returned.
+    """
+    n = dimension(A)
+    w = None
+    if n > DENSE_FALLBACK_N and k <= n - 2:
+        op = _stored_operator(A)
+        v0 = _start_vector(n, 1)
+        # a start vector in the null space ends the iteration at once; that
+        # unlucky case falls back to dense LAPACK
+        if np.any(op @ v0):
+            try:
+                w = spla.eigsh(op, k=k, which=which, v0=v0, maxiter=50 * n,
+                               return_eigenvectors=False)
+            except spla.ArpackNoConvergence as exc:
+                raise ConvergenceError(
+                    f"Lanczos failed to converge ({len(exc.eigenvalues)} of {k} values found)") from exc
+    if w is None:
+        w = np.linalg.eigvalsh(A.to_dense().a)
+    key = -w if which == "LA" else -np.abs(w)
+    return w[np.argsort(key, kind="stable")[:k]]
+
+
 def spectral_norm(A) -> float:
     """max |eigenvalue| of a symmetric matrix.
 
-    A matrix without nonzeros returns 0.0 at once.  Otherwise, like
-    ``sym_eig_partial``, small matrices (n <= 256) go to dense LAPACK and
-    larger ones to a seeded Lanczos iteration on the stored array.
+    A matrix without nonzeros returns 0.0 at once; otherwise the value comes
+    from ``_extreme_eigvals`` (dense LAPACK for n <= 256, else Lanczos).
     """
     if nnz(A) == 0:
         return 0.0
-    n = dimension(A)
-    if n <= DENSE_FALLBACK_N:
-        return float(np.max(np.abs(np.linalg.eigvalsh(A.to_dense().a))))
-    op = _stored_operator(A)
-    v0 = _start_vector(n, 1)
-    if not np.any(op @ v0):
-        # an unlucky start vector in the null space; fall back to dense LAPACK
-        return float(np.max(np.abs(np.linalg.eigvalsh(A.to_dense().a))))
-    try:
-        w = spla.eigsh(op, k=1, which="LM", v0=v0, maxiter=50 * n,
-                       return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError("spectral norm iteration failed to converge") from exc
-    return float(abs(w[0]))
+    return float(abs(_extreme_eigvals(A, 1, "LM")[0]))
+
+
+def columns(A, cols) -> np.ndarray:
+    """A[:, cols] as a new C-ordered n x len(cols) array.
+
+    C order matters to callers that multiply the block: a fancy-indexed
+    column slice is F-ordered, which sends a product down another BLAS path
+    and changes its last bits.  A sparse A is read from the CSR rows
+    ``cols`` (A is symmetric, so they are the wanted columns transposed)
+    without forming the n x n array.
+    """
+    if isinstance(A, SparseSymmetric):
+        return np.ascontiguousarray(A._csr[cols].toarray().T)
+    return np.ascontiguousarray(A.a[:, cols])
 
 
 def principal_angle(U: np.ndarray, W: np.ndarray) -> float:

@@ -17,11 +17,13 @@ from .extension import ExtensionConfig, Selector, _weighted_combination, pert_ex
 from .matrixcore import (
     SparseSymmetric,
     SymmetricDense,
+    _extreme_eigvals,
     _to_dense_array,
     canonical_signs,
+    columns,
     dimension,
     spectral_norm,
-    sym_eig_full,
+    trace,
 )
 
 
@@ -53,18 +55,18 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
     l = len(cols)
     if not 1 <= k <= l <= n:
         raise ValueError(f"need 1 <= k <= l <= n, got k={k}, l={l}, n={n}")
-    # a C-ordered copy: a fancy-indexed column slice is F-ordered, which sends
-    # C @ U down another BLAS path and changes the last bits of the vectors
-    C = np.ascontiguousarray(_to_dense_array(K)[:, cols])
+    C = columns(K, cols)
     C[cols, np.arange(l)] -= shift
     block = C[cols]
     w, v = np.linalg.eigh((block + block.T) / 2.0)
     order = np.argsort(-w, kind="stable")[:k]
     lam = w[order]
     U = canonical_signs(v[:, order])
-    if np.min(np.abs(lam)) < 1e-12 * spectral_norm(K):
+    # eigh is backward stable relative to the block it factors, so the block's
+    # own norm scales the guard; <= also rejects an all-zero block
+    if np.min(np.abs(lam)) <= 1e-12 * np.max(np.abs(w)):
         raise SingularSampleError(
-            f"sampled block eigenvalue {lam[np.argmin(np.abs(lam))]:.3e} below 1e-12 * ||K||")
+            f"sampled block eigenvalue {lam[np.argmin(np.abs(lam))]:.3e} below 1e-12 * ||block||")
     vectors = np.sqrt(l / n) * (C @ U) / lam[None, :]
     return (n / l) * lam + shift, vectors
 
@@ -89,12 +91,12 @@ def generalized_nystrom(K, k: int, l: int):
 
 
 def shift_mu_mean(K, k: int) -> float:
-    """Mean of the n - k smallest eigenvalues of K (via the trace identity)."""
+    """Mean of the n - k smallest eigenvalues of K, (tr K - sum of the k
+    largest) / (n - k), from the k largest eigenvalues alone."""
     n = dimension(K)
     if k >= n:
         raise ValueError("need k < n")
-    full = sym_eig_full(K)
-    return float((np.sum(full.values) - np.sum(full.values[:k])) / (n - k))
+    return pert.mu_mean(trace(K), _extreme_eigvals(K, k, "LA"), n)
 
 
 def shifted_nystrom(K, k: int, mu: float | None = None):

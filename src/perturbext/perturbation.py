@@ -225,9 +225,18 @@ def tail_sq_sum(tail_values: np.ndarray, mu: float) -> float:
     return float(np.dot(d, d))
 
 
-def tail_sq_sum_from_traces(trace_base_sq: float, known_values: np.ndarray) -> float:
-    """For mu = 0: sum t_k^2 = trace(A'^2) - sum of squared known values."""
-    return float(trace_base_sq - np.sum(np.square(known_values)))
+def tail_sq_sum_from_traces(trace_base_sq: float, known_values: np.ndarray, mu: float = 0.0,
+                            trace_base: float = 0.0, n: int = 0) -> float:
+    """sum_{k>m} (t_k - mu)^2 from traces of A' and the known values alone:
+
+    trace(A'^2) - 2 mu trace(A') + n mu^2 - sum_{i<=m} (t_i - mu)^2,
+    where trace(A'^2) = ||A'||_F^2.  ``trace_base`` and ``n`` enter only
+    with mu, so mu = 0 needs trace(A'^2) alone.  The difference loses
+    about eps * ||A'||_F^2 to cancellation; it is clamped at 0 so that a
+    tail near zero cannot come out negative.
+    """
+    d = np.asarray(known_values, dtype=float) - mu
+    return max(0.0, float(trace_base_sq - 2.0 * mu * trace_base + n * mu * mu - np.dot(d, d)))
 
 
 def _bound_vector(values: np.ndarray, total: float, mu: float, norm_e: float,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perturbext import matrixcore
 from perturbext.extension import (
     ExtensionConfig,
     Selector,
@@ -15,14 +16,16 @@ from perturbext.kernels import gen_band_matrix, gen_wishart_psd
 from perturbext.matrixcore import (
     SparseSymmetric,
     SymmetricDense,
+    add_scaled,
     nnz,
     principal_angle,
     spectral_norm,
     sym_eig_full,
+    trace,
     write_sparse,
 )
 from perturbext.nystrom import nystrom_extend
-from perturbext.perturbation import MuPolicy
+from perturbext.perturbation import MuPolicy, first_order_bounds, mu_mean, second_order_bounds
 
 
 def to_full(S):
@@ -237,6 +240,56 @@ class TestBounds:
         res = pert_extend(K, Selector.top_left(4), ExtensionConfig(m=4))
         finite = np.isfinite(res.bound_terms)
         assert np.all(res.bound_terms[finite] <= 1e-10)
+
+    def test_rank_m_topleft_bound_zero_over_seeds(self):
+        # as above, over seeds and both orders.  At this size the tail comes
+        # from the spectrum; the trace identity's cancellation would leave up
+        # to ~1e-3 in the first-order terms of about one case in four
+        for seed in range(50):
+            g = np.random.default_rng(seed).standard_normal((20, 4))
+            K = SymmetricDense(g @ g.T, symmetrize=True)
+            for order in (1, 2):
+                res = pert_extend(K, Selector.top_left(4), ExtensionConfig(m=4, order=order))
+                finite = np.isfinite(res.bound_terms)
+                assert np.all(res.bound_terms[finite] <= 1e-10), (seed, order)
+
+    def test_no_dense_eigensolve_above_fallback_size(self, monkeypatch):
+        K = gen_wishart_psd(300, seed=24)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on the extension path")
+
+        monkeypatch.setattr(matrixcore, "sym_eig_full", refuse)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for A in (K, SparseSymmetric.from_dense(K)):
+            for cfg in (ExtensionConfig(m=4), ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())):
+                res = extend_with_submatrix(A, select_submatrix(A, Selector.band(40)), cfg)
+                assert np.all(np.isfinite(res.bound_terms[:-1]))
+                assert np.all(res.bound_terms[:-1] >= 0.0)
+                assert np.isinf(res.bound_terms[-1])
+
+    def test_trace_tails_match_full_spectrum(self):
+        # above the fallback size: second-order terms equal the full-spectrum
+        # ones, first-order terms (Cauchy-Schwarz tail) are at least those
+        m = 4
+        wishart = gen_wishart_psd(300, seed=25)
+        cases = ((wishart, 40), (SparseSymmetric.from_dense(wishart), 40),
+                 (gen_band_matrix(400, seed=26), 20))
+        for A, p in cases:
+            Ks = select_submatrix(A, Selector.band(p))
+            spectrum = sym_eig_full(Ks).values
+            norm_e = spectral_norm(add_scaled(A, Ks, -1.0))
+            for mu in (MuPolicy.zero(), MuPolicy.mean()):
+                res1 = extend_with_submatrix(A, Ks, ExtensionConfig(m=m, mu=mu))
+                res2 = extend_with_submatrix(A, Ks, ExtensionConfig(m=m, order=2, mu=mu))
+                t = res2.source_pairs.values
+                mu_val = 0.0 if mu.kind == "zero" else mu_mean(trace(Ks), t, Ks.n)
+                np.testing.assert_allclose(
+                    res2.bound_terms, second_order_bounds(t, spectrum[m:], mu_val, norm_e),
+                    rtol=1e-12, atol=0.0)
+                exact1 = first_order_bounds(t, spectrum[m:], mu_val, norm_e)
+                assert np.all(res1.bound_terms[:-1] >= exact1[:-1])
 
     def test_bound_covers_measured_error_small_residual(self):
         n, m = 40, 5

@@ -11,7 +11,14 @@ from perturbext.kernels import (
     rng_for,
     standardize,
 )
-from perturbext.matrixcore import SymmetricDense, principal_angle, spectral_norm, sym_eig_full
+from perturbext import matrixcore
+from perturbext.matrixcore import (
+    SparseSymmetric,
+    SymmetricDense,
+    principal_angle,
+    spectral_norm,
+    sym_eig_full,
+)
 from perturbext.nystrom import (
     SingularSampleError,
     check_shifted_equivalence,
@@ -60,6 +67,14 @@ class TestClassical:
         with pytest.raises(SingularSampleError):
             nystrom_extend(SymmetricDense(a), 2)
 
+    def test_small_but_regular_sample_accepted(self):
+        # the guard is relative to the sampled block, not to ||K||: a
+        # well-conditioned block far below the scale of K is not singular
+        d = np.array([2e-14, 1e-14, 1e3, 5e2, 1.0, 0.5])
+        vals, vecs = nystrom_extend(SymmetricDense(np.diag(d)), 2)
+        assert np.allclose(vals, 3.0 * d[:2], rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(np.abs(vecs) - np.sqrt(2 / 6) * np.eye(6)[:, :2])) <= 1e-14
+
 
 class TestGeneralized:
     def test_l_equals_k_reduces_to_classical(self):
@@ -92,6 +107,17 @@ class TestGeneralized:
         medians = [np.median(angles[l]) for l in l_grid]
         assert all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))
 
+    def test_sparse_kernel_bit_identical_to_dense(self):
+        # a sparse K is read column-wise from its CSR rows, never densified
+        K = gen_wishart_psd(300, seed=27)
+        S = SparseSymmetric.from_dense(K)
+        subsets = [np.sort(rng_for(s).choice(300, size=30, replace=False)) for s in (28, 29)]
+        for run in (lambda A: generalized_nystrom(A, 5, 40),
+                    lambda A: shifted_nystrom(A, 5, 0.5),
+                    lambda A: (ensemble_nystrom(A, 5, subsets).a,)):
+            for a, b in zip(run(K), run(S)):
+                assert np.array_equal(a, b)
+
     def test_invalid_sizes(self):
         K = gen_wishart_psd(10, seed=5)
         with pytest.raises(ValueError):
@@ -120,6 +146,21 @@ class TestShifted:
         full = sym_eig_full(K)
         expected = np.mean(full.values[4:])
         assert shift_mu_mean(K, 4) == pytest.approx(expected, abs=1e-12)
+
+    def test_tail_mean_without_full_eigensolve(self, monkeypatch):
+        # above the fallback size only the k largest values are computed
+        K = gen_wishart_psd(300, seed=30)
+        full = sym_eig_full(K)
+        expected = np.mean(full.values[6:])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve for the tail mean")
+
+        monkeypatch.setattr(matrixcore, "sym_eig_full", refuse)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for A in (K, SparseSymmetric.from_dense(K)):
+            assert shift_mu_mean(A, 6) == pytest.approx(expected, rel=1e-12)
 
     def test_frobenius_improvement_on_slow_decay(self):
         for trial in range(20):
