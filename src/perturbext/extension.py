@@ -168,7 +168,9 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     elif sel.kind == "sparse":
         weight = np.where(rows == cols, 1, 2)
         target = np.ceil(sel.fraction * weight.sum())
-        order = np.argsort(-np.abs(vals), kind="stable")
+        # a sparse K keeps its order, so a sweep over q sorts it once
+        order = (K.magnitude_order() if isinstance(K, SparseSymmetric)
+                 else np.argsort(-np.abs(vals), kind="stable"))
         cum = np.cumsum(weight[order])
         count = int(np.searchsorted(cum, target) + 1)
         keep = np.zeros(vals.size, dtype=bool)

@@ -14,6 +14,11 @@ import numpy as np
 from .matrixcore import SparseSymmetric, SymmetricDense
 
 
+class KernelOverflowError(OverflowError, ValueError):
+    """The data or the kernel overflows double precision: bad input, not a
+    numerical failure of the method."""
+
+
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
     """Philox generator keyed by (seed, *stream); the per-trial RNG used everywhere."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(int(seed), *map(int, stream)))))
@@ -118,13 +123,20 @@ def standardize(ds: Dataset) -> Dataset:
     """Center each column and scale to unit population standard deviation.
 
     Constant columns cannot be scaled; they are mapped to all-zero and
-    reported through ``constant_columns``.
+    reported through ``constant_columns``.  A column whose standard
+    deviation overflows raises KernelOverflowError instead of being
+    mistaken for a constant one.
     """
     x = ds.samples
     if x.shape[0] < 2:
         raise ValueError("standardization needs at least two samples")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)  # population denominator: unit variance holds exactly
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)  # population denominator: unit variance holds exactly
+    overflow = ~np.isfinite(std)
+    if overflow.any():
+        raise KernelOverflowError(
+            f"standard deviation overflows in column(s) {np.nonzero(overflow)[0].tolist()}")
     constant = std == 0.0
     safe_std = np.where(constant, 1.0, std)
     out = (x - mean) / safe_std
@@ -151,7 +163,7 @@ def build_kernel(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
     bad = ~np.isfinite(K)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise OverflowError(f"{spec.kind} kernel overflow at sample pair ({i}, {j})")
+        raise KernelOverflowError(f"{spec.kind} kernel overflow at sample pair ({i}, {j})")
     return SymmetricDense(K, symmetrize=True)
 
 

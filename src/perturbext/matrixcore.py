@@ -9,6 +9,8 @@ that independently computed decompositions can be compared entrywise.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -88,7 +90,7 @@ class SparseSymmetric:
     construction so nnz is meaningful.
     """
 
-    __slots__ = ("_n", "rows", "cols", "vals", "_csr")
+    __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_magnitude_order")
 
     def __init__(self, n: int, rows, cols, vals):
         if n <= 0:
@@ -123,10 +125,23 @@ class SparseSymmetric:
         full_c = np.concatenate([cols, rows[mirror]])
         full_v = np.concatenate([vals, vals[mirror]])
         self._csr = sp.csr_array((full_v, (full_r, full_c)), shape=(n, n))
+        self._magnitude_order = None
 
     @property
     def n(self) -> int:
         return self._n
+
+    def magnitude_order(self) -> np.ndarray:
+        """Stable order of the stored triplets by descending |value|.
+
+        Sorted on first use and kept, so repeated selections of the largest
+        entries of one matrix sort it once.
+        """
+        if self._magnitude_order is None:
+            order = np.argsort(-np.abs(self.vals), kind="stable")
+            order.setflags(write=False)
+            self._magnitude_order = order
+        return self._magnitude_order
 
     @property
     def nnz(self) -> int:
@@ -381,6 +396,25 @@ def columns(A, cols) -> np.ndarray:
     return np.ascontiguousarray(A.a[:, cols])
 
 
+def principal_block(A, cols, shift: float = 0.0):
+    """A[cols, cols] - shift * I as a matrix of A's own type.
+
+    A sparse A is sliced from its CSR, so neither the n x n nor the l x l
+    array is formed; a dense A gives the dense block.  Entries equal the
+    corresponding rows ``cols`` of ``columns(A, cols)`` with the shift taken
+    off the diagonal, bit for bit.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    l = cols.size
+    if isinstance(A, SparseSymmetric):
+        block = A._csr[cols][:, cols] - shift * sp.eye_array(l, format="csr")
+        upper = sp.triu(block, format="coo")
+        return SparseSymmetric(l, upper.row, upper.col, upper.data)
+    block = A.a[np.ix_(cols, cols)]
+    block[np.arange(l), np.arange(l)] -= shift
+    return SymmetricDense(block)
+
+
 def principal_angle(U: np.ndarray, W: np.ndarray) -> float:
     """Largest principal angle between the column spans of U and W, in radians.
 
@@ -450,27 +484,31 @@ def write_sparse(path, S: SparseSymmetric) -> None:
             fh.write(f"{i} {j} {v:.17g}\n")
 
 
+_TRIPLET_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
+
+
 def _read_triplets(path):
-    """Parse the sparse file format into (n, rows, cols, vals) lists."""
+    """Parse the sparse file format into (n, rows, cols, vals) arrays.
+
+    Blank lines are skipped; a line without exactly three fields, an index
+    that is not an integer, or a line count short of or beyond the header's
+    raises ValueError.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: expected header 'n nnz_stored'")
         n, count = int(header[0]), int(header[1])
-        rows, cols, vals = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 'i j value'")
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            vals.append(float(parts[2]))
-    if len(vals) != count:
-        raise ValueError(f"{path}: header promised {count} triplets, found {len(vals)}")
-    return n, rows, cols, vals
+        with warnings.catch_warnings():
+            # a body without triplets is checked against the header below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                body = np.loadtxt(fh, dtype=_TRIPLET_DTYPE, comments=None, ndmin=1)
+            except ValueError as exc:
+                raise ValueError(f"{path}: expected 'i j value' with integer i, j: {exc}") from exc
+    if body.size != count:
+        raise ValueError(f"{path}: header promised {count} triplets, found {body.size}")
+    return n, body["i"], body["j"], body["v"]
 
 
 def read_sparse(path) -> SparseSymmetric:
@@ -480,4 +518,4 @@ def read_sparse(path) -> SparseSymmetric:
 def read_mask(path):
     """Sparse-format file whose values are ignored; returns (n, rows, cols)."""
     n, rows, cols, _ = _read_triplets(path)
-    return n, np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    return n, rows, cols

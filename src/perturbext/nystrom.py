@@ -1,7 +1,10 @@
 """The Nystrom family: classical, generalized, spectrum-shifted, ensemble.
 
 Every variant extends the leading pairs of a block of sampled columns
-through one core.  The classical, generalized and shifted methods sample the
+through one core.  The block keeps K's matrix type (a sparse K's block is
+sliced from its stored rows) and is solved by ``sym_eig_partial``, the same
+eigensolver and size rule as the extension side, so no variant factors the
+whole block.  The classical, generalized and shifted methods sample the
 first columns, which keeps every equivalence check deterministic; to sample
 them randomly, apply a seeded symmetric permutation to the kernel first
 (``permute_symmetric``).  The ensemble samples each member's subset of
@@ -19,10 +22,11 @@ from .matrixcore import (
     SymmetricDense,
     _extreme_eigvals,
     _to_dense_array,
-    canonical_signs,
     columns,
     dimension,
+    principal_block,
     spectral_norm,
+    sym_eig_partial,
     trace,
 )
 
@@ -49,7 +53,11 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
 
     Returns values (n/l) * lambda_i' + shift and vectors sqrt(l/n) *
     C u_i' / lambda_i', where l = len(cols) and C = K[:, cols] - shift *
-    I[:, cols] holds the sampled columns.
+    I[:, cols] holds the sampled columns.  The block keeps K's matrix type
+    and its k pairs come from ``sym_eig_partial``, the eigensolver of the
+    extension side: dense LAPACK up to DENSE_FALLBACK_N, seeded Lanczos on
+    the stored block above it, where a vanishing gap between pairs k and
+    k + 1 raises EigengapError.
     """
     n = dimension(K)
     l = len(cols)
@@ -57,17 +65,19 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
         raise ValueError(f"need 1 <= k <= l <= n, got k={k}, l={l}, n={n}")
     C = columns(K, cols)
     C[cols, np.arange(l)] -= shift
-    block = C[cols]
-    w, v = np.linalg.eigh((block + block.T) / 2.0)
-    order = np.argsort(-w, kind="stable")[:k]
-    lam = w[order]
-    U = canonical_signs(v[:, order])
-    # eigh is backward stable relative to the block it factors, so the block's
-    # own norm scales the guard; <= also rejects an all-zero block
-    if np.min(np.abs(lam)) <= 1e-12 * np.max(np.abs(w)):
+    block = principal_block(K, cols, shift)
+    # both eigensolvers are backward stable relative to the block, so its
+    # largest |eigenvalue| of either sign scales the guard; an all-zero
+    # block is rejected before the solve, since Lanczos cannot start on it
+    scale = spectral_norm(block)
+    if scale == 0.0:
+        raise SingularSampleError("sampled block is zero")
+    pairs = sym_eig_partial(block, k)
+    lam = pairs.values
+    if np.min(np.abs(lam)) <= 1e-12 * scale:
         raise SingularSampleError(
             f"sampled block eigenvalue {lam[np.argmin(np.abs(lam))]:.3e} below 1e-12 * ||block||")
-    vectors = np.sqrt(l / n) * (C @ U) / lam[None, :]
+    vectors = np.sqrt(l / n) * (C @ pairs.vectors) / lam[None, :]
     return (n / l) * lam + shift, vectors
 
 

@@ -30,8 +30,9 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
-    @pytest.mark.parametrize("mask", ["5 2\n0 1 1.0\n3\n", "5 9\n0 1 1.0\n2 2 1.0\n"],
-                             ids=["one_field_line", "short_of_header_count"])
+    @pytest.mark.parametrize("mask", ["5 2\n0 1 1.0\n3\n", "5 9\n0 1 1.0\n2 2 1.0\n",
+                                      "5 1\n0.5 1 1.0\n"],
+                             ids=["one_field_line", "short_of_header_count", "non_integer_index"])
     def test_malformed_mask_file_is_usage_error(self, tmp_path, capsys, mask):
         matrix, mask_path = tmp_path / "K5.txt", tmp_path / "mask.txt"
         write_dense(matrix, gen_wishart_psd(5, seed=1))
@@ -40,6 +41,18 @@ class TestExitCodes:
                      "--m", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, kernel", [("1,0\n2,1e200\n3,0\n", "poly:5"),
+                                              ("1,2\n3,4\n5,1\n", "poly:2000")],
+                             ids=["standardize_overflow", "kernel_overflow"])
+    def test_overflowing_dataset_is_usage_error(self, tmp_path, capsys, rows, kernel):
+        data = tmp_path / "data.csv"
+        data.write_text(rows)
+        code = main(["extend", "--dataset", str(data), "--kernel", kernel,
+                     "--selector", "band:1", "--m", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o.values").exists()
 
     def test_mu_collision_is_numerical_error(self, dense_matrix_file, tmp_path, capsys):
         # explicit mu equal to the top submatrix eigenvalue hits the guard

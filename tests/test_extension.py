@@ -70,6 +70,22 @@ class TestSelectors:
         assert full[2, 3] == 0.0 or abs(full[2, 3]) == 4.0  # budget boundary
         assert full[0, 2] == 0.0
 
+    def test_sparse_top_q_sorts_once_with_same_ties(self):
+        # magnitudes drawn from four values, so the budget cut falls inside
+        # runs of ties; a sparse K sorts once and cuts exactly where the
+        # dense K of the same entries does
+        a = np.round(gen_wishart_psd(30, seed=6).a * 4) / 4
+        a = SymmetricDense(np.where(np.abs(a) <= 1.0, np.sign(a), a))
+        S = SparseSymmetric.from_dense(a)
+        first = S.magnitude_order()
+        for q in (0.05, 0.3, 0.31, 0.7, 1.0):
+            dense_sel = select_submatrix(a, Selector.sparse_top_q(q))
+            sparse_sel = select_submatrix(S, Selector.sparse_top_q(q))
+            for name in ("rows", "cols", "vals"):
+                assert np.array_equal(getattr(dense_sel, name), getattr(sparse_sel, name))
+        assert S.magnitude_order() is first
+        assert not first.flags.writeable
+
     def test_topleft_matches_block(self):
         K = gen_wishart_psd(9, seed=5)
         Ks = select_submatrix(K, Selector.top_left(4))

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from perturbext.kernels import (
     Dataset,
+    KernelOverflowError,
     KernelSpec,
     build_kernel,
     gen_band_matrix,
@@ -67,6 +68,14 @@ class TestStandardize:
         assert np.max(np.abs(ds.samples.mean(axis=0))) <= 1e-10
         assert np.max(np.abs(ds.samples.std(axis=0) - 1.0)) <= 1e-8
         assert ds.standardized
+
+    def test_overflowing_column_rejected(self):
+        # the variance of a column holding 1e200 overflows; that column must
+        # not pass for a constant one and be zeroed
+        x = np.array([[1.0, 0.0], [2.0, 1e200], [3.0, 0.0]])
+        with pytest.raises(KernelOverflowError, match=r"column\(s\) \[1\]"):
+            standardize(Dataset(x))
+        assert issubclass(KernelOverflowError, ValueError)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))

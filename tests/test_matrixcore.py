@@ -10,11 +10,14 @@ from perturbext.matrixcore import (
     SymmetricDense,
     add_scaled,
     canonical_signs,
+    columns,
     frobenius_norm,
     matvec,
     nnz,
     principal_angle,
+    principal_block,
     read_dense,
+    read_mask,
     read_sparse,
     spectral_norm,
     sym_eig_full,
@@ -295,6 +298,25 @@ class TestFileFormats:
         assert np.array_equal(S.vals, T.vals)
         assert np.array_equal(S.rows, T.rows)
 
+    def test_sparse_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("4 2\n\n0 1 0.5\n   \n3\t3\t-2\n\n")
+        T = read_sparse(path)
+        assert np.array_equal(T.rows, [0, 3]) and np.array_equal(T.cols, [1, 3])
+        assert np.array_equal(T.vals, [0.5, -2.0])
+        n, rows, cols = read_mask(path)
+        assert n == 4 and rows.dtype == np.int64 and np.array_equal(cols, [1, 3])
+
+    @pytest.mark.parametrize("body", ["0 1\n", "0 1 1.0 7\n", "0.5 1 1.0\n", "1e0 1 1.0\n",
+                                      "0 1 x\n", "0 1 1.0\n0 2 1.0\n", ""],
+                             ids=["two_fields", "four_fields", "fractional_index", "exponent_index",
+                                  "non_numeric_value", "beyond_header_count", "no_triplets"])
+    def test_sparse_malformed_lines_rejected(self, tmp_path, body):
+        path = tmp_path / "s.txt"
+        path.write_text("4 1\n" + body)
+        with pytest.raises(ValueError, match="s.txt"):
+            read_sparse(path)
+
     def test_dense_ragged_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1,2\n3\n")
@@ -325,3 +347,20 @@ class TestPartialDegenerateGap:
         S = SparseSymmetric(n, np.arange(n), np.arange(n), vals)
         with pytest.raises(EigengapError):
             sym_eig_partial(S, 1)
+
+
+class TestPrincipalBlock:
+    @pytest.mark.parametrize("shift", [0.0, 0.75])
+    def test_equals_rows_of_sampled_columns(self, shift):
+        # the block is bit-identical to the rows cols of columns(A, cols)
+        # with the shift taken off the diagonal, and keeps A's type
+        A = random_symmetric(30, 23)
+        A = SymmetricDense(np.where(np.abs(A.a) > 0.5, A.a, 0.0))
+        cols = np.array([7, 2, 19, 11, 0, 25])
+        expected = columns(A, cols)[cols]
+        expected[np.arange(cols.size), np.arange(cols.size)] -= shift
+        for K in (A, SparseSymmetric.from_dense(A)):
+            block = principal_block(K, cols, shift)
+            assert type(block) is type(K)
+            assert np.array_equal(block.to_dense().a, expected)
+

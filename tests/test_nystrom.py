@@ -13,8 +13,11 @@ from perturbext.kernels import (
 )
 from perturbext import matrixcore
 from perturbext.matrixcore import (
+    DENSE_FALLBACK_N,
+    EigengapError,
     SparseSymmetric,
     SymmetricDense,
+    canonical_signs,
     principal_angle,
     spectral_norm,
     sym_eig_full,
@@ -74,6 +77,97 @@ class TestClassical:
         vals, vecs = nystrom_extend(SymmetricDense(np.diag(d)), 2)
         assert np.allclose(vals, 3.0 * d[:2], rtol=1e-12, atol=0.0)
         assert np.max(np.abs(np.abs(vecs) - np.sqrt(2 / 6) * np.eye(6)[:, :2])) <= 1e-14
+
+
+def _full_eigh_pairs(K, k, cols):
+    """Reference sampled pairs from a full dense eigh of the block."""
+    n, l = K.n, len(cols)
+    C = np.ascontiguousarray(K.to_dense().a[:, cols])
+    w, v = np.linalg.eigh(C[cols])
+    order = np.argsort(-w, kind="stable")[:k]
+    lam, U = w[order], canonical_signs(v[:, order])
+    return (n / l) * lam, np.sqrt(l / n) * (C @ U) / lam[None, :]
+
+
+def _refuse_full_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full eigensolve of the sampled block")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(matrixcore, "sym_eig_full", refuse)
+
+
+class TestPartialBlockSolve:
+    """Above DENSE_FALLBACK_N the sampled block goes to Lanczos, never to a
+    full eigensolve; a sparse K's block is sliced from its CSR."""
+
+    n, k, l = 420, 4, 300
+
+    def kernels(self):
+        x = rng_for(31).standard_normal((self.n, 2))
+        K = build_kernel(standardize(Dataset(x)), KernelSpec.gaussian(0.5))
+        return K, SparseSymmetric.from_dense(SymmetricDense(np.where(K.a > 1e-3, K.a, 0.0)))
+
+    def test_generalized_matches_full_eigh(self, monkeypatch):
+        assert self.l > DENSE_FALLBACK_N
+        cols = np.arange(self.l)
+        for K in self.kernels():
+            ref_vals, ref_vecs = _full_eigh_pairs(K, self.k, cols)
+            with monkeypatch.context() as mp:
+                _refuse_full_eigensolve(mp)
+                if isinstance(K, SparseSymmetric):
+                    mp.setattr(SparseSymmetric, "to_dense", lambda self: pytest.fail("densified"))
+                vals, vecs = generalized_nystrom(K, self.k, self.l)
+            np.testing.assert_allclose(vals, ref_vals, rtol=1e-10)
+            np.testing.assert_allclose(vecs, ref_vecs, rtol=1e-10,
+                                       atol=1e-10 * np.abs(ref_vecs).max())
+
+    def test_ensemble_matches_full_eigh(self, monkeypatch):
+        subsets = [np.sort(rng_for(s).choice(self.n, size=self.l, replace=False)) for s in (32, 33)]
+        for K in self.kernels():
+            ref = np.zeros((self.n, self.n))
+            for subset in subsets:
+                vals, vecs = _full_eigh_pairs(K, self.k, subset)
+                ref += 0.5 * (vecs * vals[None, :]) @ vecs.T
+            with monkeypatch.context() as mp:
+                _refuse_full_eigensolve(mp)
+                approx = ensemble_nystrom(K, self.k, subsets)
+            np.testing.assert_allclose(approx.a, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("l", [6, 300])
+    def test_guard_scales_with_largest_magnitude(self, l):
+        # an indefinite block whose most negative eigenvalue outweighs the
+        # largest: lambda_2 = 1e-10 is singular against |lambda_min| = 1e3
+        # though not against lambda_1 = 1, while 1e-8 is small but regular
+        n = 400
+        rest = -np.linspace(1.0, 2.0, n - 3)
+        for small, singular in ((1e-10, True), (1e-8, False)):
+            d = np.concatenate([[1.0, small, -1e3], rest])
+            for K in (SymmetricDense(np.diag(d)), SparseSymmetric(n, np.arange(n), np.arange(n), d)):
+                if singular:
+                    with pytest.raises(SingularSampleError):
+                        generalized_nystrom(K, 2, l)
+                else:
+                    vals, _ = generalized_nystrom(K, 2, l)
+                    np.testing.assert_allclose(vals, (n / l) * d[:2], rtol=1e-6)
+
+    def test_zero_block_is_singular_above_fallback(self):
+        n = 400
+        d = np.concatenate([np.zeros(300), np.ones(n - 300)])
+        for K in (SymmetricDense(np.diag(d)), SparseSymmetric(n, np.arange(n), np.arange(n), d)):
+            with pytest.raises(SingularSampleError):
+                generalized_nystrom(K, 3, 300)
+
+    def test_tied_pair_raises_eigengap(self):
+        # pairs k = 3 and k + 1 tie; the Lanczos path reports the tie as a
+        # typed error instead of dividing through an arbitrary split
+        n, l, k = 400, 300, 3
+        d = np.concatenate([[5.0, 4.0, 3.0, 3.0], np.linspace(2.0, 1.0, n - 4)])
+        for K in (SymmetricDense(np.diag(d)), SparseSymmetric(n, np.arange(n), np.arange(n), d)):
+            with pytest.raises(EigengapError):
+                generalized_nystrom(K, k, l)
+            with pytest.raises(EigengapError):
+                ensemble_nystrom(K, k, [np.arange(l)])
 
 
 class TestGeneralized:
