@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perturbation as pert
-from .extension import ExtensionConfig, Selector, extend_with_submatrix, select_submatrix
+from .extension import ExtensionConfig, Selector, extend_with_submatrix, kernel_approx, select_submatrix
 from .kernels import (
     Dataset,
     KernelSpec,
@@ -42,7 +42,6 @@ from .nystrom import (
     check_shifted_equivalence,
     check_topleft_equivalence,
     generalized_nystrom,
-    nystrom_kernel_approx,
     nystrom_extend,
     shift_mu_mean,
     shifted_nystrom,
@@ -382,9 +381,9 @@ def run_shift_comparison(n: int = 200, k: int = 10, trials: int = 20, seed: int 
         K = gen_slow_decay(n, seed=derive_seed(seed, 40, trial))
         mu = shift_mu_mean(K, k)
         vals_p, vecs_p = nystrom_extend(K, k)
-        err_plain = float(np.linalg.norm(K.a - nystrom_kernel_approx(vals_p, vecs_p).a))
+        err_plain = float(np.linalg.norm(K.a - kernel_approx(vals_p, vecs_p).a))
         vals_s, vecs_s = shifted_nystrom(K, k, mu)
-        err_shift = float(np.linalg.norm(K.a - nystrom_kernel_approx(vals_s, vecs_s).a))
+        err_shift = float(np.linalg.norm(K.a - kernel_approx(vals_s, vecs_s).a))
         rows.append(ReportRow("shift_comparison", "plain", float(k), 1.0,
                               "frobenius_error", err_plain, trial, seed))
         rows.append(ReportRow("shift_comparison", "shifted", float(k), 1.0,

@@ -239,29 +239,27 @@ def pert_extend(K, sel: Selector, cfg: ExtensionConfig) -> ExtensionResult:
     return extend_with_submatrix(K, select_submatrix(K, sel), cfg)
 
 
-def kernel_approx(result: ExtensionResult) -> SymmetricDense:
-    """Rank-m kernel approximation sum_i lambda_i u_i u_i^T from extended pairs."""
-    W = result.vectors
-    return SymmetricDense((W * result.values[None, :]) @ W.T, symmetrize=True)
+def kernel_approx(values: np.ndarray, vectors: np.ndarray) -> SymmetricDense:
+    """Rank-m kernel approximation sum_i lambda_i w_i w_i^T from the factor
+    pair (values, vectors), of extended or Nystrom pairs alike."""
+    return SymmetricDense((vectors * values[None, :]) @ vectors.T, symmetrize=True)
 
 
 def _weighted_combination(members, q: int, weights=None) -> SymmetricDense:
-    """sum_j weights[j] * members[j] by compensated summation, in order.
+    """sum_j weights[j] * kernel_approx(*members[j]), formed as one product.
 
-    ``members`` yields the q matrices one at a time; it is consumed only
-    after ``weights`` (uniform by default) is checked to be q nonnegative
-    values summing to one.
+    ``members`` yields the q factor pairs (values, vectors) one at a time; it
+    is consumed only after ``weights`` (uniform by default) is checked to be
+    q nonnegative values summing to one.  The weighted values and the stacked
+    vectors make one factor pair of rank sum_j m_j, so the n x n matrix is
+    formed once, never per member.
     """
     weights = np.full(q, 1.0 / q) if weights is None else np.asarray(weights, dtype=float)
     if weights.size != q or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("weights must be nonnegative and sum to one")
-    total = comp = 0.0
-    for w, mat in zip(weights, members):
-        y = w * mat - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return SymmetricDense(total, symmetrize=True)
+    values, vectors = zip(*members)
+    return kernel_approx(np.concatenate([w * v for w, v in zip(weights, values)]),
+                         np.hstack(vectors))
 
 
 def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> SymmetricDense:
@@ -282,7 +280,8 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     def member(j):
         inside = (block_of[rows] == j) & (block_of[cols] == j)
         Ks_j = SparseSymmetric(n, rows[inside], cols[inside], vals[inside])
-        return kernel_approx(extend_with_submatrix(K, Ks_j, cfg)).a
+        res = extend_with_submatrix(K, Ks_j, cfg)
+        return res.values, res.vectors
 
     q = len(block_sizes)
     return _weighted_combination(map(member, range(q)), q, weights)

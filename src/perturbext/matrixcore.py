@@ -95,6 +95,9 @@ class SparseSymmetric:
     def __init__(self, n: int, rows, cols, vals):
         if n <= 0:
             raise ValueError("dimension must be positive")
+        if int(n) ** 2 > np.iinfo(np.int64).max:
+            # checked before any n-sized array: row * n + col must fit int64
+            raise ValueError(f"dimension {n} too large: n * n overflows int64")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
@@ -318,7 +321,9 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
     Small problems (n <= 256) are solved densely; larger ones use a
     restarted Lanczos iteration with a seeded start vector.  On the
     iterative path the gap between pairs m and m+1 is checked, since a
-    vanishing gap makes the leading subspace ill-posed for the iteration.
+    vanishing gap makes the leading subspace ill-posed for the iteration;
+    a matrix without nonzeros, where that gap is exactly zero, raises
+    EigengapError before the iteration starts.
     """
     n = dimension(A)
     if not 1 <= m <= n:
@@ -327,6 +332,9 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
         full = sym_eig_full(A)
         return EigenPairs(full.values[:m], full.vectors[:, :m])
 
+    if nnz(A) == 0:
+        # Lanczos cannot start on a zero matrix
+        raise EigengapError(f"matrix has no nonzeros: pairs {m} and {m + 1} tie at 0")
     k = m + 1
     try:
         w, v = spla.eigsh(_stored_operator(A), k=k, which="LA", v0=_start_vector(n, 0),

@@ -5,10 +5,10 @@ through one core.  The block keeps K's matrix type (a sparse K's block is
 sliced from its stored rows) and is solved by ``sym_eig_partial``, the same
 eigensolver and size rule as the extension side, so no variant factors the
 whole block.  The classical, generalized and shifted methods sample the
-first columns, which keeps every equivalence check deterministic; to sample
-them randomly, apply a seeded symmetric permutation to the kernel first
-(``permute_symmetric``).  The ensemble samples each member's subset of
-columns directly.
+first columns, which keeps every equivalence check deterministic; the
+ensemble samples each member's subset of columns directly, so an ensemble
+of one subset approximates K from any columns.  Every rank-k
+approximation is ``extension.kernel_approx`` of a (values, vectors) pair.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ import numpy as np
 from . import perturbation as pert
 from .extension import ExtensionConfig, Selector, _weighted_combination, pert_extend
 from .matrixcore import (
-    SparseSymmetric,
     SymmetricDense,
     _extreme_eigvals,
-    _to_dense_array,
     columns,
     dimension,
     principal_block,
@@ -33,19 +31,6 @@ from .matrixcore import (
 
 class SingularSampleError(ValueError):
     """A sampled submatrix eigenvalue is too close to zero to divide by."""
-
-
-def permute_symmetric(K, perm):
-    """Symmetric reordering K[perm][:, perm], preserving the input type."""
-    perm = np.asarray(perm, dtype=np.int64)
-    n = dimension(K)
-    if sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("perm must be a permutation of range(n)")
-    a = _to_dense_array(K)[np.ix_(perm, perm)]
-    out = SymmetricDense(a, symmetrize=True)
-    if isinstance(K, SparseSymmetric):
-        return SparseSymmetric.from_dense(out)
-    return out
 
 
 def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
@@ -120,18 +105,14 @@ def shifted_nystrom(K, k: int, mu: float | None = None):
     return _sampled_pairs(K, k, np.arange(k), shift=float(mu))
 
 
-def nystrom_kernel_approx(values: np.ndarray, vectors: np.ndarray) -> SymmetricDense:
-    """Rank-k kernel approximation sum_i lambda_i u_i u_i^T."""
-    return SymmetricDense((vectors * values[None, :]) @ vectors.T, symmetrize=True)
-
-
 def ensemble_nystrom(K, k: int, subsets, weights=None) -> SymmetricDense:
     """Weighted mean of independent Nystrom kernel approximations.
 
     Each subset is a list of distinct column indices (length >= k); the
     member approximation extends the k leading pairs of that subset's block
-    (generalized method when the subset is larger than k).  The weighted
-    combination uses compensated summation so it is order-independent.
+    (generalized method when the subset is larger than k).  The members'
+    (values, vectors) pairs are weighted and stacked into one factor pair,
+    so the n x n matrix is formed once, not once per member.
     """
     n = dimension(K)
     subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
@@ -143,8 +124,7 @@ def ensemble_nystrom(K, k: int, subsets, weights=None) -> SymmetricDense:
             raise ValueError("subset indices must be distinct")
         if np.any((subset < 0) | (subset >= n)):
             raise ValueError(f"subset indices must lie in [0, {n})")
-        vals, vecs = _sampled_pairs(K, k, subset)
-        return (vecs * vals[None, :]) @ vecs.T
+        return _sampled_pairs(K, k, subset)
 
     return _weighted_combination(map(member, subsets), len(subsets), weights)
 

@@ -16,6 +16,7 @@ without normalization (subspace angles are scale-invariant anyway).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,14 +112,20 @@ class PerturbationProblem:
     def m(self) -> int:
         return self.known.m
 
+    @cached_property
+    def EV(self) -> np.ndarray:
+        """E V, the perturbation applied to the known vectors: formed on first
+        use and shared by the vector and value updates, so one extension
+        applies E once."""
+        return matvec(self.perturbation, self.known.vectors)
+
 
 def _coupling(problem: PerturbationProblem):
-    """EV, G = V^T E V and the residual block R with R[:, i] = (I - VV^T) E v_i."""
+    """G = V^T E V and the residual block R with R[:, i] = (I - VV^T) E v_i."""
     V = problem.known.vectors
-    EV = matvec(problem.perturbation, V)
-    G = V.T @ EV
-    R = EV - V @ G
-    return EV, G, R
+    G = V.T @ problem.EV
+    R = problem.EV - V @ G
+    return G, R
 
 
 def _gap_coefficients(values: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -154,29 +161,14 @@ def classical_eigvec_update(problem: PerturbationProblem) -> np.ndarray:
     if problem.m != problem.n:
         raise ValueError("classical update needs all n eigenpairs; use the truncated forms otherwise")
     V = problem.known.vectors
-    _, G, _ = _coupling(problem)
+    G, _ = _coupling(problem)
     C = _gap_coefficients(problem.known.values, G)
     return V + V @ C
 
 
 def classical_eigval_update(problem: PerturbationProblem) -> np.ndarray:
     """Second-order accurate eigenvalue update: t_i + v_i^T E v_i."""
-    V = problem.known.vectors
-    EV = matvec(problem.perturbation, V)
-    return problem.known.values + np.einsum("ij,ij->j", V, EV)
-
-
-def residual_r(known: EigenPairs, E, i: int) -> np.ndarray:
-    """Residual r_i = (I - V V^T) E v_i for the 0-based index i.
-
-    This is the component of E v_i outside the known subspace; it is
-    orthogonal to every known eigenvector up to roundoff.
-    """
-    if not 0 <= i < known.m:
-        raise IndexError(f"index {i} out of range for m={known.m}")
-    V = known.vectors
-    Ev = matvec(_as_matrix(E), V[:, i])
-    return Ev - V @ (V.T @ Ev)
+    return problem.known.values + np.einsum("ij,ij->j", problem.known.vectors, problem.EV)
 
 
 def truncated_first_order(problem: PerturbationProblem, mu) -> np.ndarray:
@@ -189,7 +181,7 @@ def truncated_first_order(problem: PerturbationProblem, mu) -> np.ndarray:
     mu_val = _resolve_mu(problem, mu)
     V = problem.known.vectors
     t = problem.known.values
-    _, G, R = _coupling(problem)
+    G, R = _coupling(problem)
     C = _gap_coefficients(t, G)
     return V + V @ C + R / (t - mu_val)[None, :]
 
@@ -203,7 +195,7 @@ def truncated_second_order(problem: PerturbationProblem, mu) -> np.ndarray:
     mu_val = _resolve_mu(problem, mu)
     V = problem.known.vectors
     t = problem.known.values
-    _, G, R = _coupling(problem)
+    G, R = _coupling(problem)
     C = _gap_coefficients(t, G)
     W1 = V + V @ C + R / (t - mu_val)[None, :]
     inv_sq = 1.0 / (t - mu_val) ** 2

@@ -9,7 +9,14 @@ import time
 import numpy as np
 
 from perturbext.cli import main as cli_main
-from perturbext.extension import ExtensionConfig, Selector, extend_with_submatrix, pert_extend, select_submatrix
+from perturbext.extension import (
+    ExtensionConfig,
+    Selector,
+    extend_with_submatrix,
+    kernel_approx,
+    pert_extend,
+    select_submatrix,
+)
 from perturbext.experiments import (
     derive_seed,
     matched_topleft_size,
@@ -44,7 +51,6 @@ from perturbext.nystrom import (
     check_topleft_equivalence,
     generalized_nystrom,
     nystrom_extend,
-    nystrom_kernel_approx,
     shift_mu_mean,
     shifted_nystrom,
 )
@@ -357,9 +363,9 @@ def test_shifted_frobenius_improvement():
         K = gen_slow_decay(n, seed=derive_seed(MASTER_SEED, 13, trial))
         mu = shift_mu_mean(K, k)
         vp, up = nystrom_extend(K, k)
-        err_plain = np.linalg.norm(K.a - nystrom_kernel_approx(vp, up).a)
+        err_plain = np.linalg.norm(K.a - kernel_approx(vp, up).a)
         vs, us = shifted_nystrom(K, k, mu)
-        err_shift = np.linalg.norm(K.a - nystrom_kernel_approx(vs, us).a)
+        err_shift = np.linalg.norm(K.a - kernel_approx(vs, us).a)
         improved += err_shift <= err_plain
         worst_margin = min(worst_margin, err_plain - err_shift)
     ok = improved == trials

@@ -54,6 +54,25 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o.values").exists()
 
+    def test_huge_header_dimension_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("10000000000000 1\n0 0 1.0\n")
+        code = main(["eig", "--sparse-matrix", str(path), "--m", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_all_zero_submatrix_is_numerical_error(self, tmp_path, capsys):
+        # K^s = the top-left 280 x 280 block is all zero and above the dense
+        # fallback size, so it reaches the Lanczos path
+        path = tmp_path / "z.txt"
+        path.write_text("300 1\n299 299 1.0\n")
+        code = main(["extend", "--sparse-matrix", str(path), "--selector", "topleft:280",
+                     "--m", "2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "numerical error:" in err and "Traceback" not in err
+
     def test_mu_collision_is_numerical_error(self, dense_matrix_file, tmp_path, capsys):
         # explicit mu equal to the top submatrix eigenvalue hits the guard
         K = read_dense(dense_matrix_file)

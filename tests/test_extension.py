@@ -207,6 +207,22 @@ class TestPertExtend:
                              (dense.bound_terms, sparse.bound_terms)):
                     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_one_e_product_per_extension(self, monkeypatch, sparse):
+        # the vector and the value update share E V; order 1 never applies K^s
+        K = gen_wishart_psd(40, seed=24)
+        K = SparseSymmetric.from_dense(K) if sparse else K
+        calls = []
+        original = type(K).matvec
+
+        def counting(self, x):
+            calls.append(x.shape)
+            return original(self, x)
+
+        monkeypatch.setattr(type(K), "matvec", counting)
+        pert_extend(K, Selector.band(5), ExtensionConfig(m=4))
+        assert len(calls) == 1
+
 
 class TestValueUpdates:
     def test_full_selection_keeps_values(self):
@@ -336,7 +352,7 @@ class TestKernelApprox:
     def test_full_reconstruction(self):
         K = gen_wishart_psd(12, seed=16)
         res = pert_extend(K, Selector.full_mask(12), ExtensionConfig(m=12))
-        approx = kernel_approx(res)
+        approx = kernel_approx(res.values, res.vectors)
         scale = spectral_norm(K)
         assert np.max(np.abs(approx.a - K.a)) <= 1e-8 * scale
 
@@ -344,13 +360,7 @@ class TestKernelApprox:
         vals = np.array([3.0])
         vecs = np.zeros((4, 1))
         vecs[0, 0] = 1.0
-        from perturbext.extension import ExtensionResult
-        from perturbext.matrixcore import EigenPairs
-
-        res = ExtensionResult(values=vals, vectors=vecs, bound_terms=np.array([np.inf]),
-                              selector_nnz=1,
-                              source_pairs=EigenPairs(np.array([1.0]), vecs))
-        approx = kernel_approx(res)
+        approx = kernel_approx(vals, vecs)
         expected = np.zeros((4, 4))
         expected[0, 0] = 3.0
         assert np.array_equal(approx.a, expected)
@@ -358,7 +368,7 @@ class TestKernelApprox:
     def test_rank_at_most_m(self):
         K = gen_wishart_psd(25, seed=17)
         res = pert_extend(K, Selector.band(8), ExtensionConfig(m=5))
-        approx = kernel_approx(res)
+        approx = kernel_approx(res.values, res.vectors)
         svals = np.linalg.svd(approx.a, compute_uv=False)
         assert np.all(svals[5:] <= 1e-10 * svals[0])
 
@@ -367,10 +377,9 @@ class TestKernelApprox:
         n, m = 40, 6
         K = gen_wishart_psd(n, seed=18)
         res = pert_extend(K, Selector.top_left(m), ExtensionConfig(m=m))
-        approx_pert = kernel_approx(res)
-        vals, vecs = nystrom_extend(K, m)
-        approx_nys = (vecs * vals[None, :]) @ vecs.T
-        assert np.max(np.abs(approx_pert.a - approx_nys)) <= 1e-10 * spectral_norm(K)
+        approx_pert = kernel_approx(res.values, res.vectors)
+        approx_nys = kernel_approx(*nystrom_extend(K, m))
+        assert np.max(np.abs(approx_pert.a - approx_nys.a)) <= 1e-10 * spectral_norm(K)
 
 
 class TestBlockExtend:
@@ -378,7 +387,7 @@ class TestBlockExtend:
         K = gen_wishart_psd(18, seed=19)
         combined = block_extend(K, [18], ExtensionConfig(m=4), weights=[1.0])
         res = pert_extend(K, Selector.top_left(18), ExtensionConfig(m=4))
-        assert np.max(np.abs(combined.a - kernel_approx(res).a)) <= 1e-12
+        assert np.max(np.abs(combined.a - kernel_approx(res.values, res.vectors).a)) <= 1e-12
 
     def test_blockdiagonal_kernel_reconstructed_per_block(self):
         rng = np.random.default_rng(20)
@@ -404,7 +413,8 @@ class TestBlockExtend:
         for lo, hi in ((0, 8), (8, 16)):
             keep = (rows >= lo) & (cols < hi) & (rows < hi) & (cols >= lo)
             Ks = SparseSymmetric(16, rows[keep], cols[keep], K.a[rows[keep], cols[keep]])
-            members.append(kernel_approx(extend_with_submatrix(K, Ks, cfg)).a)
+            res = extend_with_submatrix(K, Ks, cfg)
+            members.append(kernel_approx(res.values, res.vectors).a)
         expected = 0.25 * members[0] + 0.75 * members[1]
         assert np.max(np.abs(combined.a - expected)) <= 1e-12
 

@@ -58,6 +58,11 @@ class TestTypes:
         with pytest.raises(ValueError, match="row <= col"):
             SparseSymmetric(3, [1], [0], [1.0])
 
+    def test_sparse_rejects_dimension_beyond_flat_index(self):
+        # row * n + col must fit int64; checked before any n-sized array
+        with pytest.raises(ValueError, match="too large"):
+            SparseSymmetric(10 ** 13, [0], [0], [1.0])
+
     def test_sparse_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             SparseSymmetric(3, [0, 0], [1, 1], [1.0, 2.0])
@@ -347,6 +352,13 @@ class TestPartialDegenerateGap:
         S = SparseSymmetric(n, np.arange(n), np.arange(n), vals)
         with pytest.raises(EigengapError):
             sym_eig_partial(S, 1)
+
+    @pytest.mark.parametrize("A", [SparseSymmetric(300, [], [], []), SymmetricDense(np.zeros((300, 300)))],
+                             ids=["sparse", "dense"])
+    def test_iterative_path_rejects_zero_matrix(self, A):
+        # every pair ties at 0; Lanczos cannot even start on it
+        with pytest.raises(EigengapError, match="no nonzeros"):
+            sym_eig_partial(A, 2)
 
 
 class TestPrincipalBlock:

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from perturbext.extension import ExtensionConfig, Selector, block_extend, pert_extend
+from perturbext.extension import ExtensionConfig, Selector, block_extend, kernel_approx, pert_extend
 from perturbext.kernels import (
     Dataset,
     KernelSpec,
@@ -29,8 +31,6 @@ from perturbext.nystrom import (
     ensemble_nystrom,
     generalized_nystrom,
     nystrom_extend,
-    nystrom_kernel_approx,
-    permute_symmetric,
     shift_mu_mean,
     shifted_nystrom,
 )
@@ -262,9 +262,9 @@ class TestShifted:
             k = 10
             mu = shift_mu_mean(K, k)
             vp, up = nystrom_extend(K, k)
-            err_plain = np.linalg.norm(K.a - nystrom_kernel_approx(vp, up).a)
+            err_plain = np.linalg.norm(K.a - kernel_approx(vp, up).a)
             vs, us = shifted_nystrom(K, k, mu)
-            err_shift = np.linalg.norm(K.a - nystrom_kernel_approx(vs, us).a)
+            err_shift = np.linalg.norm(K.a - kernel_approx(vs, us).a)
             assert err_shift <= err_plain
 
     def test_near_eigenvalue_mu_guarded(self):
@@ -280,7 +280,7 @@ class TestEnsemble:
         K = gen_wishart_psd(n, seed=10)
         approx = ensemble_nystrom(K, k, [np.arange(n)], weights=[1.0])
         vals, vecs = generalized_nystrom(K, k, n)
-        expected = nystrom_kernel_approx(vals, vecs)
+        expected = kernel_approx(vals, vecs)
         assert np.max(np.abs(approx.a - expected.a)) <= 1e-12
 
     def test_identical_subsets_collapse(self):
@@ -302,7 +302,8 @@ class TestEnsemble:
         for subset in subsets:
             rest = np.setdiff1d(np.arange(n), subset)
             perm = np.concatenate([subset, rest])
-            vals, vecs = generalized_nystrom(permute_symmetric(K, perm), k, subset.size)
+            P = SymmetricDense(K.a[np.ix_(perm, perm)])
+            vals, vecs = generalized_nystrom(P, k, subset.size)
             member = (vecs * vals[None, :]) @ vecs.T
             inv = np.empty(n, dtype=np.int64)
             inv[perm] = np.arange(n)
@@ -325,6 +326,33 @@ class TestEnsemble:
             ensemble_nystrom(K, 2, [np.arange(4)], weights=[0.7])
 
 
+class TestCombinationMemory:
+    """The members of an ensemble or block combination are combined as
+    factors, so their n x n approximations are never held one per member."""
+
+    n = 1000
+
+    @pytest.fixture(scope="class")
+    def K(self):
+        return gen_wishart_psd(self.n, 3)
+
+    def peak_in_n2_doubles(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / (8.0 * self.n ** 2)
+        finally:
+            tracemalloc.stop()
+
+    def test_ensemble_peak(self, K):
+        subsets = [np.sort(rng_for(30, j).choice(self.n, size=50, replace=False)) for j in range(8)]
+        assert self.peak_in_n2_doubles(lambda: ensemble_nystrom(K, 5, subsets)) < 4.5
+
+    def test_block_extend_peak(self, K):
+        blocks = (self.n // 8,) * 8
+        assert self.peak_in_n2_doubles(lambda: block_extend(K, blocks, ExtensionConfig(m=5))) < 6.5
+
+
 class TestEquivalenceChecks:
     def test_diagonal_kernel_zero_deviation(self):
         K = SymmetricDense(np.diag(np.arange(20, 0, -1.0)))
@@ -343,14 +371,6 @@ class TestEquivalenceChecks:
             assert check_topleft_equivalence(K, 8, tolerance=1e-10)["passed"]
             mu = shift_mu_mean(K, 8)
             assert check_shifted_equivalence(K, 8, mu, tolerance=1e-10)["passed"]
-
-    def test_permute_preserves_type_and_spectrum(self):
-        K = gen_wishart_psd(15, seed=17)
-        perm = rng_for(18).permutation(15)
-        P = permute_symmetric(K, perm)
-        assert isinstance(P, SymmetricDense)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(P.a)),
-                           np.sort(np.linalg.eigvalsh(K.a)), atol=1e-12)
 
 
 class TestConfig:

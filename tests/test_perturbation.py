@@ -9,12 +9,12 @@ from perturbext.perturbation import (
     MuCollisionError,
     MuPolicy,
     PerturbationProblem,
+    _coupling,
     classical_eigval_update,
     classical_eigvec_update,
     first_order_bounds,
     is_lowrank_plus_shift,
     mu_mean,
-    residual_r,
     second_order_bounds,
     truncated_first_order,
     truncated_second_order,
@@ -100,30 +100,26 @@ class TestClassicalUpdates:
 
 
 class TestResidual:
+    """The residual block of the coupling, R[:, i] = (I - V V^T) E v_i."""
+
     def test_complete_projector_gives_zero(self):
         A = gen_unit_random_symmetric(9, seed=7)
         E = gen_unit_random_symmetric(9, seed=8).a
-        known = leading(A, 9)
-        r = residual_r(known, E, 0)
-        assert np.linalg.norm(r) <= 1e-12
+        _, R = _coupling(make_problem(A, E, 9))
+        assert np.linalg.norm(R[:, 0]) <= 1e-12
 
     def test_zero_perturbation_gives_zero(self):
         A = gen_unit_random_symmetric(9, seed=9)
-        r = residual_r(leading(A, 4), np.zeros((9, 9)), 2)
-        assert np.all(r == 0)
+        _, R = _coupling(make_problem(A, np.zeros((9, 9)), 4))
+        assert np.all(R == 0)
 
     def test_orthogonal_to_known_subspace(self):
         A = gen_unit_random_symmetric(30, seed=10)
         E = gen_unit_random_symmetric(30, seed=11).a
         known = leading(A, 6)
+        _, R = _coupling(PerturbationProblem(base=A, known=known, perturbation=E))
         for i in range(6):
-            r = residual_r(known, E, i)
-            assert np.max(np.abs(known.vectors.T @ r)) <= 1e-10 * np.linalg.norm(E, 2)
-
-    def test_index_out_of_range(self):
-        A = gen_unit_random_symmetric(5, seed=12)
-        with pytest.raises(IndexError):
-            residual_r(leading(A, 2), np.zeros((5, 5)), 2)
+            assert np.max(np.abs(known.vectors.T @ R[:, i])) <= 1e-10 * np.linalg.norm(E, 2)
 
 
 class TestTruncatedFormulas:
