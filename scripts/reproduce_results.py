@@ -28,31 +28,29 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = []
 
-    rows, slopes = exp.run_norm_slopes(seed=args.seed)
-    report = exp.ExperimentReport(rows)
-    rows, tail_slopes = exp.run_tail_slopes(seed=args.seed)
-    report.extend(rows)
-    report.to_csv(out / "slopes.csv")
+    norm_rows, slopes = exp.run_norm_slopes(seed=args.seed)
+    tail_rows, tail_slopes = exp.run_tail_slopes(seed=args.seed)
+    exp.write_report(out / "slopes.csv", norm_rows + tail_rows)
     summary.append(f"slope_vs_norm: order1={slopes['order1']:.4f} order2={slopes['order2']:.4f}")
     summary.append(f"slope_vs_tail: order1={tail_slopes['order1']:.4f} order2={tail_slopes['order2']:.4f}")
     print(summary[-2]); print(summary[-1])
 
     rows = exp.run_band_experiment(trials=args.trials, seed=args.seed)
-    exp.ExperimentReport(rows).to_csv(out / "band.csv")
+    exp.write_report(out / "band.csv", rows)
     print(f"band.csv: {len(rows)} rows")
 
     rows = exp.run_sparse_experiment(trials=args.trials, seed=args.seed)
-    exp.ExperimentReport(rows).to_csv(out / "sparse.csv")
+    exp.write_report(out / "sparse.csv", rows)
     print(f"sparse.csv: {len(rows)} rows")
 
     rows, passed, guarded = exp.run_verification(trials=args.trials, seed=args.seed)
-    exp.ExperimentReport(rows).to_csv(out / "verify.csv")
+    exp.write_report(out / "verify.csv", rows)
     summary.append(f"verification: {'PASSED' if passed else 'FAILED'}"
                    + (f" ({len(guarded)} guarded singularities)" if guarded else ""))
     print(summary[-1])
 
     rows, improved = exp.run_shift_comparison(trials=args.trials, seed=args.seed)
-    exp.ExperimentReport(rows).to_csv(out / "shift_comparison.csv")
+    exp.write_report(out / "shift_comparison.csv", rows)
     summary.append(f"shift comparison: improved in {improved}/{args.trials} trials")
     print(summary[-1])
 

@@ -62,12 +62,11 @@ from .perturbation import (
     MuCollisionError,
     MuPolicy,
     PerturbationProblem,
+    bound_terms,
     classical_eigval_update,
     classical_eigvec_update,
-    first_order_bounds,
     is_lowrank_plus_shift,
     mu_mean,
-    second_order_bounds,
     truncated_first_order,
     truncated_second_order,
 )

@@ -22,6 +22,7 @@ from .matrixcore import (
     read_sparse,
     sym_eig_full,
     sym_eig_partial,
+    write_rows,
 )
 from .nystrom import SingularSampleError
 
@@ -123,22 +124,13 @@ def _load_input_matrix(args):
     return K
 
 
-def _write_vector(path, values):
-    with open(path, "w") as fh:
-        for v in values:
-            fh.write(f"{v:.17g}\n")
-
-
 def _cmd_slopes(args) -> int:
-    report = exp.ExperimentReport()
-    rows, norm_slopes = exp.run_norm_slopes(args.n, args.m, args.seed,
-                                            grid=_parse_grid(args.norm_grid))
-    report.extend(rows)
-    rows, tail_slopes = exp.run_tail_slopes(args.n, args.m, args.seed,
-                                            grid=_parse_grid(args.tail_grid))
-    report.extend(rows)
+    norm_rows, norm_slopes = exp.run_norm_slopes(args.n, args.m, args.seed,
+                                                 grid=_parse_grid(args.norm_grid))
+    tail_rows, tail_slopes = exp.run_tail_slopes(args.n, args.m, args.seed,
+                                                 grid=_parse_grid(args.tail_grid))
     if args.out:
-        report.to_csv(args.out)
+        exp.write_report(args.out, norm_rows + tail_rows)
     for name in ("order1", "order2"):
         print(f"slope_vs_norm {name}: {norm_slopes[name]:.4f}")
     for name in ("order1", "order2"):
@@ -150,9 +142,8 @@ def _cmd_band(args) -> int:
     rows = exp.run_band_experiment(args.n, args.m, _parse_grid(args.p_grid, int),
                                    _parse_grid(args.l_grid, int), args.trials,
                                    args.seed, args.order, pert.MuPolicy.parse(args.mu))
-    report = exp.ExperimentReport(rows)
     if args.out:
-        report.to_csv(args.out)
+        exp.write_report(args.out, rows)
     print(f"band experiment: {len(rows)} rows over {args.trials} trials")
     return 0
 
@@ -163,9 +154,8 @@ def _cmd_sparse(args) -> int:
                                      _parse_grid(args.q_grid), _parse_grid(args.l_grid, int),
                                      args.trials, args.seed, n=args.n, keep=args.keep,
                                      order=args.order, mu=pert.MuPolicy.parse(args.mu))
-    report = exp.ExperimentReport(rows)
     if args.out:
-        report.to_csv(args.out)
+        exp.write_report(args.out, rows)
     print(f"sparse experiment: {len(rows)} rows over {args.trials} trials")
     return 0
 
@@ -174,9 +164,8 @@ def _cmd_verify(args) -> int:
     rows, passed, guarded = exp.run_verification(args.n, args.m, args.trials, args.seed,
                                                  mu_policy=pert.MuPolicy.parse(args.mu),
                                                  tolerance=args.tolerance)
-    report = exp.ExperimentReport(rows)
     if args.out:
-        report.to_csv(args.out)
+        exp.write_report(args.out, rows)
     for trial, tag, message in guarded:
         print(f"guarded error (trial {trial}, {tag}): {message}")
     print(f"verification {'PASSED' if passed else 'FAILED'} over {args.trials} trials "
@@ -189,11 +178,9 @@ def _cmd_extend(args) -> int:
     sel = Selector.parse(args.selector)
     cfg = ExtensionConfig(m=args.m, order=args.order, mu=pert.MuPolicy.parse(args.mu))
     result = pert_extend(K, sel, cfg)
-    _write_vector(args.out + ".values", result.values)
-    _write_vector(args.out + ".bounds", result.bound_terms)
-    with open(args.out + ".vectors", "w") as fh:
-        for row in result.vectors:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    write_rows(args.out + ".values", result.values[:, None])
+    write_rows(args.out + ".bounds", result.bound_terms[:, None])
+    write_rows(args.out + ".vectors", result.vectors)
     print(f"extended {args.m} pairs -> {args.out}.values/.vectors/.bounds")
     return 0
 
@@ -201,10 +188,8 @@ def _cmd_extend(args) -> int:
 def _cmd_eig(args) -> int:
     K = _load_input_matrix(args)
     pairs = sym_eig_full(K) if args.m is None else sym_eig_partial(K, args.m)
-    _write_vector(args.out + ".values", pairs.values)
-    with open(args.out + ".vectors", "w") as fh:
-        for row in pairs.vectors:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    write_rows(args.out + ".values", pairs.values[:, None])
+    write_rows(args.out + ".vectors", pairs.vectors)
     print(f"wrote {pairs.m} eigenpairs -> {args.out}.values/.vectors")
     return 0
 

@@ -74,27 +74,21 @@ class ReportRow:
             raise ValueError(f"nnz_fraction outside (0, 1] in row {self}")
 
 
-class ExperimentReport:
-    """Sorted collection of rows with a lossless CSV rendering."""
+def write_report(path, rows) -> None:
+    """Write report rows as CSV, sorted by (experiment, method, parameter,
+    trial), every float with 17 significant digits so it reads back exactly.
 
-    def __init__(self, rows=()):
-        self.rows = list(rows)
-
-    def extend(self, rows):
-        self.rows.extend(rows)
-
-    def sorted_rows(self):
-        return sorted(self.rows, key=lambda r: (r.experiment_id, r.method, r.parameter, r.trial))
-
-    def to_csv(self, path) -> None:
-        for row in self.rows:
-            row.validate()
-        with open(path, "w") as fh:
-            fh.write(REPORT_HEADER + "\n")
-            for r in self.sorted_rows():
-                fh.write(f"{r.experiment_id},{r.method},{r.parameter:.17g},"
-                         f"{r.nnz_fraction:.17g},{r.metric},{r.value:.17g},"
-                         f"{r.trial},{r.seed}\n")
+    Every row is validated before the file is opened.
+    """
+    rows = list(rows)
+    for row in rows:
+        row.validate()
+    with open(path, "w") as fh:
+        fh.write(REPORT_HEADER + "\n")
+        for r in sorted(rows, key=lambda r: (r.experiment_id, r.method, r.parameter, r.trial)):
+            fh.write(f"{r.experiment_id},{r.method},{r.parameter:.17g},"
+                     f"{r.nnz_fraction:.17g},{r.metric},{r.value:.17g},"
+                     f"{r.trial},{r.seed}\n")
 
 
 def fit_loglog_slope(x, y) -> float:

@@ -135,8 +135,9 @@ class ExtensionResult:
     """Extended eigenpairs plus the computable part of their error bounds.
 
     ``vectors`` are unnormalized, exactly as the update formula produces
-    them.  ``bound_terms`` carries one value per extended pair (the entry for
-    the last pair is infinite: its gap factor degenerates).
+    them.  ``bound_terms`` carries one value per extended pair, as
+    ``perturbation.bound_terms`` computes it for the configured order (the
+    entry for the last pair is infinite: its gap factor degenerates).
 
     The terms take sums over the unknown eigenvalues t_k of K^s.  The
     second-order sum, sum (t_k - mu)^2, is exact: above DENSE_FALLBACK_N it
@@ -192,21 +193,21 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     return SparseSymmetric(n, rows[keep], cols[keep], vals[keep])
 
 
-def _tail_totals(Ks: SparseSymmetric, known_values: np.ndarray, mu: float):
-    """(sum |t_k - mu|, sum (t_k - mu)^2) over the eigenvalues t_k of K^s
-    beyond the known ones.
+def _bound_tail(Ks: SparseSymmetric, known_values: np.ndarray, mu: float, order: int):
+    """The tail that ``bound_terms`` takes for the given order: the unknown
+    eigenvalues t_k of K^s, or their sum S = sum |t_k - mu|^order.
 
-    Above DENSE_FALLBACK_N the squared sum comes from traces and the absolute
-    sum from its Cauchy-Schwarz bound.  Below it both are exact, from the
-    dense spectrum: there the trace identity's cancellation error, about
-    eps * ||K^s||_F^2, would swamp a tail that is exactly zero.
+    Up to DENSE_FALLBACK_N the eigenvalues themselves come from the dense
+    spectrum: there the trace identity's cancellation error, about
+    eps * ||K^s||_F^2, would swamp a tail that is exactly zero.  Above it,
+    S for order 2 comes from traces, and for order 1 its Cauchy-Schwarz
+    bound sqrt((n - m) * S_2) takes the place of S.
     """
     n, m = Ks.n, known_values.size
     if n <= DENSE_FALLBACK_N:
-        tail = np.linalg.eigvalsh(Ks.to_dense().a)[::-1][m:]
-        return pert.tail_abs_sum(tail, mu), pert.tail_sq_sum(tail, mu)
+        return np.linalg.eigvalsh(Ks.to_dense().a)[::-1][m:]
     sq = pert.tail_sq_sum_from_traces(frobenius_norm(Ks) ** 2, known_values, mu, trace(Ks), n)
-    return float(np.sqrt((n - m) * sq)), sq
+    return sq if order == 2 else float(np.sqrt((n - m) * sq))
 
 
 def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> ExtensionResult:
@@ -214,21 +215,12 @@ def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> Exten
     pairs = sym_eig_partial(Ks, cfg.m)
     E = add_scaled(K, Ks, -1.0)
     problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=E)
-    mu_val = cfg.mu.resolve(problem)
-    if cfg.order == 1:
-        vectors = pert.truncated_first_order(problem, mu_val)
-    else:
-        vectors = pert.truncated_second_order(problem, mu_val)
-    values = pert.classical_eigval_update(problem)
-
-    norm_diff = spectral_norm(E)
-    abs_total, sq_total = _tail_totals(Ks, pairs.values, mu_val)
-    if cfg.order == 1:
-        bounds = pert.first_order_bounds(pairs.values, abs_total, mu_val, norm_diff)
-    else:
-        bounds = pert.second_order_bounds(pairs.values, sq_total, mu_val, norm_diff)
-    return ExtensionResult(values=values, vectors=vectors, bound_terms=bounds,
-                           selector_nnz=Ks.nnz, source_pairs=pairs)
+    mu = cfg.mu.resolve(problem)
+    update = pert.truncated_first_order if cfg.order == 1 else pert.truncated_second_order
+    bounds = pert.bound_terms(pairs.values, _bound_tail(Ks, pairs.values, mu, cfg.order), mu,
+                              spectral_norm(E), cfg.order)
+    return ExtensionResult(values=pert.classical_eigval_update(problem), vectors=update(problem, mu),
+                           bound_terms=bounds, selector_nnz=Ks.nnz, source_pairs=pairs)
 
 
 def pert_extend(K, sel: Selector, cfg: ExtensionConfig) -> ExtensionResult:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import SparseSymmetric, SymmetricDense
+from .matrixcore import SparseSymmetric, SymmetricDense, read_rows
 
 
 class KernelOverflowError(OverflowError, ValueError):
@@ -93,30 +93,7 @@ class KernelSpec:
 
 def load_dataset(path, has_header: bool = False) -> Dataset:
     """Comma-separated numeric file -> Dataset; errors carry row/column info."""
-    rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if has_header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ValueError(f"{path}: line {lineno}: expected {width} fields, found {len(fields)}")
-            parsed = []
-            for col, f in enumerate(fields):
-                try:
-                    parsed.append(float(f))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}, column {col + 1}: non-numeric field {f!r}") from exc
-            rows.append(parsed)
-    if not rows:
-        raise ValueError(f"{path}: empty dataset")
-    return Dataset(np.array(rows))
+    return Dataset(read_rows(path, skip_header=has_header))
 
 
 def standardize(ds: Dataset) -> Dataset:

@@ -93,11 +93,6 @@ class SparseSymmetric:
     __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_magnitude_order")
 
     def __init__(self, n: int, rows, cols, vals):
-        if n <= 0:
-            raise ValueError("dimension must be positive")
-        if int(n) ** 2 > np.iinfo(np.int64).max:
-            # checked before any n-sized array: row * n + col must fit int64
-            raise ValueError(f"dimension {n} too large: n * n overflows int64")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
@@ -105,20 +100,10 @@ class SparseSymmetric:
             raise ValueError("triplet arrays must be 1-D and equally sized")
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix entries must be finite")
-        if rows.size:
-            if rows.min() < 0 or cols.max() >= n:
-                raise ValueError("triplet index out of range")
-            if np.any(rows > cols):
-                raise ValueError("triplets must satisfy row <= col")
+        order = _row_major_order(n, rows, cols)
+        rows, cols, vals = rows[order], cols[order], vals[order]
         keep = vals != 0.0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        # row-major order; a stable sort of the flat index is fast on the
-        # already-sorted triplets that files, selections and merges supply
-        key = rows * n + cols
-        order = np.argsort(key, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if np.any(np.diff(key[order]) == 0):
-            raise ValueError("duplicate (row, col) triplet")
         for arr in (rows, cols, vals):
             arr.setflags(write=False)
         self._n = int(n)
@@ -167,6 +152,30 @@ class SparseSymmetric:
 
     def __repr__(self):
         return f"SparseSymmetric(n={self.n}, nnz={self.nnz})"
+
+
+def _row_major_order(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Row-major order of upper-triangle index pairs of an n x n matrix.
+
+    Raises ValueError for a nonpositive n or one whose n * n overflows the
+    int64 flat index, an index outside [0, n), a pair with row > col, or a
+    repeated pair.  A stable sort of the flat index is fast on the
+    already-sorted pairs that files, selections and merges supply.
+    """
+    if n <= 0:
+        raise ValueError("dimension must be positive")
+    if int(n) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(f"dimension {n} too large: n * n overflows int64")
+    if rows.size:
+        if rows.min() < 0 or cols.max() >= n:
+            raise ValueError("triplet index out of range")
+        if np.any(rows > cols):
+            raise ValueError("triplets must satisfy row <= col")
+    key = rows * n + cols
+    order = np.argsort(key, kind="stable")
+    if np.any(np.diff(key[order]) == 0):
+        raise ValueError("duplicate (row, col) triplet")
+    return order
 
 
 class EigenPairs:
@@ -261,6 +270,8 @@ def add_scaled(A, B, c: float):
 
     Entries that cancel to exactly 0.0 are dropped, so K - K^s for a
     selection K^s of a sparse K stores only the unselected entries.
+    Otherwise the result is dense: a copy of A with c * B added at B's
+    stored positions only, so a sparse B is never densified.
     """
     if dimension(A) != dimension(B):
         raise ValueError("dimension mismatch")
@@ -273,7 +284,11 @@ def add_scaled(A, B, c: float):
         merged = np.zeros(uniq.size)
         np.add.at(merged, inv, vals)
         return SparseSymmetric(A.n, uniq // A.n, uniq % A.n, merged)
-    return SymmetricDense(A.to_dense().a + c * B.to_dense().a, symmetrize=True)
+    a = np.array(A.to_dense().a)
+    rows, cols, vals = _stored_triplets(B)
+    a[rows, cols] += c * vals
+    a[cols, rows] = a[rows, cols]
+    return SymmetricDense(a)
 
 
 def _to_dense_array(A) -> np.ndarray:
@@ -457,31 +472,59 @@ def _orthonormalize(block: np.ndarray) -> np.ndarray:
 # file formats
 
 
-def write_dense(path, K: SymmetricDense) -> None:
+def write_rows(path, rows) -> None:
     """One row per line, comma-separated decimals, 17 significant digits."""
     with open(path, "w") as fh:
-        for row in K.a:
+        for row in rows:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def read_dense(path) -> SymmetricDense:
+def read_rows(path, skip_header: bool = False) -> np.ndarray:
+    """Parse comma-separated numeric rows into a 2-D array.
+
+    Blank lines are skipped, and the first line too with ``skip_header``.
+    A non-numeric field, a row whose width differs from the first row's,
+    or a file without rows raises ValueError naming the path and, where
+    there is one, the line.
+    """
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            if skip_header and lineno == 1:
+                continue
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
+            if rows and len(fields) != len(rows[0]):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {len(rows[0])} fields, found {len(fields)}")
             try:
                 rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field") from exc
+            except ValueError:
+                # parse again field by field, only to name the bad one
+                for col, f in enumerate(fields, start=1):
+                    try:
+                        float(f)
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"{path}: line {lineno}, column {col}: non-numeric field {f!r}") from exc
     if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError(f"{path}: expected {n} fields per line for an {n}x{n} matrix")
-    return SymmetricDense(np.array(rows), symmetrize=False)
+        raise ValueError(f"{path}: empty file")
+    return np.array(rows)
+
+
+def write_dense(path, K: SymmetricDense) -> None:
+    """The dense matrix file format: the rows of K as ``write_rows`` writes them."""
+    write_rows(path, K.a)
+
+
+def read_dense(path) -> SymmetricDense:
+    """Read a ``write_dense`` file; it must hold a square, exactly symmetric matrix."""
+    a = read_rows(path)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"{path}: {a.shape[0]} lines of {a.shape[1]} fields is not a square matrix")
+    return SymmetricDense(a)
 
 
 def write_sparse(path, S: SparseSymmetric) -> None:
@@ -524,6 +567,11 @@ def read_sparse(path) -> SparseSymmetric:
 
 
 def read_mask(path):
-    """Sparse-format file whose values are ignored; returns (n, rows, cols)."""
+    """Sparse-format file whose values are ignored; returns (n, rows, cols).
+
+    The indices are checked as for a sparse matrix file: each in range of
+    the header's n, row <= col, no pair twice.
+    """
     n, rows, cols, _ = _read_triplets(path)
+    _row_major_order(n, rows, cols)
     return n, rows, cols

@@ -146,12 +146,6 @@ def _checked_mu(values: np.ndarray, mu: float) -> float:
     return mu
 
 
-def _resolve_mu(problem: PerturbationProblem, mu) -> float:
-    if isinstance(mu, MuPolicy):
-        mu = mu.resolve(problem)
-    return _checked_mu(problem.known.values, float(mu))
-
-
 def classical_eigvec_update(problem: PerturbationProblem) -> np.ndarray:
     """First-order eigenvector update using the complete eigenbasis (m = n).
 
@@ -171,50 +165,36 @@ def classical_eigval_update(problem: PerturbationProblem) -> np.ndarray:
     return problem.known.values + np.einsum("ij,ij->j", problem.known.vectors, problem.EV)
 
 
-def truncated_first_order(problem: PerturbationProblem, mu) -> np.ndarray:
+def truncated_first_order(problem: PerturbationProblem, mu: float) -> np.ndarray:
     """First-order truncated eigenvector update.
 
     w_i = v_i + sum_{k <= m, k != i} (E v_i, v_k)/(t_i - t_k) v_k
               + r_i / (t_i - mu),
-    returned as an n x m column block.  ``mu`` is a MuPolicy or a float.
+    returned as an n x m column block.  ``mu`` is a float; a MuPolicy
+    resolves to one through ``MuPolicy.resolve``.
     """
-    mu_val = _resolve_mu(problem, mu)
+    mu = _checked_mu(problem.known.values, float(mu))
     V = problem.known.vectors
     t = problem.known.values
     G, R = _coupling(problem)
     C = _gap_coefficients(t, G)
-    return V + V @ C + R / (t - mu_val)[None, :]
+    return V + V @ C + R / (t - mu)[None, :]
 
 
-def truncated_second_order(problem: PerturbationProblem, mu) -> np.ndarray:
+def truncated_second_order(problem: PerturbationProblem, mu: float) -> np.ndarray:
     """Second-order truncated eigenvector update.
 
-    Adds (A' - mu I) r_i / (t_i - mu)^2 to the first-order formula, which
+    Adds (A' - mu I) r_i / (t_i - mu)^2 to ``truncated_first_order``, which
     requires applying the base operator to the residuals.
     """
-    mu_val = _resolve_mu(problem, mu)
-    V = problem.known.vectors
-    t = problem.known.values
-    G, R = _coupling(problem)
-    C = _gap_coefficients(t, G)
-    W1 = V + V @ C + R / (t - mu_val)[None, :]
-    inv_sq = 1.0 / (t - mu_val) ** 2
-    return W1 + (matvec(problem.base, R) - mu_val * R) * inv_sq[None, :]
+    W1 = truncated_first_order(problem, mu)
+    _, R = _coupling(problem)
+    inv_sq = 1.0 / (problem.known.values - mu) ** 2
+    return W1 + (matvec(problem.base, R) - mu * R) * inv_sq[None, :]
 
 
 # ---------------------------------------------------------------------------
 # error bounds
-
-
-def tail_abs_sum(tail_values: np.ndarray, mu: float) -> float:
-    """sum_k |t_k - mu| over the explicitly known tail."""
-    return float(np.sum(np.abs(np.asarray(tail_values, dtype=float) - mu)))
-
-
-def tail_sq_sum(tail_values: np.ndarray, mu: float) -> float:
-    """sum_k (t_k - mu)^2 over the explicitly known tail."""
-    d = np.asarray(tail_values, dtype=float) - mu
-    return float(np.dot(d, d))
 
 
 def tail_sq_sum_from_traces(trace_base_sq: float, known_values: np.ndarray, mu: float = 0.0,
@@ -231,31 +211,27 @@ def tail_sq_sum_from_traces(trace_base_sq: float, known_values: np.ndarray, mu: 
     return max(0.0, float(trace_base_sq - 2.0 * mu * trace_base + n * mu * mu - np.dot(d, d)))
 
 
-def _bound_vector(values: np.ndarray, total: float, mu: float, norm_e: float,
-                  power: int) -> np.ndarray:
-    t_m = values[-1]
-    out = np.empty(values.size)
-    for i, t_i in enumerate(values):
-        gap = abs(t_i - t_m)
-        if gap < GAP_TOL:
-            # the gap factor degenerates for the last retained pair; the
-            # bound is vacuous (infinite) there rather than an error
-            out[i] = np.inf
-        else:
-            out[i] = total / (gap * abs(t_i - mu) ** power) * norm_e
+def bound_terms(values: np.ndarray, tail, mu: float, norm_e: float, order: int) -> np.ndarray:
+    """Computable bound term of every retained pair for the truncated update
+    of the given order (1 or 2):
+
+    ||E|| * S / (|t_i - t_m| * |t_i - mu|^order),  S = sum_{k>m} |t_k - mu|^order.
+
+    ``tail`` is either the unknown eigenvalues t_k themselves or the sum S.
+    The gap factor degenerates for the last retained pair (and for any pair
+    tied with it): the term is infinite there rather than an error.
+    """
+    values = np.asarray(values, dtype=float)
+    if np.ndim(tail):
+        d = np.abs(np.asarray(tail, dtype=float) - mu)
+        total = float(np.sum(d) if order == 1 else np.dot(d, d))
+    else:
+        total = float(tail)
+    gap = np.abs(values - values[-1])
+    out = np.full(values.size, np.inf)
+    ok = gap >= GAP_TOL
+    out[ok] = total / (gap[ok] * np.abs(values[ok] - mu) ** order) * norm_e
     return out
-
-
-def first_order_bounds(values: np.ndarray, tail_values, mu: float, norm_e: float) -> np.ndarray:
-    """First-order bound terms for every retained index (inf where i = m)."""
-    total = tail_abs_sum(tail_values, mu) if np.ndim(tail_values) else float(tail_values)
-    return _bound_vector(np.asarray(values, dtype=float), total, mu, norm_e, power=1)
-
-
-def second_order_bounds(values: np.ndarray, tail_values, mu: float, norm_e: float) -> np.ndarray:
-    """Second-order bound terms for every retained index (inf where i = m)."""
-    total = tail_sq_sum(tail_values, mu) if np.ndim(tail_values) else float(tail_values)
-    return _bound_vector(np.asarray(values, dtype=float), total, mu, norm_e, power=2)
 
 
 # ---------------------------------------------------------------------------

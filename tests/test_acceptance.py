@@ -56,8 +56,7 @@ from perturbext.nystrom import (
 )
 from perturbext.perturbation import (
     PerturbationProblem,
-    first_order_bounds,
-    second_order_bounds,
+    bound_terms,
     truncated_first_order,
     truncated_second_order,
 )
@@ -209,7 +208,7 @@ def test_bound_validity():
         W1 = truncated_first_order(problem, 0.0)
         errs = aligned_errors(W1, A.a + E, m)
         tail = sym_eig_full(A).values[m:]
-        bounds = first_order_bounds(known.values, tail, 0.0, norm_e)
+        bounds = bound_terms(known.values, tail, 0.0, norm_e, 1)
         limit = 2.0 * bounds + 1e-12
         covered &= bool(np.all(errs <= limit))
         finite = np.isfinite(bounds)
@@ -222,8 +221,8 @@ def test_bound_validity():
     for _ in range(50):
         values = np.sort(rng.uniform(2.0, 4.0, size=m))[::-1]
         tail = rng.uniform(0.0, 1.0, size=n - m)
-        b1 = first_order_bounds(values, tail, 0.0, norm_e)
-        b2 = second_order_bounds(values, tail, 0.0, norm_e)
+        b1 = bound_terms(values, tail, 0.0, norm_e, 1)
+        b2 = bound_terms(values, tail, 0.0, norm_e, 2)
         finite = np.isfinite(b1)
         ordering_holds &= bool(np.all(b2[finite] <= b1[finite]))
     ok = covered and ordering_holds

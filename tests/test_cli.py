@@ -31,11 +31,14 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("mask", ["5 2\n0 1 1.0\n3\n", "5 9\n0 1 1.0\n2 2 1.0\n",
-                                      "5 1\n0.5 1 1.0\n"],
-                             ids=["one_field_line", "short_of_header_count", "non_integer_index"])
+                                      "5 1\n0.5 1 1.0\n", "20 1\n12 3 1.0\n", "10 1\n3 12 1.0\n",
+                                      "20 2\n0 1 1.0\n0 1 1.0\n"],
+                             ids=["one_field_line", "short_of_header_count", "non_integer_index",
+                                  "row_above_col", "index_beyond_header", "duplicate_pair"])
     def test_malformed_mask_file_is_usage_error(self, tmp_path, capsys, mask):
-        matrix, mask_path = tmp_path / "K5.txt", tmp_path / "mask.txt"
-        write_dense(matrix, gen_wishart_psd(5, seed=1))
+        # every index fits the 20 x 20 matrix: the mask file itself is at fault
+        matrix, mask_path = tmp_path / "K20.txt", tmp_path / "mask.txt"
+        write_dense(matrix, gen_wishart_psd(20, seed=1))
         mask_path.write_text(mask)
         code = main(["extend", "--matrix", str(matrix), "--selector", f"mask:{mask_path}",
                      "--m", "1", "--out", str(tmp_path / "o")])

@@ -25,7 +25,7 @@ from perturbext.matrixcore import (
     write_sparse,
 )
 from perturbext.nystrom import nystrom_extend
-from perturbext.perturbation import MuPolicy, first_order_bounds, mu_mean, second_order_bounds
+from perturbext.perturbation import MuPolicy, bound_terms, mu_mean
 
 
 def to_full(S):
@@ -318,9 +318,9 @@ class TestBounds:
                 t = res2.source_pairs.values
                 mu_val = 0.0 if mu.kind == "zero" else mu_mean(trace(Ks), t, Ks.n)
                 np.testing.assert_allclose(
-                    res2.bound_terms, second_order_bounds(t, spectrum[m:], mu_val, norm_e),
+                    res2.bound_terms, bound_terms(t, spectrum[m:], mu_val, norm_e, 2),
                     rtol=1e-12, atol=0.0)
-                exact1 = first_order_bounds(t, spectrum[m:], mu_val, norm_e)
+                exact1 = bound_terms(t, spectrum[m:], mu_val, norm_e, 1)
                 assert np.all(res1.bound_terms[:-1] >= exact1[:-1])
 
     def test_bound_covers_measured_error_small_residual(self):

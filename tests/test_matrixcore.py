@@ -274,6 +274,17 @@ class TestUtilities:
         Z = add_scaled(S, S, -1.0)
         assert Z.nnz == 0
 
+    def test_add_scaled_dense_minus_sparse_keeps_sparse_operand(self, monkeypatch):
+        A = random_symmetric(8, 4)
+        S = SparseSymmetric(8, [0, 1, 3, 5], [0, 4, 3, 7], [1.5, -2.0, 0.25, 3.0])
+        expected = A.a - S.to_dense().a
+
+        def refuse(self):
+            raise AssertionError("sparse operand densified")
+
+        monkeypatch.setattr(SparseSymmetric, "to_dense", refuse)
+        assert np.array_equal(add_scaled(A, S, -1.0).a, expected)
+
     def test_frobenius_sparse_matches_dense(self):
         S = SparseSymmetric(4, [0, 0, 1, 3], [0, 2, 1, 3], [1.0, 2.0, -1.0, 4.0])
         assert frobenius_norm(S) == pytest.approx(np.linalg.norm(S.to_dense().a))
@@ -326,6 +337,12 @@ class TestFileFormats:
         path = tmp_path / "bad.txt"
         path.write_text("1,2\n3\n")
         with pytest.raises(ValueError):
+            read_dense(path)
+
+    def test_dense_non_square_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1,2\n2,1\n3,3\n")
+        with pytest.raises(ValueError, match="bad.txt"):
             read_dense(path)
 
     def test_dense_nonnumeric_names_line(self, tmp_path):

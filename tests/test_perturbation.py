@@ -3,19 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perturbext.kernels import gen_rank_m_spectrum, gen_unit_random_symmetric
-from perturbext.matrixcore import EigengapError, EigenPairs, SymmetricDense, sym_eig_full
+from perturbext.matrixcore import GAP_TOL, EigengapError, EigenPairs, SymmetricDense, sym_eig_full
 from perturbext.perturbation import (
     tail_sq_sum_from_traces,
     MuCollisionError,
     MuPolicy,
     PerturbationProblem,
     _coupling,
+    bound_terms,
     classical_eigval_update,
     classical_eigvec_update,
-    first_order_bounds,
     is_lowrank_plus_shift,
     mu_mean,
-    second_order_bounds,
     truncated_first_order,
     truncated_second_order,
 )
@@ -204,29 +203,44 @@ class TestTruncatedFormulas:
     def test_zero_perturbation_property(self, seed):
         A = gen_unit_random_symmetric(15, seed=seed)
         problem = make_problem(A, np.zeros((15, 15)), 5)
-        assert np.array_equal(truncated_first_order(problem, MuPolicy.mean()),
+        assert np.array_equal(truncated_first_order(problem, MuPolicy.mean().resolve(problem)),
                               problem.known.vectors)
 
 
 class TestErrorBounds:
     def test_tail_exactly_mu_gives_zero(self):
         values, tail = np.array([5.0, 4.0]), np.array([0.5, 0.5])
-        assert first_order_bounds(values, tail, 0.5, 0.01)[0] == 0.0
-        assert second_order_bounds(values, tail, 0.5, 0.01)[0] == 0.0
+        assert bound_terms(values, tail, 0.5, 0.01, 1)[0] == 0.0
+        assert bound_terms(values, tail, 0.5, 0.01, 2)[0] == 0.0
 
     def test_first_order_arithmetic(self):
         # spectrum (5, 4, 1, 1), m=2, mu=0, ||E||=0.01, i=1
-        bound = first_order_bounds(np.array([5.0, 4.0]), np.array([1.0, 1.0]), 0.0, 0.01)[0]
+        bound = bound_terms(np.array([5.0, 4.0]), np.array([1.0, 1.0]), 0.0, 0.01, 1)[0]
         assert bound == pytest.approx(0.004, abs=1e-15)
 
     def test_second_order_arithmetic(self):
-        bound = second_order_bounds(np.array([5.0, 4.0]), np.array([1.0, 1.0]), 0.0, 0.01)[0]
+        bound = bound_terms(np.array([5.0, 4.0]), np.array([1.0, 1.0]), 0.0, 0.01, 2)[0]
         assert bound == pytest.approx(0.0008, abs=1e-15)
 
     def test_bound_vector_inf_at_last_index(self):
-        bounds = first_order_bounds(np.array([5.0, 4.0]), np.array([1.0, 1.0]), 0.0, 0.01)
+        bounds = bound_terms(np.array([5.0, 4.0]), np.array([1.0, 1.0]), 0.0, 0.01, 1)
         assert bounds[0] == pytest.approx(0.004)
         assert np.isinf(bounds[1])
+
+    def test_matches_per_pair_formula(self):
+        # reference: the formula evaluated pair by pair, inf where the gap
+        # to the last retained value is below GAP_TOL
+        rng = np.random.default_rng(56)
+        values = np.append(np.sort(rng.uniform(2.0, 4.0, size=5))[::-1], [1.5, 1.5])
+        tail = rng.uniform(-1.0, 1.0, size=12)
+        for order in (1, 2):
+            for mu in (0.0, 0.3):
+                total = np.sum(np.abs(tail - mu) ** order)
+                expected = [np.inf if abs(t - values[-1]) < GAP_TOL
+                            else total / (abs(t - values[-1]) * abs(t - mu) ** order) * 1e-3
+                            for t in values]
+                np.testing.assert_allclose(bound_terms(values, tail, mu, 1e-3, order), expected,
+                                           rtol=1e-15, atol=0.0)
 
     def test_bounds_cover_measured_error(self):
         # tiny perturbations: the first computable term dominates the truth
@@ -239,7 +253,7 @@ class TestErrorBounds:
             W1 = truncated_first_order(problem, 0.0)
             errs = aligned_column_errors(W1, A.a + E, m)
             tail = sym_eig_full(A).values[m:]
-            bounds = first_order_bounds(problem.known.values, tail, 0.0, norm_e)
+            bounds = bound_terms(problem.known.values, tail, 0.0, norm_e, 1)
             assert np.all(errs <= 2.0 * bounds + 1e-12)
 
     def test_second_bound_below_first_when_tail_dominated(self):
@@ -249,8 +263,8 @@ class TestErrorBounds:
             tail = rng.uniform(0.0, 1.0, size=10)
             mu = 0.0
             # all |t_k - mu| <= |t_i - mu| for the retained i
-            b1 = first_order_bounds(values, tail, mu, 1e-3)
-            b2 = second_order_bounds(values, tail, mu, 1e-3)
+            b1 = bound_terms(values, tail, mu, 1e-3, 1)
+            b2 = bound_terms(values, tail, mu, 1e-3, 2)
             finite = np.isfinite(b1)
             assert np.all(b2[finite] <= b1[finite])
 
@@ -309,7 +323,7 @@ class TestTraceIdentities:
 
     def test_bounds_accept_precomputed_sums(self):
         values, tail = np.array([5.0, 4.0]), np.array([1.0, 1.0])
-        assert np.array_equal(first_order_bounds(values, tail, 0.0, 0.01),
-                              first_order_bounds(values, 2.0, 0.0, 0.01))
-        assert np.array_equal(second_order_bounds(values, tail, 0.0, 0.01),
-                              second_order_bounds(values, 2.0, 0.0, 0.01))
+        assert np.array_equal(bound_terms(values, tail, 0.0, 0.01, 1),
+                              bound_terms(values, 2.0, 0.0, 0.01, 1))
+        assert np.array_equal(bound_terms(values, tail, 0.0, 0.01, 2),
+                              bound_terms(values, 2.0, 0.0, 0.01, 2))
