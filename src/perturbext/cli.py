@@ -37,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None, help="report CSV path")
-        p.add_argument("--trials", type=int, default=20)
 
     p = sub.add_parser("slopes", help="error-scaling sweeps for both truncated orders")
     common(p)
@@ -50,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("band", help="band selections vs generalized Nystrom")
     common(p)
+    p.add_argument("--trials", type=int, default=20)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--p-grid", type=str, default=None, help="comma-separated band half-widths")
@@ -59,6 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sparse", help="largest-entry selections vs generalized Nystrom")
     common(p)
+    p.add_argument("--trials", type=int, default=20)
     p.add_argument("--dataset", type=str, default=None,
                    help="CSV dataset path (synthetic clustered data when omitted)")
     p.add_argument("--has-header", action="store_true")
@@ -73,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="equivalence checks between the sampling and perturbation views")
     common(p)
+    p.add_argument("--trials", type=int, default=20)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--m", type=int, default=20)
     p.add_argument("--mu", type=str, default="mean")

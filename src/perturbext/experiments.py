@@ -29,7 +29,6 @@ from .kernels import (
 )
 from .matrixcore import (
     EigengapError,
-    EigenPairs,
     SparseSymmetric,
     SymmetricDense,
     _stored_triplets,
@@ -99,15 +98,10 @@ def fit_loglog_slope(x, y) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def leading_pairs(A, m: int) -> EigenPairs:
-    full = sym_eig_full(A)
-    return EigenPairs(full.values[:m], full.vectors[:, :m])
-
-
 def _aligned_leading_error(A_perturbed, approx_col: np.ndarray) -> float:
     """Distance between the approximated and the exact leading eigenvector,
     after flipping the exact vector's sign to match."""
-    exact = sym_eig_full(A_perturbed).vectors[:, 0]
+    exact = sym_eig_full(A_perturbed, 1).vectors[:, 0]
     if np.dot(exact, approx_col) < 0:
         exact = -exact
     return float(np.linalg.norm(approx_col - exact))
@@ -117,15 +111,29 @@ def _aligned_leading_error(A_perturbed, approx_col: np.ndarray) -> float:
 # slope experiments
 
 
-def _slope_sweep(experiment_id: str, grid, problem_at, seed: int):
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+
+
+def _slope_grid(experiment_id: str, grid, default) -> np.ndarray:
+    """The grid of a slope sweep, ``default`` when None.  A log-log slope
+    needs two distinct points with finite logarithms, so a grid with fewer
+    than two distinct values, or with a value that is not finite and
+    positive, raises ValueError naming the grid."""
+    grid = np.asarray(default if grid is None else grid, dtype=float)
+    if np.unique(grid).size < 2 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValueError(f"{experiment_id} grid {grid.tolist()} needs at least two distinct "
+                         f"values, all finite and positive")
+    return grid
+
+
+def _slope_sweep(experiment_id: str, grid: np.ndarray, problem_at, seed: int):
     """Leading-eigenvector error of both truncated orders (mu = 0) at each
-    grid point c, where problem_at(c) gives (base, its known leading pairs,
-    perturbation array).  Returns (rows, slopes): slopes maps order name to
-    the fitted log-log slope of the error against c.
+    point c of a ``_slope_grid``, where problem_at(c) gives (base, its known
+    leading pairs, perturbation array).  Returns (rows, slopes): slopes maps
+    order name to the fitted log-log slope of the error against c.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise ValueError("slope experiment needs at least two grid points")
     rows = []
     errors = {"order1": [], "order2": []}
     for c in grid:
@@ -148,11 +156,10 @@ def run_norm_slopes(n: int = 200, m: int = 10, seed: int = 0, grid=None):
     Unit-norm random base and perturbation direction, mu = 0.  Returns
     (rows, slopes) where slopes maps order name to the fitted log-log slope.
     """
-    if grid is None:
-        grid = np.logspace(-6, -3, 10)
+    grid = _slope_grid("slope_vs_norm", grid, np.logspace(-6, -3, 10))
     base = gen_unit_random_symmetric(n, derive_seed(seed, 0))
     direction = gen_unit_random_symmetric(n, derive_seed(seed, 1))
-    known = leading_pairs(base, m)
+    known = sym_eig_full(base, m)
     return _slope_sweep("slope_vs_norm", grid, lambda c: (base, known, c * direction.a), seed)
 
 
@@ -164,14 +171,13 @@ def run_tail_slopes(n: int = 200, m: int = 10, seed: int = 0, grid=None):
     tail term dominates.  First order responds linearly in c, second order
     quadratically.
     """
-    if grid is None:
-        grid = np.logspace(np.log10(3e-2), np.log10(5e-1), 8)
+    grid = _slope_grid("slope_vs_tail", grid, np.logspace(np.log10(3e-2), np.log10(5e-1), 8))
     E = 1e-6 * gen_unit_random_symmetric(n, derive_seed(seed, 2)).a
     spectrum_seed = derive_seed(seed, 3)
 
     def problem_at(c):
         base = gen_rank_m_spectrum(n, m, tail_value=float(c), seed=spectrum_seed)
-        return base, leading_pairs(base, m), E
+        return base, sym_eig_full(base, m), E
 
     return _slope_sweep("slope_vs_tail", grid, problem_at, seed)
 
@@ -208,7 +214,7 @@ def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: Exten
     """
     m = cfg.m
     total_nnz = K.nnz
-    exact = sym_eig_full(K).vectors[:, :m]
+    exact = sym_eig_full(K, m).vectors
     rows = []
     matched_ls = []
     for param, sel in selections:
@@ -241,6 +247,7 @@ def run_band_experiment(n: int = 500, m: int = 10, p_grid=None, l_grid=None,
     p_grid = [int(p) for p in p_grid]
     if not p_grid:
         raise ValueError("empty p grid")
+    _check_trials(trials)
     if mu is None:
         mu = pert.MuPolicy.zero()
     cfg = ExtensionConfig(m=m, order=order, mu=mu)
@@ -286,6 +293,7 @@ def run_sparse_experiment(dataset: Dataset | None = None,
     q_grid = [float(q) for q in q_grid]
     if not q_grid:
         raise ValueError("empty q grid")
+    _check_trials(trials)
     if mu is None:
         mu = pert.MuPolicy.zero()
     cfg = ExtensionConfig(m=m, order=order, mu=mu)
@@ -310,6 +318,9 @@ def run_verification(n: int = 200, m: int = 20, trials: int = 50, seed: int = 0,
     combinations that hit a guarded singularity (for example an explicit mu
     equal to a sampled eigenvalue) rather than producing wrong numbers.
     """
+    _check_trials(trials)
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     rows = []
     guarded = []
     all_passed = True
@@ -349,7 +360,7 @@ def run_verification(n: int = 200, m: int = 20, trials: int = 50, seed: int = 0,
         detected = pert.is_lowrank_plus_shift(shifted, m, tolerance=1e-8)
         detect_err = abs((detected if detected is not None else np.inf) - delta)
         E = 1e-6 * gen_unit_random_symmetric(n, derive_seed(seed, 32, trial)).a
-        known = leading_pairs(shifted, m)
+        known = sym_eig_full(shifted, m)
         problem = pert.PerturbationProblem(base=shifted, known=known, perturbation=E)
         W1 = pert.truncated_first_order(problem, delta)
         W2 = pert.truncated_second_order(problem, delta)

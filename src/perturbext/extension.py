@@ -154,6 +154,15 @@ class ExtensionResult:
     source_pairs: EigenPairs
 
 
+def _block_of(block_sizes: tuple, n: int) -> np.ndarray:
+    """The block index of each of the n rows of a block-diagonal partition;
+    the block sizes must sum to n."""
+    if sum(block_sizes) != n:
+        raise ValueError(f"block sizes sum to {sum(block_sizes)}, expected {n}")
+    bounds = np.cumsum((0,) + block_sizes)
+    return np.searchsorted(bounds, np.arange(n), side="right") - 1
+
+
 def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     """Materialize K^s: K restricted to the selected index set, zero elsewhere."""
     n = dimension(K)
@@ -177,10 +186,7 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
         keep = np.zeros(vals.size, dtype=bool)
         keep[order[:count]] = True
     elif sel.kind == "blocks":
-        if sum(sel.block_sizes) != n:
-            raise ValueError(f"block sizes sum to {sum(sel.block_sizes)}, expected {n}")
-        bounds = np.cumsum((0,) + sel.block_sizes)
-        block_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
+        block_of = _block_of(sel.block_sizes, n)
         keep = block_of[rows] == block_of[cols]
     elif sel.kind == "mask":
         mask_rows = np.array(sel.mask_rows, dtype=np.int64)
@@ -263,11 +269,8 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     """
     n = dimension(K)
     block_sizes = tuple(int(s) for s in block_sizes)
-    if sum(block_sizes) != n:
-        raise ValueError(f"block sizes sum to {sum(block_sizes)}, expected {n}")
+    block_of = _block_of(block_sizes, n)
     rows, cols, vals = _stored_triplets(K)
-    bounds = np.cumsum((0,) + block_sizes)
-    block_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
 
     def member(j):
         inside = (block_of[rows] == j) & (block_of[cols] == j)

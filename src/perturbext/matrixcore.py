@@ -313,55 +313,98 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def sym_eig_full(A) -> EigenPairs:
-    """All eigenpairs of a symmetric matrix, descending, sign-canonical.
+def sym_eig_full(A, m: int | None = None) -> EigenPairs:
+    """The m leading eigenpairs (all when m is None) of a symmetric matrix,
+    descending and sign-canonical, from one dense LAPACK solve.
 
     This is the ground-truth decomposition every approximation in the
-    package is tested against.
+    package is tested against.  Only the m kept columns are sign-fixed and
+    checked; ``canonical_signs`` works column by column, so they equal the
+    leading columns of the full decomposition bit for bit.
     """
     a = _to_dense_array(A)
+    n = a.shape[0]
+    m = n if m is None else m
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
-    order = np.argsort(-w, kind="stable")
+    order = np.argsort(-w, kind="stable")[:m]
     return EigenPairs(w[order], canonical_signs(v[:, order]))
+
+
+def _lanczos(A, k: int, which: str, seed: int, vectors: bool):
+    """``eigsh`` on the stored operator of A: k extreme pairs (values only
+    unless ``vectors``), from the seeded start vector, in at most 50 n iterations."""
+    n = dimension(A)
+    try:
+        return spla.eigsh(_stored_operator(A), k=k, which=which, v0=_start_vector(n, seed),
+                          maxiter=50 * n, return_eigenvectors=vectors)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"Lanczos failed to converge ({len(exc.eigenvalues)} of {k} values found)") from exc
+
+
+def _check_gap(above: float, below: float, m: int) -> None:
+    """Raise EigengapError unless pair m lies GAP_TOL above pair m + 1."""
+    if above - below < GAP_TOL:
+        raise EigengapError(
+            f"eigengap between pairs {m} and {m + 1} is {above - below:.3e} < {GAP_TOL}")
+
+
+def _support_pairs(A: SparseSymmetric, rows: np.ndarray, m: int) -> EigenPairs:
+    """The m leading pairs of a sparse A whose nonzeros lie in ``rows``: the
+    dense pairs of the principal block on those r rows, padded with zeros.
+
+    The other n - r eigenvalues of A are exactly zero, so a leading pair
+    that would be one of them, or a tie between pairs m and m + 1, raises
+    EigengapError.
+    """
+    block = sym_eig_full(principal_block(A, rows))
+    w = block.values
+    if m > w.size or w[m - 1] <= 0.0:
+        raise EigengapError(f"pair {m} would be one of the {A.n - rows.size} zero eigenvalues "
+                            f"outside the {rows.size} rows that store nonzeros")
+    # pair m + 1 is the next block value or a padded zero, whichever is larger
+    _check_gap(w[m - 1], w[m:m + 1].max(initial=0.0), m)
+    vectors = np.zeros((A.n, m))
+    vectors[rows] = block.vectors[:, :m]
+    return EigenPairs(w[:m], vectors)
 
 
 def sym_eig_partial(A, m: int) -> EigenPairs:
     """The m leading eigenpairs by algebraic value.
 
-    Small problems (n <= 256) are solved densely; larger ones use a
-    restarted Lanczos iteration with a seeded start vector.  On the
-    iterative path the gap between pairs m and m+1 is checked, since a
-    vanishing gap makes the leading subspace ill-posed for the iteration;
-    a matrix without nonzeros, where that gap is exactly zero, raises
-    EigengapError before the iteration starts.
+    Small problems (n <= 256) are solved densely.  A sparse matrix that
+    stores nonzeros in at most 256 rows is solved densely on those rows,
+    since a Lanczos run on it exhausts its Krylov space and restarts from
+    state that differs from call to call.  Larger ones use a restarted
+    Lanczos iteration with a seeded start vector.  Off the dense path the
+    gap between pairs m and m+1 is checked, since a vanishing gap makes the
+    leading subspace ill-posed; a matrix without nonzeros, where that gap is
+    exactly zero, raises EigengapError before any solve.
     """
     n = dimension(A)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if n <= DENSE_FALLBACK_N or m > n - 2:
-        full = sym_eig_full(A)
-        return EigenPairs(full.values[:m], full.vectors[:, :m])
-
+        return sym_eig_full(A, m)
     if nnz(A) == 0:
-        # Lanczos cannot start on a zero matrix
         raise EigengapError(f"matrix has no nonzeros: pairs {m} and {m + 1} tie at 0")
-    k = m + 1
-    try:
-        w, v = spla.eigsh(_stored_operator(A), k=k, which="LA", v0=_start_vector(n, 0),
-                          maxiter=50 * n)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"Lanczos failed to converge ({len(exc.eigenvalues)} of {k} pairs found)") from exc
+    if isinstance(A, SparseSymmetric):
+        # the rows that store nonzeros, read from the CSR row lengths in O(n)
+        rows = np.flatnonzero(np.diff(A._csr.indptr))
+        if rows.size <= DENSE_FALLBACK_N:
+            return _support_pairs(A, rows, m)
+
+    w, v = _lanczos(A, m + 1, "LA", 0, vectors=True)
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
-    if w[m - 1] - w[m] < GAP_TOL:
-        raise EigengapError(
-            f"eigengap between pairs {m} and {m + 1} is {w[m - 1] - w[m]:.3e} < {GAP_TOL}")
+    _check_gap(w[m - 1], w[m], m)
     return EigenPairs(w[:m], canonical_signs(v[:, :m]))
 
 
@@ -370,38 +413,26 @@ def _extreme_eigvals(A, k: int, which: str) -> np.ndarray:
     value (``which="LA"``) or by magnitude (``"LM"``), in that order, without
     eigenvectors.
 
-    Like ``sym_eig_partial``, small problems (n <= 256, or k > n - 2) go to
-    dense LAPACK and larger ones to a seeded Lanczos iteration on the stored
+    A matrix without nonzeros gives k zeros at once.  Otherwise, like
+    ``sym_eig_partial``, small problems (n <= 256, or k > n - 2) go to dense
+    LAPACK and larger ones to a seeded Lanczos iteration on the stored
     array; no eigengap is checked, since no subspace is returned.
     """
     n = dimension(A)
-    w = None
+    if nnz(A) == 0:
+        return np.zeros(k)
     if n > DENSE_FALLBACK_N and k <= n - 2:
-        op = _stored_operator(A)
-        v0 = _start_vector(n, 1)
-        # a start vector in the null space ends the iteration at once; that
-        # unlucky case falls back to dense LAPACK
-        if np.any(op @ v0):
-            try:
-                w = spla.eigsh(op, k=k, which=which, v0=v0, maxiter=50 * n,
-                               return_eigenvectors=False)
-            except spla.ArpackNoConvergence as exc:
-                raise ConvergenceError(
-                    f"Lanczos failed to converge ({len(exc.eigenvalues)} of {k} values found)") from exc
-    if w is None:
+        w = _lanczos(A, k, which, 1, vectors=False)
+    else:
         w = np.linalg.eigvalsh(A.to_dense().a)
     key = -w if which == "LA" else -np.abs(w)
     return w[np.argsort(key, kind="stable")[:k]]
 
 
 def spectral_norm(A) -> float:
-    """max |eigenvalue| of a symmetric matrix.
-
-    A matrix without nonzeros returns 0.0 at once; otherwise the value comes
-    from ``_extreme_eigvals`` (dense LAPACK for n <= 256, else Lanczos).
-    """
-    if nnz(A) == 0:
-        return 0.0
+    """max |eigenvalue| of a symmetric matrix, from ``_extreme_eigvals``
+    (0.0 for a matrix without nonzeros, dense LAPACK for n <= 256, else
+    Lanczos)."""
     return float(abs(_extreme_eigvals(A, 1, "LM")[0]))
 
 

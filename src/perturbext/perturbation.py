@@ -20,7 +20,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrixcore import EigengapError, EigenPairs, GAP_TOL, SymmetricDense, dimension, matvec, trace
+from .matrixcore import (
+    EigengapError,
+    EigenPairs,
+    GAP_TOL,
+    SymmetricDense,
+    dimension,
+    matvec,
+    sym_eig_full,
+    trace,
+)
 
 
 class MuCollisionError(ValueError):
@@ -253,8 +262,6 @@ def is_lowrank_plus_shift(A, m: int, tolerance: float = 1e-10):
     returns their mean if so, None otherwise.  Diagnostic only: computes the
     full spectrum.
     """
-    from .matrixcore import sym_eig_full
-
     full = sym_eig_full(A)
     if m >= full.n:
         raise ValueError("need m < n trailing values to inspect")

@@ -76,6 +76,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["band", "sparse", "verify"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_usage_error(self, tmp_path, capsys, command, trials):
+        # a run over no trials would report a vacuous pass
+        code = main([command, "--n", "40", "--m", "3", "--trials", trials,
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "at least one trial" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
+    def test_tolerance_not_finite_positive_is_usage_error(self, capsys, tolerance):
+        code = main(["verify", "--n", "30", "--m", "3", "--trials", "1",
+                     "--tolerance", tolerance])
+        assert code == 2
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+    def test_slopes_has_no_trials_option(self):
+        assert main(["slopes", "--n", "40", "--m", "4", "--trials", "3"]) == 2
+
     def test_mu_collision_is_numerical_error(self, dense_matrix_file, tmp_path, capsys):
         # explicit mu equal to the top submatrix eigenvalue hits the guard
         K = read_dense(dense_matrix_file)
@@ -150,6 +170,17 @@ class TestSlopes:
     def test_single_point_grid_rejected(self, capsys):
         code = main(["slopes", "--n", "40", "--m", "4", "--norm-grid", "0.001"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, grid", [("--norm-grid", "1e-4,1e-4"), ("--norm-grid", "0,1e-3"),
+                                            ("--norm-grid", "-1e-3,1e-3"), ("--tail-grid", "0.1,inf"),
+                                            ("--tail-grid", "nan,0.1,0.2")],
+                             ids=["one_distinct_value", "zero", "negative", "infinite", "nan"])
+    def test_degenerate_grid_rejected(self, capsys, flag, grid):
+        # no slope fits through one distinct point or a log that is not finite
+        code = main(["slopes", "--n", "40", "--m", "4", f"{flag}={grid}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "grid [" in err and "distinct values, all finite and positive" in err
 
     def test_small_run_reports_slopes(self, tmp_path, capsys):
         code = main(["slopes", "--n", "60", "--m", "5", "--seed", "3",

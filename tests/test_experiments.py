@@ -46,3 +46,15 @@ class TestVerification:
         monkeypatch.setattr(exp, "check_shifted_equivalence", broken)
         with pytest.raises(ValueError, match="not a guard"):
             exp.run_verification(n=30, m=3, trials=1, seed=1)
+
+
+class TestSlopeGrid:
+    @pytest.mark.parametrize("grid", [(1e-4, 1e-4), (0.0, 1e-3), (1e-3,), ()])
+    def test_degenerate_slope_grid_rejected_before_any_sweep(self, monkeypatch, grid):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran on a degenerate grid")
+
+        monkeypatch.setattr(exp, "_slope_sweep", no_sweep)
+        monkeypatch.setattr(exp, "gen_unit_random_symmetric", no_sweep)
+        with pytest.raises(ValueError, match="slope_vs_norm grid"):
+            exp.run_norm_slopes(n=20, m=2, grid=grid)

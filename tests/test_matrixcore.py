@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perturbext import matrixcore
+from perturbext.experiments import derive_seed
+from perturbext.extension import Selector, select_submatrix
+from perturbext.kernels import gen_psd_separated_block
 from perturbext.matrixcore import (
     EigengapError,
     EigenPairs,
@@ -134,6 +138,21 @@ class TestEigFull:
         assert np.array_equal(p1.values, p2.values)
         assert np.array_equal(p1.vectors, p2.vectors)
 
+    @pytest.mark.parametrize("m", [1, 5, 30])
+    def test_leading_m_equal_full_columns(self, m):
+        # only the kept columns are sign-fixed, column by column, so they
+        # equal the leading columns of the full decomposition bit for bit
+        A = random_symmetric(30, 17)
+        full, lead = sym_eig_full(A), sym_eig_full(A, m)
+        assert lead.m == m
+        assert np.array_equal(lead.values, full.values[:m])
+        assert np.array_equal(lead.vectors, full.vectors[:, :m])
+
+    @pytest.mark.parametrize("m", [0, 31])
+    def test_m_out_of_range(self, m):
+        with pytest.raises(ValueError, match="1 <= m <= n"):
+            sym_eig_full(random_symmetric(30, 17), m)
+
 
 class TestEigPartial:
     def test_diagonal(self):
@@ -179,6 +198,18 @@ class TestEigPartial:
         with pytest.raises(ValueError):
             sym_eig_partial(SymmetricDense(np.eye(3)), 4)
 
+    def test_dense_path_builds_one_eigenpairs(self, monkeypatch):
+        built = []
+
+        class Counted(EigenPairs):
+            def __init__(self, values, vectors):
+                built.append(len(values))
+                super().__init__(values, vectors)
+
+        monkeypatch.setattr(matrixcore, "EigenPairs", Counted)
+        sym_eig_partial(random_symmetric(50, 19), 3)
+        assert built == [3]
+
     def test_determinism(self):
         rng = np.random.default_rng(31)
         n = 300
@@ -203,6 +234,16 @@ class TestSpectralNorm:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_dense_solve)
         assert spectral_norm(SymmetricDense(np.zeros((4, 4)))) == 0.0
         assert spectral_norm(SparseSymmetric(1200, [0], [0], [0.0])) == 0.0
+
+    @pytest.mark.parametrize("A", [SparseSymmetric(1200, [], [], []), SymmetricDense(np.zeros((300, 300)))],
+                             ids=["sparse", "dense"])
+    def test_zero_matrix_extreme_values_run_no_solver(self, monkeypatch, A):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolver called on a zero matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        monkeypatch.setattr(matrixcore.spla, "eigsh", no_solve)
+        assert np.array_equal(matrixcore._extreme_eigvals(A, 3, "LA"), np.zeros(3))
 
     def test_matches_full_eig_oracle(self):
         A = random_symmetric(50, 41)
@@ -358,6 +399,48 @@ class TestCanonicalSigns:
         out = canonical_signs(v)
         assert out[0, 0] == 2.0 and out[1, 0] == -1.0
         assert out[1, 1] == 2.0
+
+
+class TestSmallSupport:
+    """A sparse matrix whose nonzeros lie in at most 256 of its rows is solved
+    densely on those rows; Lanczos on it would exhaust its Krylov space."""
+
+    @staticmethod
+    def topleft_block(l):
+        # the K^s of trial 0 of 'verify --n 300 --m 10 --seed 11' for l = 10
+        K = gen_psd_separated_block(300, 10, seed=derive_seed(11, 30, 0))
+        return select_submatrix(K, Selector.top_left(l))
+
+    def test_repeated_calls_equal_padded_block_solve(self, monkeypatch):
+        n, m = 300, 10
+        Ks = self.topleft_block(m)
+        to_dense = SparseSymmetric.to_dense
+
+        def small_only(self):
+            assert self.n <= 256, "an n x n array was formed"
+            return to_dense(self)
+
+        monkeypatch.setattr(SparseSymmetric, "to_dense", small_only)
+        block = sym_eig_full(principal_block(Ks, np.arange(m)), m)
+        expected = np.zeros((n, m))
+        expected[:m] = block.vectors
+        for _ in range(8):
+            pairs = sym_eig_partial(Ks, m)
+            assert np.array_equal(pairs.values, block.values)
+            assert np.array_equal(pairs.vectors, expected)
+
+    def test_padded_zero_among_leading_pairs_raises(self):
+        with pytest.raises(EigengapError, match="zero eigenvalues"):
+            sym_eig_partial(self.topleft_block(3), 5)
+
+    @pytest.mark.parametrize("diag, m, match", [([-1.0, -2.0], 1, "zero eigenvalues"),
+                                                ([2.0, 1.0, 1.0], 2, "eigengap"),
+                                                ([2.0, 1e-14], 2, "eigengap")],
+                             ids=["negative_block", "tie_inside_block", "tie_with_padded_zero"])
+    def test_degenerate_support_raises(self, diag, m, match):
+        rows = np.arange(len(diag)) * 7
+        with pytest.raises(EigengapError, match=match):
+            sym_eig_partial(SparseSymmetric(300, rows, rows, diag), m)
 
 
 class TestPartialDegenerateGap:
