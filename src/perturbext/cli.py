@@ -127,10 +127,11 @@ def _load_input_matrix(args):
 
 
 def _cmd_slopes(args) -> int:
-    norm_rows, norm_slopes = exp.run_norm_slopes(args.n, args.m, args.seed,
-                                                 grid=_parse_grid(args.norm_grid))
-    tail_rows, tail_slopes = exp.run_tail_slopes(args.n, args.m, args.seed,
-                                                 grid=_parse_grid(args.tail_grid))
+    # both grids are checked before either sweep runs
+    norm_grid = exp._slope_grid("slope_vs_norm", _parse_grid(args.norm_grid), exp.NORM_SLOPE_GRID)
+    tail_grid = exp._slope_grid("slope_vs_tail", _parse_grid(args.tail_grid), exp.TAIL_SLOPE_GRID)
+    norm_rows, norm_slopes = exp.run_norm_slopes(args.n, args.m, args.seed, grid=norm_grid)
+    tail_rows, tail_slopes = exp.run_tail_slopes(args.n, args.m, args.seed, grid=tail_grid)
     if args.out:
         exp.write_report(args.out, norm_rows + tail_rows)
     for name in ("order1", "order2"):

@@ -35,6 +35,7 @@ from .matrixcore import (
     dimension,
     principal_angle,
     sym_eig_full,
+    sym_eig_partial,
 )
 from .nystrom import (
     SingularSampleError,
@@ -116,6 +117,10 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"need at least one trial, got {trials}")
 
 
+NORM_SLOPE_GRID = np.logspace(-6, -3, 10)
+TAIL_SLOPE_GRID = np.logspace(np.log10(3e-2), np.log10(5e-1), 8)
+
+
 def _slope_grid(experiment_id: str, grid, default) -> np.ndarray:
     """The grid of a slope sweep, ``default`` when None.  A log-log slope
     needs two distinct points with finite logarithms, so a grid with fewer
@@ -156,7 +161,7 @@ def run_norm_slopes(n: int = 200, m: int = 10, seed: int = 0, grid=None):
     Unit-norm random base and perturbation direction, mu = 0.  Returns
     (rows, slopes) where slopes maps order name to the fitted log-log slope.
     """
-    grid = _slope_grid("slope_vs_norm", grid, np.logspace(-6, -3, 10))
+    grid = _slope_grid("slope_vs_norm", grid, NORM_SLOPE_GRID)
     base = gen_unit_random_symmetric(n, derive_seed(seed, 0))
     direction = gen_unit_random_symmetric(n, derive_seed(seed, 1))
     known = sym_eig_full(base, m)
@@ -171,7 +176,7 @@ def run_tail_slopes(n: int = 200, m: int = 10, seed: int = 0, grid=None):
     tail term dominates.  First order responds linearly in c, second order
     quadratically.
     """
-    grid = _slope_grid("slope_vs_tail", grid, np.logspace(np.log10(3e-2), np.log10(5e-1), 8))
+    grid = _slope_grid("slope_vs_tail", grid, TAIL_SLOPE_GRID)
     E = 1e-6 * gen_unit_random_symmetric(n, derive_seed(seed, 2)).a
     spectrum_seed = derive_seed(seed, 3)
 
@@ -209,12 +214,15 @@ def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: Exten
 
     The exact leading-m subspace of K is the oracle; each method's largest
     principal angle against it is recorded together with its selected
-    share of the stored nonzeros.  Without an explicit l_grid the Nystrom
-    block sizes are budget-matched to the selections.
+    share of the stored nonzeros.  The oracle comes from
+    ``sym_eig_partial``: dense LAPACK up to n = 256, seeded Lanczos on K's
+    CSR above, where a tie between pairs m and m + 1 raises EigengapError.
+    Without an explicit l_grid the Nystrom block sizes are budget-matched
+    to the selections.
     """
     m = cfg.m
     total_nnz = K.nnz
-    exact = sym_eig_full(K, m).vectors
+    exact = sym_eig_partial(K, m).vectors
     rows = []
     matched_ls = []
     for param, sel in selections:

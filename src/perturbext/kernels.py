@@ -146,15 +146,25 @@ def build_kernel(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
 
 def sparsify(K: SymmetricDense, keep_fraction: float) -> SparseSymmetric:
     """Keep the ceil(keep_fraction * count) largest-magnitude upper-triangle
-    entries (mirrored); ties broken by (row, col)."""
+    entries (mirrored); ties broken by (row, col).
+
+    ``np.partition`` finds the count-th largest magnitude in linear time
+    instead of sorting all n(n+1)/2 entries.  Every entry strictly above it
+    is kept, and of the entries equal to it the first ones in row-major
+    order fill the count: the same set a stable descending sort would take.
+    """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must lie in (0, 1]")
     n = K.n
     iu = np.triu_indices(n)
     vals = K.a[iu]
     count = int(np.ceil(keep_fraction * vals.size))
-    order = np.argsort(-np.abs(vals), kind="stable")[:count]
-    return SparseSymmetric(n, iu[0][order], iu[1][order], vals[order])
+    mag = np.abs(vals)
+    cut = np.partition(mag, vals.size - count)[vals.size - count]
+    keep = mag > cut
+    tied = np.flatnonzero(mag == cut)
+    keep[tied[:count - np.count_nonzero(keep)]] = True
+    return SparseSymmetric(n, iu[0][keep], iu[1][keep], vals[keep])
 
 
 # ---------------------------------------------------------------------------

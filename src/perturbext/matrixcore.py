@@ -292,7 +292,8 @@ def add_scaled(A, B, c: float):
 
 
 def _to_dense_array(A) -> np.ndarray:
-    # the ndarray case serves sym_eig_full, the oracle, which is called on raw arrays
+    # the ndarray case serves sym_eig_full on raw arrays: the slope sweeps' perturbed
+    # matrices and the dense oracles of the tests
     if isinstance(A, np.ndarray):
         return A
     return A.to_dense().a

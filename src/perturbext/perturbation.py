@@ -21,13 +21,13 @@ from functools import cached_property
 import numpy as np
 
 from .matrixcore import (
+    ConvergenceError,
     EigengapError,
     EigenPairs,
     GAP_TOL,
     SymmetricDense,
     dimension,
     matvec,
-    sym_eig_full,
     trace,
 )
 
@@ -260,12 +260,18 @@ def is_lowrank_plus_shift(A, m: int, tolerance: float = 1e-10):
 
     Checks whether the n - m trailing eigenvalues agree to ``tolerance``;
     returns their mean if so, None otherwise.  Diagnostic only: computes the
-    full spectrum.
+    full spectrum, values only.  Raises ValueError for m >= n or non-finite
+    entries (the matrix types reject those at construction) and
+    ConvergenceError when LAPACK fails.
     """
-    full = sym_eig_full(A)
-    if m >= full.n:
+    a = _as_matrix(A).to_dense().a
+    if m >= a.shape[0]:
         raise ValueError("need m < n trailing values to inspect")
-    tail = full.values[m:]
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
+    tail = w[::-1][m:]
     if tail.max() - tail.min() <= tolerance:
         return float(tail.mean())
     return None

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from perturbext import experiments as exp
 from perturbext.cli import main
 from perturbext.kernels import gen_wishart_psd, gen_band_matrix
 from perturbext.matrixcore import read_dense, write_dense, write_sparse
@@ -181,6 +182,14 @@ class TestSlopes:
         assert code == 2
         err = capsys.readouterr().err
         assert "grid [" in err and "distinct values, all finite and positive" in err
+
+    def test_bad_tail_grid_rejected_before_norm_sweep(self, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("norm sweep ran before the tail grid was checked")
+
+        monkeypatch.setattr(exp, "run_norm_slopes", no_sweep)
+        assert main(["slopes", "--tail-grid=0.1,inf"]) == 2
+        assert "slope_vs_tail grid [" in capsys.readouterr().err
 
     def test_small_run_reports_slopes(self, tmp_path, capsys):
         code = main(["slopes", "--n", "60", "--m", "5", "--seed", "3",

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from perturbext import experiments as exp
-from perturbext.extension import Selector, select_submatrix
+from perturbext.extension import ExtensionConfig, Selector, select_submatrix
 from perturbext.kernels import KernelSpec, gen_band_matrix
-from perturbext.matrixcore import EigengapError, nnz
+from perturbext.matrixcore import EigengapError, SparseSymmetric, nnz, principal_angle, sym_eig_full
 from perturbext.nystrom import SingularSampleError
 from perturbext.perturbation import MuCollisionError
 
@@ -26,6 +27,40 @@ class TestBudgetExperiments:
                 K = kernel_of(r.trial)
                 Ks = select_submatrix(K, Selector.top_left(int(r.parameter)))
                 assert r.nnz_fraction == nnz(Ks) / K.nnz
+
+
+class TestBudgetOracle:
+    def test_tie_at_pair_m_above_dense_limit_raises(self):
+        # 300 stored diagonal entries send the oracle to Lanczos; pairs 2 and 3 tie,
+        # while the selection (rows 0 and 1) has a gap, so only the oracle can raise
+        n = 300
+        d = np.linspace(1.0, 0.1, n)
+        d[:3] = (3.0, 2.0, 2.0)
+        K = SparseSymmetric(n, np.arange(n), np.arange(n), d)
+        with pytest.raises(EigengapError, match="pairs 2 and 3"):
+            exp._budget_trial("sparse", K, [(2, Selector.top_left(2))],
+                              ExtensionConfig(m=2), None, 0, 0)
+
+    @pytest.mark.parametrize("trial", [0, 1])
+    @pytest.mark.parametrize("experiment, m, kernel_of", [
+        ("band", 10, lambda trial: gen_band_matrix(500, seed=exp.derive_seed(0, 10, trial))),
+        ("sparse", 5, lambda trial: exp._sparse_trial_kernel(
+            None, KernelSpec.gaussian(0.1), 1000, 0.1, exp.derive_seed(0, 20, trial))),
+    ], ids=["band", "sparse"])
+    def test_oracle_matches_dense_solve(self, monkeypatch, experiment, m, kernel_of, trial):
+        K = kernel_of(trial)
+        oracles = []
+
+        def record(U, W):
+            oracles.append(W)
+            return 0.0
+
+        monkeypatch.setattr(exp, "principal_angle", record)
+        exp._budget_trial(experiment, K, [(0.5, Selector.top_left(50))],
+                          ExtensionConfig(m=m), [m], trial, 0)
+        dense = sym_eig_full(K, m).vectors
+        assert oracles and all(W is oracles[0] for W in oracles)
+        assert principal_angle(oracles[0], dense) <= 1e-10
 
 
 class TestVerification:

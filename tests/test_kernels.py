@@ -17,7 +17,7 @@ from perturbext.kernels import (
     sparsify,
     standardize,
 )
-from perturbext.matrixcore import SymmetricDense, spectral_norm, sym_eig_full
+from perturbext.matrixcore import SparseSymmetric, SymmetricDense, spectral_norm, sym_eig_full
 
 
 class TestLoadDataset:
@@ -159,6 +159,55 @@ class TestSparsify:
         K = build_kernel(Dataset(np.eye(3)), KernelSpec.linear())
         with pytest.raises(ValueError):
             sparsify(K, 0.0)
+
+
+def _sparsify_by_stable_sort(K: SymmetricDense, keep_fraction: float) -> SparseSymmetric:
+    """Reference: a stable descending sort of all upper-triangle magnitudes."""
+    iu = np.triu_indices(K.n)
+    vals = K.a[iu]
+    count = int(np.ceil(keep_fraction * vals.size))
+    order = np.argsort(-np.abs(vals), kind="stable")[:count]
+    return SparseSymmetric(K.n, iu[0][order], iu[1][order], vals[order])
+
+
+def _assert_same_triplets(S, R):
+    assert np.array_equal(S.rows, R.rows)
+    assert np.array_equal(S.cols, R.cols)
+    assert np.array_equal(S.vals, R.vals)
+
+
+class TestSparsifyMatchesStableSort:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.integers(0, 10_000), st.floats(1e-3, 1.0),
+           st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0]), min_size=1, max_size=4))
+    def test_few_distinct_values(self, n, seed, fraction, levels):
+        # with a handful of magnitudes the cut almost always lands inside a tie run
+        a = rng_for(seed).choice(levels, size=(n, n))
+        K = SymmetricDense(np.triu(a) + np.triu(a, 1).T)
+        _assert_same_triplets(sparsify(K, fraction), _sparsify_by_stable_sort(K, fraction))
+
+    def test_keep_all(self):
+        a = rng_for(7).choice([0.0, 1.0, -1.0, 3.0], size=(20, 20))
+        K = SymmetricDense(np.triu(a) + np.triu(a, 1).T)
+        _assert_same_triplets(sparsify(K, 1.0), _sparsify_by_stable_sort(K, 1.0))
+
+    @pytest.mark.parametrize("run_end", [5, 11])
+    def test_count_ends_at_end_of_tie_run(self, run_end):
+        # 55 upper entries: 5 of magnitude 3, then 6 of magnitude 2, then ones
+        n = 10
+        iu = np.triu_indices(n)
+        vals = np.ones(iu[0].size)
+        picked = rng_for(8).permutation(iu[0].size)
+        vals[picked[:5]] = -3.0
+        vals[picked[5:11]] = 2.0
+        a = np.zeros((n, n))
+        a[iu] = vals
+        K = SymmetricDense(np.triu(a) + np.triu(a, 1).T)
+        fraction = run_end / iu[0].size
+        assert int(np.ceil(fraction * iu[0].size)) == run_end
+        S = sparsify(K, fraction)
+        _assert_same_triplets(S, _sparsify_by_stable_sort(K, fraction))
+        assert S.vals.size == run_end
 
 
 class TestBandGenerator:

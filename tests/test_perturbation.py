@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perturbext.kernels import gen_rank_m_spectrum, gen_unit_random_symmetric
-from perturbext.matrixcore import GAP_TOL, EigengapError, EigenPairs, SymmetricDense, sym_eig_full
+from perturbext.matrixcore import (
+    GAP_TOL,
+    ConvergenceError,
+    EigengapError,
+    EigenPairs,
+    SymmetricDense,
+    sym_eig_full,
+)
 from perturbext.perturbation import (
     tail_sq_sum_from_traces,
     MuCollisionError,
@@ -306,6 +313,28 @@ class TestLowrankPlusShift:
     def test_detects_exact_lowrank(self):
         A = gen_rank_m_spectrum(25, 5, tail_value=0.0, seed=33)
         assert is_lowrank_plus_shift(A, 5, tolerance=1e-8) == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_values_only_solve_matches_full_decomposition(self, seed):
+        # reference: the trailing values of a full sym_eig_full decomposition
+        A = SymmetricDense(gen_rank_m_spectrum(60, 6, tail_value=0.0, seed=seed).a + 0.25 * np.eye(60),
+                           symmetrize=True)
+        tail = sym_eig_full(A).values[6:]
+        assert is_lowrank_plus_shift(A, 6, tolerance=1e-8) == pytest.approx(tail.mean(), abs=1e-12)
+
+    def test_bad_input_raises_typed_errors(self, monkeypatch):
+        A = gen_rank_m_spectrum(10, 2, tail_value=0.0, seed=1)
+        with pytest.raises(ValueError, match="trailing values"):
+            is_lowrank_plus_shift(A, 10)
+        with pytest.raises(ValueError, match="finite"):
+            is_lowrank_plus_shift(np.full((3, 3), np.nan), 1)
+
+        def lapack_fails(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lapack_fails)
+        with pytest.raises(ConvergenceError):
+            is_lowrank_plus_shift(A, 2)
 
     def test_generic_matrix_rejected(self):
         A = gen_unit_random_symmetric(25, seed=34)
