@@ -2,8 +2,8 @@
 
 Subcommands: slopes, band, sparse, verify, extend, eig.  Exit status is 0 on
 success, 1 when a verification fails (or a numerical error aborts a run),
-2 on usage or I/O errors.  Identical command lines with identical seeds
-produce byte-identical report files.
+2 on usage or I/O errors and on inputs too large for memory.  Identical
+command lines with identical seeds produce byte-identical report files.
 """
 
 from __future__ import annotations
@@ -221,6 +221,10 @@ def main(argv=None) -> int:
         return VERIFY_ERROR
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
+        # an input too large for this machine, such as a huge header n
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -173,6 +173,9 @@ def sparsify(K: SymmetricDense, keep_fraction: float) -> SparseSymmetric:
 
 BAND_DECAY = 0.1
 BAND_CUTOFF = 1e-10
+# uniforms drawn at once by gen_band_matrix, rounded to whole rows; it bounds
+# the generator's working memory
+_BAND_BLOCK = 1 << 20
 
 
 def gen_band_matrix(n: int, seed: int = 0) -> SparseSymmetric:
@@ -187,19 +190,52 @@ def gen_band_matrix(n: int, seed: int = 0) -> SparseSymmetric:
     (BAND_DECAY + |i - j|), a harmonic tail, so rare large couplings survive
     at any distance (at n = 500, ||K - K^s|| is still 0.99 for the band
     |i - j| <= 250).
+
+    The pairs (i, j), i < j, are drawn in row-major order, whole rows of
+    about _BAND_BLOCK pairs at a time.  ``Generator.uniform`` spends one
+    Philox word per float64, so the blocks draw the same numbers as one call
+    over all n(n - 1)/2 pairs.  Only the candidates
+    X >= BAND_CUTOFF ** (BAND_DECAY / d) * (1 - 1e-9), d = j - i, are raised
+    to their power and tested against BAND_CUTOFF.  Without rounding,
+    X ** (d / BAND_DECAY) >= BAND_CUTOFF holds exactly when
+    X >= BAND_CUTOFF ** (BAND_DECAY / d).  Rounding the power, the bound and
+    the exponent moves either side by about 1e-14 relative at most, and
+    carrying an error back to X through the (d / BAND_DECAY >= 10)-th root
+    shrinks it further, so the 1e-9 margin keeps every survivor among the
+    candidates.  Time is O(n^2) draws plus O(kept) work, memory
+    O(_BAND_BLOCK + kept).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     rng = rng_for(seed)
-    iu = np.triu_indices(n, k=1)
-    x = rng.uniform(size=iu[0].size)
-    expo = (iu[1] - iu[0]).astype(float) / BAND_DECAY
+    # least candidate draw at each distance d = 1, ..., n - 1
+    least = BAND_CUTOFF ** (BAND_DECAY / np.arange(1, n)) * (1.0 - 1e-9)
+    # flat offset one past each row's last pair in the row-major upper triangle
+    ends = np.cumsum(np.arange(n - 1, 0, -1))
+    rows, cols, x = [], [], []
+    row = 0
+    while row < n - 1:
+        base = int(ends[row - 1]) if row else 0
+        stop = max(row + 1, int(np.searchsorted(ends, base + _BAND_BLOCK, side="right")))
+        draws = rng.uniform(size=int(ends[stop - 1]) - base)
+        bound = np.concatenate([least[:n - 1 - i] for i in range(row, stop)])
+        hit = np.flatnonzero(draws >= bound)
+        flat = hit + base
+        # row i's last pair, (i, n - 1), sits at flat offset ends[i] - 1
+        i = np.searchsorted(ends, flat, side="right")
+        rows.append(i)
+        cols.append(flat - ends[i] + n)
+        x.append(draws[hit])
+        row = stop
+    rows, cols, x = (np.concatenate(c) for c in (rows, cols, x))
+    expo = (cols - rows).astype(float) / BAND_DECAY
     with np.errstate(under="ignore"):
         vals = x ** expo
     keep = vals >= BAND_CUTOFF
-    rows = np.concatenate([np.arange(n), iu[0][keep]])
-    cols = np.concatenate([np.arange(n), iu[1][keep]])
-    vals = np.concatenate([np.ones(n), vals[keep]])
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    # row-major output: each row's unit diagonal entry before its kept pairs
+    at, diag = np.searchsorted(rows, np.arange(n)), np.arange(n)
+    rows, cols, vals = np.insert(rows, at, diag), np.insert(cols, at, diag), np.insert(vals, at, 1.0)
     return SparseSymmetric(n, rows, cols, vals)
 
 

@@ -103,6 +103,8 @@ class SparseSymmetric:
         order = _row_major_order(n, rows, cols)
         rows, cols, vals = rows[order], cols[order], vals[order]
         keep = vals != 0.0
+        # a mask index always copies, so the arrays frozen below are never
+        # the caller's, even when the order above is a view
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
         for arr in (rows, cols, vals):
             arr.setflags(write=False)
@@ -154,13 +156,15 @@ class SparseSymmetric:
         return f"SparseSymmetric(n={self.n}, nnz={self.nnz})"
 
 
-def _row_major_order(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Row-major order of upper-triangle index pairs of an n x n matrix.
+def _row_major_order(n: int, rows: np.ndarray, cols: np.ndarray):
+    """Row-major order of upper-triangle index pairs of an n x n matrix, as
+    an index array, or ``slice(None)`` when the pairs are already in it.
 
     Raises ValueError for a nonpositive n or one whose n * n overflows the
     int64 flat index, an index outside [0, n), a pair with row > col, or a
-    repeated pair.  A stable sort of the flat index is fast on the
-    already-sorted pairs that files, selections and merges supply.
+    repeated pair.  Files, selections, merges and generators supply sorted
+    pairs: one pass finds their flat keys strictly increasing, which also
+    rules out repeats, and skips the sort.
     """
     if n <= 0:
         raise ValueError("dimension must be positive")
@@ -172,6 +176,8 @@ def _row_major_order(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         if np.any(rows > cols):
             raise ValueError("triplets must satisfy row <= col")
     key = rows * n + cols
+    if np.all(key[1:] > key[:-1]):
+        return slice(None)
     order = np.argsort(key, kind="stable")
     if np.any(np.diff(key[order]) == 0):
         raise ValueError("duplicate (row, col) triplet")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from perturbext import experiments as exp
+from perturbext import cli, experiments as exp
 from perturbext.cli import main
 from perturbext.kernels import gen_wishart_psd, gen_band_matrix
 from perturbext.matrixcore import read_dense, write_dense, write_sparse
@@ -65,6 +65,24 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eig", "band"])
+    def test_out_of_memory_is_usage_error(self, monkeypatch, tmp_path, capsys, command):
+        # a header n that fits int64 but not in memory fails inside the
+        # reader; simulate it rather than allocate
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(cli, "read_sparse", no_memory)
+        monkeypatch.setattr(exp, "run_band_experiment", no_memory)
+        path = tmp_path / "m.txt"
+        path.write_text("2 1\n0 0 1.0\n")
+        argv = (["eig", "--sparse-matrix", str(path), "--m", "1", "--out", str(tmp_path / "o")]
+                if command == "eig" else ["band", "--n", "40", "--trials", "1"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: out of memory" in err and "Traceback" not in err
+        assert not (tmp_path / "o.values").exists()
 
     def test_all_zero_submatrix_is_numerical_error(self, tmp_path, capsys):
         # K^s = the top-left 280 x 280 block is all zero and above the dense

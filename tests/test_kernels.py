@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perturbext import experiments, kernels
+from perturbext.experiments import derive_seed, run_band_experiment
 from perturbext.kernels import (
+    BAND_CUTOFF,
+    BAND_DECAY,
     Dataset,
     KernelOverflowError,
     KernelSpec,
@@ -171,9 +177,10 @@ def _sparsify_by_stable_sort(K: SymmetricDense, keep_fraction: float) -> SparseS
 
 
 def _assert_same_triplets(S, R):
-    assert np.array_equal(S.rows, R.rows)
-    assert np.array_equal(S.cols, R.cols)
-    assert np.array_equal(S.vals, R.vals)
+    assert S.n == R.n
+    for name in ("rows", "cols", "vals"):
+        a, b = getattr(S, name), getattr(R, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestSparsifyMatchesStableSort:
@@ -210,6 +217,24 @@ class TestSparsifyMatchesStableSort:
         assert S.vals.size == run_end
 
 
+def _gen_band_matrix_reference(n: int, seed: int = 0) -> SparseSymmetric:
+    """gen_band_matrix in its dense form: one draw and one power over all
+    n(n - 1)/2 pairs.  The block-wise generator must reproduce it bit for bit."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    rng = rng_for(seed)
+    iu = np.triu_indices(n, k=1)
+    x = rng.uniform(size=iu[0].size)
+    expo = (iu[1] - iu[0]).astype(float) / BAND_DECAY
+    with np.errstate(under="ignore"):
+        vals = x ** expo
+    keep = vals >= BAND_CUTOFF
+    rows = np.concatenate([np.arange(n), iu[0][keep]])
+    cols = np.concatenate([np.arange(n), iu[1][keep]])
+    vals = np.concatenate([np.ones(n), vals[keep]])
+    return SparseSymmetric(n, rows, cols, vals)
+
+
 class TestBandGenerator:
     def test_diagonal_is_one(self):
         B = gen_band_matrix(50, seed=6)
@@ -230,6 +255,33 @@ class TestBandGenerator:
         near_density = np.count_nonzero(dist <= 10) / 10
         far_density = np.count_nonzero(dist > n // 2) / (n / 2)
         assert near_density > 50 * max(far_density, 1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, derive_seed(0, 10, 0)])
+    @pytest.mark.parametrize("n", [2, 3, 17, 300, 2000])
+    def test_matches_dense_reference(self, monkeypatch, n, seed):
+        expected = _gen_band_matrix_reference(n, seed)
+        _assert_same_triplets(gen_band_matrix(n, seed), expected)
+        # one row per block, and at 7 the last short rows share blocks
+        for block in (1, 7):
+            monkeypatch.setattr(kernels, "_BAND_BLOCK", block)
+            _assert_same_triplets(gen_band_matrix(n, seed), expected)
+
+    def test_band_experiment_rows_unchanged(self, monkeypatch):
+        args = dict(n=300, m=4, trials=2, seed=11)
+        rows = run_band_experiment(**args)
+        monkeypatch.setattr(experiments, "gen_band_matrix", _gen_band_matrix_reference)
+        assert run_band_experiment(**args) == rows
+
+    def test_memory_stays_below_dense_pair_arrays(self):
+        # the dense form holds index, draw and power arrays over all
+        # n(n - 1)/2 pairs: a peak of about 180 MB at n = 3000
+        tracemalloc.start()
+        try:
+            gen_band_matrix(3000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
     def test_seed_determinism(self):
         B1 = gen_band_matrix(60, seed=9)

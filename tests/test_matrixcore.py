@@ -71,6 +71,52 @@ class TestTypes:
         with pytest.raises(ValueError, match="duplicate"):
             SparseSymmetric(3, [0, 0], [1, 1], [1.0, 2.0])
 
+    @staticmethod
+    def _upper_triplets(n, seed):
+        rng = np.random.default_rng(seed)
+        iu = np.triu_indices(n)
+        pick = np.sort(rng.choice(iu[0].size, size=iu[0].size // 3, replace=False))
+        vals = rng.choice([0.0, 1.0, -2.5, 0.125], size=pick.size)
+        return iu[0][pick], iu[1][pick], vals
+
+    def test_sparse_sorted_and_shuffled_inputs_agree(self):
+        n = 30
+        rows, cols, vals = self._upper_triplets(n, 0)
+        shuffle = np.random.default_rng(1).permutation(rows.size)
+        assert matrixcore._row_major_order(n, rows, cols) == slice(None)
+        assert isinstance(matrixcore._row_major_order(n, rows[shuffle], cols[shuffle]), np.ndarray)
+        a = SparseSymmetric(n, rows, cols, vals)
+        b = SparseSymmetric(n, rows[shuffle], cols[shuffle], vals[shuffle])
+        for name in ("rows", "cols", "vals"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert 0.0 not in a.vals
+
+    @pytest.mark.parametrize("rows, cols, match", [
+        ([1, 0, 0], [2, 1, 1], "duplicate"),      # unsorted; sorted is tested above
+        ([0, 2, 2], [1, 1, 2], "row <= col"),     # flat keys increasing
+        ([-1, 0], [0, 1], "out of range"),
+        ([0, 1], [1, 3], "out of range"),
+    ])
+    def test_sparse_rejects_bad_triplets(self, rows, cols, match):
+        with pytest.raises(ValueError, match=match):
+            SparseSymmetric(3, rows, cols, np.ones(len(rows)))
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_sparse_leaves_caller_arrays_alone(self, shuffled):
+        rows, cols, vals = self._upper_triplets(12, 2)
+        vals = vals + 10.0  # no zero to drop: every entry is kept
+        if shuffled:
+            order = np.random.default_rng(3).permutation(rows.size)
+            rows, cols, vals = rows[order], cols[order], vals[order]
+        S = SparseSymmetric(12, rows, cols, vals)
+        stored = S.vals.copy()
+        for arr in (rows, cols, vals):
+            assert arr.flags.writeable
+        vals[:] = 7.0
+        assert np.array_equal(S.vals, stored)
+        assert not S.vals.flags.writeable
+
     def test_sparse_nnz_counts_pairs_twice(self):
         S = SparseSymmetric(4, [0, 0, 2], [0, 1, 3], [1.0, 2.0, 3.0])
         assert S.nnz == 1 + 2 + 2
