@@ -23,6 +23,7 @@ from .matrixcore import (
     add_scaled,
     dimension,
     frobenius_norm,
+    principal_block,
     read_mask,
     spectral_norm,
     sym_eig_partial,
@@ -154,13 +155,12 @@ class ExtensionResult:
     source_pairs: EigenPairs
 
 
-def _block_of(block_sizes: tuple, n: int) -> np.ndarray:
-    """The block index of each of the n rows of a block-diagonal partition;
-    the block sizes must sum to n."""
+def _block_bounds(block_sizes: tuple, n: int) -> np.ndarray:
+    """The q + 1 row offsets of a block-diagonal partition, block j holding
+    rows bounds[j] to bounds[j + 1]; the block sizes must sum to n."""
     if sum(block_sizes) != n:
         raise ValueError(f"block sizes sum to {sum(block_sizes)}, expected {n}")
-    bounds = np.cumsum((0,) + block_sizes)
-    return np.searchsorted(bounds, np.arange(n), side="right") - 1
+    return np.cumsum((0,) + block_sizes)
 
 
 def select_submatrix(K, sel: Selector) -> SparseSymmetric:
@@ -186,7 +186,7 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
         keep = np.zeros(vals.size, dtype=bool)
         keep[order[:count]] = True
     elif sel.kind == "blocks":
-        block_of = _block_of(sel.block_sizes, n)
+        block_of = np.searchsorted(_block_bounds(sel.block_sizes, n), np.arange(n), side="right") - 1
         keep = block_of[rows] == block_of[cols]
     elif sel.kind == "mask":
         mask_rows = np.array(sel.mask_rows, dtype=np.int64)
@@ -269,12 +269,13 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     """
     n = dimension(K)
     block_sizes = tuple(int(s) for s in block_sizes)
-    block_of = _block_of(block_sizes, n)
-    rows, cols, vals = _stored_triplets(K)
+    bounds = _block_bounds(block_sizes, n)
 
     def member(j):
-        inside = (block_of[rows] == j) & (block_of[cols] == j)
-        Ks_j = SparseSymmetric(n, rows[inside], cols[inside], vals[inside])
+        # K^s of member j is K's diagonal block j, its triplets moved to the block's rows
+        lo = bounds[j]
+        rows, cols, vals = _stored_triplets(principal_block(K, np.arange(lo, bounds[j + 1])))
+        Ks_j = SparseSymmetric(n, rows + lo, cols + lo, vals)
         res = extend_with_submatrix(K, Ks_j, cfg)
         return res.values, res.vectors
 

@@ -14,11 +14,15 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas
 
 # below this dimension the partial solver and norm fall back to dense LAPACK
 DENSE_FALLBACK_N = 256
 
 GAP_TOL = 1e-12
+
+# rows per block of the all-zero scan of a dense matrix
+_ZERO_SCAN_ROWS = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -50,22 +54,41 @@ class SymmetricDense:
 
     Symmetry must hold exactly; pass ``symmetrize=True`` to average an
     almost-symmetric input ((a + a.T) / 2 is exact in IEEE arithmetic).
+    The average is a new array, so that path copies nothing else; an input
+    that is already symmetric is copied once, so the caller's array is
+    never frozen.
     """
 
     __slots__ = ("a",)
 
     def __init__(self, entries, symmetrize: bool = False):
-        a = np.array(entries, dtype=float)
+        a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
         if symmetrize:
             a = (a + a.T) / 2.0
-        elif not np.array_equal(a, a.T):
+        elif np.array_equal(a, a.T):
+            a = np.array(a)  # never freeze the caller's array
+        else:
             raise ValueError("matrix is not exactly symmetric; use symmetrize=True")
         a.setflags(write=False)
         self.a = a
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> "SymmetricDense":
+        """Wrap a square float array that the package has just built and that
+        is exactly symmetric by construction, without the constructor's copy
+        and symmetry pass.  Finiteness is still checked.  The array is frozen
+        in place, so the caller must not keep it for writing.
+        """
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
+        a.setflags(write=False)
+        obj = cls.__new__(cls)
+        obj.a = a
+        return obj
 
     @property
     def n(self) -> int:
@@ -146,7 +169,7 @@ class SparseSymmetric:
         return self._csr @ x
 
     def to_dense(self) -> SymmetricDense:
-        return SymmetricDense(self._csr.toarray(), symmetrize=True)
+        return SymmetricDense._adopt(self._csr.toarray())
 
     @classmethod
     def from_dense(cls, K: SymmetricDense) -> "SparseSymmetric":
@@ -294,7 +317,7 @@ def add_scaled(A, B, c: float):
     rows, cols, vals = _stored_triplets(B)
     a[rows, cols] += c * vals
     a[cols, rows] = a[rows, cols]
-    return SymmetricDense(a)
+    return SymmetricDense._adopt(a)
 
 
 def _to_dense_array(A) -> np.ndarray:
@@ -305,9 +328,37 @@ def _to_dense_array(A) -> np.ndarray:
     return A.to_dense().a
 
 
+class _DenseSymmetricOperator(spla.LinearOperator):
+    """A dense symmetric array as a linear operator whose product is one BLAS
+    ``dsymv``, which reads a single triangle.
+
+    ``a`` is whichever of the array and its transpose (equal by symmetry) is
+    F-contiguous, so for the contiguous array of a ``SymmetricDense`` neither
+    the wrapper nor a product copies the matrix.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = a if a.flags.f_contiguous else np.asfortranarray(a.T)
+        super().__init__(float, a.shape)
+
+    def _matvec(self, x):
+        return blas.dsymv(1.0, self.a, np.ravel(x))
+
+
 def _stored_operator(A):
-    """What eigsh iterates on: the CSR form of a sparse matrix, else the array."""
-    return A._csr if isinstance(A, SparseSymmetric) else A.a
+    """What eigsh iterates on: the CSR form of a sparse matrix, else the
+    dense array behind a ``dsymv`` operator."""
+    if isinstance(A, SparseSymmetric):
+        return A._csr
+    return _DenseSymmetricOperator(A.a)
+
+
+def _is_zero(A) -> bool:
+    """Whether A stores no nonzero.  A dense A is scanned in blocks of rows
+    and the scan stops at the first block holding a nonzero."""
+    if isinstance(A, SparseSymmetric):
+        return A.vals.size == 0
+    return not any(A.a[i:i + _ZERO_SCAN_ROWS].any() for i in range(0, A.n, _ZERO_SCAN_ROWS))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +451,7 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if n <= DENSE_FALLBACK_N or m > n - 2:
         return sym_eig_full(A, m)
-    if nnz(A) == 0:
+    if _is_zero(A):
         raise EigengapError(f"matrix has no nonzeros: pairs {m} and {m + 1} tie at 0")
     if isinstance(A, SparseSymmetric):
         # the rows that store nonzeros, read from the CSR row lengths in O(n)
@@ -426,7 +477,7 @@ def _extreme_eigvals(A, k: int, which: str) -> np.ndarray:
     array; no eigengap is checked, since no subspace is returned.
     """
     n = dimension(A)
-    if nnz(A) == 0:
+    if _is_zero(A):
         return np.zeros(k)
     if n > DENSE_FALLBACK_N and k <= n - 2:
         w = _lanczos(A, k, which, 1, vectors=False)
@@ -473,7 +524,7 @@ def principal_block(A, cols, shift: float = 0.0):
         return SparseSymmetric(l, upper.row, upper.col, upper.data)
     block = A.a[np.ix_(cols, cols)]
     block[np.arange(l), np.arange(l)] -= shift
-    return SymmetricDense(block)
+    return SymmetricDense._adopt(block)
 
 
 def principal_angle(U: np.ndarray, W: np.ndarray) -> float:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perturbext import matrixcore
+from perturbext import extension, matrixcore
 from perturbext.extension import (
     ExtensionConfig,
     Selector,
+    _weighted_combination,
     block_extend,
     extend_with_submatrix,
     kernel_approx,
@@ -16,7 +17,9 @@ from perturbext.kernels import gen_band_matrix, gen_wishart_psd
 from perturbext.matrixcore import (
     SparseSymmetric,
     SymmetricDense,
+    _stored_triplets,
     add_scaled,
+    dimension,
     nnz,
     principal_angle,
     spectral_norm,
@@ -380,6 +383,71 @@ class TestKernelApprox:
         approx_pert = kernel_approx(res.values, res.vectors)
         approx_nys = kernel_approx(*nystrom_extend(K, m))
         assert np.max(np.abs(approx_pert.a - approx_nys.a)) <= 1e-10 * spectral_norm(K)
+
+
+def _block_extend_reference(K, block_sizes, cfg: ExtensionConfig, weights=None, members=None):
+    """block_extend as it selected each member's K^s by one mask per member
+    over all stored triplets of K; the members' K^s go to ``members``.  The
+    per-block selection must reproduce both bit for bit."""
+    n = dimension(K)
+    block_sizes = tuple(int(s) for s in block_sizes)
+    if sum(block_sizes) != n:
+        raise ValueError(f"block sizes sum to {sum(block_sizes)}, expected {n}")
+    bounds = np.cumsum((0,) + block_sizes)
+    block_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
+    rows, cols, vals = _stored_triplets(K)
+
+    def member(j):
+        inside = (block_of[rows] == j) & (block_of[cols] == j)
+        Ks_j = SparseSymmetric(n, rows[inside], cols[inside], vals[inside])
+        members.append(Ks_j)
+        res = extend_with_submatrix(K, Ks_j, cfg)
+        return res.values, res.vectors
+
+    q = len(block_sizes)
+    return _weighted_combination(map(member, range(q)), q, weights)
+
+
+class TestBlockSelection:
+    """Each block_extend member's K^s is read from K's diagonal block."""
+
+    @staticmethod
+    def kernel(n, seed):
+        # a Wishart kernel with its smallest entries set to exact zeros, so
+        # that every block holds some
+        a = gen_wishart_psd(n, seed).a
+        return SymmetricDense(np.where(np.abs(a) < 0.02, 0.0, a))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("n, sizes, m", [
+        (60, (7, 31, 22), 3),
+        (40, (40,), 4),
+        (300, (120, 180), 4),
+    ], ids=["uneven", "single", "lanczos-sized"])
+    def test_members_and_combination_match_mask_selection(self, monkeypatch, sparse, n, sizes, m):
+        K = self.kernel(n, 31 + n)
+        assert np.any(K.a[:sizes[0], :sizes[0]] == 0.0)
+        if sparse:
+            K = SparseSymmetric.from_dense(K)
+        cfg = ExtensionConfig(m=m)
+        expected_members = []
+        expected = _block_extend_reference(K, sizes, cfg, members=expected_members)
+
+        members = []
+
+        def recording(K_, Ks, cfg_):
+            members.append(Ks)
+            return extend_with_submatrix(K_, Ks, cfg_)
+
+        monkeypatch.setattr(extension, "extend_with_submatrix", recording)
+        combined = block_extend(K, sizes, cfg)
+        assert len(members) == len(expected_members) == len(sizes)
+        for got, want in zip(members, expected_members):
+            assert got.n == want.n
+            for name in ("rows", "cols", "vals"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(combined.a, expected.a)
 
 
 class TestBlockExtend:

@@ -307,6 +307,59 @@ class TestSpectralNorm:
         assert spectral_norm(S.to_dense()) == pytest.approx(oracle, rel=1e-8)
 
 
+class TestDenseLanczos:
+    """Above DENSE_FALLBACK_N a dense matrix reaches eigsh as a dsymv operator
+    on its own array, in C or F order alike."""
+
+    @staticmethod
+    def planted(n, order):
+        # five separated leading values over a tail in [-1, 1]
+        rng = np.random.default_rng(n)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        spectrum = np.concatenate([[10.0, 9.0, 8.0, 7.0, 6.0], rng.uniform(-1.0, 1.0, n - 5)])
+        a = SymmetricDense((q * spectrum) @ q.T, symmetrize=True).a
+        A = SymmetricDense(np.asarray(a, order=order))
+        assert A.a.flags[f"{order}_CONTIGUOUS"]
+        return A
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [257, 600])
+    def test_matches_dense_oracle(self, n, order):
+        A = self.planted(n, order)
+        w, v = np.linalg.eigh(A.a)
+        norm = np.max(np.abs(w))
+        assert abs(spectral_norm(A) - norm) <= 1e-12 * norm
+        pairs = sym_eig_partial(A, 4)
+        assert np.max(np.abs(pairs.values - w[::-1][:4])) <= 1e-12 * norm
+        assert np.max(np.abs(pairs.vectors - canonical_signs(v[:, ::-1][:, :4]))) <= 1e-12 * norm
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_operator_reads_the_stored_array(self, order):
+        A = self.planted(257, order)
+        op = matrixcore._stored_operator(A)
+        assert np.shares_memory(op.a, A.a)
+        x = np.random.default_rng(3).standard_normal(A.n)
+        assert np.max(np.abs(op.matvec(x) - A.a @ x)) <= 1e-12 * np.abs(A.a).sum(axis=1).max()
+
+
+class TestZeroGuard:
+    @pytest.mark.parametrize("where", [(0, 0), (299, 299), (150, 290)], ids=["first", "last", "off-diagonal"])
+    def test_single_nonzero_is_not_zero(self, where):
+        # one nonzero anywhere, in the first scanned block of rows or a later one
+        i, j = where
+        a = np.zeros((300, 300))
+        a[i, j] = a[j, i] = 2.0
+        A = SymmetricDense(a)
+        assert not matrixcore._is_zero(A)
+        assert spectral_norm(A) == pytest.approx(2.0)
+        assert matrixcore._extreme_eigvals(A, 2, "LA")[0] == pytest.approx(2.0)
+
+    def test_zero_matrices(self):
+        assert matrixcore._is_zero(SymmetricDense(np.zeros((300, 300))))
+        assert matrixcore._is_zero(SparseSymmetric(300, [0], [0], [0.0]))
+        assert not matrixcore._is_zero(SparseSymmetric(300, [299], [299], [-1.0]))
+
+
 class TestPrincipalAngle:
     def test_identical_subspaces(self):
         rng = np.random.default_rng(0)
@@ -371,6 +424,26 @@ class TestUtilities:
 
         monkeypatch.setattr(SparseSymmetric, "to_dense", refuse)
         assert np.array_equal(add_scaled(A, S, -1.0).a, expected)
+
+    def test_add_scaled_dense_result_is_frozen_and_fresh(self):
+        A = random_symmetric(8, 5)
+        S = SparseSymmetric(8, [0, 2], [3, 2], [1.0, -4.0])
+        for B in (S, A):
+            E = add_scaled(A, B, -1.0)
+            assert not E.a.flags.writeable
+            assert not np.shares_memory(E.a, A.a)
+
+    def test_add_scaled_overflow_raises(self):
+        A = SymmetricDense(np.full((3, 3), 1e308))
+        for B in (A, SparseSymmetric(3, [0], [1], [1e308])):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+                add_scaled(A, B, 1.0)
+
+    def test_principal_block_is_frozen_and_fresh(self):
+        A = random_symmetric(8, 6)
+        block = principal_block(A, [1, 4, 6])
+        assert not block.a.flags.writeable
+        assert not np.shares_memory(block.a, A.a)
 
     def test_frobenius_sparse_matches_dense(self):
         S = SparseSymmetric(4, [0, 0, 1, 3], [0, 2, 1, 3], [1.0, 2.0, -1.0, 4.0])

@@ -350,7 +350,7 @@ class TestCombinationMemory:
 
     def test_block_extend_peak(self, K):
         blocks = (self.n // 8,) * 8
-        assert self.peak_in_n2_doubles(lambda: block_extend(K, blocks, ExtensionConfig(m=5))) < 6.5
+        assert self.peak_in_n2_doubles(lambda: block_extend(K, blocks, ExtensionConfig(m=5))) < 3.0
 
 
 class TestEquivalenceChecks:
