@@ -33,18 +33,13 @@ from .matrixcore import (
     RankDeficientError,
     SparseSymmetric,
     SymmetricDense,
-    add_scaled,
     canonical_signs,
-    frobenius_norm,
-    matvec,
-    nnz,
     principal_angle,
     read_dense,
     read_sparse,
     spectral_norm,
     sym_eig_full,
     sym_eig_partial,
-    trace,
     write_dense,
     write_sparse,
 )

@@ -31,8 +31,6 @@ from .matrixcore import (
     EigengapError,
     SparseSymmetric,
     SymmetricDense,
-    _stored_triplets,
-    dimension,
     principal_angle,
     sym_eig_full,
     sym_eig_partial,
@@ -136,15 +134,16 @@ def _slope_grid(experiment_id: str, grid, default) -> np.ndarray:
 def _slope_sweep(experiment_id: str, grid: np.ndarray, problem_at, seed: int):
     """Leading-eigenvector error of both truncated orders (mu = 0) at each
     point c of a ``_slope_grid``, where problem_at(c) gives (base, its known
-    leading pairs, perturbation array).  Returns (rows, slopes): slopes maps
+    leading pairs, the entries of the perturbation E); E and base + E are
+    wrapped as SymmetricDense here.  Returns (rows, slopes): slopes maps
     order name to the fitted log-log slope of the error against c.
     """
     rows = []
     errors = {"order1": [], "order2": []}
     for c in grid:
         base, known, E = problem_at(c)
-        problem = pert.PerturbationProblem(base=base, known=known, perturbation=E)
-        perturbed = base.a + E
+        problem = pert.PerturbationProblem(base=base, known=known, perturbation=SymmetricDense(E))
+        perturbed = SymmetricDense(base.a + E)
         for name, update in (("order1", pert.truncated_first_order),
                              ("order2", pert.truncated_second_order)):
             err = _aligned_leading_error(perturbed, update(problem, 0.0)[:, 0])
@@ -194,15 +193,15 @@ def run_tail_slopes(n: int = 200, m: int = 10, seed: int = 0, grid=None):
 def _topleft_nnz(K) -> np.ndarray:
     """Stored nonzeros of the top-left l x l block at index l - 1, for every
     l (symmetric pairs counted twice)."""
-    rows, cols, _ = _stored_triplets(K)
+    rows, cols, _ = K.triplets()
     weight = np.where(rows == cols, 1, 2)
-    return np.cumsum(np.bincount(cols, weights=weight, minlength=dimension(K)))
+    return np.cumsum(np.bincount(cols, weights=weight, minlength=K.n))
 
 
 def matched_topleft_size(K, target_nnz: float, minimum: int = 1) -> int:
     """Smallest l whose top-left l x l block holds at least target_nnz
     stored nonzeros (symmetric pairs counted twice)."""
-    n = dimension(K)
+    n = K.n
     l = int(np.searchsorted(_topleft_nnz(K), target_nnz) + 1)
     return max(minimum, min(l, n))
 
@@ -367,7 +366,7 @@ def run_verification(n: int = 200, m: int = 20, trials: int = 50, seed: int = 0,
         shifted = SymmetricDense(base.a + delta * np.eye(n), symmetrize=True)
         detected = pert.is_lowrank_plus_shift(shifted, m, tolerance=1e-8)
         detect_err = abs((detected if detected is not None else np.inf) - delta)
-        E = 1e-6 * gen_unit_random_symmetric(n, derive_seed(seed, 32, trial)).a
+        E = SymmetricDense(1e-6 * gen_unit_random_symmetric(n, derive_seed(seed, 32, trial)).a)
         known = sym_eig_full(shifted, m)
         problem = pert.PerturbationProblem(base=shifted, known=known, perturbation=E)
         W1 = pert.truncated_first_order(problem, delta)

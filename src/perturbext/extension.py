@@ -19,15 +19,9 @@ from .matrixcore import (
     EigenPairs,
     SparseSymmetric,
     SymmetricDense,
-    _stored_triplets,
-    add_scaled,
-    dimension,
-    frobenius_norm,
-    principal_block,
     read_mask,
     spectral_norm,
     sym_eig_partial,
-    trace,
 )
 
 
@@ -165,8 +159,8 @@ def _block_bounds(block_sizes: tuple, n: int) -> np.ndarray:
 
 def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     """Materialize K^s: K restricted to the selected index set, zero elsewhere."""
-    n = dimension(K)
-    rows, cols, vals = _stored_triplets(K)
+    n = K.n
+    rows, cols, vals = K.triplets()
     if sel.kind == "topleft":
         if sel.size > n:
             raise ValueError(f"topleft size {sel.size} exceeds dimension {n}")
@@ -179,8 +173,7 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
         weight = np.where(rows == cols, 1, 2)
         target = np.ceil(sel.fraction * weight.sum())
         # a sparse K keeps its order, so a sweep over q sorts it once
-        order = (K.magnitude_order() if isinstance(K, SparseSymmetric)
-                 else np.argsort(-np.abs(vals), kind="stable"))
+        order = K.magnitude_order()
         cum = np.cumsum(weight[order])
         count = int(np.searchsorted(cum, target) + 1)
         keep = np.zeros(vals.size, dtype=bool)
@@ -212,14 +205,14 @@ def _bound_tail(Ks: SparseSymmetric, known_values: np.ndarray, mu: float, order:
     n, m = Ks.n, known_values.size
     if n <= DENSE_FALLBACK_N:
         return np.linalg.eigvalsh(Ks.to_dense().a)[::-1][m:]
-    sq = pert.tail_sq_sum_from_traces(frobenius_norm(Ks) ** 2, known_values, mu, trace(Ks), n)
+    sq = pert.tail_sq_sum_from_traces(Ks.frobenius_norm() ** 2, known_values, mu, Ks.trace(), n)
     return sq if order == 2 else float(np.sqrt((n - m) * sq))
 
 
 def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> ExtensionResult:
     """Extend the leading eigenpairs of an already-selected K^s to those of K."""
     pairs = sym_eig_partial(Ks, cfg.m)
-    E = add_scaled(K, Ks, -1.0)
+    E = K.add_scaled(Ks, -1.0)
     problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=E)
     mu = cfg.mu.resolve(problem)
     update = pert.truncated_first_order if cfg.order == 1 else pert.truncated_second_order
@@ -267,14 +260,14 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     and turned into a rank-m kernel approximation; the result is the weighted
     sum of the per-block approximations.  Uniform weights by default.
     """
-    n = dimension(K)
+    n = K.n
     block_sizes = tuple(int(s) for s in block_sizes)
     bounds = _block_bounds(block_sizes, n)
 
     def member(j):
         # K^s of member j is K's diagonal block j, its triplets moved to the block's rows
         lo = bounds[j]
-        rows, cols, vals = _stored_triplets(principal_block(K, np.arange(lo, bounds[j + 1])))
+        rows, cols, vals = K.principal_block(np.arange(lo, bounds[j + 1])).triplets()
         Ks_j = SparseSymmetric(n, rows + lo, cols + lo, vals)
         res = extend_with_submatrix(K, Ks_j, cfg)
         return res.values, res.vectors

@@ -1,8 +1,9 @@
 """Symmetric matrix types, eigensolvers, norms and subspace angles.
 
 Everything downstream works with exactly two concrete matrix types, dense
-and triplet-sparse, both immutable after construction; the helpers below
-dispatch on those two only.  Eigenvalues are always
+and triplet-sparse, both immutable after construction.  Each type carries
+the whole matrix protocol as its own methods, so no caller asks which of
+the two it holds.  Eigenvalues are always
 ordered descending by algebraic value and eigenvector signs are fixed so
 that independently computed decompositions can be compared entrywise.
 """
@@ -56,7 +57,8 @@ class SymmetricDense:
     almost-symmetric input ((a + a.T) / 2 is exact in IEEE arithmetic).
     The average is a new array, so that path copies nothing else; an input
     that is already symmetric is copied once, so the caller's array is
-    never frozen.
+    never frozen.  Finiteness is checked on the stored array, so an average
+    whose a + a.T overflows is rejected too.
     """
 
     __slots__ = ("a",)
@@ -65,14 +67,14 @@ class SymmetricDense:
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
         if symmetrize:
             a = (a + a.T) / 2.0
-        elif np.array_equal(a, a.T):
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
+        if not symmetrize:
+            if not np.array_equal(a, a.T):
+                raise ValueError("matrix is not exactly symmetric; use symmetrize=True")
             a = np.array(a)  # never freeze the caller's array
-        else:
-            raise ValueError("matrix is not exactly symmetric; use symmetrize=True")
         a.setflags(write=False)
         self.a = a
 
@@ -94,8 +96,72 @@ class SymmetricDense:
     def n(self) -> int:
         return self.a.shape[0]
 
+    @property
+    def nnz(self) -> int:
+        """Structural nonzeros, counting symmetric pairs twice."""
+        return int(np.count_nonzero(self.a))
+
+    def trace(self) -> float:
+        return float(np.trace(self.a))
+
+    def frobenius_norm(self) -> float:
+        return float(np.linalg.norm(self.a))
+
+    def triplets(self):
+        """Upper-triangle (rows, cols, vals) of the nonzeros, in row-major order."""
+        r, c = np.nonzero(np.triu(self.a))
+        return r, c, self.a[r, c]
+
+    def magnitude_order(self) -> np.ndarray:
+        """Stable order of ``triplets()`` by descending |value|, sorted anew
+        on every call."""
+        return np.argsort(-np.abs(self.triplets()[2]), kind="stable")
+
+    def support_rows(self) -> np.ndarray:
+        """Rows that may hold a nonzero: all n, since a dense matrix is not
+        searched for empty rows."""
+        return np.arange(self.n)
+
+    def is_zero(self) -> bool:
+        """Whether no entry is nonzero.  The array is scanned in blocks of
+        rows and the scan stops at the first block holding a nonzero."""
+        return not any(self.a[i:i + _ZERO_SCAN_ROWS].any() for i in range(0, self.n, _ZERO_SCAN_ROWS))
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Apply the matrix to a vector or to a block of columns."""
         return self.a @ x
+
+    def operator(self) -> "_DenseSymmetricOperator":
+        """What eigsh iterates on: the array behind a ``dsymv`` operator."""
+        return _DenseSymmetricOperator(self.a)
+
+    def add_scaled(self, B, c: float) -> "SymmetricDense":
+        """self + c * B as a dense matrix: a copy of the array with c * B added
+        at B's stored positions only, so a sparse B is never densified."""
+        if self.n != B.n:
+            raise ValueError("dimension mismatch")
+        a = np.array(self.a)
+        rows, cols, vals = B.triplets()
+        a[rows, cols] += c * vals
+        a[cols, rows] = a[rows, cols]
+        return SymmetricDense._adopt(a)
+
+    def columns(self, cols) -> np.ndarray:
+        """A[:, cols] as a new C-ordered n x len(cols) array.
+
+        C order matters to callers that multiply the block: a fancy-indexed
+        column slice is F-ordered, which sends a product down another BLAS
+        path and changes its last bits.
+        """
+        return np.ascontiguousarray(self.a[:, cols])
+
+    def principal_block(self, cols, shift: float = 0.0) -> "SymmetricDense":
+        """A[cols, cols] - shift * I as a new dense matrix, equal to the rows
+        ``cols`` of ``columns(cols)`` with the shift taken off the diagonal."""
+        cols = np.asarray(cols, dtype=np.int64)
+        block = self.a[np.ix_(cols, cols)]
+        block[np.arange(cols.size), np.arange(cols.size)] -= shift
+        return SymmetricDense._adopt(block)
 
     def to_dense(self) -> "SymmetricDense":
         return self
@@ -144,6 +210,27 @@ class SparseSymmetric:
     def n(self) -> int:
         return self._n
 
+    @property
+    def nnz(self) -> int:
+        diag = int(np.count_nonzero(self.rows == self.cols))
+        return 2 * (self.vals.size - diag) + diag
+
+    @property
+    def nnz_stored(self) -> int:
+        return int(self.vals.size)
+
+    def trace(self) -> float:
+        return float(self.vals[self.rows == self.cols].sum())
+
+    def frobenius_norm(self) -> float:
+        diag = self.rows == self.cols
+        off = self.vals[~diag]
+        return float(np.sqrt(2.0 * np.dot(off, off) + np.dot(self.vals[diag], self.vals[diag])))
+
+    def triplets(self):
+        """The stored (rows, cols, vals), upper triangle in row-major order."""
+        return self.rows, self.cols, self.vals
+
     def magnitude_order(self) -> np.ndarray:
         """Stable order of the stored triplets by descending |value|.
 
@@ -156,24 +243,60 @@ class SparseSymmetric:
             self._magnitude_order = order
         return self._magnitude_order
 
-    @property
-    def nnz(self) -> int:
-        diag = int(np.count_nonzero(self.rows == self.cols))
-        return 2 * (self.vals.size - diag) + diag
+    def support_rows(self) -> np.ndarray:
+        """The rows that store a nonzero, read from the CSR row lengths in O(n)."""
+        return np.flatnonzero(np.diff(self._csr.indptr))
 
-    @property
-    def nnz_stored(self) -> int:
-        return int(self.vals.size)
+    def is_zero(self) -> bool:
+        return self.vals.size == 0
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Apply the matrix to a vector or to a block of columns."""
         return self._csr @ x
+
+    def operator(self) -> sp.csr_array:
+        """What eigsh iterates on: the CSR form of the full matrix."""
+        return self._csr
+
+    def add_scaled(self, B, c: float) -> "SparseSymmetric":
+        """self + c * B as a sparse matrix, B read through its triplets.
+
+        Entries that cancel to exactly 0.0 are dropped, so K - K^s for a
+        selection K^s of a sparse K stores only the unselected entries.
+        """
+        if self.n != B.n:
+            raise ValueError("dimension mismatch")
+        b_rows, b_cols, b_vals = B.triplets()
+        rows = np.concatenate([self.rows, b_rows])
+        cols = np.concatenate([self.cols, b_cols])
+        vals = np.concatenate([self.vals, c * b_vals])
+        key = rows * self.n + cols
+        uniq, inv = np.unique(key, return_inverse=True)
+        merged = np.zeros(uniq.size)
+        np.add.at(merged, inv, vals)
+        return SparseSymmetric(self.n, uniq // self.n, uniq % self.n, merged)
+
+    def columns(self, cols) -> np.ndarray:
+        """A[:, cols] as a new C-ordered n x len(cols) array, read from the CSR
+        rows ``cols`` (the wanted columns transposed, by symmetry) without
+        forming the n x n array."""
+        return np.ascontiguousarray(self._csr[cols].toarray().T)
+
+    def principal_block(self, cols, shift: float = 0.0) -> "SparseSymmetric":
+        """A[cols, cols] - shift * I sliced from the CSR, so neither the n x n
+        nor the l x l array is formed; its entries equal the dense block's bit
+        for bit."""
+        cols = np.asarray(cols, dtype=np.int64)
+        block = self._csr[cols][:, cols] - shift * sp.eye_array(cols.size, format="csr")
+        upper = sp.triu(block, format="coo")
+        return SparseSymmetric(cols.size, upper.row, upper.col, upper.data)
 
     def to_dense(self) -> SymmetricDense:
         return SymmetricDense._adopt(self._csr.toarray())
 
     @classmethod
     def from_dense(cls, K: SymmetricDense) -> "SparseSymmetric":
-        return cls(K.n, *_stored_triplets(K))
+        return cls(K.n, *K.triplets())
 
     def __repr__(self):
         return f"SparseSymmetric(n={self.n}, nnz={self.nnz})"
@@ -251,83 +374,6 @@ class EigenPairs:
         return f"EigenPairs(n={self.n}, m={self.m})"
 
 
-# ---------------------------------------------------------------------------
-# dispatch helpers
-
-
-def dimension(A) -> int:
-    return A.n
-
-
-def matvec(A, x: np.ndarray) -> np.ndarray:
-    """Apply a symmetric matrix to a vector or to a block of columns."""
-    return A.matvec(x)
-
-
-def trace(A) -> float:
-    if isinstance(A, SymmetricDense):
-        return float(np.trace(A.a))
-    diag = A.rows == A.cols
-    return float(A.vals[diag].sum())
-
-
-def frobenius_norm(A) -> float:
-    if isinstance(A, SymmetricDense):
-        return float(np.linalg.norm(A.a))
-    diag = A.rows == A.cols
-    off = A.vals[~diag]
-    return float(np.sqrt(2.0 * np.dot(off, off) + np.dot(A.vals[diag], A.vals[diag])))
-
-
-def nnz(A) -> int:
-    """Structural nonzeros, counting symmetric pairs twice."""
-    if isinstance(A, SymmetricDense):
-        return int(np.count_nonzero(A.a))
-    return A.nnz
-
-
-def _stored_triplets(A):
-    """Upper-triangle (rows, cols, vals) of the stored nonzeros of A."""
-    if isinstance(A, SparseSymmetric):
-        return A.rows, A.cols, A.vals
-    r, c = np.nonzero(np.triu(A.a))
-    return r, c, A.a[r, c]
-
-
-def add_scaled(A, B, c: float):
-    """A + c * B, preserving sparsity when both operands are sparse.
-
-    Entries that cancel to exactly 0.0 are dropped, so K - K^s for a
-    selection K^s of a sparse K stores only the unselected entries.
-    Otherwise the result is dense: a copy of A with c * B added at B's
-    stored positions only, so a sparse B is never densified.
-    """
-    if dimension(A) != dimension(B):
-        raise ValueError("dimension mismatch")
-    if isinstance(A, SparseSymmetric) and isinstance(B, SparseSymmetric):
-        rows = np.concatenate([A.rows, B.rows])
-        cols = np.concatenate([A.cols, B.cols])
-        vals = np.concatenate([A.vals, c * B.vals])
-        key = rows * A.n + cols
-        uniq, inv = np.unique(key, return_inverse=True)
-        merged = np.zeros(uniq.size)
-        np.add.at(merged, inv, vals)
-        return SparseSymmetric(A.n, uniq // A.n, uniq % A.n, merged)
-    a = np.array(A.to_dense().a)
-    rows, cols, vals = _stored_triplets(B)
-    a[rows, cols] += c * vals
-    a[cols, rows] = a[rows, cols]
-    return SymmetricDense._adopt(a)
-
-
-def _to_dense_array(A) -> np.ndarray:
-    # the ndarray case serves sym_eig_full on raw arrays: the slope sweeps' perturbed
-    # matrices and the dense oracles of the tests
-    if isinstance(A, np.ndarray):
-        return A
-    return A.to_dense().a
-
-
 class _DenseSymmetricOperator(spla.LinearOperator):
     """A dense symmetric array as a linear operator whose product is one BLAS
     ``dsymv``, which reads a single triangle.
@@ -345,22 +391,6 @@ class _DenseSymmetricOperator(spla.LinearOperator):
         return blas.dsymv(1.0, self.a, np.ravel(x))
 
 
-def _stored_operator(A):
-    """What eigsh iterates on: the CSR form of a sparse matrix, else the
-    dense array behind a ``dsymv`` operator."""
-    if isinstance(A, SparseSymmetric):
-        return A._csr
-    return _DenseSymmetricOperator(A.a)
-
-
-def _is_zero(A) -> bool:
-    """Whether A stores no nonzero.  A dense A is scanned in blocks of rows
-    and the scan stops at the first block holding a nonzero."""
-    if isinstance(A, SparseSymmetric):
-        return A.vals.size == 0
-    return not any(A.a[i:i + _ZERO_SCAN_ROWS].any() for i in range(0, A.n, _ZERO_SCAN_ROWS))
-
-
 # ---------------------------------------------------------------------------
 # eigensolvers
 
@@ -373,20 +403,19 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
 
 def sym_eig_full(A, m: int | None = None) -> EigenPairs:
     """The m leading eigenpairs (all when m is None) of a symmetric matrix,
-    descending and sign-canonical, from one dense LAPACK solve.
+    descending and sign-canonical, from one dense LAPACK solve of its dense
+    form (both matrix types hold finite entries by construction).
 
     This is the ground-truth decomposition every approximation in the
     package is tested against.  Only the m kept columns are sign-fixed and
     checked; ``canonical_signs`` works column by column, so they equal the
     leading columns of the full decomposition bit for bit.
     """
-    a = _to_dense_array(A)
-    n = a.shape[0]
+    n = A.n
     m = n if m is None else m
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    a = A.to_dense().a
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -396,11 +425,11 @@ def sym_eig_full(A, m: int | None = None) -> EigenPairs:
 
 
 def _lanczos(A, k: int, which: str, seed: int, vectors: bool):
-    """``eigsh`` on the stored operator of A: k extreme pairs (values only
+    """``eigsh`` on ``A.operator()``: k extreme pairs (values only
     unless ``vectors``), from the seeded start vector, in at most 50 n iterations."""
-    n = dimension(A)
+    n = A.n
     try:
-        return spla.eigsh(_stored_operator(A), k=k, which=which, v0=_start_vector(n, seed),
+        return spla.eigsh(A.operator(), k=k, which=which, v0=_start_vector(n, seed),
                           maxiter=50 * n, return_eigenvectors=vectors)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
@@ -414,15 +443,15 @@ def _check_gap(above: float, below: float, m: int) -> None:
             f"eigengap between pairs {m} and {m + 1} is {above - below:.3e} < {GAP_TOL}")
 
 
-def _support_pairs(A: SparseSymmetric, rows: np.ndarray, m: int) -> EigenPairs:
-    """The m leading pairs of a sparse A whose nonzeros lie in ``rows``: the
+def _support_pairs(A, rows: np.ndarray, m: int) -> EigenPairs:
+    """The m leading pairs of an A whose nonzeros lie in ``rows``: the
     dense pairs of the principal block on those r rows, padded with zeros.
 
     The other n - r eigenvalues of A are exactly zero, so a leading pair
     that would be one of them, or a tie between pairs m and m + 1, raises
     EigengapError.
     """
-    block = sym_eig_full(principal_block(A, rows))
+    block = sym_eig_full(A.principal_block(rows))
     w = block.values
     if m > w.size or w[m - 1] <= 0.0:
         raise EigengapError(f"pair {m} would be one of the {A.n - rows.size} zero eigenvalues "
@@ -446,18 +475,16 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
     leading subspace ill-posed; a matrix without nonzeros, where that gap is
     exactly zero, raises EigengapError before any solve.
     """
-    n = dimension(A)
+    n = A.n
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if n <= DENSE_FALLBACK_N or m > n - 2:
         return sym_eig_full(A, m)
-    if _is_zero(A):
+    if A.is_zero():
         raise EigengapError(f"matrix has no nonzeros: pairs {m} and {m + 1} tie at 0")
-    if isinstance(A, SparseSymmetric):
-        # the rows that store nonzeros, read from the CSR row lengths in O(n)
-        rows = np.flatnonzero(np.diff(A._csr.indptr))
-        if rows.size <= DENSE_FALLBACK_N:
-            return _support_pairs(A, rows, m)
+    rows = A.support_rows()
+    if rows.size <= DENSE_FALLBACK_N:
+        return _support_pairs(A, rows, m)
 
     w, v = _lanczos(A, m + 1, "LA", 0, vectors=True)
     order = np.argsort(-w, kind="stable")
@@ -476,8 +503,8 @@ def _extreme_eigvals(A, k: int, which: str) -> np.ndarray:
     LAPACK and larger ones to a seeded Lanczos iteration on the stored
     array; no eigengap is checked, since no subspace is returned.
     """
-    n = dimension(A)
-    if _is_zero(A):
+    n = A.n
+    if A.is_zero():
         return np.zeros(k)
     if n > DENSE_FALLBACK_N and k <= n - 2:
         w = _lanczos(A, k, which, 1, vectors=False)
@@ -492,39 +519,6 @@ def spectral_norm(A) -> float:
     (0.0 for a matrix without nonzeros, dense LAPACK for n <= 256, else
     Lanczos)."""
     return float(abs(_extreme_eigvals(A, 1, "LM")[0]))
-
-
-def columns(A, cols) -> np.ndarray:
-    """A[:, cols] as a new C-ordered n x len(cols) array.
-
-    C order matters to callers that multiply the block: a fancy-indexed
-    column slice is F-ordered, which sends a product down another BLAS path
-    and changes its last bits.  A sparse A is read from the CSR rows
-    ``cols`` (A is symmetric, so they are the wanted columns transposed)
-    without forming the n x n array.
-    """
-    if isinstance(A, SparseSymmetric):
-        return np.ascontiguousarray(A._csr[cols].toarray().T)
-    return np.ascontiguousarray(A.a[:, cols])
-
-
-def principal_block(A, cols, shift: float = 0.0):
-    """A[cols, cols] - shift * I as a matrix of A's own type.
-
-    A sparse A is sliced from its CSR, so neither the n x n nor the l x l
-    array is formed; a dense A gives the dense block.  Entries equal the
-    corresponding rows ``cols`` of ``columns(A, cols)`` with the shift taken
-    off the diagonal, bit for bit.
-    """
-    cols = np.asarray(cols, dtype=np.int64)
-    l = cols.size
-    if isinstance(A, SparseSymmetric):
-        block = A._csr[cols][:, cols] - shift * sp.eye_array(l, format="csr")
-        upper = sp.triu(block, format="coo")
-        return SparseSymmetric(l, upper.row, upper.col, upper.data)
-    block = A.a[np.ix_(cols, cols)]
-    block[np.arange(l), np.arange(l)] -= shift
-    return SymmetricDense._adopt(block)
 
 
 def principal_angle(U: np.ndarray, W: np.ndarray) -> float:

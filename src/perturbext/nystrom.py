@@ -20,12 +20,8 @@ from .extension import ExtensionConfig, Selector, _weighted_combination, pert_ex
 from .matrixcore import (
     SymmetricDense,
     _extreme_eigvals,
-    columns,
-    dimension,
-    principal_block,
     spectral_norm,
     sym_eig_partial,
-    trace,
 )
 
 
@@ -44,13 +40,13 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
     the stored block above it, where a vanishing gap between pairs k and
     k + 1 raises EigengapError.
     """
-    n = dimension(K)
+    n = K.n
     l = len(cols)
     if not 1 <= k <= l <= n:
         raise ValueError(f"need 1 <= k <= l <= n, got k={k}, l={l}, n={n}")
-    C = columns(K, cols)
+    C = K.columns(cols)
     C[cols, np.arange(l)] -= shift
-    block = principal_block(K, cols, shift)
+    block = K.principal_block(cols, shift)
     # both eigensolvers are backward stable relative to the block, so its
     # largest |eigenvalue| of either sign scales the guard; an all-zero
     # block is rejected before the solve, since Lanczos cannot start on it
@@ -88,10 +84,10 @@ def generalized_nystrom(K, k: int, l: int):
 def shift_mu_mean(K, k: int) -> float:
     """Mean of the n - k smallest eigenvalues of K, (tr K - sum of the k
     largest) / (n - k), from the k largest eigenvalues alone."""
-    n = dimension(K)
+    n = K.n
     if k >= n:
         raise ValueError("need k < n")
-    return pert.mu_mean(trace(K), _extreme_eigvals(K, k, "LA"), n)
+    return pert.mu_mean(K.trace(), _extreme_eigvals(K, k, "LA"), n)
 
 
 def shifted_nystrom(K, k: int, mu: float | None = None):
@@ -114,7 +110,7 @@ def ensemble_nystrom(K, k: int, subsets, weights=None) -> SymmetricDense:
     (values, vectors) pairs are weighted and stacked into one factor pair,
     so the n x n matrix is formed once, not once per member.
     """
-    n = dimension(K)
+    n = K.n
     subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
     if not subsets:
         raise ValueError("need at least one subset")
@@ -156,7 +152,7 @@ def check_shifted_equivalence(K, k: int, mu: float, tolerance: float = 1e-10) ->
     Vectors agree up to sqrt(k/n); values satisfy
     shifted = (n/k) * (extended - mu) + mu.
     """
-    n = dimension(K)
+    n = K.n
     sh_vals, sh_vecs = shifted_nystrom(K, k, mu)
     res = pert_extend(K, Selector.top_left(k),
                       ExtensionConfig(m=k, order=1, mu=pert.MuPolicy.explicit(mu)))

@@ -25,10 +25,6 @@ from .matrixcore import (
     EigengapError,
     EigenPairs,
     GAP_TOL,
-    SymmetricDense,
-    dimension,
-    matvec,
-    trace,
 )
 
 
@@ -82,21 +78,14 @@ class MuPolicy:
             return 0.0
         if self.kind == "explicit":
             return self.value
-        return mu_mean(trace(problem.base), problem.known.values, problem.n)
-
-
-def _as_matrix(A):
-    """A raw (exactly symmetric) ndarray wrapped as SymmetricDense; the two
-    matrix types pass through unchanged."""
-    return SymmetricDense(A) if isinstance(A, np.ndarray) else A
+        return mu_mean(problem.base.trace(), problem.known.values, problem.n)
 
 
 @dataclass
 class PerturbationProblem:
     """A' (base), its m known leading eigenpairs, and the perturbation E.
 
-    ``base`` and ``perturbation`` are SymmetricDense or SparseSymmetric; an
-    exactly symmetric ndarray is accepted and wrapped as SymmetricDense.
+    ``base`` and ``perturbation`` are SymmetricDense or SparseSymmetric.
     """
 
     base: object
@@ -104,10 +93,8 @@ class PerturbationProblem:
     perturbation: object
 
     def __post_init__(self):
-        self.base = _as_matrix(self.base)
-        self.perturbation = _as_matrix(self.perturbation)
-        n = dimension(self.base)
-        if dimension(self.perturbation) != n or self.known.n != n:
+        n = self.base.n
+        if self.perturbation.n != n or self.known.n != n:
             raise ValueError("base, perturbation and eigenpairs must share dimension")
         gaps = -np.diff(self.known.values)
         if self.known.m > 1 and gaps.min() < GAP_TOL:
@@ -126,7 +113,7 @@ class PerturbationProblem:
         """E V, the perturbation applied to the known vectors: formed on first
         use and shared by the vector and value updates, so one extension
         applies E once."""
-        return matvec(self.perturbation, self.known.vectors)
+        return self.perturbation.matvec(self.known.vectors)
 
 
 def _coupling(problem: PerturbationProblem):
@@ -199,7 +186,7 @@ def truncated_second_order(problem: PerturbationProblem, mu: float) -> np.ndarra
     W1 = truncated_first_order(problem, mu)
     _, R = _coupling(problem)
     inv_sq = 1.0 / (problem.known.values - mu) ** 2
-    return W1 + (matvec(problem.base, R) - mu * R) * inv_sq[None, :]
+    return W1 + (problem.base.matvec(R) - mu * R) * inv_sq[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +243,15 @@ def mu_mean(trace_base: float, known_values: np.ndarray, n: int) -> float:
 
 
 def is_lowrank_plus_shift(A, m: int, tolerance: float = 1e-10):
-    """Return delta if A equals (rank-m part) + delta * I within tolerance.
+    """Return delta if A, a SymmetricDense or SparseSymmetric, equals
+    (rank-m part) + delta * I within tolerance.
 
     Checks whether the n - m trailing eigenvalues agree to ``tolerance``;
     returns their mean if so, None otherwise.  Diagnostic only: computes the
-    full spectrum, values only.  Raises ValueError for m >= n or non-finite
-    entries (the matrix types reject those at construction) and
+    full spectrum, values only.  Raises ValueError for m >= n and
     ConvergenceError when LAPACK fails.
     """
-    a = _as_matrix(A).to_dense().a
+    a = A.to_dense().a
     if m >= a.shape[0]:
         raise ValueError("need m < n trailing values to inspect")
     try:

@@ -41,7 +41,6 @@ from perturbext.kernels import (
 from perturbext.matrixcore import (
     EigenPairs,
     SymmetricDense,
-    nnz,
     principal_angle,
     spectral_norm,
     sym_eig_full,
@@ -74,7 +73,7 @@ def leading(A, m):
 
 
 def aligned_errors(W, A_perturbed, m):
-    exact = sym_eig_full(A_perturbed).vectors[:, :m]
+    exact = sym_eig_full(SymmetricDense(A_perturbed)).vectors[:, :m]
     errs = np.empty(m)
     for i in range(m):
         v = exact[:, i]
@@ -134,7 +133,7 @@ def test_lowrank_shift_orders_and_quadratic_error():
         known = leading(base, m)
         errs = []
         for s in norms:
-            problem = PerturbationProblem(base=base, known=known, perturbation=s * direction)
+            problem = PerturbationProblem(base=base, known=known, perturbation=SymmetricDense(s * direction))
             W1 = truncated_first_order(problem, delta)
             W2 = truncated_second_order(problem, delta)
             worst_gap = max(worst_gap, float(np.max(np.abs(W1 - W2))))
@@ -204,7 +203,7 @@ def test_bound_validity():
         A = gen_unit_random_symmetric(n, seed=derive_seed(MASTER_SEED, 8, trial))
         E = norm_e * gen_unit_random_symmetric(n, seed=derive_seed(MASTER_SEED, 9, trial)).a
         known = leading(A, m)
-        problem = PerturbationProblem(base=A, known=known, perturbation=E)
+        problem = PerturbationProblem(base=A, known=known, perturbation=SymmetricDense(E))
         W1 = truncated_first_order(problem, 0.0)
         errs = aligned_errors(W1, A.a + E, m)
         tail = sym_eig_full(A).values[m:]
@@ -274,7 +273,7 @@ def test_band_selection_vs_nystrom():
     for trial in range(trials):
         x = np.sort(rng_for(derive_seed(MASTER_SEED, 11, trial)).uniform(size=n))
         K = build_kernel(Dataset(x[:, None]), KernelSpec.gaussian(gamma))
-        total = nnz(K)
+        total = K.nnz
         exact = sym_eig_full(K).vectors[:, :m]
         for p in p_grid:
             Ks = select_submatrix(K, Selector.band(p))

@@ -17,14 +17,9 @@ from perturbext.kernels import gen_band_matrix, gen_wishart_psd
 from perturbext.matrixcore import (
     SparseSymmetric,
     SymmetricDense,
-    _stored_triplets,
-    add_scaled,
-    dimension,
-    nnz,
     principal_angle,
     spectral_norm,
     sym_eig_full,
-    trace,
     write_sparse,
 )
 from perturbext.nystrom import nystrom_extend
@@ -54,7 +49,7 @@ class TestSelectors:
 
     def test_sparse_top_q_hits_budget(self):
         K = gen_wishart_psd(20, seed=4)
-        total = nnz(K)
+        total = K.nnz
         for q in (0.1, 0.35, 0.8):
             Ks = select_submatrix(K, Selector.sparse_top_q(q))
             target = np.ceil(q * total)
@@ -314,12 +309,12 @@ class TestBounds:
         for A, p in cases:
             Ks = select_submatrix(A, Selector.band(p))
             spectrum = sym_eig_full(Ks).values
-            norm_e = spectral_norm(add_scaled(A, Ks, -1.0))
+            norm_e = spectral_norm(A.add_scaled(Ks, -1.0))
             for mu in (MuPolicy.zero(), MuPolicy.mean()):
                 res1 = extend_with_submatrix(A, Ks, ExtensionConfig(m=m, mu=mu))
                 res2 = extend_with_submatrix(A, Ks, ExtensionConfig(m=m, order=2, mu=mu))
                 t = res2.source_pairs.values
-                mu_val = 0.0 if mu.kind == "zero" else mu_mean(trace(Ks), t, Ks.n)
+                mu_val = 0.0 if mu.kind == "zero" else mu_mean(Ks.trace(), t, Ks.n)
                 np.testing.assert_allclose(
                     res2.bound_terms, bound_terms(t, spectrum[m:], mu_val, norm_e, 2),
                     rtol=1e-12, atol=0.0)
@@ -389,13 +384,13 @@ def _block_extend_reference(K, block_sizes, cfg: ExtensionConfig, weights=None, 
     """block_extend as it selected each member's K^s by one mask per member
     over all stored triplets of K; the members' K^s go to ``members``.  The
     per-block selection must reproduce both bit for bit."""
-    n = dimension(K)
+    n = K.n
     block_sizes = tuple(int(s) for s in block_sizes)
     if sum(block_sizes) != n:
         raise ValueError(f"block sizes sum to {sum(block_sizes)}, expected {n}")
     bounds = np.cumsum((0,) + block_sizes)
     block_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
-    rows, cols, vals = _stored_triplets(K)
+    rows, cols, vals = K.triplets()
 
     def member(j):
         inside = (block_of[rows] == j) & (block_of[cols] == j)

@@ -12,21 +12,14 @@ from perturbext.matrixcore import (
     RankDeficientError,
     SparseSymmetric,
     SymmetricDense,
-    add_scaled,
     canonical_signs,
-    columns,
-    frobenius_norm,
-    matvec,
-    nnz,
     principal_angle,
-    principal_block,
     read_dense,
     read_mask,
     read_sparse,
     spectral_norm,
     sym_eig_full,
     sym_eig_partial,
-    trace,
     write_dense,
     write_sparse,
 )
@@ -46,6 +39,11 @@ class TestTypes:
     def test_dense_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             SymmetricDense([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_dense_symmetrize_rejects_overflowing_average(self):
+        # every input entry is finite, but a + a.T is not
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            SymmetricDense(np.full((2, 2), 1e308), symmetrize=True)
 
     def test_dense_symmetrize_is_exact(self):
         rng = np.random.default_rng(0)
@@ -336,7 +334,7 @@ class TestDenseLanczos:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_operator_reads_the_stored_array(self, order):
         A = self.planted(257, order)
-        op = matrixcore._stored_operator(A)
+        op = A.operator()
         assert np.shares_memory(op.a, A.a)
         x = np.random.default_rng(3).standard_normal(A.n)
         assert np.max(np.abs(op.matvec(x) - A.a @ x)) <= 1e-12 * np.abs(A.a).sum(axis=1).max()
@@ -350,14 +348,14 @@ class TestZeroGuard:
         a = np.zeros((300, 300))
         a[i, j] = a[j, i] = 2.0
         A = SymmetricDense(a)
-        assert not matrixcore._is_zero(A)
+        assert not A.is_zero()
         assert spectral_norm(A) == pytest.approx(2.0)
         assert matrixcore._extreme_eigvals(A, 2, "LA")[0] == pytest.approx(2.0)
 
     def test_zero_matrices(self):
-        assert matrixcore._is_zero(SymmetricDense(np.zeros((300, 300))))
-        assert matrixcore._is_zero(SparseSymmetric(300, [0], [0], [0.0]))
-        assert not matrixcore._is_zero(SparseSymmetric(300, [299], [299], [-1.0]))
+        assert SymmetricDense(np.zeros((300, 300))).is_zero()
+        assert SparseSymmetric(300, [0], [0], [0.0]).is_zero()
+        assert not SparseSymmetric(300, [299], [299], [-1.0]).is_zero()
 
 
 class TestPrincipalAngle:
@@ -396,22 +394,74 @@ class TestPrincipalAngle:
         assert abs(theta - principal_angle(U, W @ mix2)) <= 1e-8
 
 
+def protocol_case(name):
+    """The dense form of one protocol case."""
+    if name == "random":
+        return random_symmetric(12, 37)
+    if name == "zeros_and_empty_row":
+        a = np.array(random_symmetric(12, 38).a)
+        a[np.abs(a) < 0.5] = 0.0
+        a[5, :] = a[:, 5] = 0.0
+        return SymmetricDense(a)
+    if name == "all_zero":
+        return SymmetricDense(np.zeros((6, 6)))
+    # n = 300: nonzeros only in rows the zero scan reaches after its first block
+    a = np.zeros((300, 300))
+    a[200:230, 200:230] = random_symmetric(30, 39).a
+    a[120, 299] = a[299, 120] = -1.5
+    return SymmetricDense(a)
+
+
+class TestProtocol:
+    """Both matrix types answer every protocol query identically."""
+
+    @pytest.mark.parametrize("name", ["random", "zeros_and_empty_row", "all_zero", "n300"])
+    def test_dense_and_sparse_forms_agree(self, name):
+        M = protocol_case(name)
+        n = M.n
+        forms = (M, SparseSymmetric.from_dense(M))
+        cols = np.array([n - 1, 0, n // 2])
+        for A in forms:
+            assert A.n == n
+            assert A.nnz == np.count_nonzero(M.a)
+            assert A.trace() == np.trace(M.a)
+            np.testing.assert_array_max_ulp(A.frobenius_norm(), np.linalg.norm(M.a), maxulp=1)
+            for got, want in zip(A.triplets(), forms[0].triplets()):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(A.magnitude_order(), forms[0].magnitude_order())
+            assert np.array_equal(A.columns(cols), M.a[:, cols])
+            expected_block = M.a[np.ix_(cols, cols)] - 0.75 * np.eye(cols.size)
+            assert np.array_equal(A.principal_block(cols, 0.75).to_dense().a, expected_block)
+            assert np.array_equal(A.matvec(np.eye(n)), M.a)
+            assert np.array_equal(A.to_dense().a, M.a)
+            assert A.is_zero() == (not M.a.any())
+            # every row holding a nonzero is in the support; a dense form
+            # reports all n rows, a sparse form exactly those
+            assert np.isin(np.flatnonzero(M.a.any(axis=1)), A.support_rows()).all()
+        assert np.array_equal(forms[0].support_rows(), np.arange(n))
+        assert np.array_equal(forms[1].support_rows(), np.flatnonzero(M.a.any(axis=1)))
+
+        # B is part of M plus one entry outside it, so A - B both cancels
+        # and fills entries
+        b = np.where(np.abs(M.a) >= np.median(np.abs(M.a)), M.a, 0.0)
+        b[0, -1] = b[-1, 0] = 0.25
+        B = SymmetricDense(b)
+        for A in forms:
+            for other in (B, SparseSymmetric.from_dense(B)):
+                result = A.add_scaled(other, -1.0)
+                assert type(result) is type(A)
+                assert np.array_equal(result.to_dense().a, M.a - b)
+
+
 class TestUtilities:
-    def test_matvec_identity(self):
-        x = np.arange(4.0)
-        assert np.array_equal(matvec(SymmetricDense(np.eye(4)), x), x)
-
-    def test_trace_diagonal(self):
-        assert trace(SymmetricDense(np.diag([1.0, 2.0, 3.0]))) == 6.0
-
     def test_add_scaled_cancels(self):
         A = random_symmetric(8, 3)
-        Z = add_scaled(A, A, -1.0)
+        Z = A.add_scaled(A, -1.0)
         assert np.all(Z.a == 0)
 
     def test_add_scaled_sparse(self):
         S = SparseSymmetric(3, [0, 1], [1, 2], [2.0, 3.0])
-        Z = add_scaled(S, S, -1.0)
+        Z = S.add_scaled(S, -1.0)
         assert Z.nnz == 0
 
     def test_add_scaled_dense_minus_sparse_keeps_sparse_operand(self, monkeypatch):
@@ -423,13 +473,13 @@ class TestUtilities:
             raise AssertionError("sparse operand densified")
 
         monkeypatch.setattr(SparseSymmetric, "to_dense", refuse)
-        assert np.array_equal(add_scaled(A, S, -1.0).a, expected)
+        assert np.array_equal(A.add_scaled(S, -1.0).a, expected)
 
     def test_add_scaled_dense_result_is_frozen_and_fresh(self):
         A = random_symmetric(8, 5)
         S = SparseSymmetric(8, [0, 2], [3, 2], [1.0, -4.0])
         for B in (S, A):
-            E = add_scaled(A, B, -1.0)
+            E = A.add_scaled(B, -1.0)
             assert not E.a.flags.writeable
             assert not np.shares_memory(E.a, A.a)
 
@@ -437,24 +487,17 @@ class TestUtilities:
         A = SymmetricDense(np.full((3, 3), 1e308))
         for B in (A, SparseSymmetric(3, [0], [1], [1e308])):
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-                add_scaled(A, B, 1.0)
+                A.add_scaled(B, 1.0)
 
     def test_principal_block_is_frozen_and_fresh(self):
         A = random_symmetric(8, 6)
-        block = principal_block(A, [1, 4, 6])
+        block = A.principal_block([1, 4, 6])
         assert not block.a.flags.writeable
         assert not np.shares_memory(block.a, A.a)
 
-    def test_frobenius_sparse_matches_dense(self):
-        S = SparseSymmetric(4, [0, 0, 1, 3], [0, 2, 1, 3], [1.0, 2.0, -1.0, 4.0])
-        assert frobenius_norm(S) == pytest.approx(np.linalg.norm(S.to_dense().a))
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            add_scaled(SymmetricDense(np.eye(2)), SymmetricDense(np.eye(3)), 1.0)
-
-    def test_nnz_dense(self):
-        assert nnz(SymmetricDense(np.diag([1.0, 0.0, 2.0]))) == 2
+            SymmetricDense(np.eye(2)).add_scaled(SymmetricDense(np.eye(3)), 1.0)
 
 
 class TestFileFormats:
@@ -540,7 +583,7 @@ class TestSmallSupport:
             return to_dense(self)
 
         monkeypatch.setattr(SparseSymmetric, "to_dense", small_only)
-        block = sym_eig_full(principal_block(Ks, np.arange(m)), m)
+        block = sym_eig_full(Ks.principal_block(np.arange(m)), m)
         expected = np.zeros((n, m))
         expected[:m] = block.vectors
         for _ in range(8):
@@ -583,15 +626,15 @@ class TestPartialDegenerateGap:
 class TestPrincipalBlock:
     @pytest.mark.parametrize("shift", [0.0, 0.75])
     def test_equals_rows_of_sampled_columns(self, shift):
-        # the block is bit-identical to the rows cols of columns(A, cols)
+        # the block is bit-identical to the rows cols of A.columns(cols)
         # with the shift taken off the diagonal, and keeps A's type
         A = random_symmetric(30, 23)
         A = SymmetricDense(np.where(np.abs(A.a) > 0.5, A.a, 0.0))
         cols = np.array([7, 2, 19, 11, 0, 25])
-        expected = columns(A, cols)[cols]
+        expected = A.columns(cols)[cols]
         expected[np.arange(cols.size), np.arange(cols.size)] -= shift
         for K in (A, SparseSymmetric.from_dense(A)):
-            block = principal_block(K, cols, shift)
+            block = K.principal_block(cols, shift)
             assert type(block) is type(K)
             assert np.array_equal(block.to_dense().a, expected)
 

@@ -33,12 +33,12 @@ def leading(A, m):
 
 
 def make_problem(A, E, m):
-    return PerturbationProblem(base=A, known=leading(A, m), perturbation=E)
+    return PerturbationProblem(base=A, known=leading(A, m), perturbation=SymmetricDense(E))
 
 
 def aligned_column_errors(W, A_perturbed, m):
     """Sign-aligned distances between W's columns and the exact leading vectors."""
-    exact = sym_eig_full(A_perturbed).vectors[:, :m]
+    exact = sym_eig_full(SymmetricDense(A_perturbed)).vectors[:, :m]
     errs = []
     for i in range(m):
         v = exact[:, i]
@@ -77,9 +77,6 @@ class TestClassicalUpdates:
         W = classical_eigvec_update(problem)
         errs = aligned_column_errors(W, A.a + E, 8)
         assert np.max(errs) <= 1e-8
-        # a raw ndarray perturbation is the same problem as its SymmetricDense
-        wrapped = PerturbationProblem(base=A, known=problem.known, perturbation=SymmetricDense(E))
-        assert np.array_equal(classical_eigvec_update(wrapped), W)
 
     def test_diagonal_value_update_exact(self):
         A = SymmetricDense(np.diag([2.0, 1.0]))
@@ -123,7 +120,7 @@ class TestResidual:
         A = gen_unit_random_symmetric(30, seed=10)
         E = gen_unit_random_symmetric(30, seed=11).a
         known = leading(A, 6)
-        _, R = _coupling(PerturbationProblem(base=A, known=known, perturbation=E))
+        _, R = _coupling(PerturbationProblem(base=A, known=known, perturbation=SymmetricDense(E)))
         for i in range(6):
             assert np.max(np.abs(known.vectors.T @ R[:, i])) <= 1e-10 * np.linalg.norm(E, 2)
 
@@ -177,7 +174,7 @@ class TestTruncatedFormulas:
         cs = np.logspace(-6, -3, 8)
         errs1, errs2 = [], []
         for c in cs:
-            problem = PerturbationProblem(base=A, known=known, perturbation=c * D)
+            problem = PerturbationProblem(base=A, known=known, perturbation=SymmetricDense(c * D))
             W1 = truncated_first_order(problem, 0.0)
             W2 = truncated_second_order(problem, 0.0)
             errs1.append(aligned_column_errors(W1[:, :1], A.a + c * D, 1)[0])
@@ -327,7 +324,7 @@ class TestLowrankPlusShift:
         with pytest.raises(ValueError, match="trailing values"):
             is_lowrank_plus_shift(A, 10)
         with pytest.raises(ValueError, match="finite"):
-            is_lowrank_plus_shift(np.full((3, 3), np.nan), 1)
+            is_lowrank_plus_shift(SymmetricDense(np.full((3, 3), np.nan)), 1)
 
         def lapack_fails(a):
             raise np.linalg.LinAlgError("no convergence")
