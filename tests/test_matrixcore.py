@@ -454,6 +454,13 @@ class TestProtocol:
 
 
 class TestUtilities:
+    def test_matvec_identity(self):
+        x = np.arange(4.0)
+        assert np.array_equal(SymmetricDense(np.eye(4)).matvec(x), x)
+
+    def test_trace_diagonal(self):
+        assert SymmetricDense(np.diag([1.0, 2.0, 3.0])).trace() == 6.0
+
     def test_add_scaled_cancels(self):
         A = random_symmetric(8, 3)
         Z = A.add_scaled(A, -1.0)
@@ -495,9 +502,16 @@ class TestUtilities:
         assert not block.a.flags.writeable
         assert not np.shares_memory(block.a, A.a)
 
+    def test_frobenius_sparse_matches_dense(self):
+        S = SparseSymmetric(4, [0, 0, 1, 3], [0, 2, 1, 3], [1.0, 2.0, -1.0, 4.0])
+        assert S.frobenius_norm() == pytest.approx(np.linalg.norm(S.to_dense().a))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             SymmetricDense(np.eye(2)).add_scaled(SymmetricDense(np.eye(3)), 1.0)
+
+    def test_nnz_dense(self):
+        assert SymmetricDense(np.diag([1.0, 0.0, 2.0])).nnz == 2
 
 
 class TestFileFormats:
