@@ -45,8 +45,12 @@ def commands(d: Path):
          "--out", str(d / "band.csv")],
         ["sparse", "--n", "400", "--m", "4", "--trials", "2", "--seed", "11",
          "--out", str(d / "sparse.csv")],
+        ["band", "--n", "400", "--m", "4", "--trials", "1", "--seed", "11", "--order", "2",
+         "--mu", "mean", "--out", str(d / "band_order2.csv")],
         ["verify", "--n", "300", "--m", "10", "--trials", "2", "--seed", "11",
          "--out", str(d / "verify.csv")],
+        ["verify", "--n", "300", "--m", "10", "--trials", "1", "--seed", "11", "--mu", "zero",
+         "--out", str(d / "verify_mu_zero.csv")],
         ["extend", "--sparse-matrix", sparse, "--selector", "sparse:0.3", "--m", "4",
          "--out", str(d / "ext_sparse")],
         ["extend", "--matrix", dense, "--selector", "band:20", "--m", "4", "--order", "2",

@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--p-grid", type=str, default=None, help="comma-separated band half-widths")
-    p.add_argument("--l-grid", type=str, default=None, help="comma-separated Nystrom block sizes")
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
     p.add_argument("--mu", type=str, default="zero")
 
@@ -68,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", type=str, default="gaussian:0.1")
     p.add_argument("--keep", type=float, default=0.1, help="sparsification keep fraction")
     p.add_argument("--q-grid", type=str, default=None)
-    p.add_argument("--l-grid", type=str, default=None)
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
     p.add_argument("--mu", type=str, default="zero")
 
@@ -81,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-10)
 
     p = sub.add_parser("extend", help="extend a selection of a matrix or dataset kernel")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, required=True, help="output file prefix")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--matrix", type=str, help="dense matrix file")
@@ -143,8 +140,8 @@ def _cmd_slopes(args) -> int:
 
 def _cmd_band(args) -> int:
     rows = exp.run_band_experiment(args.n, args.m, _parse_grid(args.p_grid, int),
-                                   _parse_grid(args.l_grid, int), args.trials,
-                                   args.seed, args.order, pert.MuPolicy.parse(args.mu))
+                                   trials=args.trials, seed=args.seed, order=args.order,
+                                   mu=pert.MuPolicy.parse(args.mu))
     if args.out:
         exp.write_report(args.out, rows)
     print(f"band experiment: {len(rows)} rows over {args.trials} trials")
@@ -154,8 +151,8 @@ def _cmd_band(args) -> int:
 def _cmd_sparse(args) -> int:
     dataset = load_dataset(args.dataset, has_header=args.has_header) if args.dataset else None
     rows = exp.run_sparse_experiment(dataset, KernelSpec.parse(args.kernel), args.m,
-                                     _parse_grid(args.q_grid), _parse_grid(args.l_grid, int),
-                                     args.trials, args.seed, n=args.n, keep=args.keep,
+                                     _parse_grid(args.q_grid), trials=args.trials,
+                                     seed=args.seed, n=args.n, keep=args.keep,
                                      order=args.order, mu=pert.MuPolicy.parse(args.mu))
     if args.out:
         exp.write_report(args.out, rows)

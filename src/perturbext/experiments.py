@@ -89,18 +89,9 @@ def write_report(path, rows) -> None:
                      f"{r.trial},{r.seed}\n")
 
 
-def fit_loglog_slope(x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise ValueError("slope fit needs at least two grid points")
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
-def _aligned_leading_error(A_perturbed, approx_col: np.ndarray) -> float:
+def _aligned_leading_error(exact: np.ndarray, approx_col: np.ndarray) -> float:
     """Distance between the approximated and the exact leading eigenvector,
     after flipping the exact vector's sign to match."""
-    exact = sym_eig_full(A_perturbed, 1).vectors[:, 0]
     if np.dot(exact, approx_col) < 0:
         exact = -exact
     return float(np.linalg.norm(approx_col - exact))
@@ -135,22 +126,25 @@ def _slope_sweep(experiment_id: str, grid: np.ndarray, problem_at, seed: int):
     """Leading-eigenvector error of both truncated orders (mu = 0) at each
     point c of a ``_slope_grid``, where problem_at(c) gives (base, its known
     leading pairs, the entries of the perturbation E); E and base + E are
-    wrapped as SymmetricDense here.  Returns (rows, slopes): slopes maps
-    order name to the fitted log-log slope of the error against c.
+    wrapped as SymmetricDense here, and base + E is solved once per point.
+    Returns (rows, slopes): slopes maps order name to the fitted log-log
+    slope of the error against c.
     """
     rows = []
     errors = {"order1": [], "order2": []}
     for c in grid:
         base, known, E = problem_at(c)
         problem = pert.PerturbationProblem(base=base, known=known, perturbation=SymmetricDense(E))
-        perturbed = SymmetricDense(base.a + E)
+        exact = sym_eig_full(SymmetricDense(base.a + E), 1).vectors[:, 0]
         for name, update in (("order1", pert.truncated_first_order),
                              ("order2", pert.truncated_second_order)):
-            err = _aligned_leading_error(perturbed, update(problem, 0.0)[:, 0])
+            err = _aligned_leading_error(exact, update(problem, 0.0)[:, 0])
             errors[name].append(err)
             rows.append(ReportRow(experiment_id, name, float(c), 1.0,
                                   "vector_error", err, 0, seed))
-    slopes = {name: fit_loglog_slope(grid, errs) for name, errs in errors.items()}
+    # _slope_grid guarantees two distinct positive points, so the fit is defined
+    slopes = {name: float(np.polyfit(np.log(grid), np.log(errs), 1)[0])
+              for name, errs in errors.items()}
     return rows, slopes
 
 
@@ -207,7 +201,7 @@ def matched_topleft_size(K, target_nnz: float, minimum: int = 1) -> int:
 
 
 def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: ExtensionConfig,
-                  l_grid, trial: int, seed: int):
+                  trial: int, seed: int):
     """One trial of a budget experiment: extension from each (parameter,
     selector) pair against generalized Nystrom.
 
@@ -216,8 +210,7 @@ def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: Exten
     share of the stored nonzeros.  The oracle comes from
     ``sym_eig_partial``: dense LAPACK up to n = 256, seeded Lanczos on K's
     CSR above, where a tie between pairs m and m + 1 raises EigengapError.
-    Without an explicit l_grid the Nystrom block sizes are budget-matched
-    to the selections.
+    The Nystrom block sizes are budget-matched to the selections.
     """
     m = cfg.m
     total_nnz = K.nnz
@@ -231,9 +224,8 @@ def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: Exten
         rows.append(ReportRow(experiment_id, f"{experiment_id}_extension", float(param),
                               Ks.nnz / total_nnz, "principal_angle", angle, trial, seed))
         matched_ls.append(matched_topleft_size(K, Ks.nnz, minimum=m))
-    ls = [int(l) for l in (l_grid if l_grid is not None else matched_ls)]
     topleft_nnz = _topleft_nnz(K)
-    for l in sorted(set(ls)):
+    for l in sorted(set(matched_ls)):
         _, vecs = generalized_nystrom(K, m, l)
         angle = principal_angle(vecs, exact)
         rows.append(ReportRow(experiment_id, "nystrom_generalized", float(l),
@@ -242,7 +234,7 @@ def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: Exten
     return rows
 
 
-def run_band_experiment(n: int = 500, m: int = 10, p_grid=None, l_grid=None,
+def run_band_experiment(n: int = 500, m: int = 10, p_grid=None,
                         trials: int = 20, seed: int = 0, order: int = 1,
                         mu: pert.MuPolicy | None = None):
     """Band selections versus generalized Nystrom on gen_band_matrix instances,
@@ -262,7 +254,7 @@ def run_band_experiment(n: int = 500, m: int = 10, p_grid=None, l_grid=None,
     rows = []
     for trial in range(trials):
         K = gen_band_matrix(n, seed=derive_seed(seed, 10, trial))
-        rows += _budget_trial("band", K, selections, cfg, l_grid, trial, seed)
+        rows += _budget_trial("band", K, selections, cfg, trial, seed)
     return rows
 
 
@@ -282,7 +274,7 @@ def _sparse_trial_kernel(dataset: Dataset | None, kernel_spec: KernelSpec,
 
 def run_sparse_experiment(dataset: Dataset | None = None,
                           kernel_spec: KernelSpec | None = None,
-                          m: int = 5, q_grid=None, l_grid=None,
+                          m: int = 5, q_grid=None,
                           trials: int = 20, seed: int = 0, n: int = 1000,
                           keep: float = 0.1, order: int = 1,
                           mu: pert.MuPolicy | None = None):
@@ -308,7 +300,7 @@ def run_sparse_experiment(dataset: Dataset | None = None,
     rows = []
     for trial in range(trials):
         K = _sparse_trial_kernel(dataset, kernel_spec, n, keep, derive_seed(seed, 20, trial))
-        rows += _budget_trial("sparse", K, selections, cfg, l_grid, trial, seed)
+        rows += _budget_trial("sparse", K, selections, cfg, trial, seed)
     return rows
 
 
@@ -328,6 +320,9 @@ def run_verification(n: int = 200, m: int = 20, trials: int = 50, seed: int = 0,
     _check_trials(trials)
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+    if mu_policy is None:
+        mu_policy = pert.MuPolicy.mean()
+    tag = f"mu_{mu_policy.kind}"
     rows = []
     guarded = []
     all_passed = True
@@ -342,18 +337,13 @@ def run_verification(n: int = 200, m: int = 20, trials: int = 50, seed: int = 0,
                               "max_value_deviation", rep["max_value_deviation"], trial, seed))
         all_passed &= rep["passed"]
 
-        if mu_policy is None or mu_policy.kind == "mean":
-            mus = [("mu_mean", shift_mu_mean(K, m))]
-        elif mu_policy.kind == "zero":
-            mus = [("mu_zero", 0.0)]
+        # the zero policy's value is 0.0
+        mu_val = shift_mu_mean(K, m) if mu_policy.kind == "mean" else mu_policy.value
+        try:
+            rep = check_shifted_equivalence(K, m, mu_val, tolerance)
+        except (pert.MuCollisionError, EigengapError, SingularSampleError) as exc:
+            guarded.append((trial, tag, str(exc)))
         else:
-            mus = [("mu_explicit", mu_policy.value)]
-        for tag, mu_val in mus:
-            try:
-                rep = check_shifted_equivalence(K, m, mu_val, tolerance)
-            except (pert.MuCollisionError, EigengapError, SingularSampleError) as exc:
-                guarded.append((trial, tag, str(exc)))
-                continue
             rows.append(ReportRow("verify", f"shifted_equivalence_{tag}", float(m), 1.0,
                                   "max_vector_deviation", rep["max_vector_deviation"], trial, seed))
             rows.append(ReportRow("verify", f"shifted_equivalence_{tag}", float(m), 1.0,

@@ -248,8 +248,9 @@ def gen_unit_random_symmetric(n: int, seed: int = 0) -> SymmetricDense:
     return SymmetricDense(a / norm, symmetrize=True)
 
 
-def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+def _orthogonal_factor(g: np.ndarray) -> np.ndarray:
+    """Q of g = QR with each column's sign fixed so that diag(R) >= 0."""
+    q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs[None, :]
@@ -266,7 +267,7 @@ def gen_rank_m_spectrum(n: int, m: int, tail_value: float = 0.0, seed: int = 0) 
         raise ValueError("need 1 <= m <= n")
     rng = rng_for(seed)
     leading = np.sort(rng.uniform(1.0, 2.0, size=m))[::-1]
-    q = _random_orthogonal(n, rng)
+    q = _orthogonal_factor(rng.standard_normal((n, n)))
     vals = np.concatenate([leading, np.full(n - m, float(tail_value))])
     return SymmetricDense((q * vals[None, :]) @ q.T, symmetrize=True)
 
@@ -280,11 +281,7 @@ def gen_slow_decay(n: int, seed: int = 0) -> SymmetricDense:
     eigenvectors would make any column sample carry no spectral information.
     """
     rng = rng_for(seed)
-    g = np.eye(n) + 0.1 * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs[None, :]
+    q = _orthogonal_factor(np.eye(n) + 0.1 * rng.standard_normal((n, n)))
     vals = 1.0 / np.arange(1, n + 1)
     return SymmetricDense((q * vals[None, :]) @ q.T, symmetrize=True)
 
@@ -315,7 +312,7 @@ def gen_psd_separated_block(n: int, m: int, seed: int = 0) -> SymmetricDense:
     g = rng.standard_normal((n, d))
     shift = 0.5
     s = np.linspace(2.2, 1.0, m)  # descending
-    qm = _random_orthogonal(m, rng)
+    qm = _orthogonal_factor(rng.standard_normal((m, m)))
     v = np.linalg.qr(rng.standard_normal((d, m)))[0]
     g[:m] = (qm * np.sqrt(d * (s - shift))[None, :]) @ v.T
     return SymmetricDense(g @ g.T / d + shift * np.eye(n), symmetrize=True)

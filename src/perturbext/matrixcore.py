@@ -335,9 +335,11 @@ class EigenPairs:
 
     Ties in the values are permitted (they arise from degenerate spectra);
     operations that require distinct values enforce their own gap guard.
+    Both arrays are read-only and cannot be replaced, so a guard checked
+    once at construction keeps holding.
     """
 
-    __slots__ = ("values", "vectors")
+    __slots__ = ("_values", "_vectors")
 
     def __init__(self, values, vectors):
         values = np.array(values, dtype=float)
@@ -359,8 +361,16 @@ class EigenPairs:
             raise ValueError("sign convention violated: apply canonical_signs first")
         values.setflags(write=False)
         vectors.setflags(write=False)
-        self.values = values
-        self.vectors = vectors
+        self._values = values
+        self._vectors = vectors
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._vectors
 
     @property
     def n(self) -> int:

@@ -81,11 +81,13 @@ class MuPolicy:
         return mu_mean(problem.base.trace(), problem.known.values, problem.n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbationProblem:
     """A' (base), its m known leading eigenpairs, and the perturbation E.
 
     ``base`` and ``perturbation`` are SymmetricDense or SparseSymmetric.
+    Frozen, so the gap check of construction holds for the object's whole
+    life and the cached products below always belong to its fields.
     """
 
     base: object
@@ -115,22 +117,25 @@ class PerturbationProblem:
         applies E once."""
         return self.perturbation.matvec(self.known.vectors)
 
-
-def _coupling(problem: PerturbationProblem):
-    """G = V^T E V and the residual block R with R[:, i] = (I - VV^T) E v_i."""
-    V = problem.known.vectors
-    G = V.T @ problem.EV
-    R = problem.EV - V @ G
-    return G, R
+    @cached_property
+    def coupling(self):
+        """(G, R): G = V^T E V and the residual block R with
+        R[:, i] = (I - VV^T) E v_i, formed on first use and shared by both
+        truncated orders."""
+        V = self.known.vectors
+        G = V.T @ self.EV
+        return G, self.EV - V @ G
 
 
 def _gap_coefficients(values: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """C[k, i] = (E v_i, v_k) / (t_i - t_k) for k != i, zero on the diagonal."""
+    """C[k, i] = (E v_i, v_k) / (t_i - t_k) for k != i, zero on the diagonal.
+
+    ``values`` are a PerturbationProblem's known values: descending, with
+    every consecutive gap at least GAP_TOL, so every denominator is too.
+    """
     m = values.size
     denom = values[None, :] - values[:, None]
     off = ~np.eye(m, dtype=bool)
-    if m > 1 and np.min(np.abs(denom[off])) < GAP_TOL:
-        raise EigengapError("repeated eigenvalues: gap denominator below tolerance")
     C = np.zeros_like(G)
     C[off] = G[off] / denom[off]
     return C
@@ -151,7 +156,7 @@ def classical_eigvec_update(problem: PerturbationProblem) -> np.ndarray:
     if problem.m != problem.n:
         raise ValueError("classical update needs all n eigenpairs; use the truncated forms otherwise")
     V = problem.known.vectors
-    G, _ = _coupling(problem)
+    G, _ = problem.coupling
     C = _gap_coefficients(problem.known.values, G)
     return V + V @ C
 
@@ -172,7 +177,7 @@ def truncated_first_order(problem: PerturbationProblem, mu: float) -> np.ndarray
     mu = _checked_mu(problem.known.values, float(mu))
     V = problem.known.vectors
     t = problem.known.values
-    G, R = _coupling(problem)
+    G, R = problem.coupling
     C = _gap_coefficients(t, G)
     return V + V @ C + R / (t - mu)[None, :]
 
@@ -184,7 +189,7 @@ def truncated_second_order(problem: PerturbationProblem, mu: float) -> np.ndarra
     requires applying the base operator to the residuals.
     """
     W1 = truncated_first_order(problem, mu)
-    _, R = _coupling(problem)
+    _, R = problem.coupling
     inv_sq = 1.0 / (problem.known.values - mu) ** 2
     return W1 + (problem.base.matvec(R) - mu * R) * inv_sq[None, :]
 

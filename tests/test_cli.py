@@ -115,6 +115,16 @@ class TestExitCodes:
     def test_slopes_has_no_trials_option(self):
         assert main(["slopes", "--n", "40", "--m", "4", "--trials", "3"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["extend", "--matrix", "K.txt", "--selector", "band:1", "--m", "2", "--out", "o",
+         "--seed", "1"],
+        ["band", "--n", "40", "--trials", "1", "--l-grid", "5"],
+    ], ids=["extend-seed", "band-l-grid"])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
     def test_mu_collision_is_numerical_error(self, dense_matrix_file, tmp_path, capsys):
         # explicit mu equal to the top submatrix eigenvalue hits the guard
         K = read_dense(dense_matrix_file)

@@ -6,7 +6,7 @@ from perturbext.extension import ExtensionConfig, Selector, select_submatrix
 from perturbext.kernels import KernelSpec, gen_band_matrix
 from perturbext.matrixcore import EigengapError, SparseSymmetric, principal_angle, sym_eig_full
 from perturbext.nystrom import SingularSampleError
-from perturbext.perturbation import MuCollisionError
+from perturbext.perturbation import MuCollisionError, MuPolicy
 
 
 class TestBudgetExperiments:
@@ -39,7 +39,7 @@ class TestBudgetOracle:
         K = SparseSymmetric(n, np.arange(n), np.arange(n), d)
         with pytest.raises(EigengapError, match="pairs 2 and 3"):
             exp._budget_trial("sparse", K, [(2, Selector.top_left(2))],
-                              ExtensionConfig(m=2), None, 0, 0)
+                              ExtensionConfig(m=2), 0, 0)
 
     @pytest.mark.parametrize("trial", [0, 1])
     @pytest.mark.parametrize("experiment, m, kernel_of", [
@@ -57,7 +57,7 @@ class TestBudgetOracle:
 
         monkeypatch.setattr(exp, "principal_angle", record)
         exp._budget_trial(experiment, K, [(0.5, Selector.top_left(50))],
-                          ExtensionConfig(m=m), [m], trial, 0)
+                          ExtensionConfig(m=m), trial, 0)
         dense = sym_eig_full(K, m).vectors
         assert oracles and all(W is oracles[0] for W in oracles)
         assert principal_angle(oracles[0], dense) <= 1e-10
@@ -74,6 +74,16 @@ class TestVerification:
         assert passed
         assert [(trial, tag) for trial, tag, _ in guarded_cases] == [(0, "mu_mean"), (1, "mu_mean")]
 
+    @pytest.mark.parametrize("policy, tag", [(MuPolicy.zero(), "mu_zero"),
+                                             (MuPolicy.explicit(0.25), "mu_explicit")])
+    def test_fixed_mu_policies_tag_their_rows(self, policy, tag):
+        rows, passed, guarded_cases = exp.run_verification(n=30, m=3, trials=2, seed=1,
+                                                           mu_policy=policy)
+        assert passed and not guarded_cases
+        shifted = [r for r in rows if r.method.startswith("shifted_equivalence")]
+        assert len(shifted) == 4
+        assert {r.method for r in shifted} == {f"shifted_equivalence_{tag}"}
+
     def test_other_value_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("not a guard")
@@ -81,6 +91,17 @@ class TestVerification:
         monkeypatch.setattr(exp, "check_shifted_equivalence", broken)
         with pytest.raises(ValueError, match="not a guard"):
             exp.run_verification(n=30, m=3, trials=1, seed=1)
+
+
+class TestShiftComparison:
+    def test_small_run(self):
+        trials = 3
+        rows, improved = exp.run_shift_comparison(n=40, k=4, trials=trials, seed=3)
+        assert len(rows) == 2 * trials
+        assert all(np.isfinite(r.value) for r in rows)
+        assert exp.run_shift_comparison(n=40, k=4, trials=trials, seed=3) == (rows, improved)
+        error = {(r.method, r.trial): r.value for r in rows}
+        assert improved == sum(error["shifted", t] <= error["plain", t] for t in range(trials))
 
 
 class TestSlopeGrid:

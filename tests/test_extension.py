@@ -96,6 +96,23 @@ class TestSelectors:
         with pytest.raises(ValueError, match="block sizes"):
             select_submatrix(K, Selector.block_diag([4, 4]))
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_blocks_are_union_of_principal_blocks(self, sparse):
+        B = gen_band_matrix(40, seed=8)
+        K = B if sparse else B.to_dense()
+        sizes = (10, 17, 13)
+        Ks = select_submatrix(K, Selector.block_diag(sizes))
+        parts = []
+        for start, size in zip(np.cumsum((0,) + sizes[:-1]), sizes):
+            r, c, v = K.principal_block(np.arange(start, start + size)).triplets()
+            parts.append((r + start, c + start, v))
+        expected = SparseSymmetric(40, *(np.concatenate(arrays) for arrays in zip(*parts)))
+        assert Ks.nnz < B.nnz
+        for name in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(Ks, name), getattr(expected, name))
+        with pytest.raises(ValueError, match="block sizes sum to 39, expected 40"):
+            select_submatrix(K, Selector.block_diag((10, 17, 12)))
+
     def test_selected_entries_match_source(self):
         B = gen_band_matrix(50, seed=7)
         Ks = select_submatrix(B, Selector.band(5))

@@ -241,6 +241,14 @@ class TestShifted:
         expected = np.mean(full.values[4:])
         assert shift_mu_mean(K, 4) == pytest.approx(expected, abs=1e-12)
 
+    def test_default_mu_call_equals_explicit_tail_mean(self):
+        K = build_kernel(standardize(Dataset(rng_for(10).standard_normal((60, 4)))),
+                         KernelSpec.gaussian(0.5))
+        v_default, u_default = shifted_nystrom(K, 5)
+        v_mean, u_mean = shifted_nystrom(K, 5, shift_mu_mean(K, 5))
+        assert np.array_equal(v_default, v_mean)
+        assert np.array_equal(u_default, u_mean)
+
     def test_tail_mean_without_full_eigensolve(self, monkeypatch):
         # above the fallback size only the k largest values are computed
         K = gen_wishart_psd(300, seed=30)

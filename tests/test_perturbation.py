@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,6 @@ from perturbext.perturbation import (
     MuCollisionError,
     MuPolicy,
     PerturbationProblem,
-    _coupling,
     bound_terms,
     classical_eigval_update,
     classical_eigvec_update,
@@ -96,6 +97,16 @@ class TestClassicalUpdates:
         with pytest.raises(EigengapError):
             make_problem(A, np.zeros((3, 3)), 3)
 
+    def test_problem_is_frozen(self):
+        # the gap check of construction must hold for the problem's whole life
+        A = gen_unit_random_symmetric(6, seed=7)
+        problem = make_problem(A, np.zeros((6, 6)), 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.known = leading(SymmetricDense(np.eye(6)), 3)
+        with pytest.raises(AttributeError):
+            problem.known.values = np.ones(3)
+        assert problem.coupling is problem.coupling
+
     def test_classical_requires_full_basis(self):
         A = gen_unit_random_symmetric(6, seed=6)
         with pytest.raises(ValueError, match="all n eigenpairs"):
@@ -108,19 +119,19 @@ class TestResidual:
     def test_complete_projector_gives_zero(self):
         A = gen_unit_random_symmetric(9, seed=7)
         E = gen_unit_random_symmetric(9, seed=8).a
-        _, R = _coupling(make_problem(A, E, 9))
+        _, R = make_problem(A, E, 9).coupling
         assert np.linalg.norm(R[:, 0]) <= 1e-12
 
     def test_zero_perturbation_gives_zero(self):
         A = gen_unit_random_symmetric(9, seed=9)
-        _, R = _coupling(make_problem(A, np.zeros((9, 9)), 4))
+        _, R = make_problem(A, np.zeros((9, 9)), 4).coupling
         assert np.all(R == 0)
 
     def test_orthogonal_to_known_subspace(self):
         A = gen_unit_random_symmetric(30, seed=10)
         E = gen_unit_random_symmetric(30, seed=11).a
         known = leading(A, 6)
-        _, R = _coupling(PerturbationProblem(base=A, known=known, perturbation=SymmetricDense(E)))
+        _, R = PerturbationProblem(base=A, known=known, perturbation=SymmetricDense(E)).coupling
         for i in range(6):
             assert np.max(np.abs(known.vectors.T @ R[:, i])) <= 1e-10 * np.linalg.norm(E, 2)
 
