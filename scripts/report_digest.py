@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 digest of every report a fixed set of small CLI runs writes.
+"""Print a SHA-256 digest of every report a fixed set of small runs writes.
 
 A refactor must not change any number the package reports.  Run this script
 in two checkouts and diff the outputs: any line that differs names a report
-whose bytes changed.  The commands cover the slope, band, sparse and verify
-experiments, extension of dense and sparse matrix files and of dataset
-kernels, and a partial eigendecomposition.  Every input is generated from a
-fixed seed into a temporary directory, which is removed afterwards.
+whose bytes changed.  The CLI commands cover the slope, band, sparse and
+verify experiments, extension of dense and sparse matrix files and of
+dataset kernels, and a partial eigendecomposition.  The Python-API reports
+(``api_*.csv``, written with ``write_rows``) cover what no CLI command
+reaches: ``block_extend`` below and above the dense size limit, and the
+ensemble, shifted and generalized Nystrom methods, all on one Gaussian
+kernel of 600 clustered points.  Every input is generated from a fixed seed
+into a temporary directory, which is removed afterwards.
 
 Report bytes still depend on the BLAS thread count, so the script runs
 OpenBLAS and OpenMP at one thread unless OPENBLAS_NUM_THREADS or
@@ -31,9 +35,19 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np  # noqa: E402
+
 from perturbext.cli import main as cli_main  # noqa: E402
-from perturbext.kernels import gen_band_matrix, gen_clustered_dataset  # noqa: E402
+from perturbext.extension import ExtensionConfig, block_extend  # noqa: E402
+from perturbext.kernels import (  # noqa: E402
+    KernelSpec,
+    build_kernel,
+    gen_band_matrix,
+    gen_clustered_dataset,
+    standardize,
+)
 from perturbext.matrixcore import write_dense, write_rows, write_sparse  # noqa: E402
+from perturbext.nystrom import ensemble_nystrom, generalized_nystrom, shifted_nystrom  # noqa: E402
 
 
 def commands(d: Path):
@@ -70,6 +84,26 @@ def write_inputs(d: Path) -> None:
     write_rows(d / "clustered.csv", gen_clustered_dataset(n=300, seed=3).samples)
 
 
+def write_api_reports(d: Path) -> None:
+    """The Python-API runs, each report one ``write_rows`` file in d: a
+    kernel approximation as its n rows, a (values, vectors) pair as the
+    values row followed by the rows of the vectors."""
+    m = 4
+    K = build_kernel(standardize(gen_clustered_dataset(n=600, seed=3)), KernelSpec.gaussian(0.1))
+    rng = np.random.default_rng(3)
+    subsets = [np.sort(rng.choice(K.n, size=100, replace=False)) for _ in range(3)]
+    reports = {
+        "api_block_extend_n200.csv":
+            block_extend(K.principal_block(np.arange(200)), (50, 150), ExtensionConfig(m=m)).a,
+        "api_block_extend_n600.csv": block_extend(K, (300, 300), ExtensionConfig(m=m)).a,
+        "api_ensemble_nystrom.csv": ensemble_nystrom(K, m, subsets).a,
+        "api_shifted_nystrom.csv": np.vstack(shifted_nystrom(K, m)),
+        "api_generalized_nystrom_l300.csv": np.vstack(generalized_nystrom(K, m, 300)),
+    }
+    for name, rows in reports.items():
+        write_rows(d / name, rows)
+
+
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -81,6 +115,7 @@ def main() -> int:
             if code != 0:
                 print(f"'{argv[0]}' exited {code}: {' '.join(argv)}", file=sys.stderr)
                 failed = 1
+        write_api_reports(d)
         inputs = {"band.dense", "band.sparse", "clustered.csv"}
         for path in sorted(p for p in d.iterdir() if p.name not in inputs):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")

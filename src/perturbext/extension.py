@@ -19,6 +19,7 @@ from .matrixcore import (
     EigenPairs,
     SparseSymmetric,
     SymmetricDense,
+    _support_pairs,
     read_mask,
     spectral_norm,
     sym_eig_partial,
@@ -209,9 +210,18 @@ def _bound_tail(Ks: SparseSymmetric, known_values: np.ndarray, mu: float, order:
     return sq if order == 2 else float(np.sqrt((n - m) * sq))
 
 
-def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> ExtensionResult:
-    """Extend the leading eigenpairs of an already-selected K^s to those of K."""
-    pairs = sym_eig_partial(Ks, cfg.m)
+def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig, *,
+                          pairs: EigenPairs | None = None) -> ExtensionResult:
+    """Extend the leading eigenpairs of an already-selected K^s to those of K.
+
+    ``pairs`` are K^s's cfg.m leading pairs when the caller has already
+    solved them (``block_extend`` solves each member on K's own diagonal
+    block); by default they come from ``sym_eig_partial(Ks, cfg.m)``.
+    """
+    if pairs is None:
+        pairs = sym_eig_partial(Ks, cfg.m)
+    elif pairs.m != cfg.m:
+        raise ValueError(f"given {pairs.m} pairs for m={cfg.m}")
     E = K.add_scaled(Ks, -1.0)
     problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=E)
     mu = cfg.mu.resolve(problem)
@@ -259,6 +269,13 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     Each diagonal block (zero-padded to full size) is extended independently
     and turned into a rank-m kernel approximation; the result is the weighted
     sum of the per-block approximations.  Uniform weights by default.
+
+    Member j's K^s holds K's diagonal block j, ``K.principal_block`` of its
+    rows (dense for a dense K).  Above DENSE_FALLBACK_N its m leading pairs
+    are those of that r-row block padded with zeros (``_support_pairs``:
+    dense LAPACK up to 256 block rows, Lanczos above), so no solve iterates
+    on the n-row K^s; up to it ``sym_eig_partial`` solves the n-row K^s
+    densely, as for any other selection.
     """
     n = K.n
     block_sizes = tuple(int(s) for s in block_sizes)
@@ -267,9 +284,12 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     def member(j):
         # K^s of member j is K's diagonal block j, its triplets moved to the block's rows
         lo = bounds[j]
-        rows, cols, vals = K.principal_block(np.arange(lo, bounds[j + 1])).triplets()
-        Ks_j = SparseSymmetric(n, rows + lo, cols + lo, vals)
-        res = extend_with_submatrix(K, Ks_j, cfg)
+        rows = np.arange(lo, bounds[j + 1])
+        block = K.principal_block(rows)
+        r, c, v = block.triplets()
+        Ks_j = SparseSymmetric(n, r + lo, c + lo, v)
+        pairs = None if n <= DENSE_FALLBACK_N else _support_pairs(block, rows, n, cfg.m)
+        res = extend_with_submatrix(K, Ks_j, cfg, pairs=pairs)
         return res.values, res.vectors
 
     q = len(block_sizes)

@@ -177,6 +177,13 @@ class SparseSymmetric:
     symmetry.  ``nnz`` counts structural nonzeros of the full matrix
     (off-diagonal pairs twice, diagonal once).  Exact zeros are dropped at
     construction so nnz is meaningful.
+
+    The mirrored CSR form of the full matrix is built the first time
+    something iterates on the matrix or slices it (``matvec``,
+    ``operator``, ``support_rows``, ``columns``, ``principal_block``,
+    ``to_dense``) and is kept.  Sums, norms, counts and merges read the
+    triplets, so a matrix that is only subtracted, summed or counted never
+    builds it.
     """
 
     __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_magnitude_order")
@@ -199,12 +206,14 @@ class SparseSymmetric:
             arr.setflags(write=False)
         self._n = int(n)
         self.rows, self.cols, self.vals = rows, cols, vals
-        mirror = rows != cols
-        full_r = np.concatenate([rows, cols[mirror]])
-        full_c = np.concatenate([cols, rows[mirror]])
-        full_v = np.concatenate([vals, vals[mirror]])
-        self._csr = sp.csr_array((full_v, (full_r, full_c)), shape=(n, n))
+        self._csr = None
         self._magnitude_order = None
+
+    def _csr_form(self) -> sp.csr_array:
+        """The CSR form of the full matrix, built on first use and kept."""
+        if self._csr is None:
+            self._csr = _mirrored_csr(self._n, self.rows, self.cols, self.vals)
+        return self._csr
 
     @property
     def n(self) -> int:
@@ -244,19 +253,21 @@ class SparseSymmetric:
         return self._magnitude_order
 
     def support_rows(self) -> np.ndarray:
-        """The rows that store a nonzero, read from the CSR row lengths in O(n)."""
-        return np.flatnonzero(np.diff(self._csr.indptr))
+        """The rows that store a nonzero, read from the CSR row lengths in O(n)
+        once the CSR is built; every caller goes on to iterate on it or to
+        slice it."""
+        return np.flatnonzero(np.diff(self._csr_form().indptr))
 
     def is_zero(self) -> bool:
         return self.vals.size == 0
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the matrix to a vector or to a block of columns."""
-        return self._csr @ x
+        return self._csr_form() @ x
 
     def operator(self) -> sp.csr_array:
         """What eigsh iterates on: the CSR form of the full matrix."""
-        return self._csr
+        return self._csr_form()
 
     def add_scaled(self, B, c: float) -> "SparseSymmetric":
         """self + c * B as a sparse matrix, B read through its triplets.
@@ -280,19 +291,19 @@ class SparseSymmetric:
         """A[:, cols] as a new C-ordered n x len(cols) array, read from the CSR
         rows ``cols`` (the wanted columns transposed, by symmetry) without
         forming the n x n array."""
-        return np.ascontiguousarray(self._csr[cols].toarray().T)
+        return np.ascontiguousarray(self._csr_form()[cols].toarray().T)
 
     def principal_block(self, cols, shift: float = 0.0) -> "SparseSymmetric":
         """A[cols, cols] - shift * I sliced from the CSR, so neither the n x n
         nor the l x l array is formed; its entries equal the dense block's bit
         for bit."""
         cols = np.asarray(cols, dtype=np.int64)
-        block = self._csr[cols][:, cols] - shift * sp.eye_array(cols.size, format="csr")
+        block = self._csr_form()[cols][:, cols] - shift * sp.eye_array(cols.size, format="csr")
         upper = sp.triu(block, format="coo")
         return SparseSymmetric(cols.size, upper.row, upper.col, upper.data)
 
     def to_dense(self) -> SymmetricDense:
-        return SymmetricDense._adopt(self._csr.toarray())
+        return SymmetricDense._adopt(self._csr_form().toarray())
 
     @classmethod
     def from_dense(cls, K: SymmetricDense) -> "SparseSymmetric":
@@ -300,6 +311,24 @@ class SparseSymmetric:
 
     def __repr__(self):
         return f"SparseSymmetric(n={self.n}, nnz={self.nnz})"
+
+
+def _mirrored_csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_array:
+    """The n x n CSR array of the full matrix whose upper-triangle triplets
+    are given: each off-diagonal entry is mirrored below the diagonal."""
+    mirror = rows != cols
+    full_r = np.concatenate([rows, cols[mirror]])
+    full_c = np.concatenate([cols, rows[mirror]])
+    full_v = np.concatenate([vals, vals[mirror]])
+    return sp.csr_array((full_v, (full_r, full_c)), shape=(n, n))
+
+
+def _require_matrix(A) -> None:
+    """Raise TypeError unless A is a SymmetricDense or a SparseSymmetric, the
+    two types that carry the matrix protocol; a raw array carries none of it."""
+    if type(A) not in (SymmetricDense, SparseSymmetric):
+        raise TypeError(f"expected a SymmetricDense or SparseSymmetric matrix, "
+                        f"got {type(A).__name__}")
 
 
 def _row_major_order(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -419,8 +448,10 @@ def sym_eig_full(A, m: int | None = None) -> EigenPairs:
     This is the ground-truth decomposition every approximation in the
     package is tested against.  Only the m kept columns are sign-fixed and
     checked; ``canonical_signs`` works column by column, so they equal the
-    leading columns of the full decomposition bit for bit.
+    leading columns of the full decomposition bit for bit.  Any other input
+    type raises TypeError.
     """
+    _require_matrix(A)
     n = A.n
     m = n if m is None else m
     if not 1 <= m <= n:
@@ -453,24 +484,42 @@ def _check_gap(above: float, below: float, m: int) -> None:
             f"eigengap between pairs {m} and {m + 1} is {above - below:.3e} < {GAP_TOL}")
 
 
-def _support_pairs(A, rows: np.ndarray, m: int) -> EigenPairs:
-    """The m leading pairs of an A whose nonzeros lie in ``rows``: the
-    dense pairs of the principal block on those r rows, padded with zeros.
+def _support_pairs(block, rows: np.ndarray, n: int, m: int) -> EigenPairs:
+    """The m leading pairs of an n-row matrix whose nonzeros all lie in its
+    principal block on ``rows``, solved on ``block``, that r-row block
+    itself, and padded with zeros.
 
-    The other n - r eigenvalues of A are exactly zero, so a leading pair
-    that would be one of them, or a tie between pairs m and m + 1, raises
-    EigengapError.
+    The block is solved by the size rule of ``sym_eig_partial``: dense
+    LAPACK up to DENSE_FALLBACK_N rows (or m > r - 2), a seeded Lanczos run
+    for m + 1 pairs above, where an all-zero block raises EigengapError
+    since the run cannot start on it.  When r < n the other n - r
+    eigenvalues are exactly zero, so a leading pair that would be one of
+    them raises EigengapError.  So does a gap below GAP_TOL between pair m
+    and pair m + 1: the next block value or, when r < n, a padded zero,
+    whichever is larger.
     """
-    block = sym_eig_full(A.principal_block(rows))
-    w = block.values
-    if m > w.size or w[m - 1] <= 0.0:
-        raise EigengapError(f"pair {m} would be one of the {A.n - rows.size} zero eigenvalues "
-                            f"outside the {rows.size} rows that store nonzeros")
-    # pair m + 1 is the next block value or a padded zero, whichever is larger
-    _check_gap(w[m - 1], w[m:m + 1].max(initial=0.0), m)
-    vectors = np.zeros((A.n, m))
-    vectors[rows] = block.vectors[:, :m]
-    return EigenPairs(w[:m], vectors)
+    r = rows.size
+    padded = r < n
+    if r <= DENSE_FALLBACK_N or m > r - 2:
+        # only the kept columns are sign-fixed, so they equal those of the
+        # full decomposition bit for bit
+        found = sym_eig_full(block, min(m + 1, r))
+        w, v = found.values, found.vectors[:, :m]
+    else:
+        if block.is_zero():
+            raise EigengapError(f"matrix has no nonzeros: pairs {m} and {m + 1} tie at 0")
+        w, v = _lanczos(block, m + 1, "LA", 0, vectors=True)
+        order = np.argsort(-w, kind="stable")
+        w, v = w[order], canonical_signs(v[:, order[:m]])
+    if padded and (m > w.size or w[m - 1] <= 0.0):
+        raise EigengapError(f"pair {m} would be one of the {n - r} zero eigenvalues "
+                            f"outside the {r} rows that store nonzeros")
+    _check_gap(w[m - 1], w[m:m + 1].max(initial=0.0 if padded else -np.inf), m)
+    if padded:
+        vectors = np.zeros((n, m))
+        vectors[rows] = v
+        v = vectors
+    return EigenPairs(w[:m], v)
 
 
 def sym_eig_partial(A, m: int) -> EigenPairs:
@@ -483,7 +532,8 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
     Lanczos iteration with a seeded start vector.  Off the dense path the
     gap between pairs m and m+1 is checked, since a vanishing gap makes the
     leading subspace ill-posed; a matrix without nonzeros, where that gap is
-    exactly zero, raises EigengapError before any solve.
+    exactly zero, raises EigengapError before any solve.  Off the dense
+    path both cases go through ``_support_pairs``.
     """
     n = A.n
     if not 1 <= m <= n:
@@ -494,13 +544,9 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
         raise EigengapError(f"matrix has no nonzeros: pairs {m} and {m + 1} tie at 0")
     rows = A.support_rows()
     if rows.size <= DENSE_FALLBACK_N:
-        return _support_pairs(A, rows, m)
-
-    w, v = _lanczos(A, m + 1, "LA", 0, vectors=True)
-    order = np.argsort(-w, kind="stable")
-    w, v = w[order], v[:, order]
-    _check_gap(w[m - 1], w[m], m)
-    return EigenPairs(w[:m], canonical_signs(v[:, :m]))
+        return _support_pairs(A.principal_block(rows), rows, n, m)
+    # Lanczos on the whole stored matrix, with nothing to pad
+    return _support_pairs(A, np.arange(n), n, m)
 
 
 def _extreme_eigvals(A, k: int, which: str) -> np.ndarray:

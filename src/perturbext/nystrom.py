@@ -39,6 +39,11 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
     extension side: dense LAPACK up to DENSE_FALLBACK_N, seeded Lanczos on
     the stored block above it, where a vanishing gap between pairs k and
     k + 1 raises EigengapError.
+
+    An all-zero block, or one with a pair |lambda_i'| <= 1e-12 * ||block||_2,
+    raises SingularSampleError.  ||block||_2 is computed only for a block
+    that ||block||_F, its cheap upper bound, cannot clear, so a regular
+    block pays no norm solve and every block gets the same decision.
     """
     n = K.n
     l = len(cols)
@@ -47,15 +52,19 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
     C = K.columns(cols)
     C[cols, np.arange(l)] -= shift
     block = K.principal_block(cols, shift)
-    # both eigensolvers are backward stable relative to the block, so its
-    # largest |eigenvalue| of either sign scales the guard; an all-zero
-    # block is rejected before the solve, since Lanczos cannot start on it
-    scale = spectral_norm(block)
-    if scale == 0.0:
+    # an all-zero block is rejected before the solve, since Lanczos cannot
+    # start on it
+    if block.is_zero():
         raise SingularSampleError("sampled block is zero")
     pairs = sym_eig_partial(block, k)
     lam = pairs.values
-    if np.min(np.abs(lam)) <= 1e-12 * scale:
+    # both eigensolvers are backward stable relative to the block, so its
+    # largest |eigenvalue| of either sign, ||block||_2, scales the guard.
+    # ||block||_F >= ||block||_2, so a smallest |lambda| above
+    # 2e-12 ||block||_F (the 2 absorbs round-off in either norm) clears the
+    # guard without the Lanczos run that finds ||block||_2 itself
+    small = np.min(np.abs(lam))
+    if small <= 2e-12 * block.frobenius_norm() and small <= 1e-12 * spectral_norm(block):
         raise SingularSampleError(
             f"sampled block eigenvalue {lam[np.argmin(np.abs(lam))]:.3e} below 1e-12 * ||block||")
     vectors = np.sqrt(l / n) * (C @ pairs.vectors) / lam[None, :]

@@ -25,6 +25,7 @@ from .matrixcore import (
     EigengapError,
     EigenPairs,
     GAP_TOL,
+    _require_matrix,
 )
 
 
@@ -85,9 +86,10 @@ class MuPolicy:
 class PerturbationProblem:
     """A' (base), its m known leading eigenpairs, and the perturbation E.
 
-    ``base`` and ``perturbation`` are SymmetricDense or SparseSymmetric.
-    Frozen, so the gap check of construction holds for the object's whole
-    life and the cached products below always belong to its fields.
+    ``base`` and ``perturbation`` are SymmetricDense or SparseSymmetric;
+    any other type raises TypeError.  Frozen, so the gap check of
+    construction holds for the object's whole life and the cached products
+    below always belong to its fields.
     """
 
     base: object
@@ -95,6 +97,8 @@ class PerturbationProblem:
     perturbation: object
 
     def __post_init__(self):
+        _require_matrix(self.base)
+        _require_matrix(self.perturbation)
         n = self.base.n
         if self.perturbation.n != n or self.known.n != n:
             raise ValueError("base, perturbation and eigenpairs must share dimension")
@@ -253,9 +257,10 @@ def is_lowrank_plus_shift(A, m: int, tolerance: float = 1e-10):
 
     Checks whether the n - m trailing eigenvalues agree to ``tolerance``;
     returns their mean if so, None otherwise.  Diagnostic only: computes the
-    full spectrum, values only.  Raises ValueError for m >= n and
-    ConvergenceError when LAPACK fails.
+    full spectrum, values only.  Raises TypeError for an A of another type,
+    ValueError for m >= n and ConvergenceError when LAPACK fails.
     """
+    _require_matrix(A)
     a = A.to_dense().a
     if m >= a.shape[0]:
         raise ValueError("need m < n trailing values to inspect")

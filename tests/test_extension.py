@@ -13,11 +13,20 @@ from perturbext.extension import (
     pert_extend,
     select_submatrix,
 )
-from perturbext.kernels import gen_band_matrix, gen_wishart_psd
+from perturbext.kernels import (
+    KernelSpec,
+    build_kernel,
+    gen_band_matrix,
+    gen_clustered_dataset,
+    gen_wishart_psd,
+    standardize,
+)
 from perturbext.matrixcore import (
+    EigengapError,
     SparseSymmetric,
     SymmetricDense,
     principal_angle,
+    read_sparse,
     spectral_norm,
     sym_eig_full,
     write_sparse,
@@ -447,9 +456,9 @@ class TestBlockSelection:
 
         members = []
 
-        def recording(K_, Ks, cfg_):
+        def recording(K_, Ks, cfg_, *, pairs=None):
             members.append(Ks)
-            return extend_with_submatrix(K_, Ks, cfg_)
+            return extend_with_submatrix(K_, Ks, cfg_, pairs=pairs)
 
         monkeypatch.setattr(extension, "extend_with_submatrix", recording)
         combined = block_extend(K, sizes, cfg)
@@ -502,3 +511,138 @@ class TestBlockExtend:
         K = gen_wishart_psd(8, seed=22)
         with pytest.raises(ValueError, match="weights"):
             block_extend(K, [4, 4], ExtensionConfig(m=2), weights=[0.5, 0.2])
+
+
+def _clustered_kernel(n):
+    return build_kernel(standardize(gen_clustered_dataset(n=n, seed=3)), KernelSpec.gaussian(0.1))
+
+
+class TestBlockMemberPairs:
+    """Above DENSE_FALLBACK_N each block_extend member's pairs come from K's
+    own diagonal block, padded with zeros, instead of a solve of the n-row
+    K^s; the members and their combination match the n-row solve."""
+
+    @staticmethod
+    def recorded_block_extend(monkeypatch, K, sizes, cfg):
+        members = []
+
+        def recording(K_, Ks, cfg_, *, pairs=None):
+            res = extend_with_submatrix(K_, Ks, cfg_, pairs=pairs)
+            members.append((Ks, res))
+            return res
+
+        monkeypatch.setattr(extension, "extend_with_submatrix", recording)
+        return block_extend(K, sizes, cfg), members
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("sizes", [(300, 300), (200, 400)], ids=["even", "uneven"])
+    def test_members_match_solve_of_full_selection(self, monkeypatch, sparse, sizes):
+        K = _clustered_kernel(600)
+        if sparse:
+            K = SparseSymmetric.from_dense(K)
+        cfg = ExtensionConfig(m=4)
+        scale = spectral_norm(K)
+        expected = _block_extend_reference(K, sizes, cfg, members=[])
+        combined, members = self.recorded_block_extend(monkeypatch, K, sizes, cfg)
+        assert len(members) == len(sizes)
+        for Ks, res in members:
+            ref = extend_with_submatrix(K, Ks, cfg)
+            assert np.max(np.abs(res.source_pairs.values - ref.source_pairs.values)) <= 1e-12 * scale
+            assert np.max(np.abs(res.values - ref.values)) <= 1e-12 * scale
+            assert principal_angle(res.source_pairs.vectors, ref.source_pairs.vectors) <= 1e-10
+            assert principal_angle(res.vectors, ref.vectors) <= 1e-10
+        assert np.linalg.norm(combined.a - expected.a) <= 1e-12 * np.linalg.norm(expected.a)
+
+    @pytest.mark.parametrize("n, sizes", [(300, (100, 200)), (600, (300, 300))],
+                             ids=["dense-block", "lanczos-block"])
+    def test_nonpositive_pair_m_raises(self, n, sizes):
+        # a negative definite K: every member's leading pair would be one of
+        # the padded zero eigenvalues
+        K = SymmetricDense(-np.diag(np.linspace(1.0, 2.0, n)))
+        with pytest.raises(EigengapError, match="zero eigenvalues"):
+            block_extend(K, sizes, ExtensionConfig(m=2))
+
+    @pytest.mark.parametrize("n, sizes", [(300, (100, 200)), (600, (300, 300))],
+                             ids=["dense-block", "lanczos-block"])
+    def test_block_with_zero_row(self, monkeypatch, n, sizes):
+        a = np.array(_clustered_kernel(n).a)
+        a[5, :] = a[:, 5] = 0.0
+        K = SymmetricDense(a)
+        cfg = ExtensionConfig(m=4)
+        _, members = self.recorded_block_extend(monkeypatch, K, sizes, cfg)
+        Ks, res = members[0]
+        assert 5 not in Ks.support_rows()
+        exact = sym_eig_full(Ks, cfg.m)
+        assert np.max(np.abs(res.source_pairs.values - exact.values)) <= 1e-12 * spectral_norm(K)
+        assert principal_angle(res.source_pairs.vectors, exact.vectors) <= 1e-10
+        assert np.all(res.source_pairs.vectors[sizes[0]:] == 0.0)
+
+    @pytest.mark.parametrize("n", [200, 600])
+    def test_given_pairs_equal_default_solve(self, n):
+        K = _clustered_kernel(n)
+        Ks = select_submatrix(K, Selector.block_diag((n // 2, n - n // 2)))
+        for cfg in (ExtensionConfig(m=4), ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())):
+            default = extend_with_submatrix(K, Ks, cfg)
+            given = extend_with_submatrix(K, Ks, cfg, pairs=matrixcore.sym_eig_partial(Ks, cfg.m))
+            for name in ("values", "vectors", "bound_terms"):
+                assert np.array_equal(getattr(given, name), getattr(default, name))
+            assert np.array_equal(given.source_pairs.vectors, default.source_pairs.vectors)
+
+    def test_given_pairs_must_match_m(self):
+        K = gen_wishart_psd(20, seed=5)
+        Ks = select_submatrix(K, Selector.top_left(10))
+        with pytest.raises(ValueError, match="pairs"):
+            extend_with_submatrix(K, Ks, ExtensionConfig(m=3), pairs=matrixcore.sym_eig_partial(Ks, 2))
+
+
+class TestCsrBuilds:
+    """A SparseSymmetric builds its CSR only when something iterates on it or
+    slices it."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        build = matrixcore._mirrored_csr
+
+        def counting(n, rows, cols, vals):
+            builds.append(rows)
+            return build(n, rows, cols, vals)
+
+        monkeypatch.setattr(matrixcore, "_mirrored_csr", counting)
+        return builds
+
+    def test_read_and_extend_builds_none_for_K(self, monkeypatch, tmp_path):
+        K = SparseSymmetric.from_dense(_clustered_kernel(300))
+        write_sparse(tmp_path / "K.txt", K)
+        builds = self.count_builds(monkeypatch)
+        K = read_sparse(tmp_path / "K.txt")
+        assert builds == []
+        sel = Selector.sparse_top_q(0.3)
+        pert_extend(K, sel, ExtensionConfig(m=4))
+        Ks = select_submatrix(K, sel)
+        E = K.add_scaled(Ks, -1.0)
+        # one build for K^s (its solve), one for E (its norm), none for K
+        assert sorted(rows.size for rows in builds) == sorted((Ks.nnz_stored, E.nnz_stored))
+        assert not any(rows is K.rows for rows in builds)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_block_member_builds_none(self, monkeypatch, sparse):
+        K = _clustered_kernel(600)
+        if sparse:
+            K = SparseSymmetric.from_dense(K)
+        builds = self.count_builds(monkeypatch)
+        _, members = TestBlockMemberPairs.recorded_block_extend(
+            monkeypatch, K, (300, 300), ExtensionConfig(m=4))
+        # a sparse K's blocks are sliced from its CSR; a dense K builds none
+        assert bool(builds) == sparse
+        for Ks, _ in members:
+            assert not any(rows is Ks.rows for rows in builds)
+
+    def test_built_once_on_first_product(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        S = SparseSymmetric(4, [0, 0, 2], [0, 3, 2], [1.0, 2.0, 3.0])
+        assert S.nnz == 4 and S.trace() == 4.0 and builds == []
+        x = np.arange(4.0)
+        assert np.array_equal(S.matvec(x), S.to_dense().a @ x)
+        S.matvec(x)
+        assert len(builds) == 1

@@ -652,3 +652,12 @@ class TestPrincipalBlock:
             assert type(block) is type(K)
             assert np.array_equal(block.to_dense().a, expected)
 
+
+
+class TestRawArrayInput:
+    """Entry points that take a matrix name the two accepted types when they
+    get a raw array."""
+
+    def test_sym_eig_full(self):
+        with pytest.raises(TypeError, match="SymmetricDense or SparseSymmetric"):
+            sym_eig_full(np.eye(3))

@@ -408,3 +408,18 @@ class TestConfig:
         from perturbext.perturbation import MuCollisionError
         with pytest.raises((MuCollisionError, SingularSampleError)):
             check_shifted_equivalence(K, 5, float(block[-1]))
+
+
+class TestSingularGuardNorm:
+    def test_regular_block_above_fallback_makes_no_norm_solve(self, monkeypatch):
+        # the Frobenius norm clears a regular block, so ||block||_2 is never
+        # solved for
+        x = rng_for(34).standard_normal((400, 3))
+        K = build_kernel(standardize(Dataset(x)), KernelSpec.gaussian(0.5))
+        monkeypatch.setattr("perturbext.nystrom.spectral_norm",
+                            lambda A: pytest.fail("spectral_norm called"))
+        for A in (K, SparseSymmetric.from_dense(K)):
+            l = 300
+            assert l > DENSE_FALLBACK_N
+            vals, vecs = generalized_nystrom(A, 4, l)
+            assert np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))

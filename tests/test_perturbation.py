@@ -364,3 +364,22 @@ class TestTraceIdentities:
                               bound_terms(values, 2.0, 0.0, 0.01, 1))
         assert np.array_equal(bound_terms(values, tail, 0.0, 0.01, 2),
                               bound_terms(values, 2.0, 0.0, 0.01, 2))
+
+
+class TestRawArrayInput:
+    """A raw array is named as the wrong type, not failed on as a missing
+    attribute."""
+
+    def test_problem_perturbation(self):
+        A = gen_unit_random_symmetric(12, seed=7)
+        with pytest.raises(TypeError, match="SymmetricDense or SparseSymmetric"):
+            PerturbationProblem(base=A, known=leading(A, 3), perturbation=np.zeros((12, 12)))
+
+    def test_problem_base(self):
+        A = gen_unit_random_symmetric(12, seed=7)
+        with pytest.raises(TypeError, match="SymmetricDense or SparseSymmetric"):
+            PerturbationProblem(base=A.a, known=leading(A, 3), perturbation=A)
+
+    def test_is_lowrank_plus_shift(self):
+        with pytest.raises(TypeError, match="SymmetricDense or SparseSymmetric"):
+            is_lowrank_plus_shift(np.eye(4), 1)
