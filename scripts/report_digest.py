@@ -7,9 +7,10 @@ whose bytes changed.  The CLI commands cover the slope, band, sparse and
 verify experiments, extension of dense and sparse matrix files and of
 dataset kernels, and a partial eigendecomposition.  The Python-API reports
 (``api_*.csv``, written with ``write_rows``) cover what no CLI command
-reaches: ``block_extend`` below and above the dense size limit, and the
-ensemble, shifted and generalized Nystrom methods, all on one Gaussian
-kernel of 600 clustered points.  Every input is generated from a fixed seed
+reaches: ``block_extend`` below and above the dense size limit, the
+ensemble, shifted and generalized Nystrom methods, and the bound terms of
+``pert_extend`` (read after the extension has returned), all on one
+Gaussian kernel of 600 clustered points.  Every input is generated from a fixed seed
 into a temporary directory, which is removed afterwards.
 
 Report bytes still depend on the BLAS thread count, so the script runs
@@ -38,16 +39,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from perturbext.cli import main as cli_main  # noqa: E402
-from perturbext.extension import ExtensionConfig, block_extend  # noqa: E402
+from perturbext.extension import ExtensionConfig, Selector, block_extend, pert_extend  # noqa: E402
 from perturbext.kernels import (  # noqa: E402
     KernelSpec,
     build_kernel,
     gen_band_matrix,
     gen_clustered_dataset,
+    sparsify,
     standardize,
 )
 from perturbext.matrixcore import write_dense, write_rows, write_sparse  # noqa: E402
 from perturbext.nystrom import ensemble_nystrom, generalized_nystrom, shifted_nystrom  # noqa: E402
+from perturbext.perturbation import MuPolicy  # noqa: E402
 
 
 def commands(d: Path):
@@ -87,7 +90,8 @@ def write_inputs(d: Path) -> None:
 def write_api_reports(d: Path) -> None:
     """The Python-API runs, each report one ``write_rows`` file in d: a
     kernel approximation as its n rows, a (values, vectors) pair as the
-    values row followed by the rows of the vectors."""
+    values row followed by the rows of the vectors, and bound terms as one
+    row per extension."""
     m = 4
     K = build_kernel(standardize(gen_clustered_dataset(n=600, seed=3)), KernelSpec.gaussian(0.1))
     rng = np.random.default_rng(3)
@@ -99,6 +103,12 @@ def write_api_reports(d: Path) -> None:
         "api_ensemble_nystrom.csv": ensemble_nystrom(K, m, subsets).a,
         "api_shifted_nystrom.csv": np.vstack(shifted_nystrom(K, m)),
         "api_generalized_nystrom_l300.csv": np.vstack(generalized_nystrom(K, m, 300)),
+        # dense and sparsified K, each at order 1 with mu zero and at order 2
+        # with mu mean
+        "api_bounds.csv": np.vstack([
+            pert_extend(A, Selector.sparse_top_q(0.5), cfg).bound_terms
+            for A in (K, sparsify(K, 0.3))
+            for cfg in (ExtensionConfig(m=m), ExtensionConfig(m=m, order=2, mu=MuPolicy.mean()))]),
     }
     for name, rows in reports.items():
         write_rows(d / name, rows)

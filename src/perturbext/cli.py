@@ -178,8 +178,11 @@ def _cmd_extend(args) -> int:
     sel = Selector.parse(args.selector)
     cfg = ExtensionConfig(m=args.m, order=args.order, mu=pert.MuPolicy.parse(args.mu))
     result = pert_extend(K, sel, cfg)
+    # the bound terms are solved on first read, so a failing solve stops
+    # the command before any file is written
+    bounds = result.bound_terms
     write_rows(args.out + ".values", result.values[:, None])
-    write_rows(args.out + ".bounds", result.bound_terms[:, None])
+    write_rows(args.out + ".bounds", bounds[:, None])
     write_rows(args.out + ".vectors", result.vectors)
     print(f"extended {args.m} pairs -> {args.out}.values/.vectors/.bounds")
     return 0

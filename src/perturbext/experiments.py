@@ -192,12 +192,16 @@ def _topleft_nnz(K) -> np.ndarray:
     return np.cumsum(np.bincount(cols, weights=weight, minlength=K.n))
 
 
+def _matched_size(topleft_nnz: np.ndarray, target_nnz: float, minimum: int) -> int:
+    """``matched_topleft_size`` read from the profile ``_topleft_nnz(K)``."""
+    l = int(np.searchsorted(topleft_nnz, target_nnz) + 1)
+    return max(minimum, min(l, topleft_nnz.size))
+
+
 def matched_topleft_size(K, target_nnz: float, minimum: int = 1) -> int:
     """Smallest l whose top-left l x l block holds at least target_nnz
     stored nonzeros (symmetric pairs counted twice)."""
-    n = K.n
-    l = int(np.searchsorted(_topleft_nnz(K), target_nnz) + 1)
-    return max(minimum, min(l, n))
+    return _matched_size(_topleft_nnz(K), target_nnz, minimum)
 
 
 def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: ExtensionConfig,
@@ -210,21 +214,24 @@ def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: Exten
     share of the stored nonzeros.  The oracle comes from
     ``sym_eig_partial``: dense LAPACK up to n = 256, seeded Lanczos on K's
     CSR above, where a tie between pairs m and m + 1 raises EigengapError.
-    The Nystrom block sizes are budget-matched to the selections.
+    The Nystrom block sizes are budget-matched to the selections, all read
+    from one top-left nnz profile of K.  The extensions' bound terms are
+    never read, so none is computed.
     """
     m = cfg.m
     total_nnz = K.nnz
     exact = sym_eig_partial(K, m).vectors
+    topleft_nnz = _topleft_nnz(K)
     rows = []
     matched_ls = []
     for param, sel in selections:
         Ks = select_submatrix(K, sel)
         res = extend_with_submatrix(K, Ks, cfg)
         angle = principal_angle(res.vectors, exact)
+        selected_nnz = res.selector_nnz
         rows.append(ReportRow(experiment_id, f"{experiment_id}_extension", float(param),
-                              Ks.nnz / total_nnz, "principal_angle", angle, trial, seed))
-        matched_ls.append(matched_topleft_size(K, Ks.nnz, minimum=m))
-    topleft_nnz = _topleft_nnz(K)
+                              selected_nnz / total_nnz, "principal_angle", angle, trial, seed))
+        matched_ls.append(_matched_size(topleft_nnz, selected_nnz, m))
     for l in sorted(set(matched_ls)):
         _, vecs = generalized_nystrom(K, m, l)
         angle = principal_angle(vecs, exact)

@@ -10,6 +10,7 @@ dense K, triplet-sparse (holding only the unselected entries) for a sparse K.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -135,6 +136,12 @@ class ExtensionResult:
     ``perturbation.bound_terms`` computes it for the configured order (the
     entry for the last pair is infinite: its gap factor degenerates).
 
+    The bound terms are computed the first time something reads them and
+    kept, read-only: E = K - K^s is formed again then and its norm solved, so
+    a caller that never reads them never pays for that solve.  Until then,
+    and for as long as the result lives, it holds K, K^s, the resolved mu and
+    the order; it never holds E.
+
     The terms take sums over the unknown eigenvalues t_k of K^s.  The
     second-order sum, sum (t_k - mu)^2, is exact: above DENSE_FALLBACK_N it
     comes from ||K^s||_F and tr K^s, so no full eigensolve of K^s is run.
@@ -145,9 +152,22 @@ class ExtensionResult:
 
     values: np.ndarray
     vectors: np.ndarray
-    bound_terms: np.ndarray
     selector_nnz: int
     source_pairs: EigenPairs
+    # what bound_terms is computed from
+    _K: object = field(repr=False, compare=False)
+    _Ks: SparseSymmetric = field(repr=False, compare=False)
+    _mu: float = field(repr=False, compare=False)
+    _order: int = field(repr=False, compare=False)
+
+    @cached_property
+    def bound_terms(self) -> np.ndarray:
+        values = self.source_pairs.values
+        E = self._K.add_scaled(self._Ks, -1.0)
+        terms = pert.bound_terms(values, _bound_tail(self._Ks, values, self._mu, self._order),
+                                 self._mu, spectral_norm(E), self._order)
+        terms.setflags(write=False)
+        return terms
 
 
 def _block_bounds(block_sizes: tuple, n: int) -> np.ndarray:
@@ -159,9 +179,15 @@ def _block_bounds(block_sizes: tuple, n: int) -> np.ndarray:
 
 
 def select_submatrix(K, sel: Selector) -> SparseSymmetric:
-    """Materialize K^s: K restricted to the selected index set, zero elsewhere."""
+    """Materialize K^s: K restricted to the selected index set, zero elsewhere.
+
+    The selection is a mask over K's stored triplets, handed to
+    ``K.restrict``: a dense K gives a new sparse matrix of the selected
+    nonzeros, a sparse K a restriction that shares K's CSR (see
+    ``SparseSymmetric``), so that E = K - K^s needs no merge either.
+    """
     n = K.n
-    rows, cols, vals = K.triplets()
+    rows, cols, _ = K.triplets()
     if sel.kind == "topleft":
         if sel.size > n:
             raise ValueError(f"topleft size {sel.size} exceeds dimension {n}")
@@ -171,13 +197,12 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
             raise ValueError(f"bandwidth {sel.bandwidth} exceeds {n - 1}")
         keep = (cols - rows) <= sel.bandwidth
     elif sel.kind == "sparse":
-        weight = np.where(rows == cols, 1, 2)
-        target = np.ceil(sel.fraction * weight.sum())
-        # a sparse K keeps its order, so a sweep over q sorts it once
-        order = K.magnitude_order()
-        cum = np.cumsum(weight[order])
+        # K keeps its order and cumulative weights, so a sweep over q sorts
+        # it once
+        order, cum = K.magnitude_profile()
+        target = np.ceil(sel.fraction * (cum[-1] if cum.size else 0))
         count = int(np.searchsorted(cum, target) + 1)
-        keep = np.zeros(vals.size, dtype=bool)
+        keep = np.zeros(rows.size, dtype=bool)
         keep[order[:count]] = True
     elif sel.kind == "blocks":
         block_of = np.searchsorted(_block_bounds(sel.block_sizes, n), np.arange(n), side="right") - 1
@@ -190,7 +215,7 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
         keep = np.isin(rows * n + cols, mask_rows * n + mask_cols)
     else:
         raise ValueError(f"unknown selector kind {sel.kind!r}")
-    return SparseSymmetric(n, rows[keep], cols[keep], vals[keep])
+    return K.restrict(keep)
 
 
 def _bound_tail(Ks: SparseSymmetric, known_values: np.ndarray, mu: float, order: int):
@@ -217,19 +242,21 @@ def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig, *,
     ``pairs`` are K^s's cfg.m leading pairs when the caller has already
     solved them (``block_extend`` solves each member on K's own diagonal
     block); by default they come from ``sym_eig_partial(Ks, cfg.m)``.
+
+    E = K - K^s is formed once for the update and dropped; the result's
+    ``bound_terms`` form it again on first read, so a caller that reads
+    only the pairs pays for no norm solve of E.
     """
     if pairs is None:
         pairs = sym_eig_partial(Ks, cfg.m)
     elif pairs.m != cfg.m:
         raise ValueError(f"given {pairs.m} pairs for m={cfg.m}")
-    E = K.add_scaled(Ks, -1.0)
-    problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=E)
+    problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=K.add_scaled(Ks, -1.0))
     mu = cfg.mu.resolve(problem)
     update = pert.truncated_first_order if cfg.order == 1 else pert.truncated_second_order
-    bounds = pert.bound_terms(pairs.values, _bound_tail(Ks, pairs.values, mu, cfg.order), mu,
-                              spectral_norm(E), cfg.order)
     return ExtensionResult(values=pert.classical_eigval_update(problem), vectors=update(problem, mu),
-                           bound_terms=bounds, selector_nnz=Ks.nnz, source_pairs=pairs)
+                           selector_nnz=Ks.nnz, source_pairs=pairs,
+                           _K=K, _Ks=Ks, _mu=mu, _order=cfg.order)
 
 
 def pert_extend(K, sel: Selector, cfg: ExtensionConfig) -> ExtensionResult:

@@ -61,7 +61,7 @@ class SymmetricDense:
     whose a + a.T overflows is rejected too.
     """
 
-    __slots__ = ("a",)
+    __slots__ = ("a", "_triplets", "_magnitude")
 
     def __init__(self, entries, symmetrize: bool = False):
         a = np.asarray(entries, dtype=float)
@@ -77,6 +77,7 @@ class SymmetricDense:
             a = np.array(a)  # never freeze the caller's array
         a.setflags(write=False)
         self.a = a
+        self._triplets = self._magnitude = None
 
     @classmethod
     def _adopt(cls, a: np.ndarray) -> "SymmetricDense":
@@ -90,6 +91,7 @@ class SymmetricDense:
         a.setflags(write=False)
         obj = cls.__new__(cls)
         obj.a = a
+        obj._triplets = obj._magnitude = None
         return obj
 
     @property
@@ -108,14 +110,22 @@ class SymmetricDense:
         return float(np.linalg.norm(self.a))
 
     def triplets(self):
-        """Upper-triangle (rows, cols, vals) of the nonzeros, in row-major order."""
-        r, c = np.nonzero(np.triu(self.a))
-        return r, c, self.a[r, c]
+        """Upper-triangle (rows, cols, vals) of the nonzeros, in row-major
+        order: extracted on first use and kept, read-only."""
+        if self._triplets is None:
+            r, c = np.nonzero(np.triu(self.a))
+            self._triplets = _frozen(r, c, self.a[r, c])
+        return self._triplets
+
+    def magnitude_profile(self):
+        """``_magnitude_profile`` of the triplets, formed on first use and kept."""
+        if self._magnitude is None:
+            self._magnitude = _magnitude_profile(*self.triplets())
+        return self._magnitude
 
     def magnitude_order(self) -> np.ndarray:
-        """Stable order of ``triplets()`` by descending |value|, sorted anew
-        on every call."""
-        return np.argsort(-np.abs(self.triplets()[2]), kind="stable")
+        """Stable order of ``triplets()`` by descending |value|."""
+        return self.magnitude_profile()[0]
 
     def support_rows(self) -> np.ndarray:
         """Rows that may hold a nonzero: all n, since a dense matrix is not
@@ -145,6 +155,12 @@ class SymmetricDense:
         a[rows, cols] += c * vals
         a[cols, rows] = a[rows, cols]
         return SymmetricDense._adopt(a)
+
+    def restrict(self, keep) -> "SparseSymmetric":
+        """The nonzeros of ``triplets()`` where the boolean ``keep`` is set, as
+        a new sparse matrix."""
+        rows, cols, vals = self.triplets()
+        return SparseSymmetric(self.n, rows[keep], cols[keep], vals[keep])
 
     def columns(self, cols) -> np.ndarray:
         """A[:, cols] as a new C-ordered n x len(cols) array.
@@ -180,13 +196,19 @@ class SparseSymmetric:
 
     The mirrored CSR form of the full matrix is built the first time
     something iterates on the matrix or slices it (``matvec``,
-    ``operator``, ``support_rows``, ``columns``, ``principal_block``,
-    ``to_dense``) and is kept.  Sums, norms, counts and merges read the
-    triplets, so a matrix that is only subtracted, summed or counted never
-    builds it.
+    ``operator``, ``support_rows``, ``columns``, ``to_dense``) and is kept,
+    together with the map from each CSR slot to its stored triplet.  Sums,
+    norms, counts, merges and principal blocks read the triplets, so a
+    matrix that is only subtracted, summed or counted never builds it.
+
+    ``restrict(keep)`` gives the stored entries where ``keep`` is set as a
+    matrix that remembers its parent: its CSR is the parent's with the other
+    slots masked out when the parent has built one, and ``add_scaled`` of the
+    parent minus it is the parent restricted to ``~keep``.  A selection K^s of
+    a sparse K and its E = K - K^s so share K's CSR.
     """
 
-    __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_magnitude_order")
+    __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_slots", "_magnitude", "_parent", "_keep")
 
     def __init__(self, n: int, rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
@@ -201,18 +223,26 @@ class SparseSymmetric:
         keep = vals != 0.0
         # a mask index always copies, so the arrays frozen below are never
         # the caller's, even when the order above is a view
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        for arr in (rows, cols, vals):
-            arr.setflags(write=False)
+        self._set(n, rows[keep], cols[keep], vals[keep])
+
+    def _set(self, n: int, rows, cols, vals, parent=None, keep=None) -> None:
+        """Set the fields from sorted, nonzero triplets that no caller holds
+        for writing; a restriction also keeps its parent and mask."""
         self._n = int(n)
-        self.rows, self.cols, self.vals = rows, cols, vals
-        self._csr = None
-        self._magnitude_order = None
+        self.rows, self.cols, self.vals = _frozen(rows, cols, vals)
+        self._csr = self._slots = self._magnitude = None
+        self._parent, self._keep = parent, keep
 
     def _csr_form(self) -> sp.csr_array:
-        """The CSR form of the full matrix, built on first use and kept."""
+        """The CSR form of the full matrix, built on first use and kept: masked
+        out of the parent's when this is a restriction of a parent that has
+        one, else built from the triplets."""
         if self._csr is None:
-            self._csr = _mirrored_csr(self._n, self.rows, self.cols, self.vals)
+            parent = self._parent
+            if parent is not None and parent._csr is not None:
+                self._csr, self._slots = _masked_csr(parent._csr, parent._slots, self._keep)
+            else:
+                self._csr, self._slots = _mirrored_csr(self._n, self.rows, self.cols, self.vals)
         return self._csr
 
     @property
@@ -240,17 +270,29 @@ class SparseSymmetric:
         """The stored (rows, cols, vals), upper triangle in row-major order."""
         return self.rows, self.cols, self.vals
 
-    def magnitude_order(self) -> np.ndarray:
-        """Stable order of the stored triplets by descending |value|.
+    def magnitude_profile(self):
+        """``_magnitude_profile`` of the stored triplets, formed on first use
+        and kept, so repeated selections of the largest entries of one matrix
+        sort it once."""
+        if self._magnitude is None:
+            self._magnitude = _magnitude_profile(self.rows, self.cols, self.vals)
+        return self._magnitude
 
-        Sorted on first use and kept, so repeated selections of the largest
-        entries of one matrix sort it once.
-        """
-        if self._magnitude_order is None:
-            order = np.argsort(-np.abs(self.vals), kind="stable")
-            order.setflags(write=False)
-            self._magnitude_order = order
-        return self._magnitude_order
+    def magnitude_order(self) -> np.ndarray:
+        """Stable order of the stored triplets by descending |value|."""
+        return self.magnitude_profile()[0]
+
+    def restrict(self, keep) -> "SparseSymmetric":
+        """The stored entries where the boolean ``keep`` (one per triplet) is
+        set, as a new matrix that remembers (self, keep): no sort, no check,
+        and a CSR masked out of this one's once this one has built it."""
+        keep = np.array(keep, dtype=bool)
+        keep.setflags(write=False)
+        # gathering by index is several times faster than by a scattered mask
+        taken = np.flatnonzero(keep)
+        obj = SparseSymmetric.__new__(SparseSymmetric)
+        obj._set(self._n, self.rows[taken], self.cols[taken], self.vals[taken], self, keep)
+        return obj
 
     def support_rows(self) -> np.ndarray:
         """The rows that store a nonzero, read from the CSR row lengths in O(n)
@@ -265,18 +307,24 @@ class SparseSymmetric:
         """Apply the matrix to a vector or to a block of columns."""
         return self._csr_form() @ x
 
-    def operator(self) -> sp.csr_array:
-        """What eigsh iterates on: the CSR form of the full matrix."""
-        return self._csr_form()
+    def operator(self) -> "_CsrOperator":
+        """What eigsh iterates on: the CSR form behind a one-product operator."""
+        return _CsrOperator(self._csr_form())
 
     def add_scaled(self, B, c: float) -> "SparseSymmetric":
         """self + c * B as a sparse matrix, B read through its triplets.
 
         Entries that cancel to exactly 0.0 are dropped, so K - K^s for a
-        selection K^s of a sparse K stores only the unselected entries.
+        selection K^s of a sparse K stores only the unselected entries.  When
+        B is ``self.restrict(keep)`` and c is -1, that is ``self.restrict(~keep)``
+        with no merge: the selected entries cancel to exactly 0.0 and the rest
+        keep their values, as the merge would give them.
         """
         if self.n != B.n:
             raise ValueError("dimension mismatch")
+        # only a sparse B can be a restriction of self
+        if c == -1.0 and getattr(B, "_parent", None) is self:
+            return self.restrict(~B._keep)
         b_rows, b_cols, b_vals = B.triplets()
         rows = np.concatenate([self.rows, b_rows])
         cols = np.concatenate([self.cols, b_cols])
@@ -288,19 +336,35 @@ class SparseSymmetric:
         return SparseSymmetric(self.n, uniq // self.n, uniq % self.n, merged)
 
     def columns(self, cols) -> np.ndarray:
-        """A[:, cols] as a new C-ordered n x len(cols) array, read from the CSR
-        rows ``cols`` (the wanted columns transposed, by symmetry) without
-        forming the n x n array."""
-        return np.ascontiguousarray(self._csr_form()[cols].toarray().T)
+        """A[:, cols] as a new C-ordered n x len(cols) array, a column slice
+        of the CSR, without forming the n x n array."""
+        return self._csr_form()[:, cols].toarray()
 
     def principal_block(self, cols, shift: float = 0.0) -> "SparseSymmetric":
-        """A[cols, cols] - shift * I sliced from the CSR, so neither the n x n
-        nor the l x l array is formed; its entries equal the dense block's bit
-        for bit."""
+        """A[cols, cols] - shift * I for distinct ``cols``, from the stored
+        triplets through a map from each row to its place in ``cols``, so no
+        CSR is built and neither the n x n nor the l x l array is formed; its
+        entries equal the dense block's bit for bit."""
         cols = np.asarray(cols, dtype=np.int64)
-        block = self._csr_form()[cols][:, cols] - shift * sp.eye_array(cols.size, format="csr")
-        upper = sp.triu(block, format="coo")
-        return SparseSymmetric(cols.size, upper.row, upper.col, upper.data)
+        l = cols.size
+        place = np.full(self._n, -1, dtype=np.int64)
+        place[cols] = np.arange(l)
+        if not np.array_equal(place[cols], np.arange(l)):
+            raise ValueError("principal_block needs distinct cols")
+        r, c = place[self.rows], place[self.cols]
+        inside = (r >= 0) & (c >= 0)
+        r, c, v = r[inside], c[inside], self.vals[inside]
+        # cols out of order can put an entry below the block's diagonal
+        r, c = np.minimum(r, c), np.maximum(r, c)
+        if shift:
+            diag = r == c
+            v = np.where(diag, v - shift, v)
+            empty = np.ones(l, dtype=bool)
+            empty[r[diag]] = False
+            fill = np.flatnonzero(empty)
+            r, c = np.concatenate([r, fill]), np.concatenate([c, fill])
+            v = np.concatenate([v, np.full(fill.size, -shift)])
+        return SparseSymmetric(l, r, c, v)
 
     def to_dense(self) -> SymmetricDense:
         return SymmetricDense._adopt(self._csr_form().toarray())
@@ -313,14 +377,51 @@ class SparseSymmetric:
         return f"SparseSymmetric(n={self.n}, nnz={self.nnz})"
 
 
-def _mirrored_csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_array:
-    """The n x n CSR array of the full matrix whose upper-triangle triplets
-    are given: each off-diagonal entry is mirrored below the diagonal."""
+def _frozen(*arrays):
+    """The arrays, made read-only in place."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _magnitude_profile(rows, cols, vals):
+    """(order, cum) of upper-triangle triplets: their stable order by
+    descending |value|, and cum[k] the nonzeros of the full matrix
+    (symmetric pairs twice) that the k + 1 largest of them hold."""
+    order = np.argsort(-np.abs(vals), kind="stable")
+    return _frozen(order, np.cumsum(np.where(rows == cols, 1, 2)[order]))
+
+
+def _mirrored_csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """(csr, slots): the n x n CSR array of the full matrix whose
+    upper-triangle triplets are given in row-major order, each off-diagonal
+    entry mirrored below the diagonal, and the index of the triplet behind
+    each of its slots."""
     mirror = rows != cols
-    full_r = np.concatenate([rows, cols[mirror]])
-    full_c = np.concatenate([cols, rows[mirror]])
-    full_v = np.concatenate([vals, vals[mirror]])
-    return sp.csr_array((full_v, (full_r, full_c)), shape=(n, n))
+    # the mirrored entries go first: the conversion keeps the input order
+    # within a row, so each row lists its columns in ascending order (those
+    # below the diagonal, then those on and above it) and scipy, finding the
+    # result canonical, sorts nothing
+    full_r = np.concatenate([cols[mirror], rows])
+    full_c = np.concatenate([rows[mirror], cols])
+    ids = np.concatenate([np.flatnonzero(mirror), np.arange(rows.size)])
+    # the triplet ids go through the conversion in place of the values; no
+    # position repeats, so none is summed
+    pattern = sp.csr_array((ids, (full_r, full_c)), shape=(n, n))
+    slots = pattern.data
+    return sp.csr_array((vals[slots], pattern.indices, pattern.indptr), shape=(n, n)), slots
+
+
+def _masked_csr(csr: sp.csr_array, slots: np.ndarray, keep: np.ndarray):
+    """(csr, slots) of the triplets where ``keep`` is set, from the CSR form
+    and slot map of all of them: the other slots are masked out, so each row
+    keeps its sorted column order, the order a fresh build would give."""
+    taken = np.flatnonzero(keep[slots])
+    # row i starts after the kept slots that lie before the parent's start
+    indptr = np.searchsorted(taken, csr.indptr).astype(csr.indptr.dtype)
+    rank = np.cumsum(keep) - 1
+    masked = sp.csr_array((csr.data[taken], csr.indices[taken], indptr), shape=csr.shape)
+    return masked, rank[slots[taken]]
 
 
 def _require_matrix(A) -> None:
@@ -411,6 +512,19 @@ class EigenPairs:
 
     def __repr__(self):
         return f"EigenPairs(n={self.n}, m={self.m})"
+
+
+class _CsrOperator(spla.LinearOperator):
+    """A CSR array as a linear operator whose product is one ``csr @ x`` on
+    the flattened vector, which eigsh would otherwise reach through a
+    general block product."""
+
+    def __init__(self, csr: sp.csr_array):
+        self.csr = csr
+        super().__init__(float, csr.shape)
+
+    def _matvec(self, x):
+        return self.csr @ np.ravel(x)
 
 
 class _DenseSymmetricOperator(spla.LinearOperator):
@@ -611,11 +725,26 @@ def _orthonormalize(block: np.ndarray) -> np.ndarray:
 # file formats
 
 
+# values formatted into one string per write
+_WRITE_CHUNK = 1 << 16
+
+
+def _write_lines(fh, line: str, fields: list, width: int, count: int) -> None:
+    """Write ``count`` lines, each ``line % (the next width fields)``, taking
+    about _WRITE_CHUNK fields per string.  The fields are Python scalars, so
+    each is formatted as ``format(x, spec)`` would format it."""
+    per_write = max(1, _WRITE_CHUNK // max(width, 1))
+    for start in range(0, count, per_write):
+        lines = min(per_write, count - start)
+        fh.write(line * lines % tuple(fields[start * width:(start + lines) * width]))
+
+
 def write_rows(path, rows) -> None:
     """One row per line, comma-separated decimals, 17 significant digits."""
+    a = np.asarray(rows, dtype=float)
     with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        _write_lines(fh, ",".join(["%.17g"] * a.shape[1]) + "\n", a.ravel().tolist(),
+                     a.shape[1], a.shape[0])
 
 
 def read_rows(path, skip_header: bool = False) -> np.ndarray:
@@ -668,10 +797,11 @@ def read_dense(path) -> SymmetricDense:
 
 def write_sparse(path, S: SparseSymmetric) -> None:
     """Header line 'n nnz_stored', then 0-based 'i j value' triples, i <= j."""
+    fields = [None] * (3 * S.nnz_stored)
+    fields[0::3], fields[1::3], fields[2::3] = S.rows.tolist(), S.cols.tolist(), S.vals.tolist()
     with open(path, "w") as fh:
         fh.write(f"{S.n} {S.nnz_stored}\n")
-        for i, j, v in zip(S.rows, S.cols, S.vals):
-            fh.write(f"{i} {j} {v:.17g}\n")
+        _write_lines(fh, "%d %d %.17g\n", fields, 3, S.nnz_stored)
 
 
 _TRIPLET_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])

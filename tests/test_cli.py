@@ -292,3 +292,21 @@ class TestGridValidation:
                      "--n", "50", "--m", "2", "--trials", "1"])
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
+
+
+class TestDeferredBounds:
+    def test_failing_bound_solve_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        from perturbext import extension
+        from perturbext.matrixcore import ConvergenceError
+
+        def failing(A):
+            raise ConvergenceError("Lanczos failed to converge (0 of 1 values found)")
+
+        monkeypatch.setattr(extension, "spectral_norm", failing)
+        spath = tmp_path / "S.txt"
+        write_sparse(spath, gen_band_matrix(300, seed=2))
+        code = main(["extend", "--sparse-matrix", str(spath), "--selector", "sparse:0.5",
+                     "--m", "2", "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "numerical error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["S.txt"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from perturbext import extension, matrixcore
@@ -13,12 +14,14 @@ from perturbext.extension import (
     pert_extend,
     select_submatrix,
 )
+from perturbext.experiments import run_band_experiment, run_sparse_experiment
 from perturbext.kernels import (
     KernelSpec,
     build_kernel,
     gen_band_matrix,
     gen_clustered_dataset,
     gen_wishart_psd,
+    sparsify,
     standardize,
 )
 from perturbext.matrixcore import (
@@ -646,3 +649,168 @@ class TestCsrBuilds:
         assert np.array_equal(S.matvec(x), S.to_dense().a @ x)
         S.matvec(x)
         assert len(builds) == 1
+
+
+class TestDeferredBoundTerms:
+    """The bound terms are computed on first read, from K, K^s, mu and the
+    order the result keeps, and equal the formula evaluated at once."""
+
+    @staticmethod
+    def eager(K, Ks, res, cfg):
+        values = res.source_pairs.values
+        mu = 0.0 if cfg.mu.kind == "zero" else mu_mean(Ks.trace(), values, K.n)
+        return bound_terms(values, extension._bound_tail(Ks, values, mu, cfg.order), mu,
+                           spectral_norm(K.add_scaled(Ks, -1.0)), cfg.order)
+
+    @pytest.mark.parametrize("n", [120, 300])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_equal_to_eager_formula(self, n, sparse):
+        K = _clustered_kernel(n)
+        if sparse:
+            K = sparsify(K, 0.3)
+        Ks = select_submatrix(K, Selector.sparse_top_q(0.5))
+        for order in (1, 2):
+            for mu in (MuPolicy.zero(), MuPolicy.mean()):
+                cfg = ExtensionConfig(m=4, order=order, mu=mu)
+                res = extend_with_submatrix(K, Ks, cfg)
+                expected = self.eager(K, Ks, res, cfg)
+                assert np.array_equal(res.bound_terms, expected)
+                assert np.isinf(res.bound_terms[-1]) and np.all(np.isfinite(res.bound_terms[:-1]))
+
+    def test_second_read_runs_no_solve(self, monkeypatch):
+        K = sparsify(_clustered_kernel(300), 0.3)
+        norms = []
+        norm = extension.spectral_norm
+
+        def counting(A):
+            norms.append(A)
+            return norm(A)
+
+        monkeypatch.setattr(extension, "spectral_norm", counting)
+        res = pert_extend(K, Selector.sparse_top_q(0.4), ExtensionConfig(m=4))
+        assert norms == []
+        first = res.bound_terms
+        assert len(norms) == 1
+        assert res.bound_terms is first and len(norms) == 1
+        assert not first.flags.writeable
+
+
+def _no_norm_solves(monkeypatch):
+    """Make every binding of spectral_norm fail when called."""
+    from perturbext import nystrom
+
+    def forbidden(A):
+        raise AssertionError("spectral_norm called")
+
+    for module in (matrixcore, extension, nystrom):
+        monkeypatch.setattr(module, "spectral_norm", forbidden)
+
+
+class TestCallersSolveNoNorm:
+    """Callers that never read the bound terms run no norm solve of E."""
+
+    def test_sparse_experiment(self, monkeypatch):
+        _no_norm_solves(monkeypatch)
+        rows = run_sparse_experiment(n=300, m=4, trials=1, q_grid=(0.3, 0.6))
+        assert len(rows) >= 3
+
+    def test_band_experiment(self, monkeypatch):
+        _no_norm_solves(monkeypatch)
+        rows = run_band_experiment(n=300, m=4, p_grid=(20, 80), trials=1)
+        assert len(rows) >= 3
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_block_extend(self, monkeypatch, sparse):
+        K = _clustered_kernel(600)
+        if sparse:
+            K = SparseSymmetric.from_dense(K)
+        _no_norm_solves(monkeypatch)
+        assert block_extend(K, (300, 300), ExtensionConfig(m=4)).n == 600
+
+
+def _fresh_csr(M):
+    """The CSR arrays scipy builds from M's triplets and their mirror images."""
+    rows, cols, vals = M.triplets()
+    off = rows != cols
+    csr = scipy.sparse.csr_array((np.concatenate([vals, vals[off]]),
+                                  (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
+                                 shape=(M.n, M.n))
+    return csr.indptr, csr.indices, csr.data
+
+
+_SELECTORS = {
+    "topleft": Selector.top_left(150),
+    "band": Selector.band(12),
+    "sparse": Selector.sparse_top_q(0.35),
+    "blocks": Selector.block_diag((100, 60, 140)),
+    "mask": Selector.custom_mask(np.arange(0, 300, 3), np.arange(0, 300, 3)[::-1]),
+}
+
+
+class TestMaskedSelections:
+    """A selection of a sparse K and its E are restrictions of K: the
+    triplets the general code gives, and a CSR equal to a fresh build,
+    whether K built its CSR before or not."""
+
+    @pytest.mark.parametrize("kind", sorted(_SELECTORS))
+    @pytest.mark.parametrize("k_csr_first", [False, True], ids=["own", "masked"])
+    def test_equal_to_fresh_build(self, kind, k_csr_first):
+        K = sparsify(_clustered_kernel(300), 0.3)
+        if k_csr_first:
+            K.matvec(np.ones(K.n))
+        Ks = select_submatrix(K, _SELECTORS[kind])
+        E = K.add_scaled(Ks, -1.0)
+        # the general code: the selected triplets, and the merge of K with a
+        # copy of K^s that is not a restriction of K
+        keep = np.isin(K.rows * K.n + K.cols, Ks.rows * K.n + Ks.cols)
+        general_E = K.add_scaled(SparseSymmetric(K.n, *Ks.triplets()), -1.0)
+        for got, (rows, cols, vals) in ((Ks, (K.rows[keep], K.cols[keep], K.vals[keep])),
+                                        (E, general_E.triplets())):
+            for a, b in zip(got.triplets(), (rows, cols, vals)):
+                assert np.array_equal(a, b) and not a.flags.writeable
+            csr = got._csr_form()
+            for a, b in zip((csr.indptr, csr.indices, csr.data), _fresh_csr(got)):
+                assert np.array_equal(a, b)
+            assert np.array_equal(got.vals[got._slots], csr.data)
+            x = np.linspace(-1.0, 1.0, K.n)
+            assert np.array_equal(got.matvec(x), general_E.matvec(x) if got is E
+                                  else SparseSymmetric(K.n, *got.triplets()).matvec(x))
+        assert Ks.nnz + E.nnz == K.nnz
+
+    def test_restriction_of_restriction(self):
+        K = sparsify(_clustered_kernel(300), 0.3)
+        K.matvec(np.ones(K.n))
+        Ks = select_submatrix(K, Selector.band(40))
+        Ks.matvec(np.ones(K.n))
+        inner = select_submatrix(Ks, Selector.sparse_top_q(0.5))
+        csr = inner._csr_form()
+        for a, b in zip((csr.indptr, csr.indices, csr.data), _fresh_csr(inner)):
+            assert np.array_equal(a, b)
+
+    def test_other_operands_take_the_general_merge(self):
+        K = sparsify(_clustered_kernel(300), 0.3)
+        Ks = select_submatrix(K, Selector.sparse_top_q(0.5))
+        perturbed = SparseSymmetric(K.n, Ks.rows, Ks.cols, Ks.vals * (1.0 + 1e-9))
+        other = select_submatrix(SparseSymmetric(K.n, *K.triplets()), Selector.sparse_top_q(0.5))
+        for B, c in ((perturbed, -1.0), (other, -1.0), (Ks, -0.5), (Ks, 1.0)):
+            got = K.add_scaled(B, c)
+            assert np.array_equal(got.to_dense().a, K.to_dense().a + c * B.to_dense().a)
+        # only the restriction of K itself, subtracted, is a restriction
+        assert K.add_scaled(perturbed, -1.0).nnz == K.nnz
+        assert K.add_scaled(Ks, -1.0).nnz == K.nnz - Ks.nnz
+
+    def test_sparse_trial_builds_eleven_csrs(self, monkeypatch):
+        builds = []
+        build = matrixcore._mirrored_csr
+
+        def counting(n, rows, cols, vals):
+            builds.append(n)
+            return build(n, rows, cols, vals)
+
+        monkeypatch.setattr(matrixcore, "_mirrored_csr", counting)
+        rows = run_sparse_experiment(n=1000, m=5, trials=1)
+        nystrom_rows = [r for r in rows if r.method == "nystrom_generalized"]
+        # one for K, one for each Nystrom block; selections and their E
+        # mask K's
+        assert len(nystrom_rows) == 10
+        assert len(builds) == 11 and builds.count(1000) == 1

@@ -661,3 +661,110 @@ class TestRawArrayInput:
     def test_sym_eig_full(self):
         with pytest.raises(TypeError, match="SymmetricDense or SparseSymmetric"):
             sym_eig_full(np.eye(3))
+
+
+class TestCachedForms:
+    def test_dense_triplets_and_order_formed_once(self, monkeypatch):
+        A = SymmetricDense(np.where(np.abs(random_symmetric(40, 3).a) > 0.7, 1.0, 0.0))
+        first = A.triplets()
+        calls = []
+        monkeypatch.setattr(np, "triu", lambda *a, **k: calls.append(a))
+        assert A.triplets() is first and calls == []
+        assert all(not arr.flags.writeable for arr in first)
+        order = A.magnitude_order()
+        assert A.magnitude_order() is order and not order.flags.writeable
+        for fresh in (SymmetricDense(A.a), SymmetricDense._adopt(np.array(A.a))):
+            assert fresh._triplets is None and fresh._magnitude is None
+
+    def test_magnitude_profile_counts_pairs_twice(self):
+        S = SparseSymmetric(4, [0, 0, 1, 2], [0, 3, 2, 2], [1.0, -5.0, 2.0, 3.0])
+        order, cum = S.magnitude_profile()
+        assert order.tolist() == [1, 3, 2, 0]
+        assert cum.tolist() == [2, 3, 5, 6] and cum[-1] == S.nnz
+
+    def test_sparse_operator_matches_bare_csr(self):
+        import scipy.sparse.linalg as spla
+
+        a = random_symmetric(400, 5).a
+        S = SparseSymmetric.from_dense(SymmetricDense(np.where(np.abs(a) > 1.5, a, 0.0)))
+        v0 = np.linspace(1.0, 2.0, S.n)
+        x = np.linspace(-1.0, 1.0, S.n)
+        assert np.array_equal(S.operator().matvec(x), S._csr_form() @ x)
+        via_operator = spla.eigsh(S.operator(), k=4, which="LA", v0=v0)
+        via_csr = spla.eigsh(S._csr_form(), k=4, which="LA", v0=v0)
+        for a, b in zip(via_operator, via_csr):
+            assert np.array_equal(a, b)
+
+
+class TestPrincipalBlockFromTriplets:
+    @pytest.mark.parametrize("shift", [0.0, 0.75, -2.0])
+    def test_unsorted_cols_and_empty_diagonal(self, monkeypatch, shift):
+        a = random_symmetric(40, 9).a
+        a = np.where(np.abs(a) > 0.9, a, 0.0)
+        a[np.arange(0, 40, 2), np.arange(0, 40, 2)] = 0.0
+        a[3, 3] = 0.75
+        A = SymmetricDense(a)
+        S = SparseSymmetric.from_dense(A)
+        builds = []
+        monkeypatch.setattr(matrixcore, "_mirrored_csr",
+                            lambda *args: builds.append(args) or (None, None))
+        cols = np.array([31, 3, 17, 0, 8, 22, 39, 12])
+        block = S.principal_block(cols, shift)
+        assert builds == []
+        expected = a[np.ix_(cols, cols)] - shift * np.eye(cols.size)
+        monkeypatch.undo()
+        assert np.array_equal(block.to_dense().a, expected)
+        assert np.count_nonzero(block.to_dense().a) == block.nnz
+        with pytest.raises(ValueError, match="distinct"):
+            S.principal_block([3, 8, 3], shift)
+
+
+def _old_write_rows(path, rows):
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def _old_write_sparse(path, S):
+    with open(path, "w") as fh:
+        fh.write(f"{S.n} {S.nnz_stored}\n")
+        for i, j, v in zip(S.rows, S.cols, S.vals):
+            fh.write(f"{i} {j} {v:.17g}\n")
+
+
+class TestWritersBytes:
+    """The writers format Python scalars in bulk, byte for byte as the old
+    per-value loops did."""
+
+    @staticmethod
+    def values(rng, size):
+        mags = 10.0 ** rng.uniform(-300, 300, size)
+        v = rng.choice([-1.0, 1.0], size) * mags
+        v[::7] = rng.standard_normal(v[::7].size)
+        v[::11] = np.round(v[::11])
+        special = [5e-324, -1.7976931348623157e308, 1.0 / 3.0, -0.0]
+        v[:len(special)] = special[:size]
+        return v
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (7, 3), (3000, 25)])
+    def test_write_rows(self, tmp_path, monkeypatch, shape):
+        rng = np.random.default_rng(shape[0])
+        a = self.values(rng, shape[0] * shape[1]).reshape(shape)
+        a[-1, -1] = np.inf
+        monkeypatch.setattr(matrixcore, "_WRITE_CHUNK", 64)
+        matrixcore.write_rows(tmp_path / "new", a)
+        _old_write_rows(tmp_path / "old", a)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (30, 0), (2000, 5000)])
+    def test_write_sparse(self, tmp_path, monkeypatch, n, count):
+        rng = np.random.default_rng(count)
+        i, j = np.triu_indices(n)
+        pick = rng.choice(i.size, size=min(count, i.size), replace=False)
+        S = SparseSymmetric(n, i[pick], j[pick], self.values(rng, pick.size))
+        monkeypatch.setattr(matrixcore, "_WRITE_CHUNK", 100)
+        write_sparse(tmp_path / "new", S)
+        _old_write_sparse(tmp_path / "old", S)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+        back = read_sparse(tmp_path / "new")
+        assert np.array_equal(back.vals, S.vals) and np.array_equal(back.cols, S.cols)
