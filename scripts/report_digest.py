@@ -4,8 +4,9 @@
 A refactor must not change any number the package reports.  Run this script
 in two checkouts and diff the outputs: any line that differs names a report
 whose bytes changed.  The CLI commands cover the slope, band, sparse and
-verify experiments, extension of dense and sparse matrix files and of
-dataset kernels, and a partial eigendecomposition.  The Python-API reports
+verify experiments, extension of dense and sparse matrix files (one of
+them through a mask file) and of dataset kernels, and a partial
+eigendecomposition.  The Python-API reports
 (``api_*.csv``, written with ``write_rows``) cover what no CLI command
 reaches: ``block_extend`` below and above the dense size limit, the
 ensemble, shifted and generalized Nystrom methods, and the bound terms of
@@ -48,7 +49,7 @@ from perturbext.kernels import (  # noqa: E402
     sparsify,
     standardize,
 )
-from perturbext.matrixcore import write_dense, write_rows, write_sparse  # noqa: E402
+from perturbext.matrixcore import SparseSymmetric, write_dense, write_rows, write_sparse  # noqa: E402
 from perturbext.nystrom import ensemble_nystrom, generalized_nystrom, shifted_nystrom  # noqa: E402
 from perturbext.perturbation import MuPolicy  # noqa: E402
 
@@ -56,6 +57,7 @@ from perturbext.perturbation import MuPolicy  # noqa: E402
 def commands(d: Path):
     """The argv of each run, reading the inputs and writing the reports in d."""
     dense, sparse, data = str(d / "band.dense"), str(d / "band.sparse"), str(d / "clustered.csv")
+    mask = str(d / "band.mask")
     return [
         ["slopes", "--seed", "11", "--out", str(d / "slopes.csv")],
         ["band", "--n", "400", "--m", "4", "--trials", "2", "--seed", "11",
@@ -70,6 +72,8 @@ def commands(d: Path):
          "--out", str(d / "verify_mu_zero.csv")],
         ["extend", "--sparse-matrix", sparse, "--selector", "sparse:0.3", "--m", "4",
          "--out", str(d / "ext_sparse")],
+        ["extend", "--sparse-matrix", sparse, "--selector", f"mask:{mask}", "--m", "4",
+         "--out", str(d / "ext_sparse_mask")],
         ["extend", "--matrix", dense, "--selector", "band:20", "--m", "4", "--order", "2",
          "--mu", "mean", "--out", str(d / "ext_band")],
         ["eig", "--matrix", dense, "--m", "4", "--out", str(d / "eig")],
@@ -83,6 +87,10 @@ def commands(d: Path):
 def write_inputs(d: Path) -> None:
     K = gen_band_matrix(400, seed=3)
     write_sparse(d / "band.sparse", K)
+    # the diagonal and every other stored entry of K
+    keep = K.rows == K.cols
+    keep[::2] = True
+    write_sparse(d / "band.mask", SparseSymmetric(K.n, K.rows[keep], K.cols[keep], np.ones(keep.sum())))
     write_dense(d / "band.dense", K.to_dense())
     write_rows(d / "clustered.csv", gen_clustered_dataset(n=300, seed=3).samples)
 
@@ -126,7 +134,7 @@ def main() -> int:
                 print(f"'{argv[0]}' exited {code}: {' '.join(argv)}", file=sys.stderr)
                 failed = 1
         write_api_reports(d)
-        inputs = {"band.dense", "band.sparse", "clustered.csv"}
+        inputs = {"band.dense", "band.sparse", "band.mask", "clustered.csv"}
         for path in sorted(p for p in d.iterdir() if p.name not in inputs):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     return failed

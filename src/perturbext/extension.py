@@ -9,7 +9,7 @@ dense K, triplet-sparse (holding only the unselected entries) for a sparse K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +34,9 @@ class Selector:
     Kinds: 'topleft' (leading l x l block), 'band' (|i - j| <= p, diagonal
     always included), 'sparse' (largest-magnitude entries covering fraction q
     of the stored nonzeros), 'blocks' (block-diagonal partition), 'mask'
-    (explicit symmetric index set, stored as upper-triangle pairs).
+    (explicit symmetric index set, stored as upper-triangle pairs).  A mask
+    read from a file keeps the file's header n, which K's dimension must
+    then equal.
     """
 
     kind: str
@@ -44,6 +46,7 @@ class Selector:
     block_sizes: tuple = ()            # blocks
     mask_rows: tuple = ()              # mask, as tuples so that == and hash work
     mask_cols: tuple = ()
+    mask_n: int = 0                    # mask: the file's header n, 0 for any n
 
     @classmethod
     def top_left(cls, l: int) -> "Selector":
@@ -107,8 +110,8 @@ class Selector:
         if head == "blocks":
             return cls.block_diag(int(s) for s in arg.split(","))
         if head == "mask":
-            _, rows, cols = read_mask(arg)
-            return cls.custom_mask(rows, cols)
+            n, rows, cols = read_mask(arg)
+            return replace(cls.custom_mask(rows, cols), mask_n=int(n))
         raise ValueError(f"unknown selector kind {head!r}")
 
 
@@ -183,8 +186,9 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
 
     The selection is a mask over K's stored triplets, handed to
     ``K.restrict``: a dense K gives a new sparse matrix of the selected
-    nonzeros, a sparse K a restriction that shares K's CSR (see
-    ``SparseSymmetric``), so that E = K - K^s needs no merge either.
+    nonzeros, a sparse K a restriction of K (see ``SparseSymmetric``), so
+    that E = K - K^s needs no merge either.  K^s and E each build their own
+    CSR the first time something iterates on them.
     """
     n = K.n
     rows, cols, _ = K.triplets()
@@ -210,6 +214,8 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     elif sel.kind == "mask":
         mask_rows = np.array(sel.mask_rows, dtype=np.int64)
         mask_cols = np.array(sel.mask_cols, dtype=np.int64)
+        if sel.mask_n and sel.mask_n != n:
+            raise ValueError(f"mask is for dimension {sel.mask_n}, matrix has dimension {n}")
         if int(mask_cols.max()) >= n:
             raise ValueError("mask index out of range")
         keep = np.isin(rows * n + cols, mask_rows * n + mask_cols)

@@ -123,10 +123,6 @@ class SymmetricDense:
             self._magnitude = _magnitude_profile(*self.triplets())
         return self._magnitude
 
-    def magnitude_order(self) -> np.ndarray:
-        """Stable order of ``triplets()`` by descending |value|."""
-        return self.magnitude_profile()[0]
-
     def support_rows(self) -> np.ndarray:
         """Rows that may hold a nonzero: all n, since a dense matrix is not
         searched for empty rows."""
@@ -196,19 +192,18 @@ class SparseSymmetric:
 
     The mirrored CSR form of the full matrix is built the first time
     something iterates on the matrix or slices it (``matvec``,
-    ``operator``, ``support_rows``, ``columns``, ``to_dense``) and is kept,
-    together with the map from each CSR slot to its stored triplet.  Sums,
-    norms, counts, merges and principal blocks read the triplets, so a
+    ``operator``, ``support_rows``, ``columns``, ``to_dense``) and is kept.
+    Sums, norms, counts, merges and principal blocks read the triplets, so a
     matrix that is only subtracted, summed or counted never builds it.
 
     ``restrict(keep)`` gives the stored entries where ``keep`` is set as a
-    matrix that remembers its parent: its CSR is the parent's with the other
-    slots masked out when the parent has built one, and ``add_scaled`` of the
-    parent minus it is the parent restricted to ``~keep``.  A selection K^s of
-    a sparse K and its E = K - K^s so share K's CSR.
+    matrix that remembers its parent, so that ``add_scaled`` of the parent
+    minus it is the parent restricted to ``~keep``, with no merge.  A
+    selection K^s of a sparse K and its E = K - K^s are so both restrictions
+    of K; each builds its own CSR on first use, as any matrix does.
     """
 
-    __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_slots", "_magnitude", "_parent", "_keep")
+    __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_magnitude", "_parent", "_keep")
 
     def __init__(self, n: int, rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
@@ -230,19 +225,14 @@ class SparseSymmetric:
         for writing; a restriction also keeps its parent and mask."""
         self._n = int(n)
         self.rows, self.cols, self.vals = _frozen(rows, cols, vals)
-        self._csr = self._slots = self._magnitude = None
+        self._csr = self._magnitude = None
         self._parent, self._keep = parent, keep
 
     def _csr_form(self) -> sp.csr_array:
-        """The CSR form of the full matrix, built on first use and kept: masked
-        out of the parent's when this is a restriction of a parent that has
-        one, else built from the triplets."""
+        """The CSR form of the full matrix, built from the triplets on first
+        use and kept."""
         if self._csr is None:
-            parent = self._parent
-            if parent is not None and parent._csr is not None:
-                self._csr, self._slots = _masked_csr(parent._csr, parent._slots, self._keep)
-            else:
-                self._csr, self._slots = _mirrored_csr(self._n, self.rows, self.cols, self.vals)
+            self._csr = _mirrored_csr(self._n, self.rows, self.cols, self.vals)
         return self._csr
 
     @property
@@ -278,14 +268,10 @@ class SparseSymmetric:
             self._magnitude = _magnitude_profile(self.rows, self.cols, self.vals)
         return self._magnitude
 
-    def magnitude_order(self) -> np.ndarray:
-        """Stable order of the stored triplets by descending |value|."""
-        return self.magnitude_profile()[0]
-
     def restrict(self, keep) -> "SparseSymmetric":
         """The stored entries where the boolean ``keep`` (one per triplet) is
-        set, as a new matrix that remembers (self, keep): no sort, no check,
-        and a CSR masked out of this one's once this one has built it."""
+        set, as a new matrix that remembers (self, keep): no sort and no
+        check."""
         keep = np.array(keep, dtype=bool)
         keep.setflags(write=False)
         # gathering by index is several times faster than by a scattered mask
@@ -392,36 +378,19 @@ def _magnitude_profile(rows, cols, vals):
     return _frozen(order, np.cumsum(np.where(rows == cols, 1, 2)[order]))
 
 
-def _mirrored_csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-    """(csr, slots): the n x n CSR array of the full matrix whose
-    upper-triangle triplets are given in row-major order, each off-diagonal
-    entry mirrored below the diagonal, and the index of the triplet behind
-    each of its slots."""
+def _mirrored_csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_array:
+    """The n x n CSR array of the full matrix whose upper-triangle triplets
+    are given in row-major order, each off-diagonal entry mirrored below the
+    diagonal."""
     mirror = rows != cols
     # the mirrored entries go first: the conversion keeps the input order
     # within a row, so each row lists its columns in ascending order (those
     # below the diagonal, then those on and above it) and scipy, finding the
-    # result canonical, sorts nothing
+    # result canonical, sorts nothing; no position repeats, so none is summed
     full_r = np.concatenate([cols[mirror], rows])
     full_c = np.concatenate([rows[mirror], cols])
-    ids = np.concatenate([np.flatnonzero(mirror), np.arange(rows.size)])
-    # the triplet ids go through the conversion in place of the values; no
-    # position repeats, so none is summed
-    pattern = sp.csr_array((ids, (full_r, full_c)), shape=(n, n))
-    slots = pattern.data
-    return sp.csr_array((vals[slots], pattern.indices, pattern.indptr), shape=(n, n)), slots
-
-
-def _masked_csr(csr: sp.csr_array, slots: np.ndarray, keep: np.ndarray):
-    """(csr, slots) of the triplets where ``keep`` is set, from the CSR form
-    and slot map of all of them: the other slots are masked out, so each row
-    keeps its sorted column order, the order a fresh build would give."""
-    taken = np.flatnonzero(keep[slots])
-    # row i starts after the kept slots that lie before the parent's start
-    indptr = np.searchsorted(taken, csr.indptr).astype(csr.indptr.dtype)
-    rank = np.cumsum(keep) - 1
-    masked = sp.csr_array((csr.data[taken], csr.indices[taken], indptr), shape=csr.shape)
-    return masked, rank[slots[taken]]
+    full_v = np.concatenate([vals[mirror], vals])
+    return sp.csr_array((full_v, (full_r, full_c)), shape=(n, n))
 
 
 def _require_matrix(A) -> None:

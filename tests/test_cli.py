@@ -33,9 +33,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("mask", ["5 2\n0 1 1.0\n3\n", "5 9\n0 1 1.0\n2 2 1.0\n",
                                       "5 1\n0.5 1 1.0\n", "20 1\n12 3 1.0\n", "10 1\n3 12 1.0\n",
-                                      "20 2\n0 1 1.0\n0 1 1.0\n"],
+                                      "20 2\n0 1 1.0\n0 1 1.0\n", "5 1\n0 0 1.0\n"],
                              ids=["one_field_line", "short_of_header_count", "non_integer_index",
-                                  "row_above_col", "index_beyond_header", "duplicate_pair"])
+                                  "row_above_col", "index_beyond_header", "duplicate_pair",
+                                  "header_n_differs"])
     def test_malformed_mask_file_is_usage_error(self, tmp_path, capsys, mask):
         # every index fits the 20 x 20 matrix: the mask file itself is at fault
         matrix, mask_path = tmp_path / "K20.txt", tmp_path / "mask.txt"

@@ -428,7 +428,7 @@ class TestProtocol:
             np.testing.assert_array_max_ulp(A.frobenius_norm(), np.linalg.norm(M.a), maxulp=1)
             for got, want in zip(A.triplets(), forms[0].triplets()):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert np.array_equal(A.magnitude_order(), forms[0].magnitude_order())
+            assert np.array_equal(A.magnitude_profile()[0], forms[0].magnitude_profile()[0])
             assert np.array_equal(A.columns(cols), M.a[:, cols])
             expected_block = M.a[np.ix_(cols, cols)] - 0.75 * np.eye(cols.size)
             assert np.array_equal(A.principal_block(cols, 0.75).to_dense().a, expected_block)
@@ -671,8 +671,8 @@ class TestCachedForms:
         monkeypatch.setattr(np, "triu", lambda *a, **k: calls.append(a))
         assert A.triplets() is first and calls == []
         assert all(not arr.flags.writeable for arr in first)
-        order = A.magnitude_order()
-        assert A.magnitude_order() is order and not order.flags.writeable
+        order = A.magnitude_profile()[0]
+        assert A.magnitude_profile()[0] is order and not order.flags.writeable
         for fresh in (SymmetricDense(A.a), SymmetricDense._adopt(np.array(A.a))):
             assert fresh._triplets is None and fresh._magnitude is None
 

@@ -1,0 +1,31 @@
+"""The refactor check ``scripts/report_digest.py`` stays runnable: it exits 0
+and prints one digest line for each report it is meant to cover."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
+
+EXPECTED = sorted(
+    [f"api_{name}.csv" for name in ("block_extend_n200", "block_extend_n600", "bounds",
+                                    "ensemble_nystrom", "generalized_nystrom_l300",
+                                    "shifted_nystrom")]
+    + ["slopes.csv", "band.csv", "band_order2.csv", "sparse.csv", "verify.csv",
+       "verify_mu_zero.csv", "eig.values", "eig.vectors"]
+    + [f"{run}.{part}" for run in ("ext_sparse", "ext_sparse_mask", "ext_band", "ext_data_sparse",
+                                   "ext_data_blocks")
+       for part in ("bounds", "values", "vectors")])
+
+
+def test_report_digest_lists_every_report():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, str(SCRIPT)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    names = [m.group(1) for m in map(re.compile(r"[0-9a-f]{64}  (\S+)").fullmatch, lines) if m]
+    assert len(names) == len(lines)
+    assert names == EXPECTED
