@@ -6,13 +6,14 @@ in two checkouts and diff the outputs: any line that differs names a report
 whose bytes changed.  The CLI commands cover the slope, band, sparse and
 verify experiments, extension of dense and sparse matrix files (one of
 them through a mask file) and of dataset kernels, and a partial
-eigendecomposition.  The Python-API reports
-(``api_*.csv``, written with ``write_rows``) cover what no CLI command
-reaches: ``block_extend`` below and above the dense size limit, the
-ensemble, shifted and generalized Nystrom methods, and the bound terms of
-``pert_extend`` (read after the extension has returned), all on one
-Gaussian kernel of 600 clustered points.  Every input is generated from a fixed seed
-into a temporary directory, which is removed afterwards.
+eigendecomposition.  The Python-API reports (``api_*.csv``, written
+with ``write_rows``) cover what no CLI command reaches: ``block_extend``
+below and above the dense size limit (above it on a dense and on a
+sparsified kernel), the ensemble, shifted and generalized Nystrom
+methods, and the bound terms of ``pert_extend`` (read after the
+extension has returned), all on one Gaussian kernel of 600 clustered
+points.  Every input is generated from a fixed seed into a temporary
+directory, which is removed afterwards.
 
 Report bytes still depend on the BLAS thread count, so the script runs
 OpenBLAS and OpenMP at one thread unless OPENBLAS_NUM_THREADS or
@@ -108,6 +109,11 @@ def write_api_reports(d: Path) -> None:
         "api_block_extend_n200.csv":
             block_extend(K.principal_block(np.arange(200)), (50, 150), ExtensionConfig(m=m)).a,
         "api_block_extend_n600.csv": block_extend(K, (300, 300), ExtensionConfig(m=m)).a,
+        # sparse K, uneven blocks, order 2: the member path that takes E V
+        # from K V on a sparse K
+        "api_block_extend_n600_sparse_order2.csv":
+            block_extend(sparsify(K, 0.3), (200, 400),
+                         ExtensionConfig(m=m, order=2, mu=MuPolicy.mean())).a,
         "api_ensemble_nystrom.csv": ensemble_nystrom(K, m, subsets).a,
         "api_shifted_nystrom.csv": np.vstack(shifted_nystrom(K, m)),
         "api_generalized_nystrom_l300.csv": np.vstack(generalized_nystrom(K, m, 300)),

@@ -5,6 +5,8 @@ A selector describes which entries of the kernel K form the submatrix K^s
 then extended toward those of K by treating E = K - K^s as a perturbation.
 E is subtracted once and stored as a matrix of K's own type: dense for a
 dense K, triplet-sparse (holding only the unselected entries) for a sparse K.
+A block-extension member above DENSE_FALLBACK_N forms no E: its update
+needs only E V, which is K V with the member's rows set to zero.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .matrixcore import (
     EigenPairs,
     SparseSymmetric,
     SymmetricDense,
+    _average_transpose,
     _support_pairs,
     read_mask,
     spectral_norm,
@@ -242,22 +245,34 @@ def _bound_tail(Ks: SparseSymmetric, known_values: np.ndarray, mu: float, order:
 
 
 def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig, *,
-                          pairs: EigenPairs | None = None) -> ExtensionResult:
+                          rows: np.ndarray | None = None) -> ExtensionResult:
     """Extend the leading eigenpairs of an already-selected K^s to those of K.
 
-    ``pairs`` are K^s's cfg.m leading pairs when the caller has already
-    solved them (``block_extend`` solves each member on K's own diagonal
-    block); by default they come from ``sym_eig_partial(Ks, cfg.m)``.
+    By default K^s's cfg.m leading pairs come from ``sym_eig_partial(Ks,
+    cfg.m)``, and E = K - K^s is formed once for the update and dropped.
 
-    E = K - K^s is formed once for the update and dropped; the result's
-    ``bound_terms`` form it again on first read, so a caller that reads
-    only the pairs pays for no norm solve of E.
+    ``rows`` says that K^s is K's whole principal block on those rows, as
+    each ``block_extend`` member is; the caller vouches for that, nothing
+    checks it.  Above DENSE_FALLBACK_N the pairs then come from that
+    r-row block, ``K.principal_block(rows)``, padded with zeros
+    (``_support_pairs``), and no E is formed: V vanishes off ``rows`` and E
+    on rows x rows, so E V is ``K.matvec(V)`` with ``rows`` set to zero, the
+    product of the formed E bit for bit.  Up to DENSE_FALLBACK_N ``rows``
+    changes nothing.
+
+    The result's ``bound_terms`` form E on first read, so a caller that
+    reads only the pairs pays for no norm solve of E.
     """
-    if pairs is None:
+    n = K.n
+    if rows is None or n <= DENSE_FALLBACK_N:
         pairs = sym_eig_partial(Ks, cfg.m)
-    elif pairs.m != cfg.m:
-        raise ValueError(f"given {pairs.m} pairs for m={cfg.m}")
-    problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=K.add_scaled(Ks, -1.0))
+        problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=K.add_scaled(Ks, -1.0))
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        pairs = _support_pairs(K.principal_block(rows), rows, n, cfg.m)
+        EV = K.matvec(pairs.vectors)
+        EV[rows] = 0.0
+        problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=None, _EV=EV)
     mu = cfg.mu.resolve(problem)
     update = pert.truncated_first_order if cfg.order == 1 else pert.truncated_second_order
     return ExtensionResult(values=pert.classical_eigval_update(problem), vectors=update(problem, mu),
@@ -275,8 +290,14 @@ def pert_extend(K, sel: Selector, cfg: ExtensionConfig) -> ExtensionResult:
 
 def kernel_approx(values: np.ndarray, vectors: np.ndarray) -> SymmetricDense:
     """Rank-m kernel approximation sum_i lambda_i w_i w_i^T from the factor
-    pair (values, vectors), of extended or Nystrom pairs alike."""
-    return SymmetricDense((vectors * values[None, :]) @ vectors.T, symmetrize=True)
+    pair (values, vectors), of extended or Nystrom pairs alike.
+
+    The n x n product is the only n x n array: it is averaged with its
+    transpose in place, tile by tile (``_average_transpose``), equal bit for
+    bit to ``SymmetricDense(product, symmetrize=True)``.
+    """
+    p = (vectors * values[None, :]) @ vectors.T
+    return SymmetricDense._adopt(_average_transpose(p, p))
 
 
 def _weighted_combination(members, q: int, weights=None) -> SymmetricDense:
@@ -304,11 +325,15 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     sum of the per-block approximations.  Uniform weights by default.
 
     Member j's K^s holds K's diagonal block j, ``K.principal_block`` of its
-    rows (dense for a dense K).  Above DENSE_FALLBACK_N its m leading pairs
-    are those of that r-row block padded with zeros (``_support_pairs``:
-    dense LAPACK up to 256 block rows, Lanczos above), so no solve iterates
-    on the n-row K^s; up to it ``sym_eig_partial`` solves the n-row K^s
-    densely, as for any other selection.
+    rows (dense for a dense K), and goes to ``extend_with_submatrix`` with
+    those rows.  Above DENSE_FALLBACK_N its m leading pairs are those of
+    that r-row block padded with zeros (``_support_pairs``: dense LAPACK up
+    to 256 block rows, Lanczos above), so no solve iterates on the n-row
+    K^s, and its update takes E V from one product with K, so no member
+    forms the n x n E or any other n x n array.  Up to DENSE_FALLBACK_N
+    ``sym_eig_partial`` solves the n-row K^s densely and E is formed, as for
+    any other selection.  The combination forms the one n x n array of the
+    call.
     """
     n = K.n
     block_sizes = tuple(int(s) for s in block_sizes)
@@ -318,11 +343,8 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
         # K^s of member j is K's diagonal block j, its triplets moved to the block's rows
         lo = bounds[j]
         rows = np.arange(lo, bounds[j + 1])
-        block = K.principal_block(rows)
-        r, c, v = block.triplets()
-        Ks_j = SparseSymmetric(n, r + lo, c + lo, v)
-        pairs = None if n <= DENSE_FALLBACK_N else _support_pairs(block, rows, n, cfg.m)
-        res = extend_with_submatrix(K, Ks_j, cfg, pairs=pairs)
+        r, c, v = K.principal_block(rows).triplets()
+        res = extend_with_submatrix(K, SparseSymmetric(n, r + lo, c + lo, v), cfg, rows=rows)
         return res.values, res.vectors
 
     q = len(block_sizes)

@@ -25,6 +25,9 @@ GAP_TOL = 1e-12
 # rows per block of the all-zero scan of a dense matrix
 _ZERO_SCAN_ROWS = 64
 
+# rows and columns per tile of the symmetric average
+_AVERAGE_TILE = 128
+
 
 class ConvergenceError(RuntimeError):
     """An iterative solver did not reach its tolerance within its budget."""
@@ -55,10 +58,12 @@ class SymmetricDense:
 
     Symmetry must hold exactly; pass ``symmetrize=True`` to average an
     almost-symmetric input ((a + a.T) / 2 is exact in IEEE arithmetic).
-    The average is a new array, so that path copies nothing else; an input
-    that is already symmetric is copied once, so the caller's array is
-    never frozen.  Finiteness is checked on the stored array, so an average
-    whose a + a.T overflows is rejected too.
+    The average is written tile by tile into one new array
+    (``_average_transpose``), so that path allocates no other n x n array
+    and never writes to the input; an input that is already symmetric is
+    copied once, so the caller's array is never frozen.  Finiteness is
+    checked on the stored array, so an average whose a + a.T overflows is
+    rejected too.
     """
 
     __slots__ = ("a", "_triplets", "_magnitude")
@@ -68,7 +73,7 @@ class SymmetricDense:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if symmetrize:
-            a = (a + a.T) / 2.0
+            a = _average_transpose(a, np.empty(a.shape))
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
         if not symmetrize:
@@ -368,6 +373,25 @@ def _frozen(*arrays):
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
+
+
+def _average_transpose(src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write (src + src.T) / 2 of a square src into ``out`` and return it.
+
+    The work goes tile by tile: each unordered pair of tiles of src is read
+    once and (u + v.T) * 0.5 written to both places, so the temporaries
+    stay one tile in size and ``out`` may be src itself, averaged in place.
+    x * 0.5 and x / 2 round the same value and the sum commutes, so the
+    result equals (src + src.T) / 2 bit for bit.
+    """
+    n, t = src.shape[0], _AVERAGE_TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            s = src[i:i + t, j:j + t] + src[j:j + t, i:i + t].T
+            s *= 0.5
+            out[i:i + t, j:j + t] = s
+            out[j:j + t, i:i + t] = s.T
+    return out
 
 
 def _magnitude_profile(rows, cols, vals):

@@ -15,7 +15,7 @@ without normalization (subspace angles are scale-invariant anyway).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -87,20 +87,31 @@ class PerturbationProblem:
     """A' (base), its m known leading eigenpairs, and the perturbation E.
 
     ``base`` and ``perturbation`` are SymmetricDense or SparseSymmetric;
-    any other type raises TypeError.  Frozen, so the gap check of
-    construction holds for the object's whole life and the cached products
-    below always belong to its fields.
+    any other type raises TypeError.  A caller that has E V without E
+    passes ``perturbation=None`` and the n x m product as ``_EV``
+    (``extension.extend_with_submatrix`` does so for a block-extension
+    member, whose E V is K V with the member's rows set to zero); the
+    problem then never holds E.  Frozen, so the gap check of construction
+    holds for the object's whole life and the cached products below always
+    belong to its fields.
     """
 
     base: object
     known: EigenPairs
     perturbation: object
+    _EV: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _require_matrix(self.base)
-        _require_matrix(self.perturbation)
         n = self.base.n
-        if self.perturbation.n != n or self.known.n != n:
+        if self._EV is None:
+            _require_matrix(self.perturbation)
+            fits = self.perturbation.n == n
+        elif self.perturbation is None:
+            fits = self._EV.shape == self.known.vectors.shape
+        else:
+            raise ValueError("give the perturbation or its product E V, not both")
+        if not fits or self.known.n != n:
             raise ValueError("base, perturbation and eigenpairs must share dimension")
         gaps = -np.diff(self.known.values)
         if self.known.m > 1 and gaps.min() < GAP_TOL:
@@ -118,7 +129,9 @@ class PerturbationProblem:
     def EV(self) -> np.ndarray:
         """E V, the perturbation applied to the known vectors: formed on first
         use and shared by the vector and value updates, so one extension
-        applies E once."""
+        applies E once; the given ``_EV`` when there is one."""
+        if self._EV is not None:
+            return self._EV
         return self.perturbation.matvec(self.known.vectors)
 
     @cached_property

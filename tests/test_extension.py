@@ -35,7 +35,15 @@ from perturbext.matrixcore import (
     write_sparse,
 )
 from perturbext.nystrom import nystrom_extend
-from perturbext.perturbation import MuPolicy, bound_terms, mu_mean
+from perturbext.perturbation import (
+    MuPolicy,
+    PerturbationProblem,
+    bound_terms,
+    classical_eigval_update,
+    mu_mean,
+    truncated_first_order,
+    truncated_second_order,
+)
 
 
 def to_full(S):
@@ -459,9 +467,9 @@ class TestBlockSelection:
 
         members = []
 
-        def recording(K_, Ks, cfg_, *, pairs=None):
+        def recording(K_, Ks, cfg_, *, rows=None):
             members.append(Ks)
-            return extend_with_submatrix(K_, Ks, cfg_, pairs=pairs)
+            return extend_with_submatrix(K_, Ks, cfg_, rows=rows)
 
         monkeypatch.setattr(extension, "extend_with_submatrix", recording)
         combined = block_extend(K, sizes, cfg)
@@ -529,8 +537,8 @@ class TestBlockMemberPairs:
     def recorded_block_extend(monkeypatch, K, sizes, cfg):
         members = []
 
-        def recording(K_, Ks, cfg_, *, pairs=None):
-            res = extend_with_submatrix(K_, Ks, cfg_, pairs=pairs)
+        def recording(K_, Ks, cfg_, *, rows=None):
+            res = extend_with_submatrix(K_, Ks, cfg_, rows=rows)
             members.append((Ks, res))
             return res
 
@@ -581,21 +589,83 @@ class TestBlockMemberPairs:
         assert np.all(res.source_pairs.vectors[sizes[0]:] == 0.0)
 
     @pytest.mark.parametrize("n", [200, 600])
-    def test_given_pairs_equal_default_solve(self, n):
+    def test_given_rows_equal_default_solve(self, n):
+        # up to DENSE_FALLBACK_N the rows change nothing; above it the pairs
+        # come from the block, which moves only last bits
         K = _clustered_kernel(n)
-        Ks = select_submatrix(K, Selector.block_diag((n // 2, n - n // 2)))
+        Ks = select_submatrix(K, Selector.top_left(n // 2))
+        rows = np.arange(n // 2)
+        scale = spectral_norm(K)
         for cfg in (ExtensionConfig(m=4), ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())):
             default = extend_with_submatrix(K, Ks, cfg)
-            given = extend_with_submatrix(K, Ks, cfg, pairs=matrixcore.sym_eig_partial(Ks, cfg.m))
-            for name in ("values", "vectors", "bound_terms"):
-                assert np.array_equal(getattr(given, name), getattr(default, name))
-            assert np.array_equal(given.source_pairs.vectors, default.source_pairs.vectors)
+            given = extend_with_submatrix(K, Ks, cfg, rows=rows)
+            if n <= matrixcore.DENSE_FALLBACK_N:
+                for name in ("values", "vectors", "bound_terms"):
+                    assert np.array_equal(getattr(given, name), getattr(default, name))
+                assert np.array_equal(given.source_pairs.vectors, default.source_pairs.vectors)
+            else:
+                assert np.max(np.abs(given.values - default.values)) <= 1e-12 * scale
+                assert principal_angle(given.vectors, default.vectors) <= 1e-10
+                assert np.allclose(given.bound_terms[:-1], default.bound_terms[:-1], rtol=1e-8, atol=0.0)
 
-    def test_given_pairs_must_match_m(self):
-        K = gen_wishart_psd(20, seed=5)
-        Ks = select_submatrix(K, Selector.top_left(10))
-        with pytest.raises(ValueError, match="pairs"):
-            extend_with_submatrix(K, Ks, ExtensionConfig(m=3), pairs=matrixcore.sym_eig_partial(Ks, 2))
+    def test_given_rows_too_few_for_m(self):
+        # a 3-row block holds 3 pairs; the 4th would be a padded zero
+        K = _clustered_kernel(300)
+        Ks = select_submatrix(K, Selector.top_left(3))
+        with pytest.raises(EigengapError, match="zero eigenvalues"):
+            extend_with_submatrix(K, Ks, ExtensionConfig(m=4), rows=np.arange(3))
+
+
+def _member_with_formed_E(K, rows, cfg):
+    """(values, vectors) of one block_extend member above DENSE_FALLBACK_N,
+    from the member's own pairs and an E = K - K^s formed explicitly."""
+    n, lo = K.n, rows[0]
+    block = K.principal_block(rows)
+    r, c, v = block.triplets()
+    Ks = SparseSymmetric(n, r + lo, c + lo, v)
+    pairs = matrixcore._support_pairs(block, rows, n, cfg.m)
+    problem = PerturbationProblem(base=Ks, known=pairs, perturbation=K.add_scaled(Ks, -1.0))
+    mu = cfg.mu.resolve(problem)
+    update = truncated_first_order if cfg.order == 1 else truncated_second_order
+    return classical_eigval_update(problem), update(problem, mu)
+
+
+class TestBlockMemberProduct:
+    """Above DENSE_FALLBACK_N a block_extend member takes E V as K V with its
+    rows set to zero, and forms no E; its output equals that of the formed E
+    bit for bit."""
+
+    @staticmethod
+    def kernel(sparse):
+        a = np.array(_clustered_kernel(600).a)
+        # an all-zero row in each block
+        for i in (7, 333):
+            a[i, :] = a[:, i] = 0.0
+        K = SymmetricDense(a)
+        return sparsify(K, 0.3) if sparse else K
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("cfg", [ExtensionConfig(m=4),
+                                     ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())],
+                             ids=["order1-zero", "order2-mean"])
+    def test_equal_to_formed_E(self, monkeypatch, sparse, cfg):
+        K = self.kernel(sparse)
+        sizes = (200, 400)
+        bounds = np.cumsum((0,) + sizes)
+        expected = [_member_with_formed_E(K, np.arange(bounds[j], bounds[j + 1]), cfg)
+                    for j in range(len(sizes))]
+        calls = []
+        for cls in (SymmetricDense, SparseSymmetric):
+            def counting(self, B, c, _orig=cls.add_scaled):
+                calls.append(B)
+                return _orig(self, B, c)
+            monkeypatch.setattr(cls, "add_scaled", counting)
+        combined, members = TestBlockMemberPairs.recorded_block_extend(monkeypatch, K, sizes, cfg)
+        assert calls == []
+        for (_, res), (values, vectors) in zip(members, expected):
+            assert np.array_equal(res.values, values)
+            assert np.array_equal(res.vectors, vectors)
+        assert np.array_equal(combined.a, _weighted_combination(iter(expected), len(sizes)).a)
 
 
 class TestCsrBuilds:
@@ -636,8 +706,11 @@ class TestCsrBuilds:
         builds = self.count_builds(monkeypatch)
         _, members = TestBlockMemberPairs.recorded_block_extend(
             monkeypatch, K, (300, 300), ExtensionConfig(m=4))
-        # a sparse K's blocks are sliced from its CSR; a dense K builds none
-        assert bool(builds) == sparse
+        # a sparse K builds its own CSR once, for the members' K V, and each
+        # 300-row block one for its Lanczos run; no E is formed to build one.
+        # A dense K builds none
+        assert len(builds) == (3 if sparse else 0)
+        assert sum(rows is K.rows for rows in builds) == int(sparse)
         for Ks, _ in members:
             assert not any(rows is Ks.rows for rows in builds)
 

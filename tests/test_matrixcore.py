@@ -51,6 +51,20 @@ class TestTypes:
         K = SymmetricDense(a, symmetrize=True)
         assert np.array_equal(K.a, K.a.T)
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1500])
+    def test_tile_average_equals_whole_array_average(self, n):
+        # tile edges fall inside, on and just past the matrix edge
+        p = np.random.default_rng(n).standard_normal((n, n))
+        p[0, 0] = -abs(p[0, 0])  # negative entries even at n = 1
+        expected = (p + p.T) / 2
+        given = p.copy()
+        K = SymmetricDense(given, symmetrize=True)
+        assert np.array_equal(K.a, expected) and K.a.tobytes() == expected.tobytes()
+        # the constructor writes to a new array, never to its input
+        assert np.array_equal(given, p)
+        in_place = matrixcore._average_transpose(given, given)
+        assert in_place is given and in_place.tobytes() == expected.tobytes()
+
     def test_dense_immutable(self):
         K = SymmetricDense(np.eye(3))
         with pytest.raises(ValueError):

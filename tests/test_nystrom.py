@@ -13,7 +13,7 @@ from perturbext.kernels import (
     rng_for,
     standardize,
 )
-from perturbext import matrixcore
+from perturbext import extension, matrixcore
 from perturbext.matrixcore import (
     DENSE_FALLBACK_N,
     EigengapError,
@@ -354,11 +354,22 @@ class TestCombinationMemory:
 
     def test_ensemble_peak(self, K):
         subsets = [np.sort(rng_for(30, j).choice(self.n, size=50, replace=False)) for j in range(8)]
-        assert self.peak_in_n2_doubles(lambda: ensemble_nystrom(K, 5, subsets)) < 4.5
+        assert self.peak_in_n2_doubles(lambda: ensemble_nystrom(K, 5, subsets)) < 1.6
 
     def test_block_extend_peak(self, K):
         blocks = (self.n // 8,) * 8
-        assert self.peak_in_n2_doubles(lambda: block_extend(K, blocks, ExtensionConfig(m=5))) < 3.0
+        assert self.peak_in_n2_doubles(lambda: block_extend(K, blocks, ExtensionConfig(m=5))) < 1.6
+
+    def test_block_extend_members_form_no_n2_array(self, monkeypatch, K):
+        # the members alone, without the combination that forms the result
+        peaks = []
+
+        def members_only(members, q, weights=None):
+            peaks.append(self.peak_in_n2_doubles(lambda: list(members)))
+
+        monkeypatch.setattr(extension, "_weighted_combination", members_only)
+        block_extend(K, (self.n // 8,) * 8, ExtensionConfig(m=5))
+        assert peaks[0] < 0.25
 
 
 class TestEquivalenceChecks:

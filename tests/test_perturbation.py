@@ -136,6 +136,30 @@ class TestResidual:
             assert np.max(np.abs(known.vectors.T @ R[:, i])) <= 1e-10 * np.linalg.norm(E, 2)
 
 
+class TestGivenProduct:
+    """A problem given E V instead of E updates exactly as one given E."""
+
+    def test_same_updates(self):
+        A = gen_unit_random_symmetric(30, seed=12)
+        E = SymmetricDense(1e-3 * gen_unit_random_symmetric(30, seed=13).a)
+        known = leading(A, 5)
+        formed = PerturbationProblem(base=A, known=known, perturbation=E)
+        given = PerturbationProblem(base=A, known=known, perturbation=None, _EV=E.matvec(known.vectors))
+        assert np.array_equal(classical_eigval_update(given), classical_eigval_update(formed))
+        for update in (truncated_first_order, truncated_second_order):
+            assert np.array_equal(update(given, 0.1), update(formed, 0.1))
+
+    def test_one_of_E_or_product(self):
+        A = gen_unit_random_symmetric(12, seed=14)
+        known = leading(A, 3)
+        with pytest.raises(ValueError, match="not both"):
+            PerturbationProblem(base=A, known=known, perturbation=A, _EV=np.zeros((12, 3)))
+        with pytest.raises(ValueError, match="share dimension"):
+            PerturbationProblem(base=A, known=known, perturbation=None, _EV=np.zeros((12, 4)))
+        with pytest.raises(TypeError, match="SymmetricDense or SparseSymmetric"):
+            PerturbationProblem(base=A, known=known, perturbation=None)
+
+
 class TestTruncatedFormulas:
     def test_full_basis_reduces_to_classical(self):
         A = gen_unit_random_symmetric(10, seed=13)
