@@ -11,9 +11,10 @@ with ``write_rows``) cover what no CLI command reaches: ``block_extend``
 below and above the dense size limit (above it on a dense and on a
 sparsified kernel), the ensemble, shifted and generalized Nystrom
 methods, and the bound terms of ``pert_extend`` (read after the
-extension has returned), all on one Gaussian kernel of 600 clustered
-points.  Every input is generated from a fixed seed into a temporary
-directory, which is removed afterwards.
+extension has returned; on the kernel and on its leading 200-row block,
+where they come from dense solves), all on one Gaussian kernel of 600
+clustered points.  Every input is generated from a fixed seed into a
+temporary directory, which is removed afterwards.
 
 Report bytes still depend on the BLAS thread count, so the script runs
 OpenBLAS and OpenMP at one thread unless OPENBLAS_NUM_THREADS or
@@ -103,11 +104,20 @@ def write_api_reports(d: Path) -> None:
     row per extension."""
     m = 4
     K = build_kernel(standardize(gen_clustered_dataset(n=600, seed=3)), KernelSpec.gaussian(0.1))
+    K200 = K.principal_block(np.arange(200))
     rng = np.random.default_rng(3)
     subsets = [np.sort(rng.choice(K.n, size=100, replace=False)) for _ in range(3)]
+
+    def bounds(A):
+        # dense and sparsified A, each at order 1 with mu zero and at order 2
+        # with mu mean
+        return np.vstack([
+            pert_extend(B, Selector.sparse_top_q(0.5), cfg).bound_terms
+            for B in (A, sparsify(A, 0.3))
+            for cfg in (ExtensionConfig(m=m), ExtensionConfig(m=m, order=2, mu=MuPolicy.mean()))])
+
     reports = {
-        "api_block_extend_n200.csv":
-            block_extend(K.principal_block(np.arange(200)), (50, 150), ExtensionConfig(m=m)).a,
+        "api_block_extend_n200.csv": block_extend(K200, (50, 150), ExtensionConfig(m=m)).a,
         "api_block_extend_n600.csv": block_extend(K, (300, 300), ExtensionConfig(m=m)).a,
         # sparse K, uneven blocks, order 2: the member path that takes E V
         # from K V on a sparse K
@@ -117,12 +127,9 @@ def write_api_reports(d: Path) -> None:
         "api_ensemble_nystrom.csv": ensemble_nystrom(K, m, subsets).a,
         "api_shifted_nystrom.csv": np.vstack(shifted_nystrom(K, m)),
         "api_generalized_nystrom_l300.csv": np.vstack(generalized_nystrom(K, m, 300)),
-        # dense and sparsified K, each at order 1 with mu zero and at order 2
-        # with mu mean
-        "api_bounds.csv": np.vstack([
-            pert_extend(A, Selector.sparse_top_q(0.5), cfg).bound_terms
-            for A in (K, sparsify(K, 0.3))
-            for cfg in (ExtensionConfig(m=m), ExtensionConfig(m=m, order=2, mu=MuPolicy.mean()))]),
+        "api_bounds.csv": bounds(K),
+        # at n <= 256 the tail spectrum and ||E|| come from dense solves
+        "api_bounds_n200.csv": bounds(K200),
     }
     for name, rows in reports.items():
         write_rows(d / name, rows)

@@ -125,16 +125,16 @@ def _slope_grid(experiment_id: str, grid, default) -> np.ndarray:
 def _slope_sweep(experiment_id: str, grid: np.ndarray, problem_at, seed: int):
     """Leading-eigenvector error of both truncated orders (mu = 0) at each
     point c of a ``_slope_grid``, where problem_at(c) gives (base, its known
-    leading pairs, the entries of the perturbation E); E and base + E are
-    wrapped as SymmetricDense here, and base + E is solved once per point.
-    Returns (rows, slopes): slopes maps order name to the fitted log-log
-    slope of the error against c.
+    leading pairs, the entries of the perturbation E); the updates take
+    E V = E @ V, and base + E is solved once per point.  Returns (rows,
+    slopes): slopes maps order name to the fitted log-log slope of the
+    error against c.
     """
     rows = []
     errors = {"order1": [], "order2": []}
     for c in grid:
         base, known, E = problem_at(c)
-        problem = pert.PerturbationProblem(base=base, known=known, perturbation=SymmetricDense(E))
+        problem = pert.PerturbationProblem(base=base, known=known, EV=E @ known.vectors)
         exact = sym_eig_full(SymmetricDense(base.a + E), 1).vectors[:, 0]
         for name, update in (("order1", pert.truncated_first_order),
                              ("order2", pert.truncated_second_order)):
@@ -365,7 +365,7 @@ def run_verification(n: int = 200, m: int = 20, trials: int = 50, seed: int = 0,
         detect_err = abs((detected if detected is not None else np.inf) - delta)
         E = SymmetricDense(1e-6 * gen_unit_random_symmetric(n, derive_seed(seed, 32, trial)).a)
         known = sym_eig_full(shifted, m)
-        problem = pert.PerturbationProblem(base=shifted, known=known, perturbation=E)
+        problem = pert.PerturbationProblem(base=shifted, known=known, EV=E.matvec(known.vectors))
         W1 = pert.truncated_first_order(problem, delta)
         W2 = pert.truncated_second_order(problem, delta)
         order_gap = float(np.max(np.abs(W1 - W2)))

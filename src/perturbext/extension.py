@@ -5,8 +5,8 @@ A selector describes which entries of the kernel K form the submatrix K^s
 then extended toward those of K by treating E = K - K^s as a perturbation.
 E is subtracted once and stored as a matrix of K's own type: dense for a
 dense K, triplet-sparse (holding only the unselected entries) for a sparse K.
-A block-extension member above DENSE_FALLBACK_N forms no E: its update
-needs only E V, which is K V with the member's rows set to zero.
+A block-extension member above DENSE_FALLBACK_N forms no E: the update
+reads E only through E V, which is K V with the member's rows set to zero.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .matrixcore import (
     SparseSymmetric,
     SymmetricDense,
     _average_transpose,
+    _dense_eigvalsh,
     _support_pairs,
     read_mask,
     spectral_norm,
@@ -239,7 +240,7 @@ def _bound_tail(Ks: SparseSymmetric, known_values: np.ndarray, mu: float, order:
     """
     n, m = Ks.n, known_values.size
     if n <= DENSE_FALLBACK_N:
-        return np.linalg.eigvalsh(Ks.to_dense().a)[::-1][m:]
+        return _dense_eigvalsh(Ks)[::-1][m:]
     sq = pert.tail_sq_sum_from_traces(Ks.frobenius_norm() ** 2, known_values, mu, Ks.trace(), n)
     return sq if order == 2 else float(np.sqrt((n - m) * sq))
 
@@ -249,16 +250,16 @@ def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig, *,
     """Extend the leading eigenpairs of an already-selected K^s to those of K.
 
     By default K^s's cfg.m leading pairs come from ``sym_eig_partial(Ks,
-    cfg.m)``, and E = K - K^s is formed once for the update and dropped.
+    cfg.m)``, and E = K - K^s is formed once for E V and dropped.
 
     ``rows`` says that K^s is K's whole principal block on those rows, as
-    each ``block_extend`` member is; the caller vouches for that, nothing
-    checks it.  Above DENSE_FALLBACK_N the pairs then come from that
-    r-row block, ``K.principal_block(rows)``, padded with zeros
-    (``_support_pairs``), and no E is formed: V vanishes off ``rows`` and E
-    on rows x rows, so E V is ``K.matvec(V)`` with ``rows`` set to zero, the
-    product of the formed E bit for bit.  Up to DENSE_FALLBACK_N ``rows``
-    changes nothing.
+    each ``block_extend`` member is.  Above DENSE_FALLBACK_N the pairs then
+    come from that r-row block, ``K.principal_block(rows)``, padded with
+    zeros (``_support_pairs``), and no E is formed: V vanishes off ``rows``
+    and E on rows x rows, so E V is ``K.matvec(V)`` with ``rows`` set to
+    zero, the product of the formed E bit for bit.  A K^s that stores an
+    entry outside rows x rows, or whose nnz differs from the block's, raises
+    ValueError.  Up to DENSE_FALLBACK_N ``rows`` is not read.
 
     The result's ``bound_terms`` form E on first read, so a caller that
     reads only the pairs pays for no norm solve of E.
@@ -266,13 +267,19 @@ def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig, *,
     n = K.n
     if rows is None or n <= DENSE_FALLBACK_N:
         pairs = sym_eig_partial(Ks, cfg.m)
-        problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=K.add_scaled(Ks, -1.0))
+        EV = K.add_scaled(Ks, -1.0).matvec(pairs.vectors)
     else:
         rows = np.asarray(rows, dtype=np.int64)
-        pairs = _support_pairs(K.principal_block(rows), rows, n, cfg.m)
+        block = K.principal_block(rows)
+        inside = np.zeros(n, dtype=bool)
+        inside[rows] = True
+        r, c, _ = Ks.triplets()
+        if Ks.nnz != block.nnz or not (inside[r].all() and inside[c].all()):
+            raise ValueError("K^s is not K's principal block on the given rows")
+        pairs = _support_pairs(block, rows, n, cfg.m)
         EV = K.matvec(pairs.vectors)
         EV[rows] = 0.0
-        problem = pert.PerturbationProblem(base=Ks, known=pairs, perturbation=None, _EV=EV)
+    problem = pert.PerturbationProblem(base=Ks, known=pairs, EV=EV)
     mu = cfg.mu.resolve(problem)
     update = pert.truncated_first_order if cfg.order == 1 else pert.truncated_second_order
     return ExtensionResult(values=pert.classical_eigval_update(problem), vectors=update(problem, mu),
@@ -326,14 +333,14 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
 
     Member j's K^s holds K's diagonal block j, ``K.principal_block`` of its
     rows (dense for a dense K), and goes to ``extend_with_submatrix`` with
-    those rows.  Above DENSE_FALLBACK_N its m leading pairs are those of
-    that r-row block padded with zeros (``_support_pairs``: dense LAPACK up
-    to 256 block rows, Lanczos above), so no solve iterates on the n-row
-    K^s, and its update takes E V from one product with K, so no member
-    forms the n x n E or any other n x n array.  Up to DENSE_FALLBACK_N
-    ``sym_eig_partial`` solves the n-row K^s densely and E is formed, as for
-    any other selection.  The combination forms the one n x n array of the
-    call.
+    those rows, which it checks against K^s.  Above DENSE_FALLBACK_N its m
+    leading pairs are those of that r-row block padded with zeros
+    (``_support_pairs``: dense LAPACK up to 256 block rows, Lanczos above),
+    so no solve iterates on the n-row K^s, and its update is handed E V
+    from one product with K, so no member forms the n x n E or any other
+    n x n array.  Up to DENSE_FALLBACK_N ``sym_eig_partial`` solves the
+    n-row K^s densely and E is formed, as for any other selection.  The
+    combination forms the one n x n array of the call.
     """
     n = K.n
     block_sizes = tuple(int(s) for s in block_sizes)

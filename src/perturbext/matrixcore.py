@@ -572,6 +572,15 @@ def sym_eig_full(A, m: int | None = None) -> EigenPairs:
     return EigenPairs(w[order], canonical_signs(v[:, order]))
 
 
+def _dense_eigvalsh(A) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending, from one dense LAPACK
+    solve; a failed solve raises ConvergenceError, as in ``sym_eig_full``."""
+    try:
+        return np.linalg.eigvalsh(A.to_dense().a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
+
+
 def _lanczos(A, k: int, which: str, seed: int, vectors: bool):
     """``eigsh`` on ``A.operator()``: k extreme pairs (values only
     unless ``vectors``), from the seeded start vector, in at most 50 n iterations."""
@@ -672,7 +681,7 @@ def _extreme_eigvals(A, k: int, which: str) -> np.ndarray:
     if n > DENSE_FALLBACK_N and k <= n - 2:
         w = _lanczos(A, k, which, 1, vectors=False)
     else:
-        w = np.linalg.eigvalsh(A.to_dense().a)
+        w = _dense_eigvalsh(A)
     key = -w if which == "LA" else -np.abs(w)
     return w[np.argsort(key, kind="stable")[:k]]
 

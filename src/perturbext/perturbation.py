@@ -3,8 +3,9 @@
 Given the m leading eigenpairs (t_i, v_i) of a symmetric A' and a symmetric
 perturbation E, the truncated update formulas approximate the leading
 eigenpairs of A' + E.  The influence of the unknown trailing eigenvalues of
-A' is collapsed into a single scalar mu; the first-order formula needs only
-E-products with the known eigenvectors, the second-order formula additionally
+A' is collapsed into a single scalar mu.  Both orders touch E only through
+E V, its product with the known eigenvectors, so a problem holds that
+n x m product and never E itself; the second-order formula additionally
 applies A' to the residuals.
 
 All formulas require the known eigenvalues to be strictly separated and
@@ -15,16 +16,16 @@ without normalization (subspace angles are scale-invariant anyway).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .matrixcore import (
-    ConvergenceError,
     EigengapError,
     EigenPairs,
     GAP_TOL,
+    _dense_eigvalsh,
     _require_matrix,
 )
 
@@ -82,37 +83,31 @@ class MuPolicy:
         return mu_mean(problem.base.trace(), problem.known.values, problem.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationProblem:
-    """A' (base), its m known leading eigenpairs, and the perturbation E.
+    """A' (base), its m known leading eigenpairs (t_i, v_i), and E V.
 
-    ``base`` and ``perturbation`` are SymmetricDense or SparseSymmetric;
-    any other type raises TypeError.  A caller that has E V without E
-    passes ``perturbation=None`` and the n x m product as ``_EV``
-    (``extension.extend_with_submatrix`` does so for a block-extension
-    member, whose E V is K V with the member's rows set to zero); the
-    problem then never holds E.  Frozen, so the gap check of construction
-    holds for the object's whole life and the cached products below always
-    belong to its fields.
+    ``base`` is a SymmetricDense or SparseSymmetric; any other type raises
+    TypeError.  ``EV``, the perturbation applied to the known vectors, has
+    their n x m shape (else ValueError): ``E.matvec(known.vectors)``, or a
+    cheaper route to it, as a block-extension member's K V with its rows
+    zeroed.  It is kept as a read-only copy, as ``EigenPairs`` keeps its
+    arrays.  Frozen, so the gap check of construction holds for the
+    object's whole life and the cached coupling belongs to its fields; a
+    problem equals only itself.
     """
 
     base: object
     known: EigenPairs
-    perturbation: object
-    _EV: np.ndarray | None = field(default=None, repr=False, compare=False)
+    EV: np.ndarray
 
     def __post_init__(self):
         _require_matrix(self.base)
-        n = self.base.n
-        if self._EV is None:
-            _require_matrix(self.perturbation)
-            fits = self.perturbation.n == n
-        elif self.perturbation is None:
-            fits = self._EV.shape == self.known.vectors.shape
-        else:
-            raise ValueError("give the perturbation or its product E V, not both")
-        if not fits or self.known.n != n:
-            raise ValueError("base, perturbation and eigenpairs must share dimension")
+        EV = np.array(self.EV, dtype=float)
+        if self.known.n != self.base.n or EV.shape != self.known.vectors.shape:
+            raise ValueError("base, eigenpairs and E V must share dimension")
+        EV.setflags(write=False)
+        object.__setattr__(self, "EV", EV)
         gaps = -np.diff(self.known.values)
         if self.known.m > 1 and gaps.min() < GAP_TOL:
             raise EigengapError(f"known eigenvalue gap {gaps.min():.3e} below {GAP_TOL}")
@@ -124,15 +119,6 @@ class PerturbationProblem:
     @property
     def m(self) -> int:
         return self.known.m
-
-    @cached_property
-    def EV(self) -> np.ndarray:
-        """E V, the perturbation applied to the known vectors: formed on first
-        use and shared by the vector and value updates, so one extension
-        applies E once; the given ``_EV`` when there is one."""
-        if self._EV is not None:
-            return self._EV
-        return self.perturbation.matvec(self.known.vectors)
 
     @cached_property
     def coupling(self):
@@ -274,14 +260,9 @@ def is_lowrank_plus_shift(A, m: int, tolerance: float = 1e-10):
     ValueError for m >= n and ConvergenceError when LAPACK fails.
     """
     _require_matrix(A)
-    a = A.to_dense().a
-    if m >= a.shape[0]:
+    if m >= A.n:
         raise ValueError("need m < n trailing values to inspect")
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
-    tail = w[::-1][m:]
+    tail = _dense_eigvalsh(A)[::-1][m:]
     if tail.max() - tail.min() <= tolerance:
         return float(tail.mean())
     return None

@@ -133,7 +133,7 @@ def test_lowrank_shift_orders_and_quadratic_error():
         known = leading(base, m)
         errs = []
         for s in norms:
-            problem = PerturbationProblem(base=base, known=known, perturbation=SymmetricDense(s * direction))
+            problem = PerturbationProblem(base=base, known=known, EV=(s * direction) @ known.vectors)
             W1 = truncated_first_order(problem, delta)
             W2 = truncated_second_order(problem, delta)
             worst_gap = max(worst_gap, float(np.max(np.abs(W1 - W2))))
@@ -203,7 +203,7 @@ def test_bound_validity():
         A = gen_unit_random_symmetric(n, seed=derive_seed(MASTER_SEED, 8, trial))
         E = norm_e * gen_unit_random_symmetric(n, seed=derive_seed(MASTER_SEED, 9, trial)).a
         known = leading(A, m)
-        problem = PerturbationProblem(base=A, known=known, perturbation=SymmetricDense(E))
+        problem = PerturbationProblem(base=A, known=known, EV=E @ known.vectors)
         W1 = truncated_first_order(problem, 0.0)
         errs = aligned_errors(W1, A.a + E, m)
         tail = sym_eig_full(A).values[m:]

@@ -311,3 +311,16 @@ class TestDeferredBounds:
         assert code == 1
         assert "numerical error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["S.txt"]
+
+    def test_failing_dense_tail_solve_is_numerical_error(self, monkeypatch, tmp_path, capsys):
+        # LAPACK's LinAlgError is a ValueError, which alone would exit 2
+        def lapack_fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lapack_fails)
+        spath = tmp_path / "S.txt"
+        write_sparse(spath, gen_band_matrix(40, seed=2))
+        code = main(["extend", "--sparse-matrix", str(spath), "--selector", "band:3",
+                     "--m", "3", "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "did not converge" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from perturbext.kernels import (
     standardize,
 )
 from perturbext.matrixcore import (
+    ConvergenceError,
     EigengapError,
     SparseSymmetric,
     SymmetricDense,
@@ -616,6 +617,26 @@ class TestBlockMemberPairs:
             extend_with_submatrix(K, Ks, ExtensionConfig(m=4), rows=np.arange(3))
 
 
+class TestGivenRowsChecked:
+    """``rows`` must name K^s's own principal block of K: a K^s that stores
+    an entry outside rows x rows, or only part of the block, raises instead
+    of extending the pairs of another matrix."""
+
+    @pytest.mark.parametrize("sel, lo, hi", [("topleft:300", 300, 600), ("band:5", 0, 300)])
+    def test_entries_outside_rows(self, sel, lo, hi):
+        K = _clustered_kernel(600)
+        Ks = select_submatrix(K, Selector.parse(sel))
+        with pytest.raises(ValueError, match="principal block"):
+            extend_with_submatrix(K, Ks, ExtensionConfig(m=4), rows=np.arange(lo, hi))
+
+    def test_part_of_the_block(self):
+        K = _clustered_kernel(600)
+        r, c, v = select_submatrix(K, Selector.top_left(300)).triplets()
+        Ks = SparseSymmetric(600, r[:-1], c[:-1], v[:-1])
+        with pytest.raises(ValueError, match="principal block"):
+            extend_with_submatrix(K, Ks, ExtensionConfig(m=4), rows=np.arange(300))
+
+
 def _member_with_formed_E(K, rows, cfg):
     """(values, vectors) of one block_extend member above DENSE_FALLBACK_N,
     from the member's own pairs and an E = K - K^s formed explicitly."""
@@ -624,7 +645,8 @@ def _member_with_formed_E(K, rows, cfg):
     r, c, v = block.triplets()
     Ks = SparseSymmetric(n, r + lo, c + lo, v)
     pairs = matrixcore._support_pairs(block, rows, n, cfg.m)
-    problem = PerturbationProblem(base=Ks, known=pairs, perturbation=K.add_scaled(Ks, -1.0))
+    E = K.add_scaled(Ks, -1.0)
+    problem = PerturbationProblem(base=Ks, known=pairs, EV=E.matvec(pairs.vectors))
     mu = cfg.mu.resolve(problem)
     update = truncated_first_order if cfg.order == 1 else truncated_second_order
     return classical_eigval_update(problem), update(problem, mu)
@@ -766,6 +788,17 @@ class TestDeferredBoundTerms:
         assert len(norms) == 1
         assert res.bound_terms is first and len(norms) == 1
         assert not first.flags.writeable
+
+    def test_failed_dense_tail_solve_is_convergence_error(self, monkeypatch):
+        # up to DENSE_FALLBACK_N the tail spectrum comes from a dense solve
+        res = pert_extend(_clustered_kernel(120), Selector.sparse_top_q(0.5), ExtensionConfig(m=4))
+
+        def lapack_fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lapack_fails)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            res.bound_terms
 
 
 def _no_norm_solves(monkeypatch):

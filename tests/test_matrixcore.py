@@ -7,6 +7,7 @@ from perturbext.experiments import derive_seed
 from perturbext.extension import Selector, select_submatrix
 from perturbext.kernels import gen_psd_separated_block
 from perturbext.matrixcore import (
+    ConvergenceError,
     EigengapError,
     EigenPairs,
     RankDeficientError,
@@ -302,6 +303,14 @@ class TestSpectralNorm:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
         monkeypatch.setattr(matrixcore.spla, "eigsh", no_solve)
         assert np.array_equal(matrixcore._extreme_eigvals(A, 3, "LA"), np.zeros(3))
+
+    def test_failed_dense_solve_is_convergence_error(self, monkeypatch):
+        def lapack_fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lapack_fails)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            spectral_norm(random_symmetric(20, 5))
 
     def test_matches_full_eig_oracle(self):
         A = random_symmetric(50, 41)

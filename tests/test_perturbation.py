@@ -34,7 +34,8 @@ def leading(A, m):
 
 
 def make_problem(A, E, m):
-    return PerturbationProblem(base=A, known=leading(A, m), perturbation=SymmetricDense(E))
+    known = leading(A, m)
+    return PerturbationProblem(base=A, known=known, EV=E @ known.vectors)
 
 
 def aligned_column_errors(W, A_perturbed, m):
@@ -131,33 +132,31 @@ class TestResidual:
         A = gen_unit_random_symmetric(30, seed=10)
         E = gen_unit_random_symmetric(30, seed=11).a
         known = leading(A, 6)
-        _, R = PerturbationProblem(base=A, known=known, perturbation=SymmetricDense(E)).coupling
+        _, R = PerturbationProblem(base=A, known=known, EV=E @ known.vectors).coupling
         for i in range(6):
             assert np.max(np.abs(known.vectors.T @ R[:, i])) <= 1e-10 * np.linalg.norm(E, 2)
 
 
 class TestGivenProduct:
-    """A problem given E V instead of E updates exactly as one given E."""
+    """A problem holds E V, shaped like the known vectors, as a read-only copy."""
 
-    def test_same_updates(self):
-        A = gen_unit_random_symmetric(30, seed=12)
-        E = SymmetricDense(1e-3 * gen_unit_random_symmetric(30, seed=13).a)
-        known = leading(A, 5)
-        formed = PerturbationProblem(base=A, known=known, perturbation=E)
-        given = PerturbationProblem(base=A, known=known, perturbation=None, _EV=E.matvec(known.vectors))
-        assert np.array_equal(classical_eigval_update(given), classical_eigval_update(formed))
-        for update in (truncated_first_order, truncated_second_order):
-            assert np.array_equal(update(given, 0.1), update(formed, 0.1))
-
-    def test_one_of_E_or_product(self):
+    @pytest.mark.parametrize("shape", [(12, 4), (11, 3), (12,)])
+    def test_wrong_shape_rejected(self, shape):
         A = gen_unit_random_symmetric(12, seed=14)
-        known = leading(A, 3)
-        with pytest.raises(ValueError, match="not both"):
-            PerturbationProblem(base=A, known=known, perturbation=A, _EV=np.zeros((12, 3)))
         with pytest.raises(ValueError, match="share dimension"):
-            PerturbationProblem(base=A, known=known, perturbation=None, _EV=np.zeros((12, 4)))
-        with pytest.raises(TypeError, match="SymmetricDense or SparseSymmetric"):
-            PerturbationProblem(base=A, known=known, perturbation=None)
+            PerturbationProblem(base=A, known=leading(A, 3), EV=np.zeros(shape))
+
+    def test_stored_copy_is_read_only(self):
+        A = gen_unit_random_symmetric(12, seed=14)
+        EV = np.ones((12, 3))
+        problem = PerturbationProblem(base=A, known=leading(A, 3), EV=EV)
+        with pytest.raises(ValueError, match="read-only"):
+            problem.EV[0, 0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.EV = EV
+        # the caller's array stays writeable and is not the stored one
+        EV[0, 0] = 2.0
+        assert problem.EV[0, 0] == 1.0
 
 
 class TestTruncatedFormulas:
@@ -209,7 +208,7 @@ class TestTruncatedFormulas:
         cs = np.logspace(-6, -3, 8)
         errs1, errs2 = [], []
         for c in cs:
-            problem = PerturbationProblem(base=A, known=known, perturbation=SymmetricDense(c * D))
+            problem = PerturbationProblem(base=A, known=known, EV=(c * D) @ known.vectors)
             W1 = truncated_first_order(problem, 0.0)
             W2 = truncated_second_order(problem, 0.0)
             errs1.append(aligned_column_errors(W1[:, :1], A.a + c * D, 1)[0])
@@ -394,15 +393,10 @@ class TestRawArrayInput:
     """A raw array is named as the wrong type, not failed on as a missing
     attribute."""
 
-    def test_problem_perturbation(self):
-        A = gen_unit_random_symmetric(12, seed=7)
-        with pytest.raises(TypeError, match="SymmetricDense or SparseSymmetric"):
-            PerturbationProblem(base=A, known=leading(A, 3), perturbation=np.zeros((12, 12)))
-
     def test_problem_base(self):
         A = gen_unit_random_symmetric(12, seed=7)
         with pytest.raises(TypeError, match="SymmetricDense or SparseSymmetric"):
-            PerturbationProblem(base=A.a, known=leading(A, 3), perturbation=A)
+            PerturbationProblem(base=A.a, known=leading(A, 3), EV=np.zeros((12, 3)))
 
     def test_is_lowrank_plus_shift(self):
         with pytest.raises(TypeError, match="SymmetricDense or SparseSymmetric"):
