@@ -5,7 +5,8 @@ A refactor must not change any number the package reports.  Run this script
 in two checkouts and diff the outputs: any line that differs names a report
 whose bytes changed.  The CLI commands cover the slope, band, sparse and
 verify experiments, extension of dense and sparse matrix files (one of
-them through a mask file) and of dataset kernels, and a partial
+them through a mask file) and of dataset kernels (one of them a
+principal-block ``topleft`` selection), and a partial
 eigendecomposition.  The Python-API reports (``api_*.csv``, written
 with ``write_rows``) cover what no CLI command reaches: ``block_extend``
 below and above the dense size limit (above it on a dense and on a
@@ -83,6 +84,9 @@ def commands(d: Path):
          "--out", str(d / "ext_data_sparse")],
         ["extend", "--dataset", data, "--keep", "0.2", "--selector", "blocks:100,100,100",
          "--m", "4", "--out", str(d / "ext_data_blocks")],
+        # a principal block of the 300-point kernel above the dense size limit
+        ["extend", "--dataset", data, "--selector", "topleft:280", "--m", "4",
+         "--out", str(d / "ext_data_topleft")],
     ]
 
 

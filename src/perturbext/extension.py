@@ -5,8 +5,10 @@ A selector describes which entries of the kernel K form the submatrix K^s
 then extended toward those of K by treating E = K - K^s as a perturbation.
 E is subtracted once and stored as a matrix of K's own type: dense for a
 dense K, triplet-sparse (holding only the unselected entries) for a sparse K.
-A block-extension member above DENSE_FALLBACK_N forms no E: the update
-reads E only through E V, which is K V with the member's rows set to zero.
+A K^s that is K's principal block on its support rows (a ``topleft``
+selection, a block-extension member) forms no E: its pairs are solved on
+that block, and the update reads E only through E V, which is K V with
+those rows set to zero.
 """
 
 from __future__ import annotations
@@ -245,40 +247,42 @@ def _bound_tail(Ks: SparseSymmetric, known_values: np.ndarray, mu: float, order:
     return sq if order == 2 else float(np.sqrt((n - m) * sq))
 
 
-def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig, *,
-                          rows: np.ndarray | None = None) -> ExtensionResult:
+def _stores_block(Ks: SparseSymmetric, block, rows: np.ndarray) -> bool:
+    """Whether K^s stores exactly the triplets of ``block`` moved to ``rows``:
+    the same positions, hence the same nnz, and the same values."""
+    br, bc, bv = block.triplets()
+    return all(map(np.array_equal, Ks.triplets(), (rows[br], rows[bc], bv)))
+
+
+def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> ExtensionResult:
     """Extend the leading eigenpairs of an already-selected K^s to those of K.
 
-    By default K^s's cfg.m leading pairs come from ``sym_eig_partial(Ks,
-    cfg.m)``, and E = K - K^s is formed once for E V and dropped.
-
-    ``rows`` says that K^s is K's whole principal block on those rows, as
-    each ``block_extend`` member is.  Above DENSE_FALLBACK_N the pairs then
-    come from that r-row block, ``K.principal_block(rows)``, padded with
-    zeros (``_support_pairs``), and no E is formed: V vanishes off ``rows``
-    and E on rows x rows, so E V is ``K.matvec(V)`` with ``rows`` set to
-    zero, the product of the formed E bit for bit.  A K^s that stores an
-    entry outside rows x rows, or whose nnz differs from the block's, raises
-    ValueError.  Up to DENSE_FALLBACK_N ``rows`` is not read.
+    K^s is K's principal block on its support rows, the rows that store a
+    nonzero, when there are at least one and fewer than n of them and K^s
+    stores exactly the triplets of ``K.principal_block(rows)`` (``topleft``
+    selections and ``block_extend`` members do).  Its cfg.m leading pairs
+    are then those of that r-row block padded with zeros
+    (``_support_pairs``), and no E is formed: V vanishes off ``rows`` and E
+    on rows x rows, so E V is ``K.matvec(V)`` with ``rows`` set to zero.
+    Any other K^s is solved by ``sym_eig_partial(Ks, cfg.m)``, and
+    E = K - K^s is formed once for E V and dropped.  A K^s whose dimension
+    is not K's raises ValueError.
 
     The result's ``bound_terms`` form E on first read, so a caller that
     reads only the pairs pays for no norm solve of E.
     """
     n = K.n
-    if rows is None or n <= DENSE_FALLBACK_N:
-        pairs = sym_eig_partial(Ks, cfg.m)
-        EV = K.add_scaled(Ks, -1.0).matvec(pairs.vectors)
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
-        block = K.principal_block(rows)
-        inside = np.zeros(n, dtype=bool)
-        inside[rows] = True
-        r, c, _ = Ks.triplets()
-        if Ks.nnz != block.nnz or not (inside[r].all() and inside[c].all()):
-            raise ValueError("K^s is not K's principal block on the given rows")
+    if Ks.n != n:
+        raise ValueError("dimension mismatch")
+    rows = Ks.support_rows()
+    block = K.principal_block(rows) if 0 < rows.size < n else None
+    if block is not None and _stores_block(Ks, block, rows):
         pairs = _support_pairs(block, rows, n, cfg.m)
         EV = K.matvec(pairs.vectors)
         EV[rows] = 0.0
+    else:
+        pairs = sym_eig_partial(Ks, cfg.m)
+        EV = K.add_scaled(Ks, -1.0).matvec(pairs.vectors)
     problem = pert.PerturbationProblem(base=Ks, known=pairs, EV=EV)
     mu = cfg.mu.resolve(problem)
     update = pert.truncated_first_order if cfg.order == 1 else pert.truncated_second_order
@@ -332,15 +336,14 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     sum of the per-block approximations.  Uniform weights by default.
 
     Member j's K^s holds K's diagonal block j, ``K.principal_block`` of its
-    rows (dense for a dense K), and goes to ``extend_with_submatrix`` with
-    those rows, which it checks against K^s.  Above DENSE_FALLBACK_N its m
-    leading pairs are those of that r-row block padded with zeros
-    (``_support_pairs``: dense LAPACK up to 256 block rows, Lanczos above),
-    so no solve iterates on the n-row K^s, and its update is handed E V
-    from one product with K, so no member forms the n x n E or any other
-    n x n array.  Up to DENSE_FALLBACK_N ``sym_eig_partial`` solves the
-    n-row K^s densely and E is formed, as for any other selection.  The
-    combination forms the one n x n array of the call.
+    rows, and goes to ``extend_with_submatrix``, which finds it to be K's
+    principal block on its support rows (the block's rows that store a
+    nonzero).  At every n its m leading pairs are then those of that block
+    padded with zeros (``_support_pairs``: dense LAPACK up to 256 block
+    rows, Lanczos above), so no solve iterates on the n-row K^s, and its
+    update takes E V from one product with K, so no member forms the n x n
+    E or any other n x n array.  The combination forms the one n x n array
+    of the call.
     """
     n = K.n
     block_sizes = tuple(int(s) for s in block_sizes)
@@ -351,7 +354,7 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
         lo = bounds[j]
         rows = np.arange(lo, bounds[j + 1])
         r, c, v = K.principal_block(rows).triplets()
-        res = extend_with_submatrix(K, SparseSymmetric(n, r + lo, c + lo, v), cfg, rows=rows)
+        res = extend_with_submatrix(K, SparseSymmetric(n, r + lo, c + lo, v), cfg)
         return res.values, res.vectors
 
     q = len(block_sizes)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import SparseSymmetric, SymmetricDense, read_rows
+from .matrixcore import SparseSymmetric, SymmetricDense, _dense_eigvalsh, read_rows
 
 
 class KernelOverflowError(OverflowError, ValueError):
@@ -240,12 +240,15 @@ def gen_band_matrix(n: int, seed: int = 0) -> SparseSymmetric:
 
 
 def gen_unit_random_symmetric(n: int, seed: int = 0) -> SymmetricDense:
-    """Symmetrized i.i.d. normal matrix rescaled to unit spectral norm."""
+    """Symmetrized i.i.d. normal matrix rescaled to unit spectral norm.
+
+    A failed LAPACK solve for the norm raises ConvergenceError."""
     rng = rng_for(seed)
     a = rng.standard_normal((n, n))
-    a = (a + a.T) / 2.0
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    return SymmetricDense(a / norm, symmetrize=True)
+    # (a + a.T) / 2 is exactly symmetric in IEEE arithmetic
+    sym = SymmetricDense._adopt((a + a.T) / 2.0)
+    norm = float(np.max(np.abs(_dense_eigvalsh(sym))))
+    return SymmetricDense(sym.a / norm, symmetrize=True)
 
 
 def _orthogonal_factor(g: np.ndarray) -> np.ndarray:

@@ -116,10 +116,14 @@ class SymmetricDense:
 
     def triplets(self):
         """Upper-triangle (rows, cols, vals) of the nonzeros, in row-major
-        order: extracted on first use and kept, read-only."""
+        order: extracted on first use and kept, read-only.  The upper
+        triangle is gathered by index and its zeros masked out, which is
+        faster than a ``nonzero`` scan of an ``np.triu`` copy."""
         if self._triplets is None:
-            r, c = np.nonzero(np.triu(self.a))
-            self._triplets = _frozen(r, c, self.a[r, c])
+            r, c = np.triu_indices(self.n)
+            v = self.a[r, c]
+            keep = v != 0.0
+            self._triplets = _frozen(r[keep], c[keep], v[keep])
         return self._triplets
 
     def magnitude_profile(self):
@@ -197,9 +201,10 @@ class SparseSymmetric:
 
     The mirrored CSR form of the full matrix is built the first time
     something iterates on the matrix or slices it (``matvec``,
-    ``operator``, ``support_rows``, ``columns``, ``to_dense``) and is kept.
-    Sums, norms, counts, merges and principal blocks read the triplets, so a
-    matrix that is only subtracted, summed or counted never builds it.
+    ``operator``, ``columns``, ``to_dense``) and is kept.  Sums, norms,
+    counts, merges, support rows and principal blocks read the triplets, so
+    a matrix that is only subtracted, summed, counted or compared with a
+    block of another never builds it.
 
     ``restrict(keep)`` gives the stored entries where ``keep`` is set as a
     matrix that remembers its parent, so that ``add_scaled`` of the parent
@@ -286,10 +291,9 @@ class SparseSymmetric:
         return obj
 
     def support_rows(self) -> np.ndarray:
-        """The rows that store a nonzero, read from the CSR row lengths in O(n)
-        once the CSR is built; every caller goes on to iterate on it or to
-        slice it."""
-        return np.flatnonzero(np.diff(self._csr_form().indptr))
+        """The rows that store a nonzero, counted from the triplets in
+        O(n + nnz), so no CSR is built."""
+        return np.flatnonzero(np.bincount(np.concatenate((self.rows, self.cols)), minlength=self._n))
 
     def is_zero(self) -> bool:
         return self.vals.size == 0
@@ -607,8 +611,8 @@ def _support_pairs(block, rows: np.ndarray, n: int, m: int) -> EigenPairs:
 
     The block is solved by the size rule of ``sym_eig_partial``: dense
     LAPACK up to DENSE_FALLBACK_N rows (or m > r - 2), a seeded Lanczos run
-    for m + 1 pairs above, where an all-zero block raises EigengapError
-    since the run cannot start on it.  When r < n the other n - r
+    for m + 1 pairs above, which cannot start on an all-zero block; every
+    caller passes a block that stores a nonzero.  When r < n the other n - r
     eigenvalues are exactly zero, so a leading pair that would be one of
     them raises EigengapError.  So does a gap below GAP_TOL between pair m
     and pair m + 1: the next block value or, when r < n, a padded zero,
@@ -622,8 +626,6 @@ def _support_pairs(block, rows: np.ndarray, n: int, m: int) -> EigenPairs:
         found = sym_eig_full(block, min(m + 1, r))
         w, v = found.values, found.vectors[:, :m]
     else:
-        if block.is_zero():
-            raise EigengapError(f"matrix has no nonzeros: pairs {m} and {m + 1} tie at 0")
         w, v = _lanczos(block, m + 1, "LA", 0, vectors=True)
         order = np.argsort(-w, kind="stable")
         w, v = w[order], canonical_signs(v[:, order[:m]])
@@ -650,6 +652,10 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
     leading subspace ill-posed; a matrix without nonzeros, where that gap is
     exactly zero, raises EigengapError before any solve.  Off the dense
     path both cases go through ``_support_pairs``.
+
+    ``extend_with_submatrix`` calls it only for a K^s that is not a
+    principal block of K; a principal block goes to ``_support_pairs`` on
+    K's own block at every n, without this n <= 256 dense solve.
     """
     n = A.n
     if not 1 <= m <= n:

@@ -220,6 +220,18 @@ class TestSlopes:
         assert main(["slopes", "--tail-grid=0.1,inf"]) == 2
         assert "slope_vs_tail grid [" in capsys.readouterr().err
 
+    def test_failing_norm_solve_is_numerical_error(self, monkeypatch, capsys):
+        # the generators' spectral norm is one dense LAPACK solve; its
+        # LinAlgError is a ValueError, which alone would exit 2
+        def lapack_fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lapack_fails)
+        code = main(["slopes", "--n", "40", "--m", "4"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "Traceback" not in err
+
     def test_small_run_reports_slopes(self, tmp_path, capsys):
         code = main(["slopes", "--n", "60", "--m", "5", "--seed", "3",
                      "--norm-grid", "1e-5,3e-5,1e-4,3e-4",

@@ -4,6 +4,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from perturbext import extension, matrixcore
+from perturbext.cli import main as cli_main
 from perturbext.extension import (
     ExtensionConfig,
     Selector,
@@ -468,9 +469,9 @@ class TestBlockSelection:
 
         members = []
 
-        def recording(K_, Ks, cfg_, *, rows=None):
+        def recording(K_, Ks, cfg_):
             members.append(Ks)
-            return extend_with_submatrix(K_, Ks, cfg_, rows=rows)
+            return extend_with_submatrix(K_, Ks, cfg_)
 
         monkeypatch.setattr(extension, "extend_with_submatrix", recording)
         combined = block_extend(K, sizes, cfg)
@@ -529,17 +530,42 @@ def _clustered_kernel(n):
     return build_kernel(standardize(gen_clustered_dataset(n=n, seed=3)), KernelSpec.gaussian(0.1))
 
 
+def _formed_E_reference(K, Ks, pairs, cfg):
+    """(values, vectors) of the update from the given pairs of K^s and an
+    E = K - K^s formed explicitly."""
+    problem = PerturbationProblem(base=Ks, known=pairs, EV=K.add_scaled(Ks, -1.0).matvec(pairs.vectors))
+    mu = cfg.mu.resolve(problem)
+    update = truncated_first_order if cfg.order == 1 else truncated_second_order
+    return classical_eigval_update(problem), update(problem, mu)
+
+
+def _general_reference(K, Ks, cfg):
+    """(pairs, values, vectors) of the general path: K^s solved by
+    ``sym_eig_partial``, E formed."""
+    pairs = matrixcore.sym_eig_partial(Ks, cfg.m)
+    return (pairs, *_formed_E_reference(K, Ks, pairs, cfg))
+
+
+def _assert_close_to_general(res, K, Ks, cfg):
+    pairs, values, vectors = _general_reference(K, Ks, cfg)
+    scale = spectral_norm(K)
+    assert np.max(np.abs(res.source_pairs.values - pairs.values)) <= 1e-12 * scale
+    assert np.max(np.abs(res.values - values)) <= 1e-12 * scale
+    assert principal_angle(res.source_pairs.vectors, pairs.vectors) <= 1e-10
+    assert principal_angle(res.vectors, vectors) <= 1e-10
+
+
 class TestBlockMemberPairs:
-    """Above DENSE_FALLBACK_N each block_extend member's pairs come from K's
-    own diagonal block, padded with zeros, instead of a solve of the n-row
-    K^s; the members and their combination match the n-row solve."""
+    """Each block_extend member's pairs come from K's own diagonal block,
+    padded with zeros, instead of a solve of the n-row K^s; the members and
+    their combination match the n-row solve."""
 
     @staticmethod
     def recorded_block_extend(monkeypatch, K, sizes, cfg):
         members = []
 
-        def recording(K_, Ks, cfg_, *, rows=None):
-            res = extend_with_submatrix(K_, Ks, cfg_, rows=rows)
+        def recording(K_, Ks, cfg_):
+            res = extend_with_submatrix(K_, Ks, cfg_)
             members.append((Ks, res))
             return res
 
@@ -553,16 +579,11 @@ class TestBlockMemberPairs:
         if sparse:
             K = SparseSymmetric.from_dense(K)
         cfg = ExtensionConfig(m=4)
-        scale = spectral_norm(K)
         expected = _block_extend_reference(K, sizes, cfg, members=[])
         combined, members = self.recorded_block_extend(monkeypatch, K, sizes, cfg)
         assert len(members) == len(sizes)
         for Ks, res in members:
-            ref = extend_with_submatrix(K, Ks, cfg)
-            assert np.max(np.abs(res.source_pairs.values - ref.source_pairs.values)) <= 1e-12 * scale
-            assert np.max(np.abs(res.values - ref.values)) <= 1e-12 * scale
-            assert principal_angle(res.source_pairs.vectors, ref.source_pairs.vectors) <= 1e-10
-            assert principal_angle(res.vectors, ref.vectors) <= 1e-10
+            _assert_close_to_general(res, K, Ks, cfg)
         assert np.linalg.norm(combined.a - expected.a) <= 1e-12 * np.linalg.norm(expected.a)
 
     @pytest.mark.parametrize("n, sizes", [(300, (100, 200)), (600, (300, 300))],
@@ -589,73 +610,97 @@ class TestBlockMemberPairs:
         assert principal_angle(res.source_pairs.vectors, exact.vectors) <= 1e-10
         assert np.all(res.source_pairs.vectors[sizes[0]:] == 0.0)
 
-    @pytest.mark.parametrize("n", [200, 600])
-    def test_given_rows_equal_default_solve(self, n):
-        # up to DENSE_FALLBACK_N the rows change nothing; above it the pairs
-        # come from the block, which moves only last bits
-        K = _clustered_kernel(n)
-        Ks = select_submatrix(K, Selector.top_left(n // 2))
-        rows = np.arange(n // 2)
-        scale = spectral_norm(K)
-        for cfg in (ExtensionConfig(m=4), ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())):
-            default = extend_with_submatrix(K, Ks, cfg)
-            given = extend_with_submatrix(K, Ks, cfg, rows=rows)
-            if n <= matrixcore.DENSE_FALLBACK_N:
-                for name in ("values", "vectors", "bound_terms"):
-                    assert np.array_equal(getattr(given, name), getattr(default, name))
-                assert np.array_equal(given.source_pairs.vectors, default.source_pairs.vectors)
-            else:
-                assert np.max(np.abs(given.values - default.values)) <= 1e-12 * scale
-                assert principal_angle(given.vectors, default.vectors) <= 1e-10
-                assert np.allclose(given.bound_terms[:-1], default.bound_terms[:-1], rtol=1e-8, atol=0.0)
 
-    def test_given_rows_too_few_for_m(self):
+class TestPrincipalBlockDetection:
+    """extend_with_submatrix takes the block path exactly when K^s is K's
+    principal block on its support rows, and the general path otherwise."""
+
+    @staticmethod
+    def kernel(n, sparse):
+        K = _clustered_kernel(n)
+        return sparsify(K, 0.3) if sparse else K
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("n, l", [(200, 100), (600, 100), (600, 300)])
+    @pytest.mark.parametrize("cfg", [ExtensionConfig(m=4),
+                                     ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())],
+                             ids=["order1-zero", "order2-mean"])
+    def test_topleft_takes_block_path(self, monkeypatch, sparse, n, l, cfg):
+        K = self.kernel(n, sparse)
+        Ks = select_submatrix(K, Selector.top_left(l))
+        assert np.array_equal(Ks.support_rows(), np.arange(l))
+
+        def no_solve(A, m):
+            raise AssertionError("the n-row K^s was solved")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(extension, "sym_eig_partial", no_solve)
+            res = extend_with_submatrix(K, Ks, cfg)
+        assert np.all(res.source_pairs.vectors[l:] == 0.0)
+        _assert_close_to_general(res, K, Ks, cfg)
+
+    @staticmethod
+    def edited_topleft(K, l, edit):
+        r, c, v = select_submatrix(K, Selector.top_left(l)).triplets()
+        r, c, v = np.array(r), np.array(c), np.array(v)
+        if edit == "value":
+            v[1] *= 1.5
+        elif edit == "missing":
+            r, c, v = np.delete(r, 1), np.delete(c, 1), np.delete(v, 1)
+        else:  # an entry outside the block
+            r, c, v = np.append(r, 0), np.append(c, l + 7), np.append(v, 0.5)
+        return SparseSymmetric(K.n, r, c, v)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("n", [200, 600])
+    @pytest.mark.parametrize("edit", ["value", "missing", "outside"])
+    def test_not_a_block_takes_general_path(self, sparse, n, edit):
+        K = self.kernel(n, sparse)
+        Ks = self.edited_topleft(K, n // 2, edit)
+        cfg = ExtensionConfig(m=4)
+        res = extend_with_submatrix(K, Ks, cfg)
+        pairs, values, vectors = _general_reference(K, Ks, cfg)
+        assert np.array_equal(res.source_pairs.values, pairs.values)
+        assert np.array_equal(res.source_pairs.vectors, pairs.vectors)
+        assert np.array_equal(res.values, values)
+        assert np.array_equal(res.vectors, vectors)
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_too_few_rows_for_m(self, n):
         # a 3-row block holds 3 pairs; the 4th would be a padded zero
-        K = _clustered_kernel(300)
+        K = _clustered_kernel(n)
         Ks = select_submatrix(K, Selector.top_left(3))
         with pytest.raises(EigengapError, match="zero eigenvalues"):
-            extend_with_submatrix(K, Ks, ExtensionConfig(m=4), rows=np.arange(3))
+            extend_with_submatrix(K, Ks, ExtensionConfig(m=4))
 
+    def test_all_zero_selection_exits_1(self, tmp_path, capsys):
+        # K^s, the top-left block, stores nothing, so it has no support rows;
+        # tests/test_cli.py checks the same above the dense size limit
+        path = tmp_path / "z.txt"
+        path.write_text("40 1\n39 39 1.0\n")
+        code = cli_main(["extend", "--sparse-matrix", str(path), "--selector", "topleft:20",
+                         "--m", "2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "numerical error:" in err and "Traceback" not in err
 
-class TestGivenRowsChecked:
-    """``rows`` must name K^s's own principal block of K: a K^s that stores
-    an entry outside rows x rows, or only part of the block, raises instead
-    of extending the pairs of another matrix."""
-
-    @pytest.mark.parametrize("sel, lo, hi", [("topleft:300", 300, 600), ("band:5", 0, 300)])
-    def test_entries_outside_rows(self, sel, lo, hi):
+    @pytest.mark.parametrize("dim", [100, 700])
+    def test_other_dimension_raises(self, dim):
+        # K's leading 100-row block as a matrix of dimension dim, the larger
+        # one with a diagonal entry in a row that K does not have
         K = _clustered_kernel(600)
-        Ks = select_submatrix(K, Selector.parse(sel))
-        with pytest.raises(ValueError, match="principal block"):
-            extend_with_submatrix(K, Ks, ExtensionConfig(m=4), rows=np.arange(lo, hi))
-
-    def test_part_of_the_block(self):
-        K = _clustered_kernel(600)
-        r, c, v = select_submatrix(K, Selector.top_left(300)).triplets()
-        Ks = SparseSymmetric(600, r[:-1], c[:-1], v[:-1])
-        with pytest.raises(ValueError, match="principal block"):
-            extend_with_submatrix(K, Ks, ExtensionConfig(m=4), rows=np.arange(300))
-
-
-def _member_with_formed_E(K, rows, cfg):
-    """(values, vectors) of one block_extend member above DENSE_FALLBACK_N,
-    from the member's own pairs and an E = K - K^s formed explicitly."""
-    n, lo = K.n, rows[0]
-    block = K.principal_block(rows)
-    r, c, v = block.triplets()
-    Ks = SparseSymmetric(n, r + lo, c + lo, v)
-    pairs = matrixcore._support_pairs(block, rows, n, cfg.m)
-    E = K.add_scaled(Ks, -1.0)
-    problem = PerturbationProblem(base=Ks, known=pairs, EV=E.matvec(pairs.vectors))
-    mu = cfg.mu.resolve(problem)
-    update = truncated_first_order if cfg.order == 1 else truncated_second_order
-    return classical_eigval_update(problem), update(problem, mu)
+        r, c, v = K.principal_block(np.arange(100)).triplets()
+        if dim > K.n:
+            r, c, v = np.append(r, 650), np.append(c, 650), np.append(v, 1.0)
+        Ks = SparseSymmetric(dim, r, c, v)
+        with pytest.raises(ValueError, match="dimension"):
+            extend_with_submatrix(K, Ks, ExtensionConfig(m=4))
 
 
 class TestBlockMemberProduct:
-    """Above DENSE_FALLBACK_N a block_extend member takes E V as K V with its
-    rows set to zero, and forms no E; its output equals that of the formed E
-    bit for bit."""
+    """A block_extend member takes E V as K V with its support rows set to
+    zero, and forms no E; its output equals that of the formed E bit for
+    bit."""
 
     @staticmethod
     def kernel(sparse):
@@ -666,6 +711,16 @@ class TestBlockMemberProduct:
         K = SymmetricDense(a)
         return sparsify(K, 0.3) if sparse else K
 
+    @staticmethod
+    def member_with_formed_E(K, rows, cfg):
+        """(values, vectors) of the member on ``rows``, from the pairs of K's
+        block on the member's support rows and an E formed explicitly."""
+        r, c, v = K.principal_block(rows).triplets()
+        Ks = SparseSymmetric(K.n, r + rows[0], c + rows[0], v)
+        support = Ks.support_rows()
+        pairs = matrixcore._support_pairs(K.principal_block(support), support, K.n, cfg.m)
+        return _formed_E_reference(K, Ks, pairs, cfg)
+
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("cfg", [ExtensionConfig(m=4),
                                      ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())],
@@ -674,7 +729,7 @@ class TestBlockMemberProduct:
         K = self.kernel(sparse)
         sizes = (200, 400)
         bounds = np.cumsum((0,) + sizes)
-        expected = [_member_with_formed_E(K, np.arange(bounds[j], bounds[j + 1]), cfg)
+        expected = [self.member_with_formed_E(K, np.arange(bounds[j], bounds[j + 1]), cfg)
                     for j in range(len(sizes))]
         calls = []
         for cls in (SymmetricDense, SparseSymmetric):

@@ -17,7 +17,7 @@ EXPECTED = sorted(
     + ["slopes.csv", "band.csv", "band_order2.csv", "sparse.csv", "verify.csv",
        "verify_mu_zero.csv", "eig.values", "eig.vectors"]
     + [f"{run}.{part}" for run in ("ext_sparse", "ext_sparse_mask", "ext_band", "ext_data_sparse",
-                                   "ext_data_blocks")
+                                   "ext_data_blocks", "ext_data_topleft")
        for part in ("bounds", "values", "vectors")])
 
 
