@@ -15,17 +15,20 @@ methods, and the bound terms of ``pert_extend`` (read after the
 extension has returned; on the kernel and on its leading 200-row block,
 where they come from dense solves), all on one Gaussian kernel of 600
 clustered points.  Every input is generated from a fixed seed into a
-temporary directory, which is removed afterwards.
+temporary directory, which is removed afterwards; ``--keep DIR`` writes
+them into DIR instead and leaves them there, so that the reports of two
+checkouts can be compared by value, not only by digest.
 
 Report bytes still depend on the BLAS thread count, so the script runs
 OpenBLAS and OpenMP at one thread unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS is already set; compare two checkouts at the same setting.
 
-Usage: python scripts/report_digest.py
+Usage: python scripts/report_digest.py [--keep DIR]
 Output: one '<sha256>  <file>' line per report, sorted by file name.  The
 exit code is 1 if any command exits nonzero, else 0.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -139,16 +142,24 @@ def write_api_reports(d: Path) -> None:
         write_rows(d / name, rows)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="digest of every report of a fixed set of runs")
+    parser.add_argument("--keep", metavar="DIR", default=None,
+                        help="write the inputs and reports into DIR, new or empty, and keep them")
+    args = parser.parse_args(argv)
+    if args.keep:
+        if Path(args.keep).exists() and any(Path(args.keep).iterdir()):
+            parser.error(f"--keep directory {args.keep} is not empty")
+        Path(args.keep).mkdir(parents=True, exist_ok=True)
     failed = 0
-    with tempfile.TemporaryDirectory() as tmp:
+    with contextlib.nullcontext(args.keep) if args.keep else tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         write_inputs(d)
-        for argv in commands(d):
+        for run in commands(d):
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli_main(argv)
+                code = cli_main(run)
             if code != 0:
-                print(f"'{argv[0]}' exited {code}: {' '.join(argv)}", file=sys.stderr)
+                print(f"'{run[0]}' exited {code}: {' '.join(run)}", file=sys.stderr)
                 failed = 1
         write_api_reports(d)
         inputs = {"band.dense", "band.sparse", "band.mask", "clustered.csv"}

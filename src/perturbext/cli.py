@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: slopes, band, sparse, verify, extend, eig.  Exit status is 0 on
-success, 1 when a verification fails (or a numerical error aborts a run),
-2 on usage or I/O errors and on inputs too large for memory.  Identical
+success, 1 when a verification fails or a numerical error aborts a run or
+fails a sweep point (the sweep still writes the other points' rows), 2 on
+usage or I/O errors and on inputs too large for memory.  Identical
 command lines with identical seeds produce byte-identical report files.
 """
 
@@ -215,6 +216,12 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
+    except exp.SweepError as exc:
+        if args.out:
+            exp.write_report(args.out, exc.rows)
+        for trial, method, param, message in exc.failures:
+            print(f"numerical error (trial {trial}, {method} {param:g}): {message}", file=sys.stderr)
+        return VERIFY_ERROR
     except (EigengapError, pert.MuCollisionError, SingularSampleError, ConvergenceError) as exc:
         # numerical guards come first: some subclass ValueError
         print(f"numerical error: {exc}", file=sys.stderr)

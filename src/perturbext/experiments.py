@@ -28,6 +28,7 @@ from .kernels import (
     standardize,
 )
 from .matrixcore import (
+    ConvergenceError,
     EigengapError,
     SparseSymmetric,
     SymmetricDense,
@@ -204,8 +205,17 @@ def matched_topleft_size(K, target_nnz: float, minimum: int = 1) -> int:
     return _matched_size(_topleft_nnz(K), target_nnz, minimum)
 
 
+class SweepError(RuntimeError):
+    """Points of a budget sweep failed with a typed numerical error: ``rows`` holds the
+    scored points, ``failures`` one (trial, method, parameter, message) per failed one."""
+
+    def __init__(self, rows, failures):
+        super().__init__(f"{len(failures)} sweep point(s) failed")
+        self.rows, self.failures = rows, failures
+
+
 def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: ExtensionConfig,
-                  trial: int, seed: int):
+                  trial: int, seed: int, failures: list):
     """One trial of a budget experiment: extension from each (parameter,
     selector) pair against generalized Nystrom.
 
@@ -215,29 +225,47 @@ def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: Exten
     ``sym_eig_partial``: dense LAPACK up to n = 256, seeded Lanczos on K's
     CSR above, where a tie between pairs m and m + 1 raises EigengapError.
     The Nystrom block sizes are budget-matched to the selections, all read
-    from one top-left nnz profile of K.  The extensions' bound terms are
-    never read, so none is computed.
+    from one top-left nnz profile of K.  A point whose solve raises a typed
+    numerical error scores no row: (trial, method, parameter, message) goes
+    to ``failures`` and the trial goes on.
+    The extensions' bound terms are never read, so none is computed.
     """
     m = cfg.m
     total_nnz = K.nnz
     exact = sym_eig_partial(K, m).vectors
     topleft_nnz = _topleft_nnz(K)
-    rows = []
-    matched_ls = []
+    rows, matched_ls = [], []
+
+    def score(method, param, selected_nnz, solve):
+        try:
+            rows.append(ReportRow(experiment_id, method, float(param), selected_nnz / total_nnz,
+                                  "principal_angle", principal_angle(solve(), exact), trial, seed))
+        except (EigengapError, ConvergenceError, pert.MuCollisionError, SingularSampleError) as exc:
+            failures.append((trial, method, float(param), str(exc)))
+
     for param, sel in selections:
         Ks = select_submatrix(K, sel)
-        res = extend_with_submatrix(K, Ks, cfg)
-        angle = principal_angle(res.vectors, exact)
-        selected_nnz = res.selector_nnz
-        rows.append(ReportRow(experiment_id, f"{experiment_id}_extension", float(param),
-                              selected_nnz / total_nnz, "principal_angle", angle, trial, seed))
-        matched_ls.append(_matched_size(topleft_nnz, selected_nnz, m))
+        score(f"{experiment_id}_extension", param, Ks.nnz, lambda: extend_with_submatrix(K, Ks, cfg).vectors)
+        matched_ls.append(_matched_size(topleft_nnz, Ks.nnz, m))
     for l in sorted(set(matched_ls)):
-        _, vecs = generalized_nystrom(K, m, l)
-        angle = principal_angle(vecs, exact)
-        rows.append(ReportRow(experiment_id, "nystrom_generalized", float(l),
-                              int(topleft_nnz[l - 1]) / total_nnz, "principal_angle",
-                              angle, trial, seed))
+        score("nystrom_generalized", l, int(topleft_nnz[l - 1]), lambda: generalized_nystrom(K, m, l)[1])
+    return rows
+
+
+def _budget_sweep(experiment_id: str, grid_name: str, grid, selector_of, kernel_of,
+                  m: int, trials: int, seed: int, order: int, mu):
+    """``_budget_trial`` of kernel_of(trial) for every trial, with the selection
+    selector_of(x) for each x in the grid: the rows, or SweepError with them."""
+    if not grid:
+        raise ValueError(f"empty {grid_name} grid")
+    _check_trials(trials)
+    cfg = ExtensionConfig(m=m, order=order, mu=pert.MuPolicy.zero() if mu is None else mu)
+    selections = [(x, selector_of(x)) for x in grid]
+    rows, failures = [], []
+    for trial in range(trials):
+        rows += _budget_trial(experiment_id, kernel_of(trial), selections, cfg, trial, seed, failures)
+    if failures:
+        raise SweepError(rows, failures)
     return rows
 
 
@@ -246,23 +274,13 @@ def run_band_experiment(n: int = 500, m: int = 10, p_grid=None,
                         mu: pert.MuPolicy | None = None):
     """Band selections versus generalized Nystrom on gen_band_matrix instances,
     whose stored count is concentrated near the diagonal while the
-    magnitudes have a harmonic tail (see gen_band_matrix).
+    magnitudes have a harmonic tail (see gen_band_matrix).  A failed point raises SweepError.
     """
     if p_grid is None:
         p_grid = (2, 5, 10, 20, 40, 80, 150, 250, 350, 450)
-    p_grid = [int(p) for p in p_grid]
-    if not p_grid:
-        raise ValueError("empty p grid")
-    _check_trials(trials)
-    if mu is None:
-        mu = pert.MuPolicy.zero()
-    cfg = ExtensionConfig(m=m, order=order, mu=mu)
-    selections = [(p, Selector.band(min(p, n - 1))) for p in p_grid]
-    rows = []
-    for trial in range(trials):
-        K = gen_band_matrix(n, seed=derive_seed(seed, 10, trial))
-        rows += _budget_trial("band", K, selections, cfg, trial, seed)
-    return rows
+    return _budget_sweep("band", "p", [int(p) for p in p_grid], lambda p: Selector.band(min(p, n - 1)),
+                         lambda trial: gen_band_matrix(n, seed=derive_seed(seed, 10, trial)),
+                         m, trials, seed, order, mu)
 
 
 def _sparse_trial_kernel(dataset: Dataset | None, kernel_spec: KernelSpec,
@@ -290,25 +308,16 @@ def run_sparse_experiment(dataset: Dataset | None = None,
     The kernel of each trial is built from the dataset (or the synthetic
     clustered stand-in), standardized, and sparsified to its largest
     ``keep`` fraction of entries; that sparse matrix is the object whose
-    leading subspace both methods approximate.
+    leading subspace both methods approximate.  A failed point raises SweepError.
     """
     if kernel_spec is None:
         kernel_spec = KernelSpec.gaussian(0.1)
     if q_grid is None:
         q_grid = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    q_grid = [float(q) for q in q_grid]
-    if not q_grid:
-        raise ValueError("empty q grid")
-    _check_trials(trials)
-    if mu is None:
-        mu = pert.MuPolicy.zero()
-    cfg = ExtensionConfig(m=m, order=order, mu=mu)
-    selections = [(q, Selector.sparse_top_q(q)) for q in q_grid]
-    rows = []
-    for trial in range(trials):
-        K = _sparse_trial_kernel(dataset, kernel_spec, n, keep, derive_seed(seed, 20, trial))
-        rows += _budget_trial("sparse", K, selections, cfg, trial, seed)
-    return rows
+    return _budget_sweep("sparse", "q", [float(q) for q in q_grid], Selector.sparse_top_q,
+                         lambda trial: _sparse_trial_kernel(dataset, kernel_spec, n, keep,
+                                                            derive_seed(seed, 20, trial)),
+                         m, trials, seed, order, mu)
 
 
 # ---------------------------------------------------------------------------

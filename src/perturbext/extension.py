@@ -5,10 +5,9 @@ A selector describes which entries of the kernel K form the submatrix K^s
 then extended toward those of K by treating E = K - K^s as a perturbation.
 E is subtracted once and stored as a matrix of K's own type: dense for a
 dense K, triplet-sparse (holding only the unselected entries) for a sparse K.
-A K^s that is K's principal block on its support rows (a ``topleft``
-selection, a block-extension member) forms no E: its pairs are solved on
-that block, and the update reads E only through E V, which is K V with
-those rows set to zero.
+A K^s that K built by ``K.block_selection`` (``topleft``, block-extension
+members) forms no E: its pairs come from that block, and E V is
+K[:, rows] V[rows] (``K.columns_matvec``) with rows zeroed.
 """
 
 from __future__ import annotations
@@ -146,10 +145,9 @@ class ExtensionResult:
     entry for the last pair is infinite: its gap factor degenerates).
 
     The bound terms are computed the first time something reads them and
-    kept, read-only: E = K - K^s is formed again then and its norm solved, so
-    a caller that never reads them never pays for that solve.  Until then,
-    and for as long as the result lives, it holds K, K^s, the resolved mu and
-    the order; it never holds E.
+    kept, read-only: E = K - K^s is formed then and its norm solved, so a
+    caller that never reads them never pays for that solve.  The result holds
+    K, K^s (with its kept block), the resolved mu and the order, never E.
 
     The terms take sums over the unknown eigenvalues t_k of K^s.  The
     second-order sum, sum (t_k - mu)^2, is exact: above DENSE_FALLBACK_N it
@@ -190,19 +188,18 @@ def _block_bounds(block_sizes: tuple, n: int) -> np.ndarray:
 def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     """Materialize K^s: K restricted to the selected index set, zero elsewhere.
 
-    The selection is a mask over K's stored triplets, handed to
-    ``K.restrict``: a dense K gives a new sparse matrix of the selected
-    nonzeros, a sparse K a restriction of K (see ``SparseSymmetric``), so
-    that E = K - K^s needs no merge either.  K^s and E each build their own
-    CSR the first time something iterates on them.
+    ``topleft:l`` is ``K.block_selection`` of the first l rows, a gather of that
+    block alone.  Every other kind is a mask over K's stored triplets, handed to
+    ``K.restrict``: a dense K gives a new sparse matrix of the selected nonzeros,
+    a sparse K a restriction of K, so that E = K - K^s needs no merge either.
     """
     n = K.n
-    rows, cols, _ = K.triplets()
     if sel.kind == "topleft":
         if sel.size > n:
             raise ValueError(f"topleft size {sel.size} exceeds dimension {n}")
-        keep = cols < sel.size
-    elif sel.kind == "band":
+        return K.block_selection(np.arange(sel.size))
+    rows, cols, _ = K.triplets()
+    if sel.kind == "band":
         if sel.bandwidth > n - 1:
             raise ValueError(f"bandwidth {sel.bandwidth} exceeds {n - 1}")
         keep = (cols - rows) <= sel.bandwidth
@@ -247,38 +244,25 @@ def _bound_tail(Ks: SparseSymmetric, known_values: np.ndarray, mu: float, order:
     return sq if order == 2 else float(np.sqrt((n - m) * sq))
 
 
-def _stores_block(Ks: SparseSymmetric, block, rows: np.ndarray) -> bool:
-    """Whether K^s stores exactly the triplets of ``block`` moved to ``rows``:
-    the same positions, hence the same nnz, and the same values."""
-    br, bc, bv = block.triplets()
-    return all(map(np.array_equal, Ks.triplets(), (rows[br], rows[bc], bv)))
-
-
 def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> ExtensionResult:
     """Extend the leading eigenpairs of an already-selected K^s to those of K.
 
-    K^s is K's principal block on its support rows, the rows that store a
-    nonzero, when there are at least one and fewer than n of them and K^s
-    stores exactly the triplets of ``K.principal_block(rows)`` (``topleft``
-    selections and ``block_extend`` members do).  Its cfg.m leading pairs
-    are then those of that r-row block padded with zeros
-    (``_support_pairs``), and no E is formed: V vanishes off ``rows`` and E
-    on rows x rows, so E V is ``K.matvec(V)`` with ``rows`` set to zero.
-    Any other K^s is solved by ``sym_eig_partial(Ks, cfg.m)``, and
-    E = K - K^s is formed once for E V and dropped.  A K^s whose dimension
-    is not K's raises ValueError.
-
-    The result's ``bound_terms`` form E on first read, so a caller that
-    reads only the pairs pays for no norm solve of E.
+    A K^s built by this K's ``block_selection`` keeps its block on the rows that
+    store a nonzero; with at least one and fewer than n such rows, its cfg.m
+    leading pairs are that block's, padded with zeros (``_support_pairs``), and
+    E V is ``K.columns_matvec(rows, V)`` with ``rows`` zeroed: no E is formed.
+    Any other K^s, even one equal to such a block, is solved by
+    ``sym_eig_partial(Ks, cfg.m)`` and E = K - K^s is formed for E V.  A K^s of
+    another dimension than K's raises ValueError; ``bound_terms`` form E on first read.
     """
     n = K.n
     if Ks.n != n:
         raise ValueError("dimension mismatch")
-    rows = Ks.support_rows()
-    block = K.principal_block(rows) if 0 < rows.size < n else None
-    if block is not None and _stores_block(Ks, block, rows):
+    rows, block = Ks._block if getattr(Ks, "_parent", None) is K and Ks._block else ((), None)
+    if 0 < len(rows) < n:
         pairs = _support_pairs(block, rows, n, cfg.m)
-        EV = K.matvec(pairs.vectors)
+        # V vanishes off rows and E on rows x rows
+        EV = K.columns_matvec(rows, pairs.vectors)
         EV[rows] = 0.0
     else:
         pairs = sym_eig_partial(Ks, cfg.m)
@@ -335,26 +319,18 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     and turned into a rank-m kernel approximation; the result is the weighted
     sum of the per-block approximations.  Uniform weights by default.
 
-    Member j's K^s holds K's diagonal block j, ``K.principal_block`` of its
-    rows, and goes to ``extend_with_submatrix``, which finds it to be K's
-    principal block on its support rows (the block's rows that store a
-    nonzero).  At every n its m leading pairs are then those of that block
-    padded with zeros (``_support_pairs``: dense LAPACK up to 256 block
-    rows, Lanczos above), so no solve iterates on the n-row K^s, and its
-    update takes E V from one product with K, so no member forms the n x n
-    E or any other n x n array.  The combination forms the one n x n array
-    of the call.
+    Member j's K^s is ``K.block_selection`` of block j's rows, so
+    ``extend_with_submatrix`` solves that block itself (dense LAPACK up to
+    256 rows, Lanczos above) and takes E V from the block's columns alone:
+    no member forms E or any other n x n array.  The combination forms the
+    one n x n array of the call.
     """
     n = K.n
     block_sizes = tuple(int(s) for s in block_sizes)
     bounds = _block_bounds(block_sizes, n)
 
     def member(j):
-        # K^s of member j is K's diagonal block j, its triplets moved to the block's rows
-        lo = bounds[j]
-        rows = np.arange(lo, bounds[j + 1])
-        r, c, v = K.principal_block(rows).triplets()
-        res = extend_with_submatrix(K, SparseSymmetric(n, r + lo, c + lo, v), cfg)
+        res = extend_with_submatrix(K, K.block_selection(np.arange(bounds[j], bounds[j + 1])), cfg)
         return res.values, res.vectors
 
     q = len(block_sizes)

@@ -174,15 +174,24 @@ class SymmetricDense:
         column slice is F-ordered, which sends a product down another BLAS
         path and changes its last bits.
         """
-        return np.ascontiguousarray(self.a[:, cols])
+        return np.array(self.a[:, _span(np.asarray(cols))], order="C")
 
     def principal_block(self, cols, shift: float = 0.0) -> "SymmetricDense":
         """A[cols, cols] - shift * I as a new dense matrix, equal to the rows
         ``cols`` of ``columns(cols)`` with the shift taken off the diagonal."""
         cols = np.asarray(cols, dtype=np.int64)
-        block = self.a[np.ix_(cols, cols)]
+        span = _span(cols)
+        block = self.a[np.ix_(cols, cols)] if span is cols else self.a[span, span].copy()
         block[np.arange(cols.size), np.arange(cols.size)] -= shift
         return SymmetricDense._adopt(block)
+
+    def block_selection(self, rows) -> "SparseSymmetric":
+        """K^s, the principal block on the set ``rows``: ``_block_selection``."""
+        return _block_selection(self, rows)
+
+    def columns_matvec(self, rows, x: np.ndarray) -> np.ndarray:
+        """A[:, rows] x[rows], one product with the rows (A is symmetric; a view for a range)."""
+        return self.a[_span(rows)].T @ x[rows]
 
     def to_dense(self) -> "SymmetricDense":
         return self
@@ -203,17 +212,16 @@ class SparseSymmetric:
     something iterates on the matrix or slices it (``matvec``,
     ``operator``, ``columns``, ``to_dense``) and is kept.  Sums, norms,
     counts, merges, support rows and principal blocks read the triplets, so
-    a matrix that is only subtracted, summed, counted or compared with a
-    block of another never builds it.
+    a matrix that is only subtracted, summed or counted never builds it.
 
     ``restrict(keep)`` gives the stored entries where ``keep`` is set as a
     matrix that remembers its parent, so that ``add_scaled`` of the parent
     minus it is the parent restricted to ``~keep``, with no merge.  A
     selection K^s of a sparse K and its E = K - K^s are so both restrictions
-    of K; each builds its own CSR on first use, as any matrix does.
+    of K.  A ``block_selection`` of either type also keeps its block.
     """
 
-    __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_magnitude", "_parent", "_keep")
+    __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_magnitude", "_parent", "_keep", "_block")
 
     def __init__(self, n: int, rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
@@ -235,7 +243,7 @@ class SparseSymmetric:
         for writing; a restriction also keeps its parent and mask."""
         self._n = int(n)
         self.rows, self.cols, self.vals = _frozen(rows, cols, vals)
-        self._csr = self._magnitude = None
+        self._csr = self._magnitude = self._block = None
         self._parent, self._keep = parent, keep
 
     def _csr_form(self) -> sp.csr_array:
@@ -361,6 +369,14 @@ class SparseSymmetric:
             v = np.concatenate([v, np.full(fill.size, -shift)])
         return SparseSymmetric(l, r, c, v)
 
+    def block_selection(self, rows) -> "SparseSymmetric":
+        """``_block_selection``, which is also a restriction of this matrix."""
+        return _block_selection(self, rows, *_frozen(np.isin(self.rows, rows) & np.isin(self.cols, rows)))
+
+    def columns_matvec(self, rows, x: np.ndarray) -> np.ndarray:
+        """A[:, rows] x[rows] for an x that vanishes off ``rows``: the CSR product A x."""
+        return self._csr_form() @ x
+
     def to_dense(self) -> SymmetricDense:
         return SymmetricDense._adopt(self._csr_form().toarray())
 
@@ -372,11 +388,31 @@ class SparseSymmetric:
         return f"SparseSymmetric(n={self.n}, nnz={self.nnz})"
 
 
+def _span(idx: np.ndarray):
+    """An index array that counts up by one as its slice (a view, no gather), else as is."""
+    return slice(idx[0], idx[-1] + 1) if idx.size and np.all(np.diff(idx) == 1) else idx
+
+
 def _frozen(*arrays):
     """The arrays, made read-only in place."""
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
+
+
+def _block_selection(K, rows, keep=None) -> "SparseSymmetric":
+    """K's principal block on the set ``rows``, gathered once, as the n-row K^s of its
+    triplets moved to ``rows``.  K^s keeps K, a sparse K's mask ``keep`` of its own triplets
+    (as ``restrict`` does) and (rows, block) cut to the rows that store a nonzero, if any."""
+    rows = np.unique(np.asarray(rows, dtype=np.int64))
+    block = K.principal_block(rows)
+    br, bc, bv = block.triplets()
+    cut = np.flatnonzero(np.bincount(br, minlength=rows.size) + np.bincount(bc, minlength=rows.size))
+    obj = SparseSymmetric.__new__(SparseSymmetric)
+    obj._set(K.n, rows[br], rows[bc], bv, K, keep)
+    if cut.size:
+        obj._block = (rows, block) if cut.size == rows.size else (rows[cut], block.principal_block(cut))
+    return obj
 
 
 def _average_transpose(src: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -651,11 +687,8 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
     gap between pairs m and m+1 is checked, since a vanishing gap makes the
     leading subspace ill-posed; a matrix without nonzeros, where that gap is
     exactly zero, raises EigengapError before any solve.  Off the dense
-    path both cases go through ``_support_pairs``.
-
-    ``extend_with_submatrix`` calls it only for a K^s that is not a
-    principal block of K; a principal block goes to ``_support_pairs`` on
-    K's own block at every n, without this n <= 256 dense solve.
+    path both cases go through ``_support_pairs``.  ``extend_with_submatrix``
+    solves a K^s that K built by ``block_selection`` on its block instead.
     """
     n = A.n
     if not 1 <= m <= n:

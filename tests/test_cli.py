@@ -258,6 +258,20 @@ class TestDeterminism:
         assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_failed_sweep_point_writes_the_others(self, tmp_path, capsys):
+        # q = 0.05 selects only the tied unit diagonal of this kernel
+        out = tmp_path / "s.csv"
+        code = main(["sparse", "--n", "200", "--m", "4", "--trials", "2", "--seed", "11",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            f"numerical error (trial {t}, sparse_extension 0.05)" for t in (0, 1)]
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) > 2 and not any(",sparse_extension,0.050000000000000003," in x for x in lines)
+        assert "nan" not in out.read_text()
+
     def test_report_rows_sorted(self, tmp_path):
         main(["band", "--n", "100", "--m", "3", "--trials", "2", "--seed", "2",
               "--p-grid", "40,2,10", "--out", str(tmp_path / "r.csv")])

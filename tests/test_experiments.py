@@ -29,6 +29,58 @@ class TestBudgetExperiments:
                 assert r.nnz_fraction == Ks.nnz / K.nnz
 
 
+class TestFailedPoints:
+    """A sweep point whose solve raises a typed numerical error scores no row
+    and the sweep goes on; the runner then raises SweepError with every
+    scored row and every failed point."""
+
+    # q = 0.05 of this 200-point kernel selects only the unit diagonal, whose
+    # leading values tie
+    ARGS = dict(n=200, m=4, trials=2, seed=11)
+
+    def test_degenerate_selection_fails_alone(self):
+        with pytest.raises(exp.SweepError) as caught:
+            exp.run_sparse_experiment(**self.ARGS)
+        rows, failures = caught.value.rows, caught.value.failures
+        assert [(t, method, q) for t, method, q, _ in failures] == [
+            (0, "sparse_extension", 0.05), (1, "sparse_extension", 0.05)]
+        assert all("gap" in message for *_, message in failures)
+        assert all(np.isfinite(r.value) for r in rows)
+        grid = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+        others = exp.run_sparse_experiment(q_grid=grid, **self.ARGS)
+        ext = [r for r in rows if r.method == "sparse_extension"]
+        assert ext == [r for r in others if r.method == "sparse_extension"]
+        # the failed selection still sets its Nystrom budget
+        nys = [r for r in rows if r.method == "nystrom_generalized"]
+        assert set(r for r in others if r.method == "nystrom_generalized") <= set(nys)
+
+    def test_failed_nystrom_block(self, monkeypatch):
+        nystrom = exp.generalized_nystrom
+
+        def failing(K, m, l):
+            if l == failing.l:
+                raise SingularSampleError("sampled block is zero")
+            return nystrom(K, m, l)
+
+        plain = exp.run_band_experiment(n=90, m=3, p_grid=(2, 10, 40), trials=1, seed=5)
+        failing.l = int(max(r.parameter for r in plain if r.method == "nystrom_generalized"))
+        monkeypatch.setattr(exp, "generalized_nystrom", failing)
+        with pytest.raises(exp.SweepError) as caught:
+            exp.run_band_experiment(n=90, m=3, p_grid=(2, 10, 40), trials=1, seed=5)
+        assert caught.value.failures == [(0, "nystrom_generalized", float(failing.l),
+                                          "sampled block is zero")]
+        assert caught.value.rows == [r for r in plain if r.parameter != failing.l
+                                     or r.method != "nystrom_generalized"]
+
+    def test_single_trial_records_the_failure(self):
+        K = SparseSymmetric(20, np.arange(20), np.arange(20), np.ones(20))
+        failures = []
+        rows = exp._budget_trial("sparse", K, [(1.0, Selector.band(0))], ExtensionConfig(m=2),
+                                 0, 0, failures)
+        assert [r.method for r in rows] == ["nystrom_generalized"]
+        assert [f[:3] for f in failures] == [(0, "sparse_extension", 1.0)]
+
+
 class TestBudgetOracle:
     def test_tie_at_pair_m_above_dense_limit_raises(self):
         # 300 stored diagonal entries send the oracle to Lanczos; pairs 2 and 3 tie,
@@ -39,7 +91,7 @@ class TestBudgetOracle:
         K = SparseSymmetric(n, np.arange(n), np.arange(n), d)
         with pytest.raises(EigengapError, match="pairs 2 and 3"):
             exp._budget_trial("sparse", K, [(2, Selector.top_left(2))],
-                              ExtensionConfig(m=2), 0, 0)
+                              ExtensionConfig(m=2), 0, 0, [])
 
     @pytest.mark.parametrize("trial", [0, 1])
     @pytest.mark.parametrize("experiment, m, kernel_of", [
@@ -57,7 +109,7 @@ class TestBudgetOracle:
 
         monkeypatch.setattr(exp, "principal_angle", record)
         exp._budget_trial(experiment, K, [(0.5, Selector.top_left(50))],
-                          ExtensionConfig(m=m), trial, 0)
+                          ExtensionConfig(m=m), trial, 0, [])
         dense = sym_eig_full(K, m).vectors
         assert oracles and all(W is oracles[0] for W in oracles)
         assert principal_angle(oracles[0], dense) <= 1e-10

@@ -421,8 +421,9 @@ class TestKernelApprox:
 
 def _block_extend_reference(K, block_sizes, cfg: ExtensionConfig, weights=None, members=None):
     """block_extend as it selected each member's K^s by one mask per member
-    over all stored triplets of K; the members' K^s go to ``members``.  The
-    per-block selection must reproduce both bit for bit."""
+    over all stored triplets of K; the members' K^s go to ``members``.  Such
+    a hand-built K^s takes the general path, so the per-block selection must
+    reproduce its triplets bit for bit and its combination to rounding."""
     n = K.n
     block_sizes = tuple(int(s) for s in block_sizes)
     if sum(block_sizes) != n:
@@ -481,7 +482,7 @@ class TestBlockSelection:
             for name in ("rows", "cols", "vals"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert np.array_equal(combined.a, expected.a)
+        assert np.linalg.norm(combined.a - expected.a) <= 1e-12 * np.linalg.norm(expected.a)
 
 
 class TestBlockExtend:
@@ -612,8 +613,9 @@ class TestBlockMemberPairs:
 
 
 class TestPrincipalBlockDetection:
-    """extend_with_submatrix takes the block path exactly when K^s is K's
-    principal block on its support rows, and the general path otherwise."""
+    """extend_with_submatrix takes the block path for a topleft K^s, which K
+    builds with ``block_selection``, and the general path for an edited or
+    hand-built one."""
 
     @staticmethod
     def kernel(n, sparse):
@@ -698,9 +700,10 @@ class TestPrincipalBlockDetection:
 
 
 class TestBlockMemberProduct:
-    """A block_extend member takes E V as K V with its support rows set to
-    zero, and forms no E; its output equals that of the formed E bit for
-    bit."""
+    """A block_extend member takes E V as K[:, rows] V[rows] with its rows
+    set to zero, and forms no E.  On a sparse K that is the CSR product K V,
+    and the output equals that of the formed E bit for bit; on a dense K it
+    is one product with the gathered rows, equal to rounding."""
 
     @staticmethod
     def kernel(sparse):
@@ -739,10 +742,121 @@ class TestBlockMemberProduct:
             monkeypatch.setattr(cls, "add_scaled", counting)
         combined, members = TestBlockMemberPairs.recorded_block_extend(monkeypatch, K, sizes, cfg)
         assert calls == []
+        want = _weighted_combination(iter(expected), len(sizes)).a
         for (_, res), (values, vectors) in zip(members, expected):
-            assert np.array_equal(res.values, values)
-            assert np.array_equal(res.vectors, vectors)
-        assert np.array_equal(combined.a, _weighted_combination(iter(expected), len(sizes)).a)
+            if sparse:
+                assert np.array_equal(res.values, values)
+                assert np.array_equal(res.vectors, vectors)
+            else:
+                assert np.max(np.abs(res.values - values)) <= 1e-13 * spectral_norm(K)
+                assert principal_angle(res.vectors, vectors) <= 1e-12
+        if sparse:
+            assert np.array_equal(combined.a, want)
+        else:
+            assert np.linalg.norm(combined.a - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestBuiltBlockPath:
+    """The block path is taken exactly for a K^s that K built itself with
+    ``block_selection``: K's block is gathered once, K V and support rows
+    are never formed, and the source pairs are those of K's block on the
+    rows that store a nonzero, bit for bit."""
+
+    @staticmethod
+    def kernel(n, sparse):
+        a = np.array(_clustered_kernel(n).a)
+        # an all-zero row in each block of the member splits used below
+        for i in (7, n // 3 + 5):
+            a[i, :] = a[:, i] = 0.0
+        K = SymmetricDense(a)
+        return sparsify(K, 0.3) if sparse else K
+
+    @staticmethod
+    def counted(monkeypatch, K):
+        """Record every ``principal_block`` and ``matvec`` call on K and every
+        ``support_rows`` call on any matrix; a solve of the n-row K^s fails."""
+        def no_solve(A, m):
+            raise AssertionError("the n-row K^s was solved")
+
+        monkeypatch.setattr(extension, "sym_eig_partial", no_solve)
+        calls = []
+        for cls in (SymmetricDense, SparseSymmetric):
+            for name in ("principal_block", "matvec", "support_rows"):
+                def counting(self, *args, _orig=getattr(cls, name), _name=name, **kwargs):
+                    if self is K or _name == "support_rows":
+                        calls.append(_name)
+                    return _orig(self, *args, **kwargs)
+                monkeypatch.setattr(cls, name, counting)
+        return calls
+
+    @staticmethod
+    def todays_pairs(K, Ks, m):
+        """The pairs of K's block on the rows of K^s that store a nonzero."""
+        support = Ks.support_rows()
+        return matrixcore._support_pairs(K.principal_block(support), support, K.n, m)
+
+    CFGS = [ExtensionConfig(m=4), ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())]
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("n", [200, 600])
+    @pytest.mark.parametrize("cfg", CFGS, ids=["order1-zero", "order2-mean"])
+    def test_topleft_gathers_once(self, monkeypatch, sparse, n, cfg):
+        K = self.kernel(n, sparse)
+        l = n // 2
+        with monkeypatch.context() as patch:
+            calls = self.counted(patch, K)
+            res = pert_extend(K, Selector.top_left(l), cfg)
+        assert calls == ["principal_block"]
+        Ks = SparseSymmetric(K.n, *select_submatrix(K, Selector.top_left(l)).triplets())
+        expected = self.todays_pairs(K, Ks, cfg.m)
+        assert 7 not in Ks.support_rows()
+        assert np.array_equal(res.source_pairs.values, expected.values)
+        assert np.array_equal(res.source_pairs.vectors, expected.vectors)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("n", [200, 600])
+    @pytest.mark.parametrize("cfg", CFGS, ids=["order1-zero", "order2-mean"])
+    def test_members_gather_once(self, monkeypatch, sparse, n, cfg):
+        K = self.kernel(n, sparse)
+        sizes = (n // 3, n - n // 3)
+        members = []
+
+        def recording(K_, Ks, cfg_):
+            res = extend_with_submatrix(K_, Ks, cfg_)
+            members.append((Ks, res))
+            return res
+
+        with monkeypatch.context() as patch:
+            patch.setattr(extension, "extend_with_submatrix", recording)
+            calls = self.counted(patch, K)
+            block_extend(K, sizes, cfg)
+        assert calls == ["principal_block"] * len(sizes)
+        for Ks, res in members:
+            expected = self.todays_pairs(K, SparseSymmetric(K.n, *Ks.triplets()), cfg.m)
+            assert np.array_equal(res.source_pairs.values, expected.values)
+            assert np.array_equal(res.source_pairs.vectors, expected.vectors)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("n", [200, 600])
+    @pytest.mark.parametrize("cfg", CFGS, ids=["order1-zero", "order2-mean"])
+    @pytest.mark.parametrize("builder", ["hand", "copy"])
+    def test_equal_block_not_built_by_K_takes_general_path(self, sparse, n, cfg, builder):
+        K = self.kernel(n, sparse)
+        rows = np.arange(n // 3, n)
+        own = K.block_selection(rows)
+        if builder == "hand":
+            Ks = SparseSymmetric(K.n, *own.triplets())
+        else:
+            K2 = SparseSymmetric(K.n, *K.triplets()) if sparse else SymmetricDense(K.a)
+            Ks = K2.block_selection(rows)
+        for a, b in zip(Ks.triplets(), own.triplets()):
+            assert np.array_equal(a, b)
+        res = extend_with_submatrix(K, Ks, cfg)
+        pairs, values, vectors = _general_reference(K, Ks, cfg)
+        assert np.array_equal(res.source_pairs.values, pairs.values)
+        assert np.array_equal(res.source_pairs.vectors, pairs.vectors)
+        assert np.array_equal(res.values, values)
+        assert np.array_equal(res.vectors, vectors)
 
 
 class TestCsrBuilds:

@@ -525,6 +525,21 @@ class TestUtilities:
         assert not block.a.flags.writeable
         assert not np.shares_memory(block.a, A.a)
 
+    @pytest.mark.parametrize("cols", [np.arange(8), np.arange(2, 6), np.array([3])],
+                             ids=["all", "inner", "one"])
+    def test_range_reads_are_fresh_and_equal_to_gathers(self, cols):
+        # a range of indices is read through a slice; the result is the
+        # gathered one bit for bit, never a view of A
+        A = random_symmetric(8, 6)
+        columns, block = A.columns(cols), A.principal_block(cols, 0.5)
+        assert columns.flags.c_contiguous and columns.flags.writeable
+        assert not np.shares_memory(columns, A.a) and not np.shares_memory(block.a, A.a)
+        assert np.array_equal(columns, A.a[:, list(cols)])
+        expected = A.a[np.ix_(list(cols), list(cols))] - 0.5 * np.eye(cols.size)
+        assert np.array_equal(block.a, expected)
+        x = np.random.default_rng(1).standard_normal((8, 2))
+        assert np.array_equal(A.columns_matvec(cols, x), np.ascontiguousarray(A.a[list(cols)]).T @ x[cols])
+
     def test_frobenius_sparse_matches_dense(self):
         S = SparseSymmetric(4, [0, 0, 1, 3], [0, 2, 1, 3], [1.0, 2.0, -1.0, 4.0])
         assert S.frobenius_norm() == pytest.approx(np.linalg.norm(S.to_dense().a))

@@ -1,6 +1,7 @@
 """The refactor check ``scripts/report_digest.py`` stays runnable: it exits 0
 and prints one digest line for each report it is meant to cover."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -30,3 +31,19 @@ def test_report_digest_lists_every_report():
     names = [m.group(1) for m in map(re.compile(r"[0-9a-f]{64}  (\S+)").fullmatch, lines) if m]
     assert len(names) == len(lines)
     assert names == EXPECTED
+
+
+def test_keep_writes_the_reports_it_digests(tmp_path):
+    keep = tmp_path / "reports"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, str(SCRIPT), "--keep", str(keep)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for line in done.stdout.splitlines():
+        digest, name = line.split("  ")
+        assert hashlib.sha256((keep / name).read_bytes()).hexdigest() == digest
+    assert sorted(line.split("  ")[1] for line in done.stdout.splitlines()) == EXPECTED
+    # a directory that already holds files is refused before any run
+    again = subprocess.run([sys.executable, str(SCRIPT), "--keep", str(keep)], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert again.returncode == 2 and "not empty" in again.stderr
