@@ -17,15 +17,22 @@ where they come from dense solves), all on one Gaussian kernel of 600
 clustered points.  Every input is generated from a fixed seed into a
 temporary directory, which is removed afterwards; ``--keep DIR`` writes
 them into DIR instead and leaves them there, so that the reports of two
-checkouts can be compared by value, not only by digest.
+checkouts can be compared by value, not only by digest: ``--against DIR``
+compares the reports of this checkout with those a ``--keep DIR`` run left
+in DIR.
 
 Report bytes still depend on the BLAS thread count, so the script runs
 OpenBLAS and OpenMP at one thread unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS is already set; compare two checkouts at the same setting.
 
-Usage: python scripts/report_digest.py [--keep DIR]
-Output: one '<sha256>  <file>' line per report, sorted by file name.  The
-exit code is 1 if any command exits nonzero, else 0.
+Usage: python scripts/report_digest.py [--keep DIR] [--against DIR]
+Output: one '<sha256>  <file>' line per report, sorted by file name.  With
+``--against`` it is instead one line per report whose values moved:
+'<file>  max abs <a>  max rel <r>', where a is the largest absolute change
+of a number and r is a over the largest finite magnitude in the kept
+report; a report whose text fields or field count changed, or that DIR
+lacks, is named with the reason.  Reports equal by value print nothing.
+The exit code is 1 if any command exits nonzero, else 0.
 """
 
 import argparse
@@ -33,6 +40,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -142,11 +150,48 @@ def write_api_reports(d: Path) -> None:
         write_rows(d / name, rows)
 
 
+def _fields(path: Path) -> list:
+    """The comma- or blank-separated fields of a report, numbers as floats
+    and everything else as text."""
+    fields = []
+    for token in re.split(r"[,\s]+", path.read_text().strip()):
+        try:
+            fields.append(float(token))
+        except ValueError:
+            fields.append(token)
+    return fields
+
+
+def compare(name: str, current: Path, kept: Path):
+    """How report ``name`` in ``current`` moved from the one in ``kept``: None
+    when they are equal by value, else a one-line description."""
+    if not (kept / name).is_file():
+        return f"{name}  missing from {kept}"
+    new, old = _fields(current / name), _fields(kept / name)
+    numeric = [isinstance(x, float) for x in old]
+    if len(new) != len(old) or numeric != [isinstance(x, float) for x in new] or any(
+            a != b for a, b, num in zip(new, old, numeric) if not num):
+        return f"{name}  text fields or field count changed"
+    a = np.array([x for x in new if isinstance(x, float)])
+    b = np.array([x for x in old if isinstance(x, float)])
+    # equal infinities (the bound term of a last pair) have not moved
+    moved = a != b
+    if not moved.any():
+        return None
+    change = float(np.max(np.abs(a[moved] - b[moved])))
+    largest = np.max(np.abs(b[np.isfinite(b)]), initial=0.0)
+    return f"{name}  max abs {change:.3g}  max rel {change / largest:.3g}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="digest of every report of a fixed set of runs")
     parser.add_argument("--keep", metavar="DIR", default=None,
                         help="write the inputs and reports into DIR, new or empty, and keep them")
+    parser.add_argument("--against", metavar="DIR", default=None,
+                        help="print the reports whose values differ from those a --keep run left in DIR")
     args = parser.parse_args(argv)
+    if args.against and not Path(args.against).is_dir():
+        parser.error(f"--against directory {args.against} does not exist")
     if args.keep:
         if Path(args.keep).exists() and any(Path(args.keep).iterdir()):
             parser.error(f"--keep directory {args.keep} is not empty")
@@ -164,7 +209,10 @@ def main(argv=None) -> int:
         write_api_reports(d)
         inputs = {"band.dense", "band.sparse", "band.mask", "clustered.csv"}
         for path in sorted(p for p in d.iterdir() if p.name not in inputs):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+            if not args.against:
+                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+            elif (moved := compare(path.name, d, Path(args.against))) is not None:
+                print(moved)
     return failed
 
 

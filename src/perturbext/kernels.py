@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import SparseSymmetric, SymmetricDense, _dense_eigvalsh, read_rows
+from .matrixcore import SparseSymmetric, SymmetricDense, _average_transpose, _dense_eigvalsh, read_rows
 
 
 class KernelOverflowError(OverflowError, ValueError):
@@ -122,18 +122,24 @@ def standardize(ds: Dataset) -> Dataset:
 
 
 def build_kernel(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
-    """Gram matrix of the dataset under the given kernel."""
+    """Gram matrix of the dataset under the given kernel, computed in place in
+    one Gram and one work array and averaged in place (``_average_transpose``).
+    An entry that overflows, or that an overflowing squared norm makes NaN,
+    raises KernelOverflowError naming the first such sample pair."""
     x = ds.samples
-    if spec.kind == "gaussian":
-        sq = np.einsum("ij,ij->i", x, x)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        np.clip(d2, 0.0, None, out=d2)
-        np.fill_diagonal(d2, 0.0)
-        K = np.exp(-spec.gamma * d2)
-        return SymmetricDense(K, symmetrize=True)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         gram = x @ x.T
-        if spec.kind == "linear":
+        if spec.kind == "gaussian":
+            sq = np.einsum("ij,ij->i", x, x)
+            gram *= 2.0
+            K = sq[:, None] + sq[None, :]
+            K -= gram
+            del gram  # the kernel is the only n x n array from here on
+            np.clip(K, 0.0, None, out=K)
+            np.fill_diagonal(K, 0.0)
+            K *= -spec.gamma
+            np.exp(K, out=K)
+        elif spec.kind == "linear":
             K = gram
         else:
             K = (1.0 + gram) ** spec.degree
@@ -141,30 +147,36 @@ def build_kernel(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise KernelOverflowError(f"{spec.kind} kernel overflow at sample pair ({i}, {j})")
-    return SymmetricDense(K, symmetrize=True)
+    return SymmetricDense._adopt(_average_transpose(K, K))
 
 
 def sparsify(K: SymmetricDense, keep_fraction: float) -> SparseSymmetric:
     """Keep the ceil(keep_fraction * count) largest-magnitude upper-triangle
     entries (mirrored); ties broken by (row, col).
 
-    ``np.partition`` finds the count-th largest magnitude in linear time
-    instead of sorting all n(n+1)/2 entries.  Every entry strictly above it
-    is kept, and of the entries equal to it the first ones in row-major
-    order fill the count: the same set a stable descending sort would take.
+    The n(n+1)/2 magnitudes are gathered row by row, in row-major order, and
+    ``np.partition`` finds the count-th largest without a sort.  Every entry
+    above it is kept, and of those equal to it the first in row-major order
+    fill the count: the set a stable descending sort would take.  The kept
+    flat positions map to (row, col) through the row offsets.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must lie in (0, 1]")
     n = K.n
-    iu = np.triu_indices(n)
-    vals = K.a[iu]
-    count = int(np.ceil(keep_fraction * vals.size))
-    mag = np.abs(vals)
-    cut = np.partition(mag, vals.size - count)[vals.size - count]
+    # flat offset of each row's diagonal entry in the row-major upper triangle
+    starts = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
+    mag = np.empty(starts[-1])
+    for i in range(n):
+        np.abs(K.a[i, i:], out=mag[starts[i]:starts[i + 1]])
+    count = int(np.ceil(keep_fraction * mag.size))
+    cut = np.partition(mag, mag.size - count)[mag.size - count]
     keep = mag > cut
     tied = np.flatnonzero(mag == cut)
     keep[tied[:count - np.count_nonzero(keep)]] = True
-    return SparseSymmetric(n, iu[0][keep], iu[1][keep], vals[keep])
+    flat = np.flatnonzero(keep)
+    rows = np.searchsorted(starts, flat, side="right") - 1
+    cols = flat - starts[rows] + rows
+    return SparseSymmetric(n, rows, cols, K.a[rows, cols])
 
 
 # ---------------------------------------------------------------------------

@@ -114,17 +114,20 @@ class SymmetricDense:
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.a))
 
-    def triplets(self):
+    def triplets(self, cache: bool = True):
         """Upper-triangle (rows, cols, vals) of the nonzeros, in row-major
-        order: extracted on first use and kept, read-only.  The upper
-        triangle is gathered by index and its zeros masked out, which is
-        faster than a ``nonzero`` scan of an ``np.triu`` copy."""
-        if self._triplets is None:
-            r, c = np.triu_indices(self.n)
-            v = self.a[r, c]
-            keep = v != 0.0
-            self._triplets = _frozen(r[keep], c[keep], v[keep])
-        return self._triplets
+        order, read-only: extracted on first use and kept unless ``cache`` is
+        false.  The upper triangle is gathered by index and its zeros masked
+        out, which is faster than a ``nonzero`` scan of an ``np.triu`` copy."""
+        if self._triplets is not None:
+            return self._triplets
+        r, c = np.triu_indices(self.n)
+        v = self.a[r, c]
+        keep = v != 0.0
+        found = _frozen(r[keep], c[keep], v[keep])
+        if cache:
+            self._triplets = found
+        return found
 
     def magnitude_profile(self):
         """``_magnitude_profile`` of the triplets, formed on first use and kept."""
@@ -167,18 +170,9 @@ class SymmetricDense:
         rows, cols, vals = self.triplets()
         return SparseSymmetric(self.n, rows[keep], cols[keep], vals[keep])
 
-    def columns(self, cols) -> np.ndarray:
-        """A[:, cols] as a new C-ordered n x len(cols) array.
-
-        C order matters to callers that multiply the block: a fancy-indexed
-        column slice is F-ordered, which sends a product down another BLAS
-        path and changes its last bits.
-        """
-        return np.array(self.a[:, _span(np.asarray(cols))], order="C")
-
     def principal_block(self, cols, shift: float = 0.0) -> "SymmetricDense":
         """A[cols, cols] - shift * I as a new dense matrix, equal to the rows
-        ``cols`` of ``columns(cols)`` with the shift taken off the diagonal."""
+        ``cols`` of A[:, cols] with the shift taken off the diagonal."""
         cols = np.asarray(cols, dtype=np.int64)
         span = _span(cols)
         block = self.a[np.ix_(cols, cols)] if span is cols else self.a[span, span].copy()
@@ -190,8 +184,9 @@ class SymmetricDense:
         return _block_selection(self, rows)
 
     def columns_matvec(self, rows, x: np.ndarray) -> np.ndarray:
-        """A[:, rows] x[rows], one product with the rows (A is symmetric; a view for a range)."""
-        return self.a[_span(rows)].T @ x[rows]
+        """A[:, rows] x[rows] as (x[rows]^T A[rows, :])^T, one product with the
+        rows (A is symmetric; a view for a range), returned F-ordered."""
+        return (x[rows].T @ self.a[_span(rows)]).T
 
     def to_dense(self) -> "SymmetricDense":
         return self
@@ -209,10 +204,11 @@ class SparseSymmetric:
     construction so nnz is meaningful.
 
     The mirrored CSR form of the full matrix is built the first time
-    something iterates on the matrix or slices it (``matvec``,
-    ``operator``, ``columns``, ``to_dense``) and is kept.  Sums, norms,
-    counts, merges, support rows and principal blocks read the triplets, so
-    a matrix that is only subtracted, summed or counted never builds it.
+    something iterates on the matrix (``matvec``, ``operator``,
+    ``columns_matvec``, ``to_dense``) and is kept.  Sums, norms, counts,
+    merges, support rows and principal blocks read the triplets, so a matrix
+    that is only subtracted, summed or counted never builds it; a principal
+    block cuts its CSR from one that exists, bit for bit the one it would build.
 
     ``restrict(keep)`` gives the stored entries where ``keep`` is set as a
     matrix that remembers its parent, so that ``add_scaled`` of the parent
@@ -274,8 +270,9 @@ class SparseSymmetric:
         off = self.vals[~diag]
         return float(np.sqrt(2.0 * np.dot(off, off) + np.dot(self.vals[diag], self.vals[diag])))
 
-    def triplets(self):
-        """The stored (rows, cols, vals), upper triangle in row-major order."""
+    def triplets(self, cache: bool = True):
+        """The stored (rows, cols, vals), upper triangle in row-major order
+        (fields, so ``cache`` changes nothing)."""
         return self.rows, self.cols, self.vals
 
     def magnitude_profile(self):
@@ -338,16 +335,11 @@ class SparseSymmetric:
         np.add.at(merged, inv, vals)
         return SparseSymmetric(self.n, uniq // self.n, uniq % self.n, merged)
 
-    def columns(self, cols) -> np.ndarray:
-        """A[:, cols] as a new C-ordered n x len(cols) array, a column slice
-        of the CSR, without forming the n x n array."""
-        return self._csr_form()[:, cols].toarray()
-
     def principal_block(self, cols, shift: float = 0.0) -> "SparseSymmetric":
         """A[cols, cols] - shift * I for distinct ``cols``, from the stored
-        triplets through a map from each row to its place in ``cols``, so no
-        CSR is built and neither the n x n nor the l x l array is formed; its
-        entries equal the dense block's bit for bit."""
+        triplets through a map from each row to its place in ``cols``, equal
+        to the dense block's entries bit for bit.  Without a shift it takes
+        its CSR cut from A's, if A has one (``csr[a:b, a:b]`` for a range)."""
         cols = np.asarray(cols, dtype=np.int64)
         l = cols.size
         place = np.full(self._n, -1, dtype=np.int64)
@@ -367,7 +359,12 @@ class SparseSymmetric:
             fill = np.flatnonzero(empty)
             r, c = np.concatenate([r, fill]), np.concatenate([c, fill])
             v = np.concatenate([v, np.full(fill.size, -shift)])
-        return SparseSymmetric(l, r, c, v)
+        block = SparseSymmetric(l, r, c, v)
+        if self._csr is not None and not shift:
+            span = _span(cols)
+            block._csr = self._csr[span, span] if span is not cols else self._csr[np.ix_(cols, cols)]
+            block._csr.sort_indices()
+        return block
 
     def block_selection(self, rows) -> "SparseSymmetric":
         """``_block_selection``, which is also a restriction of this matrix."""
@@ -406,7 +403,8 @@ def _block_selection(K, rows, keep=None) -> "SparseSymmetric":
     (as ``restrict`` does) and (rows, block) cut to the rows that store a nonzero, if any."""
     rows = np.unique(np.asarray(rows, dtype=np.int64))
     block = K.principal_block(rows)
-    br, bc, bv = block.triplets()
+    # the kept block is solved, never read for its triplets: a dense one does not cache them
+    br, bc, bv = block.triplets(cache=False)
     cut = np.flatnonzero(np.bincount(br, minlength=rows.size) + np.bincount(bc, minlength=rows.size))
     obj = SparseSymmetric.__new__(SparseSymmetric)
     obj._set(K.n, rows[br], rows[bc], bv, K, keep)

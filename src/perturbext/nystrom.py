@@ -1,14 +1,15 @@
 """The Nystrom family: classical, generalized, spectrum-shifted, ensemble.
 
 Every variant extends the leading pairs of a block of sampled columns
-through one core.  The block keeps K's matrix type (a sparse K's block is
-sliced from its stored rows) and is solved by ``sym_eig_partial``, the same
-eigensolver and size rule as the extension side, so no variant factors the
-whole block.  The classical, generalized and shifted methods sample the
-first columns, which keeps every equivalence check deterministic; the
-ensemble samples each member's subset of columns directly, so an ensemble
-of one subset approximates K from any columns.  Every rank-k
-approximation is ``extension.kernel_approx`` of a (values, vectors) pair.
+through one core.  The block keeps K's matrix type (a sparse K's block cuts
+its CSR from K's when K has one) and is solved by ``sym_eig_partial``, the
+same eigensolver and size rule as the extension side; the sampled columns
+are read through ``K.columns_matvec``, never formed.  The classical,
+generalized and shifted methods sample the first columns, which keeps every
+equivalence check deterministic; the ensemble samples each member's subset
+of columns directly, so an ensemble of one subset approximates K from any
+columns.  Every rank-k approximation is ``extension.kernel_approx`` of a
+(values, vectors) pair.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
 
     Returns values (n/l) * lambda_i' + shift and vectors sqrt(l/n) *
     C u_i' / lambda_i', where l = len(cols) and C = K[:, cols] - shift *
-    I[:, cols] holds the sampled columns.  The block keeps K's matrix type
-    and its k pairs come from ``sym_eig_partial``, the eigensolver of the
-    extension side: dense LAPACK up to DENSE_FALLBACK_N, seeded Lanczos on
-    the stored block above it, where a vanishing gap between pairs k and
-    k + 1 raises EigengapError.
+    I[:, cols] holds the sampled columns, never formed: C U is
+    ``K.columns_matvec`` of U placed on the rows ``cols``, shift * U taken off
+    them.  The block keeps K's matrix type and its k pairs come from
+    ``sym_eig_partial``, the eigensolver of the extension side: dense LAPACK
+    up to DENSE_FALLBACK_N, seeded Lanczos on the stored block above it,
+    where a vanishing gap between pairs k and k + 1 raises EigengapError.
 
     An all-zero block, or one with a pair |lambda_i'| <= 1e-12 * ||block||_2,
     raises SingularSampleError.  ||block||_2 is computed only for a block
@@ -49,8 +51,6 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
     l = len(cols)
     if not 1 <= k <= l <= n:
         raise ValueError(f"need 1 <= k <= l <= n, got k={k}, l={l}, n={n}")
-    C = K.columns(cols)
-    C[cols, np.arange(l)] -= shift
     block = K.principal_block(cols, shift)
     # an all-zero block is rejected before the solve, since Lanczos cannot
     # start on it
@@ -67,7 +67,12 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
     if small <= 2e-12 * block.frobenius_norm() and small <= 1e-12 * spectral_norm(block):
         raise SingularSampleError(
             f"sampled block eigenvalue {lam[np.argmin(np.abs(lam))]:.3e} below 1e-12 * ||block||")
-    vectors = np.sqrt(l / n) * (C @ pairs.vectors) / lam[None, :]
+    U = np.zeros((n, k))
+    U[cols] = pairs.vectors
+    CU = K.columns_matvec(cols, U)
+    if shift:
+        CU[cols] -= shift * pairs.vectors
+    vectors = np.sqrt(l / n) * CU / lam[None, :]
     return (n / l) * lam + shift, vectors
 
 

@@ -897,10 +897,11 @@ class TestCsrBuilds:
         builds = self.count_builds(monkeypatch)
         _, members = TestBlockMemberPairs.recorded_block_extend(
             monkeypatch, K, (300, 300), ExtensionConfig(m=4))
-        # a sparse K builds its own CSR once, for the members' K V, and each
-        # 300-row block one for its Lanczos run; no E is formed to build one.
-        # A dense K builds none
-        assert len(builds) == (3 if sparse else 0)
+        # a sparse K builds its own CSR once, for the first member's K V, and
+        # the first 300-row block one for its Lanczos run; the second block
+        # cuts its CSR from K's.  No E is formed to build one.  A dense K
+        # builds none
+        assert len(builds) == (2 if sparse else 0)
         assert sum(rows is K.rows for rows in builds) == int(sparse)
         for Ks, _ in members:
             assert not any(rows is Ks.rows for rows in builds)
@@ -1077,8 +1078,8 @@ class TestMaskedSelections:
         builds = TestCsrBuilds.count_builds(monkeypatch)
         rows = run_sparse_experiment(n=1000, m=5, trials=1)
         nystrom_rows = [r for r in rows if r.method == "nystrom_generalized"]
-        # one for K, and one each for the 10 selections, their 10 E and the
-        # 10 Nystrom blocks; no matrix builds its CSR twice
+        # one for K, and one each for the 10 selections and their 10 E; the
+        # 10 Nystrom blocks cut theirs from K's.  No matrix builds its CSR twice
         assert len(nystrom_rows) == 10
-        assert len(builds) == 31
-        assert len({id(built) for built in builds}) == 31
+        assert len(builds) == 21
+        assert len({id(built) for built in builds}) == 21

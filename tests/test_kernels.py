@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,123 @@ class TestSparsifyMatchesStableSort:
         S = sparsify(K, fraction)
         _assert_same_triplets(S, _sparsify_by_stable_sort(K, fraction))
         assert S.vals.size == run_end
+
+
+def _build_kernel_out_of_place(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
+    """build_kernel as it was before the Gaussian kernel was computed in place,
+    verbatim: the oracle that the in-place body must match bit for bit."""
+    x = ds.samples
+    if spec.kind == "gaussian":
+        sq = np.einsum("ij,ij->i", x, x)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        np.clip(d2, 0.0, None, out=d2)
+        np.fill_diagonal(d2, 0.0)
+        K = np.exp(-spec.gamma * d2)
+        return SymmetricDense(K, symmetrize=True)
+    with np.errstate(over="ignore"):
+        gram = x @ x.T
+        if spec.kind == "linear":
+            K = gram
+        else:
+            K = (1.0 + gram) ** spec.degree
+    bad = ~np.isfinite(K)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise KernelOverflowError(f"{spec.kind} kernel overflow at sample pair ({i}, {j})")
+    return SymmetricDense(K, symmetrize=True)
+
+
+def _sparsify_by_triu_indices(K: SymmetricDense, keep_fraction: float) -> SparseSymmetric:
+    """sparsify as it was before it gathered the upper triangle row by row,
+    verbatim: the oracle that the row-wise body must match bit for bit."""
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError("keep_fraction must lie in (0, 1]")
+    n = K.n
+    iu = np.triu_indices(n)
+    vals = K.a[iu]
+    count = int(np.ceil(keep_fraction * vals.size))
+    mag = np.abs(vals)
+    cut = np.partition(mag, vals.size - count)[vals.size - count]
+    keep = mag > cut
+    tied = np.flatnonzero(mag == cut)
+    keep[tied[:count - np.count_nonzero(keep)]] = True
+    return SparseSymmetric(n, iu[0][keep], iu[1][keep], vals[keep])
+
+
+# sizes around the 128-row tiles of the symmetric average
+_TILE_EDGE_N = st.one_of(st.integers(1, 40), st.sampled_from([127, 128, 129, 255, 256, 257, 300]))
+
+
+class TestInPlaceKernelMatchesOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(_TILE_EDGE_N, st.integers(1, 6), st.floats(1e-3, 10.0), st.integers(0, 10_000),
+           st.integers(0, 3), st.sampled_from(["gaussian", "polynomial", "linear"]))
+    def test_build_kernel(self, n, d, gamma, seed, repeats, kind):
+        x = rng_for(seed).standard_normal((n, d))
+        # repeated rows tie kernel entries, zero distances among them
+        x[:min(repeats, n)] = x[0]
+        spec = KernelSpec(kind, gamma=gamma, degree=1 + seed % 3)
+        got, want = build_kernel(Dataset(x), spec), _build_kernel_out_of_place(Dataset(x), spec)
+        assert got.a.dtype == want.a.dtype and np.array_equal(got.a, want.a)
+        assert not got.a.flags.writeable and got.a.flags.c_contiguous
+
+    @settings(max_examples=40, deadline=None)
+    @given(_TILE_EDGE_N, st.integers(0, 10_000), st.floats(1e-3, 1.0), st.booleans())
+    def test_sparsify(self, n, seed, fraction, tied):
+        rng = rng_for(seed)
+        if tied:
+            # a handful of magnitudes of both signs: the cut lands in a tie run
+            a = rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0], size=(n, n))
+            K = SymmetricDense(np.triu(a) + np.triu(a, 1).T)
+        else:
+            K = build_kernel(Dataset(rng.standard_normal((n, 3))), KernelSpec.gaussian(0.5))
+        _assert_same_triplets(sparsify(K, fraction), _sparsify_by_triu_indices(K, fraction))
+
+    def test_trial_kernel(self):
+        # the kernel of the sparse experiment at n = 1000, keep = 0.1
+        ds = standardize(gen_clustered_dataset(n=1000, seed=5))
+        K = build_kernel(ds, KernelSpec.gaussian(0.1))
+        assert np.array_equal(K.a, _build_kernel_out_of_place(ds, KernelSpec.gaussian(0.1)).a)
+        _assert_same_triplets(sparsify(K, 0.1), _sparsify_by_triu_indices(K, 0.1))
+
+    def test_peaks(self):
+        # one Gram and one work array for the kernel; one magnitude array and
+        # its partitioned copy for sparsify
+        n = 600
+        ds = standardize(gen_clustered_dataset(n=n, dim=20, seed=6))
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                out = call()
+                return out, tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+            finally:
+                tracemalloc.stop()
+
+        K, kernel_peak = peak(lambda: build_kernel(ds, KernelSpec.gaussian(0.1)))
+        _, sparsify_peak = peak(lambda: sparsify(K, 0.1))
+        assert kernel_peak <= 2.1 and sparsify_peak <= 1.6
+
+
+class TestGaussianOverflow:
+    def test_typed_error_names_first_pair_without_warnings(self):
+        # rows 1 and 2 overflow their squared norms: their distance is
+        # inf - inf, not a number, while row 0 lies infinitely far from both
+        ds = Dataset(np.array([[0.0, 1.0], [1e200, 0.0], [1e200, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelOverflowError, match=r"gaussian kernel overflow at sample pair \(1, 2\)"):
+                build_kernel(ds, KernelSpec.gaussian(0.5))
+
+    def test_overflowing_distance_is_a_zero_entry(self):
+        # |x_i - x_j|^2 overflows to inf, so the entry is exp(-inf) = 0, as
+        # the out-of-place formula gives it
+        ds = Dataset(np.array([[1e154], [-1e154], [0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = build_kernel(ds, KernelSpec.gaussian(0.5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(K.a, _build_kernel_out_of_place(ds, KernelSpec.gaussian(0.5)).a)
 
 
 def _gen_band_matrix_reference(n: int, seed: int = 0) -> SparseSymmetric:

@@ -452,7 +452,10 @@ class TestProtocol:
             for got, want in zip(A.triplets(), forms[0].triplets()):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             assert np.array_equal(A.magnitude_profile()[0], forms[0].magnitude_profile()[0])
-            assert np.array_equal(A.columns(cols), M.a[:, cols])
+            # the columns themselves, read through the product with I[:, cols]
+            unit = np.zeros((n, cols.size))
+            unit[cols, np.arange(cols.size)] = 1.0
+            assert np.array_equal(A.columns_matvec(cols, unit), M.a[:, cols])
             expected_block = M.a[np.ix_(cols, cols)] - 0.75 * np.eye(cols.size)
             assert np.array_equal(A.principal_block(cols, 0.75).to_dense().a, expected_block)
             assert np.array_equal(A.matvec(np.eye(n)), M.a)
@@ -531,14 +534,13 @@ class TestUtilities:
         # a range of indices is read through a slice; the result is the
         # gathered one bit for bit, never a view of A
         A = random_symmetric(8, 6)
-        columns, block = A.columns(cols), A.principal_block(cols, 0.5)
-        assert columns.flags.c_contiguous and columns.flags.writeable
-        assert not np.shares_memory(columns, A.a) and not np.shares_memory(block.a, A.a)
-        assert np.array_equal(columns, A.a[:, list(cols)])
+        x = np.random.default_rng(1).standard_normal((8, 2))
+        product, block = A.columns_matvec(cols, x), A.principal_block(cols, 0.5)
+        assert product.flags.writeable
+        assert not np.shares_memory(product, A.a) and not np.shares_memory(block.a, A.a)
+        assert np.array_equal(product, (x[cols].T @ np.ascontiguousarray(A.a[list(cols)])).T)
         expected = A.a[np.ix_(list(cols), list(cols))] - 0.5 * np.eye(cols.size)
         assert np.array_equal(block.a, expected)
-        x = np.random.default_rng(1).standard_normal((8, 2))
-        assert np.array_equal(A.columns_matvec(cols, x), np.ascontiguousarray(A.a[list(cols)]).T @ x[cols])
 
     def test_frobenius_sparse_matches_dense(self):
         S = SparseSymmetric(4, [0, 0, 1, 3], [0, 2, 1, 3], [1.0, 2.0, -1.0, 4.0])
@@ -678,12 +680,12 @@ class TestPartialDegenerateGap:
 class TestPrincipalBlock:
     @pytest.mark.parametrize("shift", [0.0, 0.75])
     def test_equals_rows_of_sampled_columns(self, shift):
-        # the block is bit-identical to the rows cols of A.columns(cols)
-        # with the shift taken off the diagonal, and keeps A's type
+        # the block is bit-identical to the rows cols of A[:, cols] with
+        # the shift taken off the diagonal, and keeps A's type
         A = random_symmetric(30, 23)
         A = SymmetricDense(np.where(np.abs(A.a) > 0.5, A.a, 0.0))
         cols = np.array([7, 2, 19, 11, 0, 25])
-        expected = A.columns(cols)[cols]
+        expected = A.to_dense().a[:, cols][cols]
         expected[np.arange(cols.size), np.arange(cols.size)] -= shift
         for K in (A, SparseSymmetric.from_dense(A)):
             block = K.principal_block(cols, shift)
@@ -755,6 +757,53 @@ class TestPrincipalBlockFromTriplets:
         assert np.count_nonzero(block.to_dense().a) == block.nnz
         with pytest.raises(ValueError, match="distinct"):
             S.principal_block([3, 8, 3], shift)
+
+
+class TestBlockCsrCut:
+    """An unshifted principal block of a sparse matrix whose CSR exists cuts
+    its CSR from that one, bit for bit the CSR its own triplets would build."""
+
+    @staticmethod
+    def sparse(n=60, seed=12):
+        a = random_symmetric(n, seed).a
+        a = np.where(np.abs(a) > 0.8, a, 0.0)
+        a[5, :] = a[:, 5] = 0.0
+        return SparseSymmetric.from_dense(SymmetricDense(a))
+
+    @pytest.mark.parametrize("cols", [
+        np.arange(60), np.arange(10, 45), np.array([7]), np.array([2, 5, 9, 30, 31, 58]),
+        np.array([31, 3, 17, 0, 8, 22, 59, 12, 5]), np.array([40, 39, 38, 37])],
+        ids=["all", "range", "one", "sorted", "unsorted", "descending"])
+    def test_cut_equals_built(self, monkeypatch, cols):
+        S = self.sparse()
+        cold = S.principal_block(cols)
+        S.matvec(np.ones(S.n))
+        builds = []
+        monkeypatch.setattr(matrixcore, "_mirrored_csr", lambda *args: builds.append(args))
+        warm = S.principal_block(cols)
+        assert builds == [] and warm._csr is not None and cold._csr is None
+        monkeypatch.undo()
+        built = matrixcore._mirrored_csr(warm.n, *warm.triplets())
+        assert warm._csr.shape == built.shape and warm._csr.has_sorted_indices
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(warm._csr, part), getattr(built, part)), part
+        for a, b in zip(warm.triplets(), cold.triplets()):
+            assert np.array_equal(a, b)
+        x = np.linspace(-1.0, 1.0, cols.size)
+        assert np.array_equal(warm.matvec(x), cold.matvec(x))
+
+    def test_shifted_block_builds_its_own(self):
+        S = self.sparse()
+        S.matvec(np.ones(S.n))
+        assert S.principal_block(np.arange(10), 0.5)._csr is None
+
+    def test_dense_block_selection_keeps_no_triplets(self):
+        # K^s shares the block's values; the block itself is only solved
+        K = random_symmetric(40, 13)
+        Ks = K.block_selection(np.arange(5, 30))
+        rows, block = Ks._block
+        assert block._triplets is None
+        assert np.array_equal(Ks.to_dense().a[np.ix_(rows, rows)], block.a)
 
 
 def _old_write_rows(path, rows):

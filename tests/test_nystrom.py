@@ -23,6 +23,7 @@ from perturbext.matrixcore import (
     principal_angle,
     spectral_norm,
     sym_eig_full,
+    sym_eig_partial,
 )
 from perturbext.nystrom import (
     SingularSampleError,
@@ -201,16 +202,20 @@ class TestGeneralized:
         medians = [np.median(angles[l]) for l in l_grid]
         assert all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))
 
-    def test_sparse_kernel_bit_identical_to_dense(self):
-        # a sparse K is read column-wise from its CSR rows, never densified
+    def test_sparse_kernel_matches_dense(self):
+        # a sparse K is read through its CSR, never densified: the block
+        # solve gives the same values bit for bit, and the sampled columns'
+        # product, a GEMM for a dense K and a CSR product for a sparse one,
+        # agrees to round-off
         K = gen_wishart_psd(300, seed=27)
         S = SparseSymmetric.from_dense(K)
         subsets = [np.sort(rng_for(s).choice(300, size=30, replace=False)) for s in (28, 29)]
-        for run in (lambda A: generalized_nystrom(A, 5, 40),
-                    lambda A: shifted_nystrom(A, 5, 0.5),
-                    lambda A: (ensemble_nystrom(A, 5, subsets).a,)):
-            for a, b in zip(run(K), run(S)):
-                assert np.array_equal(a, b)
+        for run in (lambda A: generalized_nystrom(A, 5, 40), lambda A: shifted_nystrom(A, 5, 0.5)):
+            (dense_vals, dense_vecs), (sparse_vals, sparse_vecs) = run(K), run(S)
+            assert np.array_equal(dense_vals, sparse_vals)
+            assert np.max(np.abs(dense_vecs - sparse_vecs)) <= 1e-13 * np.abs(dense_vecs).max()
+        dense, sparse = ensemble_nystrom(K, 5, subsets).a, ensemble_nystrom(S, 5, subsets).a
+        assert np.max(np.abs(dense - sparse)) <= 1e-13 * np.abs(dense).max()
 
     def test_invalid_sizes(self):
         K = gen_wishart_psd(10, seed=5)
@@ -332,6 +337,84 @@ class TestEnsemble:
         K = gen_wishart_psd(10, seed=15)
         with pytest.raises(ValueError):
             ensemble_nystrom(K, 2, [np.arange(4)], weights=[0.7])
+
+
+def _sampled_pairs_by_columns(K, k, cols, shift=0.0):
+    """Reference: the sampled pairs from the formed columns C = K[:, cols] -
+    shift * I[:, cols], the block solved as ``_sampled_pairs`` solves it."""
+    n, l = K.n, len(cols)
+    C = np.array(K.to_dense().a[:, cols], order="C")
+    C[cols, np.arange(l)] -= shift
+    pairs = sym_eig_partial(K.principal_block(cols, shift), k)
+    lam = pairs.values
+    return (n / l) * lam + shift, np.sqrt(l / n) * (C @ pairs.vectors) / lam[None, :]
+
+
+class TestSampledColumnsProduct:
+    """The sampled columns are never formed: C u is K.columns_matvec on u
+    placed on the sampled rows.  Every variant matches the formed-columns
+    reference on dense and sparse K, below and above DENSE_FALLBACK_N."""
+
+    n, k = 420, 4
+
+    @classmethod
+    def kernel(cls, sparse):
+        x = rng_for(41).standard_normal((cls.n, 3))
+        K = build_kernel(standardize(Dataset(x)), KernelSpec.gaussian(0.5))
+        return SparseSymmetric.from_dense(SymmetricDense(np.where(K.a > 1e-3, K.a, 0.0))) if sparse else K
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["dense", "sparse"])
+    def K(self, request):
+        return self.kernel(request.param)
+
+    def assert_close(self, K, got, want):
+        norm = spectral_norm(K)
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-13 * norm
+        assert principal_angle(got[1], want[1]) <= 1e-12
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-12 * np.abs(want[1]).max()
+
+    @pytest.mark.parametrize("l", [40, 300])
+    def test_generalized(self, K, l):
+        self.assert_close(K, generalized_nystrom(K, self.k, l),
+                          _sampled_pairs_by_columns(K, self.k, np.arange(l)))
+
+    def test_classical_and_shifted(self, K):
+        cols = np.arange(self.k)
+        self.assert_close(K, nystrom_extend(K, self.k), _sampled_pairs_by_columns(K, self.k, cols))
+        for mu in (0.25, None):
+            shift = shift_mu_mean(K, self.k) if mu is None else mu
+            self.assert_close(K, shifted_nystrom(K, self.k, mu),
+                              _sampled_pairs_by_columns(K, self.k, cols, shift))
+
+    @pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted"])
+    def test_ensemble(self, K, sort):
+        subsets = [rng_for(42, j).choice(self.n, size=size, replace=False)
+                   for j, size in enumerate((40, 300))]
+        subsets = [np.sort(s) if sort else s for s in subsets]
+        ref = [_sampled_pairs_by_columns(K, self.k, s) for s in subsets]
+        want = 0.5 * sum((v * w[None, :]) @ v.T for w, v in ref)
+        got = ensemble_nystrom(K, self.k, subsets).a
+        assert np.max(np.abs(got - want)) <= 1e-12 * spectral_norm(K)
+
+    def test_same_whether_or_not_K_has_its_csr(self, monkeypatch):
+        K = self.kernel(sparse=True)
+        subsets = [np.arange(300), rng_for(43).choice(self.n, size=60, replace=False)]
+
+        def runs(A):
+            return [generalized_nystrom(A, self.k, 300), shifted_nystrom(A, self.k, 0.25),
+                    (ensemble_nystrom(A, self.k, subsets).a,)]
+
+        cold = runs(SparseSymmetric(K.n, *K.triplets()))
+        warm = SparseSymmetric(K.n, *K.triplets())
+        warm.matvec(np.ones(K.n))
+        builds = []
+        build = matrixcore._mirrored_csr
+        monkeypatch.setattr(matrixcore, "_mirrored_csr", lambda *a: builds.append(a[0]) or build(*a))
+        for a, b in zip(runs(warm), cold):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+        # with K's CSR at hand only the shifted k x k block builds its own
+        assert builds == [self.k]
 
 
 class TestCombinationMemory:

@@ -47,3 +47,32 @@ def test_keep_writes_the_reports_it_digests(tmp_path):
     again = subprocess.run([sys.executable, str(SCRIPT), "--keep", str(keep)], env=env,
                            capture_output=True, text=True, timeout=300)
     assert again.returncode == 2 and "not empty" in again.stderr
+
+
+def test_against_names_exactly_the_reports_that_moved(tmp_path):
+    keep = tmp_path / "reports"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def run(*args):
+        done = subprocess.run([sys.executable, str(SCRIPT), *args], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    run("--keep", str(keep))
+    # the same checkout reproduces every report by value
+    assert run("--against", str(keep)) == []
+    # one number of one kept report tampered: only that report moved, by
+    # exactly the tampered amount
+    path = keep / "api_generalized_nystrom_l300.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[1].split(",")
+    old = float(fields[2])
+    fields[2] = repr(old + 0.5)
+    lines[1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    moved = run("--against", str(keep))
+    assert len(moved) == 1
+    name, change, relative = re.fullmatch(r"(\S+)  max abs (\S+)  max rel (\S+)", moved[0]).groups()
+    assert name == path.name
+    assert float(change) == float(f"{abs(old + 0.5 - old):.3g}") and 0.0 < float(relative) <= float(change)
