@@ -11,10 +11,12 @@ eigendecomposition.  The Python-API reports (``api_*.csv``, written
 with ``write_rows``) cover what no CLI command reaches: ``block_extend``
 below and above the dense size limit (above it on a dense and on a
 sparsified kernel), the ensemble, shifted and generalized Nystrom
-methods, and the bound terms of ``pert_extend`` (read after the
+methods, the bound terms of ``pert_extend`` (read after the
 extension has returned; on the kernel and on its leading 200-row block,
-where they come from dense solves), all on one Gaussian kernel of 600
-clustered points.  Every input is generated from a fixed seed into a
+where they come from dense solves), and ``sym_eig_partial`` and
+``spectral_norm`` of the leading 300-row block held in C and in F order
+(the two branches of the dense vector product that Lanczos iterates on),
+all on one Gaussian kernel of 600 clustered points.  Every input is generated from a fixed seed into a
 temporary directory, which is removed afterwards; ``--keep DIR`` writes
 them into DIR instead and leaves them there, so that the reports of two
 checkouts can be compared by value, not only by digest: ``--against DIR``
@@ -63,7 +65,15 @@ from perturbext.kernels import (  # noqa: E402
     sparsify,
     standardize,
 )
-from perturbext.matrixcore import SparseSymmetric, write_dense, write_rows, write_sparse  # noqa: E402
+from perturbext.matrixcore import (  # noqa: E402
+    SparseSymmetric,
+    SymmetricDense,
+    spectral_norm,
+    sym_eig_partial,
+    write_dense,
+    write_rows,
+    write_sparse,
+)
 from perturbext.nystrom import ensemble_nystrom, generalized_nystrom, shifted_nystrom  # noqa: E402
 from perturbext.perturbation import MuPolicy  # noqa: E402
 
@@ -131,6 +141,12 @@ def write_api_reports(d: Path) -> None:
             for B in (A, sparsify(A, 0.3))
             for cfg in (ExtensionConfig(m=m), ExtensionConfig(m=m, order=2, mu=MuPolicy.mean()))])
 
+    def dense_lanczos(order):
+        # leading pairs, then the norm repeated across a row
+        A = SymmetricDense(np.asarray(K.principal_block(np.arange(300)).a, order=order))
+        pairs = sym_eig_partial(A, m)
+        return np.vstack([pairs.values, pairs.vectors, np.full(m, spectral_norm(A))])
+
     reports = {
         "api_block_extend_n200.csv": block_extend(K200, (50, 150), ExtensionConfig(m=m)).a,
         "api_block_extend_n600.csv": block_extend(K, (300, 300), ExtensionConfig(m=m)).a,
@@ -145,6 +161,8 @@ def write_api_reports(d: Path) -> None:
         "api_bounds.csv": bounds(K),
         # at n <= 256 the tail spectrum and ||E|| come from dense solves
         "api_bounds_n200.csv": bounds(K200),
+        # above n = 256: Lanczos through dsymv on the array and on its transpose
+        "api_dense_lanczos_n300.csv": np.vstack([dense_lanczos("C"), dense_lanczos("F")]),
     }
     for name, rows in reports.items():
         write_rows(d / name, rows)

@@ -144,8 +144,11 @@ def _slope_sweep(experiment_id: str, grid: np.ndarray, problem_at, seed: int):
             rows.append(ReportRow(experiment_id, name, float(c), 1.0,
                                   "vector_error", err, 0, seed))
     # _slope_grid guarantees two distinct positive points, so the fit is defined
-    slopes = {name: float(np.polyfit(np.log(grid), np.log(errs), 1)[0])
-              for name, errs in errors.items()}
+    try:
+        slopes = {name: float(np.polyfit(np.log(grid), np.log(errs), 1)[0])
+                  for name, errs in errors.items()}
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{experiment_id} slope fit failed: {exc}") from exc
     return rows, slopes
 
 
@@ -245,8 +248,9 @@ def _budget_trial(experiment_id: str, K: SparseSymmetric, selections, cfg: Exten
 
     for param, sel in selections:
         Ks = select_submatrix(K, sel)
-        score(f"{experiment_id}_extension", param, Ks.nnz, lambda: extend_with_submatrix(K, Ks, cfg).vectors)
-        matched_ls.append(_matched_size(topleft_nnz, Ks.nnz, m))
+        nnz = Ks.nnz
+        score(f"{experiment_id}_extension", param, nnz, lambda: extend_with_submatrix(K, Ks, cfg).vectors)
+        matched_ls.append(_matched_size(topleft_nnz, nnz, m))
     for l in sorted(set(matched_ls)):
         score("nystrom_generalized", l, int(topleft_nnz[l - 1]), lambda: generalized_nystrom(K, m, l)[1])
     return rows

@@ -159,7 +159,6 @@ class ExtensionResult:
 
     values: np.ndarray
     vectors: np.ndarray
-    selector_nnz: int
     source_pairs: EigenPairs
     # what bound_terms is computed from
     _K: object = field(repr=False, compare=False)
@@ -271,8 +270,7 @@ def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> Exten
     mu = cfg.mu.resolve(problem)
     update = pert.truncated_first_order if cfg.order == 1 else pert.truncated_second_order
     return ExtensionResult(values=pert.classical_eigval_update(problem), vectors=update(problem, mu),
-                           selector_nnz=Ks.nnz, source_pairs=pairs,
-                           _K=K, _Ks=Ks, _mu=mu, _order=cfg.order)
+                           source_pairs=pairs, _K=K, _Ks=Ks, _mu=mu, _order=cfg.order)
 
 
 def pert_extend(K, sel: Selector, cfg: ExtensionConfig) -> ExtensionResult:

@@ -146,12 +146,13 @@ class SymmetricDense:
         return not any(self.a[i:i + _ZERO_SCAN_ROWS].any() for i in range(0, self.n, _ZERO_SCAN_ROWS))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply the matrix to a vector or to a block of columns."""
+        """Apply the matrix to a vector or to a block of columns.  A vector
+        takes one BLAS ``dsymv``, which reads a single triangle of whichever
+        of the array and its transpose (equal by symmetry) is F-ordered, so
+        no product copies the matrix."""
+        if x.ndim == 1:
+            return blas.dsymv(1.0, self.a if self.a.flags.f_contiguous else self.a.T, x)
         return self.a @ x
-
-    def operator(self) -> "_DenseSymmetricOperator":
-        """What eigsh iterates on: the array behind a ``dsymv`` operator."""
-        return _DenseSymmetricOperator(self.a)
 
     def add_scaled(self, B, c: float) -> "SymmetricDense":
         """self + c * B as a dense matrix: a copy of the array with c * B added
@@ -204,11 +205,11 @@ class SparseSymmetric:
     construction so nnz is meaningful.
 
     The mirrored CSR form of the full matrix is built the first time
-    something iterates on the matrix (``matvec``, ``operator``,
-    ``columns_matvec``, ``to_dense``) and is kept.  Sums, norms, counts,
-    merges, support rows and principal blocks read the triplets, so a matrix
-    that is only subtracted, summed or counted never builds it; a principal
-    block cuts its CSR from one that exists, bit for bit the one it would build.
+    something iterates on the matrix (``matvec``, ``columns_matvec``,
+    ``to_dense``) and is kept.  Sums, norms, counts, merges, support rows and
+    principal blocks read the triplets, so a matrix that is only subtracted,
+    summed or counted never builds it; a principal block cuts its CSR from
+    one that exists, bit for bit the one it would build.
 
     ``restrict(keep)`` gives the stored entries where ``keep`` is set as a
     matrix that remembers its parent, so that ``add_scaled`` of the parent
@@ -306,10 +307,6 @@ class SparseSymmetric:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the matrix to a vector or to a block of columns."""
         return self._csr_form() @ x
-
-    def operator(self) -> "_CsrOperator":
-        """What eigsh iterates on: the CSR form behind a one-product operator."""
-        return _CsrOperator(self._csr_form())
 
     def add_scaled(self, B, c: float) -> "SparseSymmetric":
         """self + c * B as a sparse matrix, B read through its triplets.
@@ -545,36 +542,6 @@ class EigenPairs:
         return f"EigenPairs(n={self.n}, m={self.m})"
 
 
-class _CsrOperator(spla.LinearOperator):
-    """A CSR array as a linear operator whose product is one ``csr @ x`` on
-    the flattened vector, which eigsh would otherwise reach through a
-    general block product."""
-
-    def __init__(self, csr: sp.csr_array):
-        self.csr = csr
-        super().__init__(float, csr.shape)
-
-    def _matvec(self, x):
-        return self.csr @ np.ravel(x)
-
-
-class _DenseSymmetricOperator(spla.LinearOperator):
-    """A dense symmetric array as a linear operator whose product is one BLAS
-    ``dsymv``, which reads a single triangle.
-
-    ``a`` is whichever of the array and its transpose (equal by symmetry) is
-    F-contiguous, so for the contiguous array of a ``SymmetricDense`` neither
-    the wrapper nor a product copies the matrix.
-    """
-
-    def __init__(self, a: np.ndarray):
-        self.a = a if a.flags.f_contiguous else np.asfortranarray(a.T)
-        super().__init__(float, a.shape)
-
-    def _matvec(self, x):
-        return blas.dsymv(1.0, self.a, np.ravel(x))
-
-
 # ---------------------------------------------------------------------------
 # eigensolvers
 
@@ -620,15 +587,21 @@ def _dense_eigvalsh(A) -> np.ndarray:
 
 
 def _lanczos(A, k: int, which: str, seed: int, vectors: bool):
-    """``eigsh`` on ``A.operator()``: k extreme pairs (values only
-    unless ``vectors``), from the seeded start vector, in at most 50 n iterations."""
+    """``eigsh`` on a linear operator whose product is ``A.matvec``: k extreme
+    pairs (values only unless ``vectors``), from the seeded start vector, in
+    at most 50 n iterations.  Any ARPACK failure raises ConvergenceError."""
     n = A.n
+    # with its dtype given, the operator does not probe the product on a zero vector
+    op = spla.LinearOperator((n, n), matvec=A.matvec, dtype=float)
     try:
-        return spla.eigsh(A.operator(), k=k, which=which, v0=_start_vector(n, seed),
+        return spla.eigsh(op, k=k, which=which, v0=_start_vector(n, seed),
                           maxiter=50 * n, return_eigenvectors=vectors)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Lanczos failed to converge ({len(exc.eigenvalues)} of {k} values found)") from exc
+    except spla.ArpackError as exc:
+        # the message names ARPACK's info code
+        raise ConvergenceError(f"Lanczos failed: {exc}") from exc
 
 
 def _check_gap(above: float, below: float, m: int) -> None:
@@ -735,7 +708,8 @@ def principal_angle(U: np.ndarray, W: np.ndarray) -> float:
 
     Both blocks are orthonormalized first, so column scaling and mixing do
     not affect the result.  Small angles are computed through sines for
-    accuracy near zero.
+    accuracy near zero.  A failed SVD raises ConvergenceError, as a failed
+    solve does in ``sym_eig_full``.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     W = np.atleast_2d(np.asarray(W, dtype=float))
@@ -743,11 +717,14 @@ def principal_angle(U: np.ndarray, W: np.ndarray) -> float:
         raise ValueError("expected two blocks of identical shape")
     qu = _orthonormalize(U)
     qw = _orthonormalize(W)
-    cosines = np.linalg.svd(qu.T @ qw, compute_uv=False)
-    cos_min = min(float(cosines[-1]), 1.0)
-    if cos_min ** 2 >= 0.5:
-        sines = np.linalg.svd(qw - qu @ (qu.T @ qw), compute_uv=False)
-        return float(np.arcsin(min(float(sines[0]), 1.0)))
+    try:
+        cosines = np.linalg.svd(qu.T @ qw, compute_uv=False)
+        cos_min = min(float(cosines[-1]), 1.0)
+        if cos_min ** 2 >= 0.5:
+            sines = np.linalg.svd(qw - qu @ (qu.T @ qw), compute_uv=False)
+            return float(np.arcsin(min(float(sines[0]), 1.0)))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"principal angle failed: {exc}") from exc
     return float(np.arccos(max(cos_min, -1.0)))
 
 

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perturbext import cli, experiments as exp
 from perturbext.cli import main
@@ -135,6 +139,51 @@ class TestExitCodes:
                      "--mu", f"{sub[-1]:.17g}", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "numerical error" in capsys.readouterr().err
+
+
+class TestLinearAlgebraFailures:
+    """A failed ARPACK or LAPACK call is a numerical error (exit 1); LAPACK's
+    LinAlgError is a ValueError and ARPACK's ArpackError a RuntimeError, which
+    alone would exit 2 or escape as a traceback."""
+
+    BAND = ["band", "--n", "300", "--m", "3", "--trials", "1", "--p-grid", "5"]
+
+    def test_arpack_error_is_numerical_error(self, monkeypatch, capsys):
+        import scipy.sparse.linalg as spla
+
+        def eigsh_fails(*args, **kwargs):
+            raise spla.ArpackError(-9999)
+
+        monkeypatch.setattr(spla, "eigsh", eigsh_fails)
+        assert main(self.BAND) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "ARPACK error -9999" in err
+
+    def test_failed_angle_fails_only_its_point(self, monkeypatch, tmp_path, capsys):
+        svd, calls = np.linalg.svd, []
+
+        def svd_fails_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_fails_first)
+        out = tmp_path / "b.csv"
+        assert main(self.BAND + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error (trial 0, band_extension 5): principal angle failed")
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["nystrom_generalized"]
+
+    def test_failed_slope_fit_is_numerical_error(self, monkeypatch, capsys):
+        def polyfit_fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np, "polyfit", polyfit_fails)
+        assert main(["slopes", "--n", "30", "--m", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: slope_vs_norm slope fit failed")
 
 
 class TestExtend:
@@ -350,3 +399,84 @@ class TestDeferredBounds:
                      "--m", "3", "--out", str(tmp_path / "s")])
         assert code == 1
         assert "did not converge" in capsys.readouterr().err
+
+
+# arguments of each grammar head and tokens of malformed files: empty,
+# negative, nan, inf, huge and non-numeric values next to valid ones
+_ARGS = ["", "0", "1", "2", "3", "0.5", "1,2", "2,,3", "3,-1", "-1", "-0.5", "nan", "-nan",
+         "inf", "-inf", "1e308", "1e400", "99999999999999999999", "abc", "0x10", "1_0", " 1"]
+_TOKENS = ["0", "1", "5", "39", "40", "41", "-1", "1.5", "nan", "inf", "-inf", "1e400",
+           "99999999999999999999", "abc", "0x10", ","]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A 40-row dense matrix file and a 40-point dataset file."""
+    d = tmp_path_factory.mktemp("fuzz")
+    write_dense(d / "K.txt", gen_wishart_psd(40, seed=4))
+    rng = np.random.default_rng(4)
+    (d / "data.csv").write_text("\n".join(",".join(f"{v:.6f}" for v in row)
+                                          for row in rng.standard_normal((40, 3))))
+    return d
+
+
+@st.composite
+def _file_text(draw, kind):
+    """A small valid file of the given kind, then up to three of its fields
+    replaced by a ``_TOKENS`` token, appended to their line or deleted."""
+    if kind == "dense":
+        a = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]), min_size=21, max_size=21)))
+        full = np.zeros((6, 6))
+        full[np.triu_indices(6)] = a
+        table = [[f"{v:g}" for v in row] for row in full + np.triu(full, 1).T]
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                              min_size=1, max_size=8, unique_by=lambda p: tuple(sorted(p))))
+        table = [["40", str(len(pairs))]] + [[str(min(p)), str(max(p)), "1.5"] for p in pairs]
+    for row, col, token in draw(st.lists(st.tuples(st.integers(0, len(table) - 1), st.integers(0, 6),
+                                                   st.sampled_from(_TOKENS + [None])), max_size=3)):
+        fields = table[row]
+        if token is None:
+            del fields[col:col + 1]
+        elif col < len(fields):
+            fields[col] = token
+        else:
+            fields.append(token)
+    return "\n".join((",".join if kind == "dense" else " ".join)(f) for f in table) + "\n"
+
+
+class TestExitCodeContract:
+    """``main`` returns 0, 1 or 2 and raises nothing, whatever the grammar
+    arguments and file contents; every run is in-process on at most 40 rows."""
+
+    VALID = {"--selector": "band:3", "--kernel": "gaussian:0.5", "--mu": "zero", "--m": "3"}
+    # the heads of each option's grammar; None passes the argument alone
+    HEADS = {"--selector": ["topleft", "band", "sparse", "blocks", "mask", "none"],
+             "--kernel": ["gaussian", "poly", "linear", "none"],
+             "--mu": [None, "zero", "mean"], "--keep": [None], "--m": [None]}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), option=st.sampled_from(sorted(HEADS)), arg=st.sampled_from(_ARGS),
+           source=st.sampled_from(["--matrix", "--dataset"]))
+    def test_grammar_arguments(self, fuzz_inputs, data, option, arg, source):
+        # one option takes a head with a fuzzed argument, the others stay valid
+        head = data.draw(st.sampled_from(self.HEADS[option]))
+        options = dict(self.VALID, **{option: arg if head is None else f"{head}:{arg}"})
+        argv = ["extend", source, str(fuzz_inputs / ("K.txt" if source == "--matrix" else "data.csv")),
+                "--out", str(fuzz_inputs / "o")]
+        assert main(argv + [x for item in options.items() for x in item]) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), kind=st.sampled_from(["sparse", "dense", "mask"]))
+    def test_malformed_files(self, fuzz_inputs, data, kind):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.txt"
+            path.write_text(data.draw(_file_text(kind)))
+            out = str(Path(tmp) / "o")
+            source = "--matrix" if kind == "dense" else "--sparse-matrix"
+            if kind == "mask":
+                argv = ["extend", "--matrix", str(fuzz_inputs / "K.txt"), "--selector", f"mask:{path}"]
+            else:
+                argv = ["extend", source, str(path), "--selector", "band:1"]
+            assert main(argv + ["--m", "1", "--out", out]) in (0, 1, 2)
+            assert main(["eig", source, str(path), "--out", out]) in (0, 1, 2)

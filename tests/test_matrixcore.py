@@ -257,6 +257,20 @@ class TestEigPartial:
         with pytest.raises(ValueError):
             sym_eig_partial(SymmetricDense(np.eye(3)), 4)
 
+    @pytest.mark.parametrize("found, message", [(None, "ARPACK error -9999"), (2, "2 of 5 values found")],
+                             ids=["error", "no_convergence"])
+    def test_arpack_failure_is_convergence_error(self, monkeypatch, found, message):
+        import scipy.sparse.linalg as spla
+
+        def eigsh_fails(*args, **kwargs):
+            if found is None:
+                raise spla.ArpackError(-9999)
+            raise spla.ArpackNoConvergence("no convergence", np.ones(found), None)
+
+        monkeypatch.setattr(matrixcore.spla, "eigsh", eigsh_fails)
+        with pytest.raises(ConvergenceError, match=message):
+            sym_eig_partial(random_symmetric(300, 7), 4)
+
     def test_dense_path_builds_one_eigenpairs(self, monkeypatch):
         built = []
 
@@ -329,8 +343,8 @@ class TestSpectralNorm:
 
 
 class TestDenseLanczos:
-    """Above DENSE_FALLBACK_N a dense matrix reaches eigsh as a dsymv operator
-    on its own array, in C or F order alike."""
+    """Above DENSE_FALLBACK_N a dense matrix reaches eigsh through its
+    ``matvec``, one dsymv on its own array, in C or F order alike."""
 
     @staticmethod
     def planted(n, order):
@@ -355,12 +369,35 @@ class TestDenseLanczos:
         assert np.max(np.abs(pairs.vectors - canonical_signs(v[:, ::-1][:, :4]))) <= 1e-12 * norm
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_operator_reads_the_stored_array(self, order):
+    def test_vector_product_reads_the_stored_array(self, monkeypatch, order):
         A = self.planted(257, order)
-        op = A.operator()
-        assert np.shares_memory(op.a, A.a)
+        dsymv, seen = matrixcore.blas.dsymv, []
+
+        def recording(alpha, a, x):
+            seen.append(a)
+            return dsymv(alpha, a, x)
+
+        monkeypatch.setattr(matrixcore.blas, "dsymv", recording)
         x = np.random.default_rng(3).standard_normal(A.n)
-        assert np.max(np.abs(op.matvec(x) - A.a @ x)) <= 1e-12 * np.abs(A.a).sum(axis=1).max()
+        y = A.matvec(x)
+        assert len(seen) == 1 and seen[0].flags.f_contiguous and np.shares_memory(seen[0], A.a)
+        assert np.max(np.abs(y - A.a @ x)) <= 1e-12 * np.abs(A.a).sum(axis=1).max()
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_lanczos_products_take_nonzero_vectors(self, monkeypatch, kind):
+        # a product on a block or on a probing zero vector would show here
+        A = self.planted(300, "C")
+        A = A if kind == "dense" else SparseSymmetric.from_dense(A)
+        matvec, seen = type(A).matvec, []
+
+        def recording(self, x):
+            seen.append((x.ndim, bool(np.any(x))))
+            return matvec(self, x)
+
+        monkeypatch.setattr(type(A), "matvec", recording)
+        sym_eig_partial(A, 4)
+        spectral_norm(A)
+        assert seen and set(seen) == {(1, True)}
 
 
 class TestZeroGuard:
@@ -401,6 +438,22 @@ class TestPrincipalAngle:
         U = np.ones((5, 2))
         with pytest.raises(RankDeficientError):
             principal_angle(U, np.eye(5)[:, :2])
+
+    @pytest.mark.parametrize("failing_call", [0, 1], ids=["cosines", "sines"])
+    def test_failed_svd_is_convergence_error(self, monkeypatch, failing_call):
+        # a small angle takes both SVDs; LinAlgError alone is a ValueError
+        svd, calls = np.linalg.svd, []
+
+        def svd_fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == failing_call + 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_fails_once)
+        U = np.eye(6)[:, :2]
+        with pytest.raises(ConvergenceError, match="SVD did not converge"):
+            principal_angle(U, U + 1e-3)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -722,17 +775,18 @@ class TestCachedForms:
         assert order.tolist() == [1, 3, 2, 0]
         assert cum.tolist() == [2, 3, 5, 6] and cum[-1] == S.nnz
 
-    def test_sparse_operator_matches_bare_csr(self):
+    def test_sparse_matvec_operator_matches_bare_csr(self):
         import scipy.sparse.linalg as spla
 
         a = random_symmetric(400, 5).a
         S = SparseSymmetric.from_dense(SymmetricDense(np.where(np.abs(a) > 1.5, a, 0.0)))
         v0 = np.linspace(1.0, 2.0, S.n)
         x = np.linspace(-1.0, 1.0, S.n)
-        assert np.array_equal(S.operator().matvec(x), S._csr_form() @ x)
-        via_operator = spla.eigsh(S.operator(), k=4, which="LA", v0=v0)
+        op = spla.LinearOperator((S.n, S.n), matvec=S.matvec, dtype=float)
+        assert np.array_equal(op.matvec(x), S._csr_form() @ x)
+        via_matvec = spla.eigsh(op, k=4, which="LA", v0=v0)
         via_csr = spla.eigsh(S._csr_form(), k=4, which="LA", v0=v0)
-        for a, b in zip(via_operator, via_csr):
+        for a, b in zip(via_matvec, via_csr):
             assert np.array_equal(a, b)
 
 
