@@ -16,7 +16,8 @@ extension has returned; on the kernel and on its leading 200-row block,
 where they come from dense solves), and ``sym_eig_partial`` and
 ``spectral_norm`` of the leading 300-row block held in C and in F order
 (the two branches of the dense vector product that Lanczos iterates on),
-all on one Gaussian kernel of 600 clustered points.  Every input is generated from a fixed seed into a
+all on one Gaussian kernel of 600 clustered points, and ``sym_eig_partial``
+of two sparse matrices with empty rows, each solved on its support block.  Every input is generated from a fixed seed into a
 temporary directory, which is removed afterwards; ``--keep DIR`` writes
 them into DIR instead and leaves them there, so that the reports of two
 checkouts can be compared by value, not only by digest: ``--against DIR``
@@ -62,6 +63,7 @@ from perturbext.kernels import (  # noqa: E402
     build_kernel,
     gen_band_matrix,
     gen_clustered_dataset,
+    gen_wishart_psd,
     sparsify,
     standardize,
 )
@@ -147,6 +149,13 @@ def write_api_reports(d: Path) -> None:
         pairs = sym_eig_partial(A, m)
         return np.vstack([pairs.values, pairs.vectors, np.full(m, spectral_norm(A))])
 
+    def support_block(r, rows, n):
+        # the pairs of an n-row matrix that stores a Wishart block on the r
+        # increasing rows, solved on that block
+        br, bc, bv = gen_wishart_psd(r, seed=3).triplets()
+        pairs = sym_eig_partial(SparseSymmetric(n, rows[br], rows[bc], bv), m)
+        return np.vstack([pairs.values, pairs.vectors])
+
     reports = {
         "api_block_extend_n200.csv": block_extend(K200, (50, 150), ExtensionConfig(m=m)).a,
         "api_block_extend_n600.csv": block_extend(K, (300, 300), ExtensionConfig(m=m)).a,
@@ -163,6 +172,10 @@ def write_api_reports(d: Path) -> None:
         "api_bounds_n200.csv": bounds(K200),
         # above n = 256: Lanczos through dsymv on the array and on its transpose
         "api_dense_lanczos_n300.csv": np.vstack([dense_lanczos("C"), dense_lanczos("F")]),
+        # above n = 256 with 400 support rows, and below it with one empty row
+        "api_support_block.csv": np.vstack([
+            support_block(400, np.flatnonzero(np.arange(600) % 3 != 2), 600),
+            support_block(199, np.delete(np.arange(200), 100), 200)]),
     }
     for name, rows in reports.items():
         write_rows(d / name, rows)

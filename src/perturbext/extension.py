@@ -5,9 +5,9 @@ A selector describes which entries of the kernel K form the submatrix K^s
 then extended toward those of K by treating E = K - K^s as a perturbation.
 E is subtracted once and stored as a matrix of K's own type: dense for a
 dense K, triplet-sparse (holding only the unselected entries) for a sparse K.
-A K^s that K built by ``K.block_selection`` (``topleft``, block-extension
-members) forms no E: its pairs come from that block, and E V is
-K[:, rows] V[rows] (``K.columns_matvec``) with rows zeroed.
+The pairs of every K^s come from ``sym_eig_partial``.  A K^s that K built
+by ``K.block_selection`` (``topleft``, block-extension members) forms no E:
+E V is K[:, rows] V[rows] (``K.columns_matvec``) with rows zeroed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .matrixcore import (
     SymmetricDense,
     _average_transpose,
     _dense_eigvalsh,
-    _support_pairs,
     read_mask,
     spectral_norm,
     sym_eig_partial,
@@ -246,25 +245,24 @@ def _bound_tail(Ks: SparseSymmetric, known_values: np.ndarray, mu: float, order:
 def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> ExtensionResult:
     """Extend the leading eigenpairs of an already-selected K^s to those of K.
 
-    A K^s built by this K's ``block_selection`` keeps its block on the rows that
-    store a nonzero; with at least one and fewer than n such rows, its cfg.m
-    leading pairs are that block's, padded with zeros (``_support_pairs``), and
-    E V is ``K.columns_matvec(rows, V)`` with ``rows`` zeroed: no E is formed.
-    Any other K^s, even one equal to such a block, is solved by
-    ``sym_eig_partial(Ks, cfg.m)`` and E = K - K^s is formed for E V.  A K^s of
-    another dimension than K's raises ValueError; ``bound_terms`` form E on first read.
+    The cfg.m leading pairs of K^s come from ``sym_eig_partial(Ks, cfg.m)``,
+    which solves a K^s with empty rows on its support block.  E V takes one
+    of two forms.  For a K^s built by this K's ``block_selection`` on fewer
+    than n rows that store a nonzero, it is ``K.columns_matvec(rows, V)``
+    with ``rows`` zeroed, and no E is formed.  For any other K^s, even one
+    equal to such a block, E = K - K^s is formed.  A K^s of another
+    dimension than K's raises ValueError; ``bound_terms`` form E on first read.
     """
     n = K.n
     if Ks.n != n:
         raise ValueError("dimension mismatch")
-    rows, block = Ks._block if getattr(Ks, "_parent", None) is K and Ks._block else ((), None)
-    if 0 < len(rows) < n:
-        pairs = _support_pairs(block, rows, n, cfg.m)
+    pairs = sym_eig_partial(Ks, cfg.m)
+    rows = Ks._block[0] if getattr(Ks, "_parent", None) is K and Ks._block else None
+    if rows is not None and rows.size < n:
         # V vanishes off rows and E on rows x rows
         EV = K.columns_matvec(rows, pairs.vectors)
         EV[rows] = 0.0
     else:
-        pairs = sym_eig_partial(Ks, cfg.m)
         EV = K.add_scaled(Ks, -1.0).matvec(pairs.vectors)
     problem = pert.PerturbationProblem(base=Ks, known=pairs, EV=EV)
     mu = cfg.mu.resolve(problem)
@@ -318,8 +316,8 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     sum of the per-block approximations.  Uniform weights by default.
 
     Member j's K^s is ``K.block_selection`` of block j's rows, so
-    ``extend_with_submatrix`` solves that block itself (dense LAPACK up to
-    256 rows, Lanczos above) and takes E V from the block's columns alone:
+    ``sym_eig_partial`` solves that block itself (dense LAPACK up to 256
+    rows, Lanczos above) and E V comes from the block's columns alone:
     no member forms E or any other n x n array.  The combination forms the
     one n x n array of the call.
     """

@@ -26,10 +26,9 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Dataset:
-    """n samples by d features; standardization state carried along."""
+    """n samples by d features, and the constant columns ``standardize`` zeroed."""
 
     samples: np.ndarray
-    standardized: bool = False
     constant_columns: tuple = ()
 
     def __post_init__(self):
@@ -118,7 +117,7 @@ def standardize(ds: Dataset) -> Dataset:
     safe_std = np.where(constant, 1.0, std)
     out = (x - mean) / safe_std
     out[:, constant] = 0.0
-    return Dataset(out, standardized=True, constant_columns=tuple(np.nonzero(constant)[0]))
+    return Dataset(out, constant_columns=tuple(np.nonzero(constant)[0]))
 
 
 def build_kernel(ds: Dataset, spec: KernelSpec) -> SymmetricDense:

@@ -135,10 +135,11 @@ class SymmetricDense:
             self._magnitude = _magnitude_profile(*self.triplets())
         return self._magnitude
 
-    def support_rows(self) -> np.ndarray:
-        """Rows that may hold a nonzero: all n, since a dense matrix is not
-        searched for empty rows."""
-        return np.arange(self.n)
+    def support_block(self):
+        """(rows that may hold a nonzero, the matrix solved for them): all n
+        and the matrix itself, since a dense matrix is not searched for empty
+        rows."""
+        return np.arange(self.n), self
 
     def is_zero(self) -> bool:
         """Whether no entry is nonzero.  The array is scanned in blocks of
@@ -296,10 +297,15 @@ class SparseSymmetric:
         obj._set(self._n, self.rows[taken], self.cols[taken], self.vals[taken], self, keep)
         return obj
 
-    def support_rows(self) -> np.ndarray:
-        """The rows that store a nonzero, counted from the triplets in
-        O(n + nnz), so no CSR is built."""
-        return np.flatnonzero(np.bincount(np.concatenate((self.rows, self.cols)), minlength=self._n))
+    def support_block(self):
+        """(rows, block): the r rows that store a nonzero and, when 0 < r < n,
+        the principal block on them, else the matrix itself.  A
+        ``block_selection`` gives the (rows, block) it kept; any other matrix
+        counts its rows from the triplets in O(n + nnz), building no CSR."""
+        if self._block is not None and self._block[0].size < self._n:
+            return self._block
+        rows = np.flatnonzero(np.bincount(np.concatenate((self.rows, self.cols)), minlength=self._n))
+        return rows, self.principal_block(rows) if 0 < rows.size < self._n else self
 
     def is_zero(self) -> bool:
         return self.vals.size == 0
@@ -604,28 +610,32 @@ def _lanczos(A, k: int, which: str, seed: int, vectors: bool):
         raise ConvergenceError(f"Lanczos failed: {exc}") from exc
 
 
-def _check_gap(above: float, below: float, m: int) -> None:
-    """Raise EigengapError unless pair m lies GAP_TOL above pair m + 1."""
-    if above - below < GAP_TOL:
-        raise EigengapError(
-            f"eigengap between pairs {m} and {m + 1} is {above - below:.3e} < {GAP_TOL}")
+def sym_eig_partial(A, m: int) -> EigenPairs:
+    """The m leading eigenpairs by algebraic value: the one partial solve.
 
-
-def _support_pairs(block, rows: np.ndarray, n: int, m: int) -> EigenPairs:
-    """The m leading pairs of an n-row matrix whose nonzeros all lie in its
-    principal block on ``rows``, solved on ``block``, that r-row block
-    itself, and padded with zeros.
-
-    The block is solved by the size rule of ``sym_eig_partial``: dense
-    LAPACK up to DENSE_FALLBACK_N rows (or m > r - 2), a seeded Lanczos run
-    for m + 1 pairs above, which cannot start on an all-zero block; every
-    caller passes a block that stores a nonzero.  When r < n the other n - r
-    eigenvalues are exactly zero, so a leading pair that would be one of
-    them raises EigengapError.  So does a gap below GAP_TOL between pair m
-    and pair m + 1: the next block value or, when r < n, a padded zero,
-    whichever is larger.
+    A matrix whose nonzeros lie in 0 < r < n rows (``A.support_block()``)
+    is solved on that r-row principal block and padded with zeros, since
+    Lanczos on the n-row matrix exhausts its Krylov space and restarts from
+    state that differs from call to call: dense LAPACK up to
+    DENSE_FALLBACK_N rows (or m > r - 2), seeded Lanczos for m + 1 pairs
+    above.  Its other n - r eigenvalues are exactly zero, so a leading pair
+    that would be one of them raises EigengapError.  Any other matrix is
+    solved densely up to n = 256 (or m > n - 2); above that one without
+    nonzeros raises EigengapError and the rest go to Lanczos on the matrix.
+    Off that dense path a gap below GAP_TOL between pair m and pair m + 1
+    (the next value or, when padded, a zero, whichever is larger) raises
+    EigengapError, since it makes the leading subspace ill-posed.
     """
-    r = rows.size
+    n = A.n
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    rows, block = A.support_block()
+    if block is A:
+        if n <= DENSE_FALLBACK_N or m > n - 2:
+            return sym_eig_full(A, m)
+        if A.is_zero():
+            raise EigengapError(f"matrix has no nonzeros: pairs {m} and {m + 1} tie at 0")
+    r = block.n
     padded = r < n
     if r <= DENSE_FALLBACK_N or m > r - 2:
         # only the kept columns are sign-fixed, so they equal those of the
@@ -639,40 +649,14 @@ def _support_pairs(block, rows: np.ndarray, n: int, m: int) -> EigenPairs:
     if padded and (m > w.size or w[m - 1] <= 0.0):
         raise EigengapError(f"pair {m} would be one of the {n - r} zero eigenvalues "
                             f"outside the {r} rows that store nonzeros")
-    _check_gap(w[m - 1], w[m:m + 1].max(initial=0.0 if padded else -np.inf), m)
+    gap = w[m - 1] - w[m:m + 1].max(initial=0.0 if padded else -np.inf)
+    if gap < GAP_TOL:
+        raise EigengapError(f"eigengap between pairs {m} and {m + 1} is {gap:.3e} < {GAP_TOL}")
     if padded:
         vectors = np.zeros((n, m))
         vectors[rows] = v
         v = vectors
     return EigenPairs(w[:m], v)
-
-
-def sym_eig_partial(A, m: int) -> EigenPairs:
-    """The m leading eigenpairs by algebraic value.
-
-    Small problems (n <= 256) are solved densely.  A sparse matrix that
-    stores nonzeros in at most 256 rows is solved densely on those rows,
-    since a Lanczos run on it exhausts its Krylov space and restarts from
-    state that differs from call to call.  Larger ones use a restarted
-    Lanczos iteration with a seeded start vector.  Off the dense path the
-    gap between pairs m and m+1 is checked, since a vanishing gap makes the
-    leading subspace ill-posed; a matrix without nonzeros, where that gap is
-    exactly zero, raises EigengapError before any solve.  Off the dense
-    path both cases go through ``_support_pairs``.  ``extend_with_submatrix``
-    solves a K^s that K built by ``block_selection`` on its block instead.
-    """
-    n = A.n
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if n <= DENSE_FALLBACK_N or m > n - 2:
-        return sym_eig_full(A, m)
-    if A.is_zero():
-        raise EigengapError(f"matrix has no nonzeros: pairs {m} and {m + 1} tie at 0")
-    rows = A.support_rows()
-    if rows.size <= DENSE_FALLBACK_N:
-        return _support_pairs(A.principal_block(rows), rows, n, m)
-    # Lanczos on the whole stored matrix, with nothing to pad
-    return _support_pairs(A, np.arange(n), n, m)
 
 
 def _extreme_eigvals(A, k: int, which: str) -> np.ndarray:

@@ -193,7 +193,8 @@ def truncated_second_order(problem: PerturbationProblem, mu: float) -> np.ndarra
     """
     W1 = truncated_first_order(problem, mu)
     _, R = problem.coupling
-    inv_sq = 1.0 / (problem.known.values - mu) ** 2
+    with np.errstate(over="ignore"):  # a huge mu squares to inf: its term is 0
+        inv_sq = 1.0 / (problem.known.values - mu) ** 2
     return W1 + (problem.base.matvec(R) - mu * R) * inv_sq[None, :]
 
 
@@ -209,10 +210,12 @@ def tail_sq_sum_from_traces(trace_base_sq: float, known_values: np.ndarray, mu: 
     where trace(A'^2) = ||A'||_F^2.  ``trace_base`` and ``n`` enter only
     with mu, so mu = 0 needs trace(A'^2) alone.  The difference loses
     about eps * ||A'||_F^2 to cancellation; it is clamped at 0 so that a
-    tail near zero cannot come out negative.
+    tail near zero cannot come out negative.  A mu whose square overflows
+    gives inf or NaN, which the clamp keeps and ``bound_terms`` rejects.
     """
     d = np.asarray(known_values, dtype=float) - mu
-    return max(0.0, float(trace_base_sq - 2.0 * mu * trace_base + n * mu * mu - np.dot(d, d)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max(float(trace_base_sq - 2.0 * mu * trace_base + n * mu * mu - np.dot(d, d)), 0.0)
 
 
 def bound_terms(values: np.ndarray, tail, mu: float, norm_e: float, order: int) -> np.ndarray:
@@ -223,14 +226,19 @@ def bound_terms(values: np.ndarray, tail, mu: float, norm_e: float, order: int) 
 
     ``tail`` is either the unknown eigenvalues t_k themselves or the sum S.
     The gap factor degenerates for the last retained pair (and for any pair
-    tied with it): the term is infinite there rather than an error.
+    tied with it): the term is infinite there rather than an error.  An S
+    that is not finite, from a mu so large that it overflows, raises
+    ValueError.
     """
     values = np.asarray(values, dtype=float)
-    if np.ndim(tail):
-        d = np.abs(np.asarray(tail, dtype=float) - mu)
-        total = float(np.sum(d) if order == 1 else np.dot(d, d))
-    else:
-        total = float(tail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.ndim(tail):
+            d = np.abs(np.asarray(tail, dtype=float) - mu)
+            total = float(np.sum(d) if order == 1 else np.dot(d, d))
+        else:
+            total = float(tail)
+    if not np.isfinite(total):
+        raise ValueError(f"the tail sum of the bound terms overflows at mu = {mu:g}")
     gap = np.abs(values - values[-1])
     out = np.full(values.size, np.inf)
     ok = gap >= GAP_TOL

@@ -141,6 +141,21 @@ class TestExitCodes:
         assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, order, mu", [(n, order, mu) for n in (40, 300) for order in (1, 2)
+                                          for mu in (1e160, 1e308) if (n, order, mu) != (40, 1, 1e160)])
+def test_overflowing_mu_is_usage_error(tmp_path, capsys, n, order, mu):
+    # mu overflows the tail sum of the bound terms (tests/test_extension.py,
+    # TestHugeMu): the error line is all of stderr, and no report is written
+    path = tmp_path / "K.txt"
+    write_dense(path, gen_wishart_psd(n, seed=3))
+    code = main(["extend", "--matrix", str(path), "--selector", "band:5", "--m", "4",
+                 "--mu", repr(mu), "--order", str(order), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: the tail sum of the bound terms overflows at mu = {mu:g}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["K.txt"]
+
+
 class TestLinearAlgebraFailures:
     """A failed ARPACK or LAPACK call is a numerical error (exit 1); LAPACK's
     LinAlgError is a ValueError and ARPACK's ArpackError a RuntimeError, which

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -28,6 +30,7 @@ from perturbext.kernels import (
 from perturbext.matrixcore import (
     ConvergenceError,
     EigengapError,
+    EigenPairs,
     SparseSymmetric,
     SymmetricDense,
     principal_angle,
@@ -385,6 +388,56 @@ class TestBounds:
                 assert err <= 2.0 * res.bound_terms[col] + 1e-12
 
 
+# n, order and an explicit mu whose tail sum overflows: the trace identity
+# above n = 256, the summed |t_k - mu|^order below it.  At n = 40 and order 1
+# the sum of 36 terms of about 1e160 stays finite.
+HUGE_MU = [(n, order, mu) for n in (40, 300) for order in (1, 2) for mu in (1e160, 1e308)
+           if (n, order, mu) != (40, 1, 1e160)]
+
+
+def _terms_before_guard(res, mu, order):
+    """The bound terms as computed before the overflow guard existed."""
+    K, Ks, values = res._K, res._Ks, res.source_pairs.values
+    n, m = Ks.n, values.size
+    if n <= 256:
+        d = np.abs(np.linalg.eigvalsh(Ks.to_dense().a)[::-1][m:] - mu)
+        total = float(np.sum(d) if order == 1 else np.dot(d, d))
+    else:
+        d = values - mu
+        sq = max(0.0, float(Ks.frobenius_norm() ** 2 - 2.0 * mu * Ks.trace() + n * mu * mu - np.dot(d, d)))
+        total = sq if order == 2 else float(np.sqrt((n - m) * sq))
+    gap = np.abs(values - values[-1])
+    out = np.full(m, np.inf)
+    ok = gap >= 1e-12
+    out[ok] = total / (gap[ok] * np.abs(values[ok] - mu) ** order) * spectral_norm(K.add_scaled(Ks, -1.0))
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+class TestHugeMu:
+    """A mu that overflows the tail sum of the bound terms raises ValueError
+    naming it, with no warning; a large mu that does not keeps its terms."""
+
+    @staticmethod
+    def extend(n, order, mu):
+        return pert_extend(gen_wishart_psd(n, seed=3), Selector.band(5),
+                           ExtensionConfig(m=4, order=order, mu=MuPolicy.explicit(mu)))
+
+    @pytest.mark.parametrize("n, order, mu", HUGE_MU)
+    def test_overflowing_tail_raises(self, n, order, mu):
+        res = self.extend(n, order, mu)
+        with pytest.raises(ValueError, match=re.escape(f"overflows at mu = {mu:g}")):
+            res.bound_terms
+
+    @pytest.mark.parametrize("n", [40, 300])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_finite_tail_keeps_terms(self, n, order):
+        for mu in (1e100,) + ((1e160,) if (n, order) == (40, 1) else ()):
+            res = self.extend(n, order, mu)
+            assert np.array_equal(res.bound_terms, _terms_before_guard(res, mu, order))
+            assert np.all(np.isfinite(res.bound_terms[:-1]) & (res.bound_terms[:-1] > 0.0))
+
+
 class TestKernelApprox:
     def test_full_reconstruction(self):
         K = gen_wishart_psd(12, seed=16)
@@ -547,6 +600,29 @@ def _general_reference(K, Ks, cfg):
     return (pairs, *_formed_E_reference(K, Ks, pairs, cfg))
 
 
+def _padded_block_pairs(K, Ks, m):
+    """The pairs of K's block on the rows of K^s that store a nonzero, from
+    ``sym_eig_partial`` of that block, padded with zeros."""
+    support = Ks.support_block()[0]
+    block = matrixcore.sym_eig_partial(K.principal_block(support), m)
+    vectors = np.zeros((K.n, m))
+    vectors[support] = block.vectors
+    return EigenPairs(block.values, vectors)
+
+
+def _solved_matrices(monkeypatch, n):
+    """Patch the two solvers under ``sym_eig_partial`` to record each matrix
+    they receive and to fail on one of n rows, a K^s; returns the record."""
+    solved = []
+    for name in ("_lanczos", "sym_eig_full"):
+        def recording(A, *args, _orig=getattr(matrixcore, name), **kwargs):
+            assert A.n < n, "the n-row K^s was solved"
+            solved.append(A)
+            return _orig(A, *args, **kwargs)
+        monkeypatch.setattr(matrixcore, name, recording)
+    return solved
+
+
 def _assert_close_to_general(res, K, Ks, cfg):
     pairs, values, vectors = _general_reference(K, Ks, cfg)
     scale = spectral_norm(K)
@@ -605,7 +681,7 @@ class TestBlockMemberPairs:
         cfg = ExtensionConfig(m=4)
         _, members = self.recorded_block_extend(monkeypatch, K, sizes, cfg)
         Ks, res = members[0]
-        assert 5 not in Ks.support_rows()
+        assert 5 not in Ks.support_block()[0]
         exact = sym_eig_full(Ks, cfg.m)
         assert np.max(np.abs(res.source_pairs.values - exact.values)) <= 1e-12 * spectral_norm(K)
         assert principal_angle(res.source_pairs.vectors, exact.vectors) <= 1e-10
@@ -630,14 +706,11 @@ class TestPrincipalBlockDetection:
     def test_topleft_takes_block_path(self, monkeypatch, sparse, n, l, cfg):
         K = self.kernel(n, sparse)
         Ks = select_submatrix(K, Selector.top_left(l))
-        assert np.array_equal(Ks.support_rows(), np.arange(l))
-
-        def no_solve(A, m):
-            raise AssertionError("the n-row K^s was solved")
-
+        assert np.array_equal(Ks.support_block()[0], np.arange(l))
         with monkeypatch.context() as patch:
-            patch.setattr(extension, "sym_eig_partial", no_solve)
+            solved = _solved_matrices(patch, n)
             res = extend_with_submatrix(K, Ks, cfg)
+        assert len(solved) == 1 and solved[0] is Ks._block[1]
         assert np.all(res.source_pairs.vectors[l:] == 0.0)
         _assert_close_to_general(res, K, Ks, cfg)
 
@@ -720,9 +793,7 @@ class TestBlockMemberProduct:
         block on the member's support rows and an E formed explicitly."""
         r, c, v = K.principal_block(rows).triplets()
         Ks = SparseSymmetric(K.n, r + rows[0], c + rows[0], v)
-        support = Ks.support_rows()
-        pairs = matrixcore._support_pairs(K.principal_block(support), support, K.n, cfg.m)
-        return _formed_E_reference(K, Ks, pairs, cfg)
+        return _formed_E_reference(K, Ks, _padded_block_pairs(K, Ks, cfg.m), cfg)
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("cfg", [ExtensionConfig(m=4),
@@ -758,9 +829,9 @@ class TestBlockMemberProduct:
 
 class TestBuiltBlockPath:
     """The block path is taken exactly for a K^s that K built itself with
-    ``block_selection``: K's block is gathered once, K V and support rows
-    are never formed, and the source pairs are those of K's block on the
-    rows that store a nonzero, bit for bit."""
+    ``block_selection``: K's block is gathered once and is the only matrix
+    solved, K V and support rows are never formed, and the source pairs are
+    those of K's block on the rows that store a nonzero, bit for bit."""
 
     @staticmethod
     def kernel(n, sparse):
@@ -774,26 +845,19 @@ class TestBuiltBlockPath:
     @staticmethod
     def counted(monkeypatch, K):
         """Record every ``principal_block`` and ``matvec`` call on K and every
-        ``support_rows`` call on any matrix; a solve of the n-row K^s fails."""
-        def no_solve(A, m):
-            raise AssertionError("the n-row K^s was solved")
-
-        monkeypatch.setattr(extension, "sym_eig_partial", no_solve)
+        ``support_block`` call on any matrix that counts its support rows
+        rather than return a kept block; also the ``_solved_matrices`` record,
+        so that a solve of the n-row K^s fails."""
         calls = []
         for cls in (SymmetricDense, SparseSymmetric):
-            for name in ("principal_block", "matvec", "support_rows"):
+            for name in ("principal_block", "matvec", "support_block"):
                 def counting(self, *args, _orig=getattr(cls, name), _name=name, **kwargs):
-                    if self is K or _name == "support_rows":
+                    out = _orig(self, *args, **kwargs)
+                    if self is K or (_name == "support_block" and out is not getattr(self, "_block", None)):
                         calls.append(_name)
-                    return _orig(self, *args, **kwargs)
+                    return out
                 monkeypatch.setattr(cls, name, counting)
-        return calls
-
-    @staticmethod
-    def todays_pairs(K, Ks, m):
-        """The pairs of K's block on the rows of K^s that store a nonzero."""
-        support = Ks.support_rows()
-        return matrixcore._support_pairs(K.principal_block(support), support, K.n, m)
+        return calls, _solved_matrices(monkeypatch, K.n)
 
     CFGS = [ExtensionConfig(m=4), ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())]
 
@@ -804,12 +868,13 @@ class TestBuiltBlockPath:
         K = self.kernel(n, sparse)
         l = n // 2
         with monkeypatch.context() as patch:
-            calls = self.counted(patch, K)
+            calls, solved = self.counted(patch, K)
             res = pert_extend(K, Selector.top_left(l), cfg)
         assert calls == ["principal_block"]
+        assert len(solved) == 1 and solved[0] is res._Ks._block[1]
         Ks = SparseSymmetric(K.n, *select_submatrix(K, Selector.top_left(l)).triplets())
-        expected = self.todays_pairs(K, Ks, cfg.m)
-        assert 7 not in Ks.support_rows()
+        expected = _padded_block_pairs(K, Ks, cfg.m)
+        assert 7 not in Ks.support_block()[0]
         assert np.array_equal(res.source_pairs.values, expected.values)
         assert np.array_equal(res.source_pairs.vectors, expected.vectors)
 
@@ -828,11 +893,13 @@ class TestBuiltBlockPath:
 
         with monkeypatch.context() as patch:
             patch.setattr(extension, "extend_with_submatrix", recording)
-            calls = self.counted(patch, K)
+            calls, solved = self.counted(patch, K)
             block_extend(K, sizes, cfg)
         assert calls == ["principal_block"] * len(sizes)
+        assert len(solved) == len(members)
+        assert all(A is Ks._block[1] for A, (Ks, _) in zip(solved, members))
         for Ks, res in members:
-            expected = self.todays_pairs(K, SparseSymmetric(K.n, *Ks.triplets()), cfg.m)
+            expected = _padded_block_pairs(K, SparseSymmetric(K.n, *Ks.triplets()), cfg.m)
             assert np.array_equal(res.source_pairs.values, expected.values)
             assert np.array_equal(res.source_pairs.vectors, expected.vectors)
 

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from perturbext import matrixcore
 from perturbext.experiments import derive_seed
 from perturbext.extension import Selector, select_submatrix
-from perturbext.kernels import gen_psd_separated_block
+from perturbext.kernels import (
+    KernelSpec,
+    build_kernel,
+    gen_clustered_dataset,
+    gen_psd_separated_block,
+    gen_wishart_psd,
+    standardize,
+)
 from perturbext.matrixcore import (
     ConvergenceError,
     EigengapError,
@@ -516,9 +524,9 @@ class TestProtocol:
             assert A.is_zero() == (not M.a.any())
             # every row holding a nonzero is in the support; a dense form
             # reports all n rows, a sparse form exactly those
-            assert np.isin(np.flatnonzero(M.a.any(axis=1)), A.support_rows()).all()
-        assert np.array_equal(forms[0].support_rows(), np.arange(n))
-        assert np.array_equal(forms[1].support_rows(), np.flatnonzero(M.a.any(axis=1)))
+            assert np.isin(np.flatnonzero(M.a.any(axis=1)), A.support_block()[0]).all()
+        assert np.array_equal(forms[0].support_block()[0], np.arange(n))
+        assert np.array_equal(forms[1].support_block()[0], np.flatnonzero(M.a.any(axis=1)))
 
         # B is part of M plus one entry outside it, so A - B both cancels
         # and fills entries
@@ -710,6 +718,87 @@ class TestSmallSupport:
         rows = np.arange(len(diag)) * 7
         with pytest.raises(EigengapError, match=match):
             sym_eig_partial(SparseSymmetric(300, rows, rows, diag), m)
+
+
+def on_rows(block, rows, n):
+    """The n-row sparse matrix that stores ``block`` on the increasing ``rows``."""
+    r, c, v = block.triplets()
+    return SparseSymmetric(n, rows[r], rows[c], v)
+
+
+def padded_block_solve(block, rows, n, m):
+    """(values, vectors) of ``sym_eig_partial(block, m)``, the vectors moved
+    to ``rows`` of n and zero elsewhere."""
+    pairs = sym_eig_partial(block, m)
+    vectors = np.zeros((n, m))
+    vectors[rows] = pairs.vectors
+    return pairs.values, vectors
+
+
+class TestSupportBlockRule:
+    """``sym_eig_partial`` solves a matrix whose nonzeros lie in r < n rows on
+    its r-row block at every n, and any other matrix as a whole."""
+
+    # a 600-row matrix with 400 support rows, and a 200-row one with an empty row
+    ROWS600 = np.flatnonzero(np.arange(600) % 3 != 2)
+    ROWS200 = np.delete(np.arange(200), 100)
+
+    def test_lanczos_receives_only_the_block(self, monkeypatch):
+        B = SparseSymmetric.from_dense(gen_wishart_psd(400, seed=3))
+        S = on_rows(B, self.ROWS600, 600)
+        values, vectors = padded_block_solve(B, self.ROWS600, 600, 4)
+        seen = []
+        lanczos = matrixcore._lanczos
+
+        def recording(A, *args, **kwargs):
+            seen.append(A)
+            return lanczos(A, *args, **kwargs)
+
+        monkeypatch.setattr(matrixcore, "_lanczos", recording)
+        pairs = sym_eig_partial(S, 4)
+        assert len(seen) == 1 and seen[0].n == 400
+        for got, want in zip(seen[0].triplets(), B.triplets()):
+            assert np.array_equal(got, want)
+        assert np.array_equal(pairs.values, values)
+        assert np.array_equal(pairs.vectors, vectors)
+
+    def test_empty_row_below_dense_limit(self):
+        B = gen_wishart_psd(199, seed=3)
+        pairs = sym_eig_partial(on_rows(B, self.ROWS200, 200), 4)
+        values, vectors = padded_block_solve(B, self.ROWS200, 200, 4)
+        assert np.array_equal(pairs.values, values)
+        assert np.array_equal(pairs.vectors, vectors)
+        # every eigenvalue of the negated block is below -0.5, so the leading
+        # pair would be the empty row's zero
+        with pytest.raises(EigengapError, match="zero eigenvalues"):
+            sym_eig_partial(on_rows(SymmetricDense(-B.a), self.ROWS200, 200), 4)
+
+    def test_block_selection_of_all_rows_solves_n_rows(self):
+        K = build_kernel(standardize(gen_clustered_dataset(n=300, seed=3)), KernelSpec.gaussian(0.1))
+        Ks = select_submatrix(K, Selector.top_left(300))
+        assert Ks._block[0].size == 300
+        pairs = sym_eig_partial(Ks, 4)
+        want = sym_eig_partial(SparseSymmetric(300, *Ks.triplets()), 4)
+        assert np.array_equal(pairs.values, want.values)
+        assert np.array_equal(pairs.vectors, want.vectors)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("rank", [2, 3, 5])
+    def test_low_rank_full_support_is_deterministic(self, sparse, rank):
+        # Lanczos for m + 1 <= rank + 1 pairs exhausts the Krylov space of a
+        # rank-deficient matrix; the eigsh calls in between move ARPACK's own
+        # random state, from which a restart would draw
+        x = np.random.default_rng(rank).standard_normal((300, rank))
+        A = SymmetricDense(x @ x.T, symmetrize=True)
+        A = SparseSymmetric.from_dense(A) if sparse else A
+        other = random_symmetric(300, 5).a
+        for m in range(1, rank + 1):
+            first = sym_eig_partial(A, m)
+            for _ in range(5):
+                spla.eigsh(other, k=3)
+                again = sym_eig_partial(A, m)
+                assert np.array_equal(again.values, first.values)
+                assert np.array_equal(again.vectors, first.vectors)
 
 
 class TestPartialDegenerateGap:

@@ -14,7 +14,7 @@ EXPECTED = sorted(
     [f"api_{name}.csv" for name in ("block_extend_n200", "block_extend_n600",
                                     "block_extend_n600_sparse_order2", "bounds", "bounds_n200",
                                     "dense_lanczos_n300", "ensemble_nystrom", "generalized_nystrom_l300",
-                                    "shifted_nystrom")]
+                                    "shifted_nystrom", "support_block")]
     + ["slopes.csv", "band.csv", "band_order2.csv", "sparse.csv", "verify.csv",
        "verify_mu_zero.csv", "eig.values", "eig.vectors"]
     + [f"{run}.{part}" for run in ("ext_sparse", "ext_sparse_mask", "ext_band", "ext_data_sparse",
