@@ -11,18 +11,20 @@ eigendecomposition.  The Python-API reports (``api_*.csv``, written
 with ``write_rows``) cover what no CLI command reaches: ``block_extend``
 below and above the dense size limit (above it on a dense and on a
 sparsified kernel), the ensemble, shifted and generalized Nystrom
-methods, the bound terms of ``pert_extend`` (read after the
-extension has returned; on the kernel and on its leading 200-row block,
-where they come from dense solves), and ``sym_eig_partial`` and
-``spectral_norm`` of the leading 300-row block held in C and in F order
-(the two branches of the dense vector product that Lanczos iterates on),
-all on one Gaussian kernel of 600 clustered points, and ``sym_eig_partial``
-of two sparse matrices with empty rows, each solved on its support block.  Every input is generated from a fixed seed into a
-temporary directory, which is removed afterwards; ``--keep DIR`` writes
-them into DIR instead and leaves them there, so that the reports of two
-checkouts can be compared by value, not only by digest: ``--against DIR``
-compares the reports of this checkout with those a ``--keep DIR`` run left
-in DIR.
+methods, the bound terms of ``pert_extend`` (read after the extension
+has returned; on the kernel, on its leading 200-row block, where they
+come from dense solves, and for a ``topleft:100`` selection of the
+kernel, whose tail is the spectrum of the block's dense solve), and
+``sym_eig_partial`` and ``spectral_norm`` of the leading 300-row block
+held in C and in F order (the two branches of the dense vector product
+that Lanczos iterates on), all on one Gaussian kernel of 600 clustered
+points, and ``sym_eig_partial`` of two sparse matrices with empty rows,
+each solved on its support block.  Every input is generated from a fixed
+seed into a temporary directory, which is removed afterwards; ``--keep
+DIR`` writes them into DIR instead and leaves them there, so that the
+reports of two checkouts can be compared by value, not only by digest:
+``--against DIR`` compares the reports of this checkout with those a
+``--keep DIR`` run left in DIR, parsing only reports whose bytes differ.
 
 Report bytes still depend on the BLAS thread count, so the script runs
 OpenBLAS and OpenMP at one thread unless OPENBLAS_NUM_THREADS or
@@ -135,11 +137,11 @@ def write_api_reports(d: Path) -> None:
     rng = np.random.default_rng(3)
     subsets = [np.sort(rng.choice(K.n, size=100, replace=False)) for _ in range(3)]
 
-    def bounds(A):
+    def bounds(A, sel=Selector.sparse_top_q(0.5)):
         # dense and sparsified A, each at order 1 with mu zero and at order 2
         # with mu mean
         return np.vstack([
-            pert_extend(B, Selector.sparse_top_q(0.5), cfg).bound_terms
+            pert_extend(B, sel, cfg).bound_terms
             for B in (A, sparsify(A, 0.3))
             for cfg in (ExtensionConfig(m=m), ExtensionConfig(m=m, order=2, mu=MuPolicy.mean()))])
 
@@ -170,6 +172,9 @@ def write_api_reports(d: Path) -> None:
         "api_bounds.csv": bounds(K),
         # at n <= 256 the tail spectrum and ||E|| come from dense solves
         "api_bounds_n200.csv": bounds(K200),
+        # above n = 256 with a block solved densely: the tail spectrum is the
+        # one that solve kept
+        "api_bounds_topleft.csv": bounds(K, Selector.top_left(100)),
         # above n = 256: Lanczos through dsymv on the array and on its transpose
         "api_dense_lanczos_n300.csv": np.vstack([dense_lanczos("C"), dense_lanczos("F")]),
         # above n = 256 with 400 support rows, and below it with one empty row
@@ -198,6 +203,8 @@ def compare(name: str, current: Path, kept: Path):
     when they are equal by value, else a one-line description."""
     if not (kept / name).is_file():
         return f"{name}  missing from {kept}"
+    if (current / name).read_bytes() == (kept / name).read_bytes():
+        return None
     new, old = _fields(current / name), _fields(kept / name)
     numeric = [isinstance(x, float) for x in old]
     if len(new) != len(old) or numeric != [isinstance(x, float) for x in new] or any(

@@ -12,19 +12,18 @@ E V is K[:, rows] V[rows] (``K.columns_matvec``) with rows zeroed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import perturbation as pert
 from .matrixcore import (
-    DENSE_FALLBACK_N,
     EigenPairs,
     SparseSymmetric,
     SymmetricDense,
     _average_transpose,
-    _dense_eigvalsh,
     read_mask,
     spectral_norm,
     sym_eig_partial,
@@ -52,47 +51,45 @@ class Selector:
     mask_cols: tuple = ()
     mask_n: int = 0                    # mask: the file's header n, 0 for any n
 
+    def __post_init__(self):
+        """Every construction, direct or through a classmethod, is checked
+        here, one check per kind; a failed check raises ValueError."""
+        kind, rows, cols = self.kind, self.mask_rows, self.mask_cols
+        if kind not in ("topleft", "band", "sparse", "blocks", "mask"):
+            raise ValueError(f"unknown selector kind {kind!r}")
+        if kind == "topleft" and not self.size >= 1:
+            raise ValueError("topleft selector needs l >= 1")
+        if kind == "band" and not self.bandwidth >= 0:
+            raise ValueError("band selector needs p >= 0")
+        if kind == "sparse" and not 0.0 < self.fraction <= 1.0:
+            raise ValueError("sparse selector needs q in (0, 1]")
+        if kind == "blocks" and not (self.block_sizes and min(self.block_sizes) >= 1):
+            raise ValueError("block sizes must be positive")
+        if kind == "mask" and not (rows and len(rows) == len(cols) and min(rows) >= 0
+                                   and all(map(operator.le, rows, cols)) and self.mask_n >= 0):
+            raise ValueError("a mask needs one or more pairs 0 <= row <= col, as many rows as "
+                             "cols, and mask_n >= 0")
+
     @classmethod
     def top_left(cls, l: int) -> "Selector":
-        if l < 1:
-            raise ValueError("topleft selector needs l >= 1")
         return cls("topleft", size=int(l))
 
     @classmethod
     def band(cls, p: int) -> "Selector":
-        if p < 0:
-            raise ValueError("band selector needs p >= 0")
         return cls("band", bandwidth=int(p))
 
     @classmethod
     def sparse_top_q(cls, q: float) -> "Selector":
-        if not 0.0 < q <= 1.0:
-            raise ValueError("sparse selector needs q in (0, 1]")
         return cls("sparse", fraction=float(q))
 
     @classmethod
     def block_diag(cls, sizes) -> "Selector":
-        sizes = tuple(int(s) for s in sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("block sizes must be positive")
-        return cls("blocks", block_sizes=sizes)
+        return cls("blocks", block_sizes=tuple(int(s) for s in sizes))
 
     @classmethod
     def custom_mask(cls, rows, cols) -> "Selector":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.shape != cols.shape or rows.ndim != 1:
-            raise ValueError("mask rows/cols must be equally sized 1-D arrays")
-        if rows.size == 0:
-            raise ValueError("mask must select at least one entry")
-        if rows.min() < 0 or cols.min() < 0:
-            raise ValueError("mask indices must be nonnegative")
-        lo = np.minimum(rows, cols)
-        hi = np.maximum(rows, cols)
-        base = int(hi.max()) + 1
-        key = np.unique(lo * base + hi)
-        return cls("mask", mask_rows=tuple((key // base).tolist()),
-                   mask_cols=tuple((key % base).tolist()))
+        mask_rows, mask_cols = _upper_pairs(rows, cols)
+        return cls("mask", mask_rows=mask_rows, mask_cols=mask_cols)
 
     @classmethod
     def full_mask(cls, n: int) -> "Selector":
@@ -115,8 +112,24 @@ class Selector:
             return cls.block_diag(int(s) for s in arg.split(","))
         if head == "mask":
             n, rows, cols = read_mask(arg)
-            return replace(cls.custom_mask(rows, cols), mask_n=int(n))
+            mask_rows, mask_cols = _upper_pairs(rows, cols)
+            return cls("mask", mask_rows=mask_rows, mask_cols=mask_cols, mask_n=int(n))
         raise ValueError(f"unknown selector kind {head!r}")
+
+
+def _upper_pairs(rows, cols):
+    """The mask entries (rows[k], cols[k]), each once, as upper-triangle
+    pairs in row-major order: a tuple of rows and a tuple of columns."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise ValueError("mask rows/cols must be equally sized 1-D arrays")
+    lo = np.minimum(rows, cols)
+    hi = np.maximum(rows, cols)
+    # a negative index decodes to a negative row, which Selector rejects
+    base = int(np.abs(hi).max(initial=0)) + 1
+    key = np.unique(lo * base + hi)
+    return tuple((key // base).tolist()), tuple((key % base).tolist())
 
 
 @dataclass(frozen=True)
@@ -148,12 +161,14 @@ class ExtensionResult:
     caller that never reads them never pays for that solve.  The result holds
     K, K^s (with its kept block), the resolved mu and the order, never E.
 
-    The terms take sums over the unknown eigenvalues t_k of K^s.  The
-    second-order sum, sum (t_k - mu)^2, is exact: above DENSE_FALLBACK_N it
-    comes from ||K^s||_F and tr K^s, so no full eigensolve of K^s is run.
-    The first-order sum, sum |t_k - mu|, is exact up to DENSE_FALLBACK_N;
-    above it the Cauchy-Schwarz upper bound sqrt((n - m) sum (t_k - mu)^2)
-    takes its place, so those terms are looser but still bounds.
+    The terms take sums over the unknown eigenvalues t_k of K^s, and K^s is
+    never solved again for them.  When ``sym_eig_partial`` solved K^s
+    densely, both sums are exact, over the eigenvalues it kept as
+    ``source_pairs.rest``.  After Lanczos the second-order sum,
+    sum (t_k - mu)^2, is still exact, from ||K^s||_F and tr K^s; the
+    first-order sum, sum |t_k - mu|, gives way to its Cauchy-Schwarz upper
+    bound sqrt((n - m) sum (t_k - mu)^2), so those terms are looser but
+    still bounds.
     """
 
     values: np.ndarray
@@ -167,9 +182,9 @@ class ExtensionResult:
 
     @cached_property
     def bound_terms(self) -> np.ndarray:
-        values = self.source_pairs.values
+        pairs = self.source_pairs
         E = self._K.add_scaled(self._Ks, -1.0)
-        terms = pert.bound_terms(values, _bound_tail(self._Ks, values, self._mu, self._order),
+        terms = pert.bound_terms(pairs.values, _bound_tail(self._Ks, pairs, self._mu, self._order),
                                  self._mu, spectral_norm(E), self._order)
         terms.setflags(write=False)
         return terms
@@ -212,7 +227,7 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     elif sel.kind == "blocks":
         block_of = np.searchsorted(_block_bounds(sel.block_sizes, n), np.arange(n), side="right") - 1
         keep = block_of[rows] == block_of[cols]
-    elif sel.kind == "mask":
+    else:  # mask, the one kind left that Selector admits
         mask_rows = np.array(sel.mask_rows, dtype=np.int64)
         mask_cols = np.array(sel.mask_cols, dtype=np.int64)
         if sel.mask_n and sel.mask_n != n:
@@ -220,25 +235,24 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
         if int(mask_cols.max()) >= n:
             raise ValueError("mask index out of range")
         keep = np.isin(rows * n + cols, mask_rows * n + mask_cols)
-    else:
-        raise ValueError(f"unknown selector kind {sel.kind!r}")
     return K.restrict(keep)
 
 
-def _bound_tail(Ks: SparseSymmetric, known_values: np.ndarray, mu: float, order: int):
+def _bound_tail(Ks: SparseSymmetric, pairs: EigenPairs, mu: float, order: int):
     """The tail that ``bound_terms`` takes for the given order: the unknown
     eigenvalues t_k of K^s, or their sum S = sum |t_k - mu|^order.
 
-    Up to DENSE_FALLBACK_N the eigenvalues themselves come from the dense
-    spectrum: there the trace identity's cancellation error, about
-    eps * ||K^s||_F^2, would swamp a tail that is exactly zero.  Above it,
-    S for order 2 comes from traces, and for order 1 its Cauchy-Schwarz
-    bound sqrt((n - m) * S_2) takes the place of S.
+    ``pairs`` are K^s's leading pairs from ``sym_eig_partial``.  When its
+    solve was dense they carry the eigenvalues themselves as ``rest``, and
+    both sums are exact; there the trace identity's cancellation error,
+    about eps * ||K^s||_F^2, would swamp a tail that is exactly zero.  After
+    Lanczos, S for order 2 comes from traces, and for order 1 its
+    Cauchy-Schwarz bound sqrt((n - m) * S_2) takes the place of S.
     """
-    n, m = Ks.n, known_values.size
-    if n <= DENSE_FALLBACK_N:
-        return _dense_eigvalsh(Ks)[::-1][m:]
-    sq = pert.tail_sq_sum_from_traces(Ks.frobenius_norm() ** 2, known_values, mu, Ks.trace(), n)
+    if pairs.rest is not None:
+        return pairs.rest
+    n, m = Ks.n, pairs.m
+    sq = pert.tail_sq_sum_from_traces(Ks.frobenius_norm() ** 2, pairs.values, mu, Ks.trace(), n)
     return sq if order == 2 else float(np.sqrt((n - m) * sq))
 
 
@@ -316,8 +330,8 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     sum of the per-block approximations.  Uniform weights by default.
 
     Member j's K^s is ``K.block_selection`` of block j's rows, so
-    ``sym_eig_partial`` solves that block itself (dense LAPACK up to 256
-    rows, Lanczos above) and E V comes from the block's columns alone:
+    ``sym_eig_partial`` solves that block itself (densely or by Lanczos, by
+    its own size rule) and E V comes from the block's columns alone:
     no member forms E or any other n x n array.  The combination forms the
     one n x n array of the call.
     """

@@ -501,11 +501,18 @@ class EigenPairs:
     operations that require distinct values enforce their own gap guard.
     Both arrays are read-only and cannot be replaced, so a guard checked
     once at construction keeps holding.
+
+    ``rest`` holds the eigenvalues after the m kept ones, read-only, when a
+    dense solve found them: after ``sym_eig_full``, and after a dense
+    ``sym_eig_partial`` solve, whose padded form ends it with the n - r
+    zero eigenvalues of the empty rows.  Then ``values`` and ``rest``
+    together are the whole spectrum.  It is None after a Lanczos solve and
+    for pairs built by hand; only the solvers pass ``_rest``.
     """
 
-    __slots__ = ("_values", "_vectors")
+    __slots__ = ("_values", "_vectors", "_rest")
 
-    def __init__(self, values, vectors):
+    def __init__(self, values, vectors, _rest=None):
         values = np.array(values, dtype=float)
         vectors = np.array(vectors, dtype=float)
         if values.ndim != 1 or vectors.ndim != 2:
@@ -523,10 +530,13 @@ class EigenPairs:
         lead = np.abs(vectors).argmax(axis=0)
         if np.any(vectors[lead, np.arange(m)] < 0):
             raise ValueError("sign convention violated: apply canonical_signs first")
+        if _rest is not None:  # a fresh array from a solver
+            _rest.setflags(write=False)
         values.setflags(write=False)
         vectors.setflags(write=False)
         self._values = values
         self._vectors = vectors
+        self._rest = _rest
 
     @property
     def values(self) -> np.ndarray:
@@ -535,6 +545,10 @@ class EigenPairs:
     @property
     def vectors(self) -> np.ndarray:
         return self._vectors
+
+    @property
+    def rest(self) -> np.ndarray | None:
+        return self._rest
 
     @property
     def n(self) -> int:
@@ -566,8 +580,9 @@ def sym_eig_full(A, m: int | None = None) -> EigenPairs:
     This is the ground-truth decomposition every approximation in the
     package is tested against.  Only the m kept columns are sign-fixed and
     checked; ``canonical_signs`` works column by column, so they equal the
-    leading columns of the full decomposition bit for bit.  Any other input
-    type raises TypeError.
+    leading columns of the full decomposition bit for bit.  The other n - m
+    eigenvalues, descending, are kept as the pairs' ``rest``.  Any other
+    input type raises TypeError.
     """
     _require_matrix(A)
     n = A.n
@@ -579,8 +594,8 @@ def sym_eig_full(A, m: int | None = None) -> EigenPairs:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
-    order = np.argsort(-w, kind="stable")[:m]
-    return EigenPairs(w[order], canonical_signs(v[:, order]))
+    order = np.argsort(-w, kind="stable")
+    return EigenPairs(w[order[:m]], canonical_signs(v[:, order[:m]]), _rest=w[order[m:]])
 
 
 def _dense_eigvalsh(A) -> np.ndarray:
@@ -625,6 +640,10 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
     Off that dense path a gap below GAP_TOL between pair m and pair m + 1
     (the next value or, when padded, a zero, whichever is larger) raises
     EigengapError, since it makes the leading subspace ill-posed.
+
+    A dense solve keeps the eigenvalues after the m it returns as the pairs'
+    ``rest`` (on a padded solve followed by the n - r zeros); after Lanczos
+    ``rest`` is None.
     """
     n = A.n
     if not 1 <= m <= n:
@@ -639,13 +658,15 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
     padded = r < n
     if r <= DENSE_FALLBACK_N or m > r - 2:
         # only the kept columns are sign-fixed, so they equal those of the
-        # full decomposition bit for bit
-        found = sym_eig_full(block, min(m + 1, r))
-        w, v = found.values, found.vectors[:, :m]
+        # full decomposition bit for bit; w is the block's whole spectrum
+        found = sym_eig_full(block, min(m, r))
+        w, v = np.concatenate((found.values, found.rest)), found.vectors
+        rest = np.concatenate((found.rest, np.zeros(n - r)))
     else:
         w, v = _lanczos(block, m + 1, "LA", 0, vectors=True)
         order = np.argsort(-w, kind="stable")
         w, v = w[order], canonical_signs(v[:, order[:m]])
+        rest = None
     if padded and (m > w.size or w[m - 1] <= 0.0):
         raise EigengapError(f"pair {m} would be one of the {n - r} zero eigenvalues "
                             f"outside the {r} rows that store nonzeros")
@@ -656,7 +677,7 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
         vectors = np.zeros((n, m))
         vectors[rows] = v
         v = vectors
-    return EigenPairs(w[:m], v)
+    return EigenPairs(w[:m], v, _rest=rest)
 
 
 def _extreme_eigvals(A, k: int, which: str) -> np.ndarray:

@@ -38,9 +38,10 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
     I[:, cols] holds the sampled columns, never formed: C U is
     ``K.columns_matvec`` of U placed on the rows ``cols``, shift * U taken off
     them.  The block keeps K's matrix type and its k pairs come from
-    ``sym_eig_partial``, the eigensolver of the extension side: dense LAPACK
-    up to DENSE_FALLBACK_N, seeded Lanczos on the stored block above it,
-    where a vanishing gap between pairs k and k + 1 raises EigengapError.
+    ``sym_eig_partial``, the eigensolver of the extension side, which solves
+    a small block densely and a larger one by seeded Lanczos on the stored
+    block, where a vanishing gap between pairs k and k + 1 raises
+    EigengapError.
 
     An all-zero block, or one with a pair |lambda_i'| <= 1e-12 * ||block||_2,
     raises SingularSampleError.  ||block||_2 is computed only for a block

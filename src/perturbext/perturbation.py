@@ -202,16 +202,17 @@ def truncated_second_order(problem: PerturbationProblem, mu: float) -> np.ndarra
 # error bounds
 
 
-def tail_sq_sum_from_traces(trace_base_sq: float, known_values: np.ndarray, mu: float = 0.0,
-                            trace_base: float = 0.0, n: int = 0) -> float:
+def tail_sq_sum_from_traces(trace_base_sq: float, known_values: np.ndarray, mu: float,
+                            trace_base: float, n: int) -> float:
     """sum_{k>m} (t_k - mu)^2 from traces of A' and the known values alone:
 
     trace(A'^2) - 2 mu trace(A') + n mu^2 - sum_{i<=m} (t_i - mu)^2,
-    where trace(A'^2) = ||A'||_F^2.  ``trace_base`` and ``n`` enter only
-    with mu, so mu = 0 needs trace(A'^2) alone.  The difference loses
-    about eps * ||A'||_F^2 to cancellation; it is clamped at 0 so that a
-    tail near zero cannot come out negative.  A mu whose square overflows
-    gives inf or NaN, which the clamp keeps and ``bound_terms`` rejects.
+    where trace(A'^2) = ||A'||_F^2 and n is the dimension of A'.  All five
+    arguments are required, since a mu without trace(A') and n would give
+    a wrong sum.  The difference loses about eps * ||A'||_F^2 to
+    cancellation; it is clamped at 0 so that a tail near zero cannot come
+    out negative.  A mu whose square overflows gives inf or NaN, which the
+    clamp keeps and ``bound_terms`` rejects.
     """
     d = np.asarray(known_values, dtype=float) - mu
     with np.errstate(over="ignore", invalid="ignore"):

@@ -182,6 +182,31 @@ class TestSelectors:
         assert sel.kind == "mask"
         assert sel.mask_rows == (0, 1)
 
+    @pytest.mark.parametrize("fields", [
+        dict(kind="sparse", fraction=float("nan")), dict(kind="sparse", fraction=2.0),
+        dict(kind="sparse", fraction=-1.0), dict(kind="sparse"),
+        dict(kind="blocks", block_sizes=(30, -1, 31)), dict(kind="blocks"),
+        dict(kind="band", bandwidth=-1), dict(kind="topleft", size=0), dict(kind="topleft"),
+        dict(kind="mask"), dict(kind="mask", mask_rows=(0, 1), mask_cols=(1,)),
+        dict(kind="mask", mask_rows=(2,), mask_cols=(1,)),
+        dict(kind="mask", mask_rows=(-1,), mask_cols=(1,)),
+        dict(kind="mask", mask_rows=(0,), mask_cols=(1,), mask_n=-1),
+        dict(kind="banana"),
+    ])
+    def test_direct_construction_is_checked(self, fields):
+        with pytest.raises(ValueError) as caught:
+            Selector(**fields)
+        assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize("rows, cols", [([], []), ([-1, 2], [3, 1]), ([-2], [-1]), ([0, 1], [1])])
+    def test_bad_custom_mask_raises(self, rows, cols):
+        with pytest.raises(ValueError):
+            Selector.custom_mask(rows, cols)
+
+    def test_direct_construction_equals_classmethod(self):
+        assert Selector("band", bandwidth=3) == Selector.band(3)
+        assert Selector("mask", mask_rows=(0, 1), mask_cols=(2, 1)) == Selector.custom_mask([2, 1], [0, 1])
+
     def test_mask_selectors_compare_and_hash(self):
         a = Selector.custom_mask([2, 0, 1], [0, 3, 1])
         b = Selector.custom_mask([0, 3, 1], [2, 0, 1])
@@ -991,7 +1016,7 @@ class TestDeferredBoundTerms:
     def eager(K, Ks, res, cfg):
         values = res.source_pairs.values
         mu = 0.0 if cfg.mu.kind == "zero" else mu_mean(Ks.trace(), values, K.n)
-        return bound_terms(values, extension._bound_tail(Ks, values, mu, cfg.order), mu,
+        return bound_terms(values, extension._bound_tail(Ks, res.source_pairs, mu, cfg.order), mu,
                            spectral_norm(K.add_scaled(Ks, -1.0)), cfg.order)
 
     @pytest.mark.parametrize("n", [120, 300])
@@ -1027,7 +1052,8 @@ class TestDeferredBoundTerms:
         assert not first.flags.writeable
 
     def test_failed_dense_tail_solve_is_convergence_error(self, monkeypatch):
-        # up to DENSE_FALLBACK_N the tail spectrum comes from a dense solve
+        # the tail spectrum is the one the dense partial solve kept, so the
+        # solve that fails here is the dense one of ||E||
         res = pert_extend(_clustered_kernel(120), Selector.sparse_top_q(0.5), ExtensionConfig(m=4))
 
         def lapack_fails(a):
@@ -1036,6 +1062,54 @@ class TestDeferredBoundTerms:
         monkeypatch.setattr(np.linalg, "eigvalsh", lapack_fails)
         with pytest.raises(ConvergenceError, match="did not converge"):
             res.bound_terms
+
+
+class TestBoundTailFromTheSolve:
+    """The bound terms take their tail from the spectrum the partial solve of
+    K^s kept, and solve K^s no second time."""
+
+    def test_small_n_solves_only_E(self, monkeypatch):
+        K = _clustered_kernel(120)
+        Ks = select_submatrix(K, Selector.sparse_top_q(0.5))
+        res = extend_with_submatrix(K, Ks, ExtensionConfig(m=4))
+        solved = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+                solved.append(np.array(a))
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        res.bound_terms
+        assert len(solved) == 1
+        assert np.array_equal(solved[0], K.add_scaled(Ks, -1.0).to_dense().a)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("mu", [MuPolicy.zero(), MuPolicy.mean()], ids=["zero", "mean"])
+    def test_dense_block_tail_is_exact(self, order, mu):
+        K, l, m = _clustered_kernel(600), 100, 4
+        Ks = select_submatrix(K, Selector.top_left(l))
+        res = extend_with_submatrix(K, Ks, ExtensionConfig(m=m, order=order, mu=mu))
+        pairs = res.source_pairs
+        mu = 0.0 if mu.kind == "zero" else mu_mean(Ks.trace(), pairs.values, K.n)
+        norm_e = spectral_norm(K.add_scaled(Ks, -1.0))
+        block = K.principal_block(np.arange(l)).a
+        exact = np.concatenate((np.linalg.eigvalsh(block)[::-1][m:], np.zeros(K.n - l)))
+        expected = bound_terms(pairs.values, exact, mu, norm_e, order)
+        terms = res.bound_terms
+        finite = np.isfinite(terms)
+        assert np.array_equal(finite, np.isfinite(expected)) and finite[:-1].all()
+        assert np.allclose(terms[finite], expected[finite], rtol=1e-12, atol=0.0)
+        if order == 1:
+            # the Lanczos form of the tail: pairs that carry no spectrum
+            bare = EigenPairs(pairs.values, pairs.vectors)
+            loose = bound_terms(pairs.values, extension._bound_tail(Ks, bare, mu, order), mu, norm_e, order)
+            assert np.all(terms[finite] < loose[finite])
+        # every finite term covers the error of its normalized vector
+        U = sym_eig_full(K, m).vectors
+        W = res.vectors / np.linalg.norm(res.vectors, axis=0)
+        signs = np.sign(np.einsum("ij,ij->j", W, U))
+        errors = np.linalg.norm(W - U * signs, axis=0)
+        assert np.all(terms[finite] >= errors[finite])
 
 
 def _no_norm_solves(monkeypatch):

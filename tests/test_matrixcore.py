@@ -283,9 +283,9 @@ class TestEigPartial:
         built = []
 
         class Counted(EigenPairs):
-            def __init__(self, values, vectors):
+            def __init__(self, values, vectors, _rest=None):
                 built.append(len(values))
-                super().__init__(values, vectors)
+                super().__init__(values, vectors, _rest=_rest)
 
         monkeypatch.setattr(matrixcore, "EigenPairs", Counted)
         sym_eig_partial(random_symmetric(50, 19), 3)
@@ -733,6 +733,36 @@ def padded_block_solve(block, rows, n, m):
     vectors = np.zeros((n, m))
     vectors[rows] = pairs.vectors
     return pairs.values, vectors
+
+
+class TestRest:
+    """A dense solve keeps the eigenvalues after the m it returns as
+    ``rest``, read-only; values and rest together are the whole spectrum."""
+
+    @pytest.mark.parametrize("solve", [sym_eig_full, sym_eig_partial], ids=["full", "partial"])
+    def test_dense_solve_keeps_the_spectrum(self, solve):
+        A = random_symmetric(50, 19)
+        pairs = solve(A, 3)
+        assert not pairs.rest.flags.writeable
+        assert np.array_equal(np.concatenate((pairs.values, pairs.rest)), sym_eig_full(A).values)
+
+    def test_lanczos_keeps_none(self):
+        S = on_rows(gen_wishart_psd(300, seed=3), np.arange(300), 300)
+        assert sym_eig_partial(S, 4).rest is None
+        # a padded block above 256 rows goes to Lanczos too
+        assert sym_eig_partial(on_rows(gen_wishart_psd(300, seed=3), np.arange(300) * 2, 600), 4).rest is None
+
+    def test_padded_solve_ends_with_the_zeros(self):
+        n, r, m = 200, 150, 4
+        S = on_rows(gen_wishart_psd(r, seed=3), np.arange(r) + 30, n)
+        pairs = sym_eig_partial(S, m)
+        assert pairs.rest.size == n - m and not pairs.rest.flags.writeable
+        assert np.array_equal(pairs.rest[r - m:], np.zeros(n - r))
+        spectrum = np.sort(np.concatenate((pairs.values, pairs.rest)))[::-1]
+        assert np.allclose(spectrum, sym_eig_full(S).values, rtol=0.0, atol=1e-12 * spectral_norm(S))
+
+    def test_built_by_hand_keeps_none(self):
+        assert EigenPairs(np.ones(1), np.eye(3)[:, :1]).rest is None
 
 
 class TestSupportBlockRule:

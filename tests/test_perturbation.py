@@ -378,8 +378,14 @@ class TestTraceIdentities:
         full = sym_eig_full(A)
         m = 5
         expected = np.sum(full.values[m:] ** 2)
-        via_trace = tail_sq_sum_from_traces(np.trace(A.a @ A.a), full.values[:m])
+        via_trace = tail_sq_sum_from_traces(np.trace(A.a @ A.a), full.values[:m], 0.0, A.trace(), A.n)
         assert via_trace == pytest.approx(expected, abs=1e-10)
+        shifted = tail_sq_sum_from_traces(np.trace(A.a @ A.a), full.values[:m], 0.5, A.trace(), A.n)
+        assert shifted == pytest.approx(np.sum((full.values[m:] - 0.5) ** 2), abs=1e-10)
+
+    def test_sq_sum_needs_trace_and_n_with_mu(self):
+        with pytest.raises(TypeError):
+            tail_sq_sum_from_traces(1.0, np.ones(2), 0.5)
 
     def test_bounds_accept_precomputed_sums(self):
         values, tail = np.array([5.0, 4.0]), np.array([1.0, 1.0])

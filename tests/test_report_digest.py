@@ -13,6 +13,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
 EXPECTED = sorted(
     [f"api_{name}.csv" for name in ("block_extend_n200", "block_extend_n600",
                                     "block_extend_n600_sparse_order2", "bounds", "bounds_n200",
+                                    "bounds_topleft",
                                     "dense_lanczos_n300", "ensemble_nystrom", "generalized_nystrom_l300",
                                     "shifted_nystrom", "support_block")]
     + ["slopes.csv", "band.csv", "band_order2.csv", "sparse.csv", "verify.csv",
