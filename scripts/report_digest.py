@@ -17,8 +17,10 @@ come from dense solves, and for a ``topleft:100`` selection of the
 kernel, whose tail is the spectrum of the block's dense solve), and
 ``sym_eig_partial`` and ``spectral_norm`` of the leading 300-row block
 held in C and in F order (the two branches of the dense vector product
-that Lanczos iterates on), all on one Gaussian kernel of 600 clustered
-points, and ``sym_eig_partial`` of two sparse matrices with empty rows,
+that Lanczos iterates on), and the values, vectors and bound terms of
+``pert_extend`` through a ``custom_mask`` given in a shuffled order, with
+repeated and lower-triangle pairs (on the kernel and on its sparsified
+form), all on one Gaussian kernel of 600 clustered points, and ``sym_eig_partial`` of two sparse matrices with empty rows,
 each solved on its support block.  Every input is generated from a fixed
 seed into a temporary directory, which is removed afterwards; ``--keep
 DIR`` writes them into DIR instead and leaves them there, so that the
@@ -136,6 +138,10 @@ def write_api_reports(d: Path) -> None:
     K200 = K.principal_block(np.arange(200))
     rng = np.random.default_rng(3)
     subsets = [np.sort(rng.choice(K.n, size=100, replace=False)) for _ in range(3)]
+    # the diagonal and 20000 random entries of either triangle, some
+    # repeated, in a shuffled order
+    pairs = np.hstack([np.tile(np.arange(K.n), (2, 1)), rng.integers(0, K.n, size=(2, 20000))])
+    mask = Selector.custom_mask(*pairs[:, rng.permutation(pairs.shape[1])])
 
     def bounds(A, sel=Selector.sparse_top_q(0.5)):
         # dense and sparsified A, each at order 1 with mu zero and at order 2
@@ -144,6 +150,11 @@ def write_api_reports(d: Path) -> None:
             pert_extend(B, sel, cfg).bound_terms
             for B in (A, sparsify(A, 0.3))
             for cfg in (ExtensionConfig(m=m), ExtensionConfig(m=m, order=2, mu=MuPolicy.mean()))])
+
+    def extension(A, sel):
+        # values, then the rows of the vectors, then the bound terms
+        res = pert_extend(A, sel, ExtensionConfig(m=m))
+        return np.vstack([res.values, res.vectors, res.bound_terms])
 
     def dense_lanczos(order):
         # leading pairs, then the norm repeated across a row
@@ -176,6 +187,7 @@ def write_api_reports(d: Path) -> None:
         # one that solve kept
         "api_bounds_topleft.csv": bounds(K, Selector.top_left(100)),
         # above n = 256: Lanczos through dsymv on the array and on its transpose
+        "api_custom_mask.csv": np.vstack([extension(A, mask) for A in (K, sparsify(K, 0.3))]),
         "api_dense_lanczos_n300.csv": np.vstack([dense_lanczos("C"), dense_lanczos("F")]),
         # above n = 256 with 400 support rows, and below it with one empty row
         "api_support_block.csv": np.vstack([

@@ -12,7 +12,6 @@ E V is K[:, rows] V[rows] (``K.columns_matvec``) with rows zeroed.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,6 +23,7 @@ from .matrixcore import (
     SparseSymmetric,
     SymmetricDense,
     _average_transpose,
+    _count,
     read_mask,
     spectral_norm,
     sym_eig_partial,
@@ -37,9 +37,9 @@ class Selector:
     Kinds: 'topleft' (leading l x l block), 'band' (|i - j| <= p, diagonal
     always included), 'sparse' (largest-magnitude entries covering fraction q
     of the stored nonzeros), 'blocks' (block-diagonal partition), 'mask'
-    (explicit symmetric index set, stored as upper-triangle pairs).  A mask
-    read from a file keeps the file's header n, which K's dimension must
-    then equal.
+    (explicit symmetric index set: upper-triangle pairs, row-major from every
+    classmethod, in one int64 buffer compared and hashed by value and viewed
+    by ``mask_pairs``).  A file mask keeps its header n, which K's must equal.
     """
 
     kind: str
@@ -47,14 +47,13 @@ class Selector:
     bandwidth: int = 0                 # band: p
     fraction: float = 0.0              # sparse: q
     block_sizes: tuple = ()            # blocks
-    mask_rows: tuple = ()              # mask, as tuples so that == and hash work
-    mask_cols: tuple = ()
+    mask: bytes = b""                  # mask: its k int64 rows, then its k cols
     mask_n: int = 0                    # mask: the file's header n, 0 for any n
 
     def __post_init__(self):
         """Every construction, direct or through a classmethod, is checked
         here, one check per kind; a failed check raises ValueError."""
-        kind, rows, cols = self.kind, self.mask_rows, self.mask_cols
+        kind, (rows, cols) = self.kind, self.mask_pairs
         if kind not in ("topleft", "band", "sparse", "blocks", "mask"):
             raise ValueError(f"unknown selector kind {kind!r}")
         if kind == "topleft" and not self.size >= 1:
@@ -65,10 +64,14 @@ class Selector:
             raise ValueError("sparse selector needs q in (0, 1]")
         if kind == "blocks" and not (self.block_sizes and min(self.block_sizes) >= 1):
             raise ValueError("block sizes must be positive")
-        if kind == "mask" and not (rows and len(rows) == len(cols) and min(rows) >= 0
-                                   and all(map(operator.le, rows, cols)) and self.mask_n >= 0):
+        if kind == "mask" and not (rows.size and rows.min() >= 0 and np.all(rows <= cols)
+                                   and 16 * rows.size == len(self.mask) and self.mask_n >= 0):
             raise ValueError("a mask needs one or more pairs 0 <= row <= col, as many rows as "
                              "cols, and mask_n >= 0")
+
+    @property
+    def mask_pairs(self) -> np.ndarray:
+        return np.frombuffer(self.mask, np.int64, len(self.mask) // 16 * 2).reshape(2, -1)
 
     @classmethod
     def top_left(cls, l: int) -> "Selector":
@@ -88,13 +91,11 @@ class Selector:
 
     @classmethod
     def custom_mask(cls, rows, cols) -> "Selector":
-        mask_rows, mask_cols = _upper_pairs(rows, cols)
-        return cls("mask", mask_rows=mask_rows, mask_cols=mask_cols)
+        return cls("mask", mask=_upper_pairs(rows, cols))
 
     @classmethod
     def full_mask(cls, n: int) -> "Selector":
-        iu = np.triu_indices(n)
-        return cls("mask", mask_rows=tuple(iu[0].tolist()), mask_cols=tuple(iu[1].tolist()))
+        return cls("mask", mask=np.array(np.triu_indices(n), dtype=np.int64).tobytes())
 
     @classmethod
     def parse(cls, text: str) -> "Selector":
@@ -112,14 +113,13 @@ class Selector:
             return cls.block_diag(int(s) for s in arg.split(","))
         if head == "mask":
             n, rows, cols = read_mask(arg)
-            mask_rows, mask_cols = _upper_pairs(rows, cols)
-            return cls("mask", mask_rows=mask_rows, mask_cols=mask_cols, mask_n=int(n))
+            return cls("mask", mask=np.concatenate((rows, cols)).tobytes(), mask_n=n)
         raise ValueError(f"unknown selector kind {head!r}")
 
 
-def _upper_pairs(rows, cols):
-    """The mask entries (rows[k], cols[k]), each once, as upper-triangle
-    pairs in row-major order: a tuple of rows and a tuple of columns."""
+def _upper_pairs(rows, cols) -> bytes:
+    """The mask entries (rows[k], cols[k]), in any order and triangle, each once
+    as an upper-triangle pair in row-major order: a ``Selector.mask`` buffer."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if rows.shape != cols.shape or rows.ndim != 1:
@@ -129,7 +129,7 @@ def _upper_pairs(rows, cols):
     # a negative index decodes to a negative row, which Selector rejects
     base = int(np.abs(hi).max(initial=0)) + 1
     key = np.unique(lo * base + hi)
-    return tuple((key // base).tolist()), tuple((key % base).tolist())
+    return np.concatenate((key // base, key % base)).tobytes()
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class ExtensionConfig:
     mu: pert.MuPolicy = field(default_factory=pert.MuPolicy.zero)
 
     def __post_init__(self):
-        if self.m < 1:
+        if _count(self.m, "m") < 1:
             raise ValueError("need m >= 1")
         if self.order not in (1, 2):
             raise ValueError("order must be 1 or 2")
@@ -202,9 +202,10 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     """Materialize K^s: K restricted to the selected index set, zero elsewhere.
 
     ``topleft:l`` is ``K.block_selection`` of the first l rows, a gather of that
-    block alone.  Every other kind is a mask over K's stored triplets, handed to
-    ``K.restrict``: a dense K gives a new sparse matrix of the selected nonzeros,
-    a sparse K a restriction of K, so that E = K - K^s needs no merge either.
+    block alone.  Every other kind is a mask over K's stored triplets (read off
+    a mask selector's buffer through ``sel.mask_pairs``, without a copy),
+    handed to ``K.restrict``: a dense K gives a new sparse matrix of the
+    selected nonzeros, a sparse K a restriction of K, so E = K - K^s needs no merge.
     """
     n = K.n
     if sel.kind == "topleft":
@@ -228,8 +229,7 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
         block_of = np.searchsorted(_block_bounds(sel.block_sizes, n), np.arange(n), side="right") - 1
         keep = block_of[rows] == block_of[cols]
     else:  # mask, the one kind left that Selector admits
-        mask_rows = np.array(sel.mask_rows, dtype=np.int64)
-        mask_cols = np.array(sel.mask_cols, dtype=np.int64)
+        mask_rows, mask_cols = sel.mask_pairs
         if sel.mask_n and sel.mask_n != n:
             raise ValueError(f"mask is for dimension {sel.mask_n}, matrix has dimension {n}")
         if int(mask_cols.max()) >= n:
@@ -315,7 +315,8 @@ def _weighted_combination(members, q: int, weights=None) -> SymmetricDense:
     formed once, never per member.
     """
     weights = np.full(q, 1.0 / q) if weights is None else np.asarray(weights, dtype=float)
-    if weights.size != q or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+    # written so that a NaN weight fails both tests
+    if weights.size != q or not np.all(weights >= 0) or not abs(weights.sum() - 1.0) <= 1e-12:
         raise ValueError("weights must be nonnegative and sum to one")
     values, vectors = zip(*members)
     return kernel_approx(np.concatenate([w * v for w, v in zip(weights, values)]),
@@ -336,7 +337,8 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
     one n x n array of the call.
     """
     n = K.n
-    block_sizes = tuple(int(s) for s in block_sizes)
+    # checked as a blocks selector checks them, before any member runs
+    block_sizes = Selector.block_diag(block_sizes).block_sizes
     bounds = _block_bounds(block_sizes, n)
 
     def member(j):

@@ -10,6 +10,7 @@ that independently computed decompositions can be compared entrywise.
 
 from __future__ import annotations
 
+import operator
 import warnings
 
 import numpy as np
@@ -466,6 +467,14 @@ def _require_matrix(A) -> None:
                         f"got {type(A).__name__}")
 
 
+def _count(value, name: str) -> int:
+    """``operator.index(value)``: NumPy integers pass, and the TypeError of a float names ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _row_major_order(n: int, rows: np.ndarray, cols: np.ndarray):
     """Row-major order of upper-triangle index pairs of an n x n matrix, as
     an index array, or ``slice(None)`` when the pairs are already in it.
@@ -586,7 +595,7 @@ def sym_eig_full(A, m: int | None = None) -> EigenPairs:
     """
     _require_matrix(A)
     n = A.n
-    m = n if m is None else m
+    m = n if m is None else _count(m, "m")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     a = A.to_dense().a
@@ -645,7 +654,7 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
     ``rest`` (on a padded solve followed by the n - r zeros); after Lanczos
     ``rest`` is None.
     """
-    n = A.n
+    n, m = A.n, _count(m, "m")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     rows, block = A.support_block()
@@ -690,7 +699,7 @@ def _extreme_eigvals(A, k: int, which: str) -> np.ndarray:
     LAPACK and larger ones to a seeded Lanczos iteration on the stored
     array; no eigengap is checked, since no subspace is returned.
     """
-    n = A.n
+    n, k = A.n, _count(k, "k")
     if A.is_zero():
         return np.zeros(k)
     if n > DENSE_FALLBACK_N and k <= n - 2:
@@ -860,8 +869,8 @@ def read_mask(path):
     """Sparse-format file whose values are ignored; returns (n, rows, cols).
 
     The indices are checked as for a sparse matrix file: each in range of
-    the header's n, row <= col, no pair twice.
+    the header's n, row <= col, no pair twice; they come back row-major.
     """
     n, rows, cols, _ = _read_triplets(path)
-    _row_major_order(n, rows, cols)
-    return n, rows, cols
+    order = _row_major_order(n, rows, cols)
+    return n, rows[order], cols[order]

@@ -20,6 +20,7 @@ from . import perturbation as pert
 from .extension import ExtensionConfig, Selector, _weighted_combination, pert_extend
 from .matrixcore import (
     SymmetricDense,
+    _count,
     _extreme_eigvals,
     spectral_norm,
     sym_eig_partial,
@@ -48,7 +49,7 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
     that ||block||_F, its cheap upper bound, cannot clear, so a regular
     block pays no norm solve and every block gets the same decision.
     """
-    n = K.n
+    n, k = K.n, _count(k, "k")
     l = len(cols)
     if not 1 <= k <= l <= n:
         raise ValueError(f"need 1 <= k <= l <= n, got k={k}, l={l}, n={n}")
@@ -93,7 +94,7 @@ def generalized_nystrom(K, k: int, l: int):
     l = k reduces to the classical method; l = n reproduces the exact
     leading pairs.  The scale factors use the block size l.
     """
-    return _sampled_pairs(K, k, np.arange(l))
+    return _sampled_pairs(K, k, np.arange(_count(l, "l")))
 
 
 def shift_mu_mean(K, k: int) -> float:

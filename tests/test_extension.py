@@ -1,4 +1,6 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +55,11 @@ from perturbext.perturbation import (
 
 def to_full(S):
     return S.to_dense().a
+
+
+def mask_buffer(rows, cols):
+    """A ``Selector.mask`` buffer: the int64 rows, then the cols, as given."""
+    return np.array([*rows, *cols], dtype=np.int64).tobytes()
 
 
 class TestSelectors:
@@ -180,17 +187,20 @@ class TestSelectors:
         write_sparse(path, S)
         sel = Selector.parse(f"mask:{path}")
         assert sel.kind == "mask"
-        assert sel.mask_rows == (0, 1)
+        assert sel.mask_pairs[0].tolist() == [0, 1]
 
     @pytest.mark.parametrize("fields", [
         dict(kind="sparse", fraction=float("nan")), dict(kind="sparse", fraction=2.0),
         dict(kind="sparse", fraction=-1.0), dict(kind="sparse"),
         dict(kind="blocks", block_sizes=(30, -1, 31)), dict(kind="blocks"),
         dict(kind="band", bandwidth=-1), dict(kind="topleft", size=0), dict(kind="topleft"),
-        dict(kind="mask"), dict(kind="mask", mask_rows=(0, 1), mask_cols=(1,)),
-        dict(kind="mask", mask_rows=(2,), mask_cols=(1,)),
-        dict(kind="mask", mask_rows=(-1,), mask_cols=(1,)),
-        dict(kind="mask", mask_rows=(0,), mask_cols=(1,), mask_n=-1),
+        dict(kind="mask"), dict(kind="mask", mask=mask_buffer((0, 1), (1,))),
+        dict(kind="mask", mask=mask_buffer((2,), (1,))),
+        dict(kind="mask", mask=mask_buffer((-1,), (1,))),
+        dict(kind="mask", mask=mask_buffer((0,), (1,)), mask_n=-1),
+        # a buffer that ends inside an int64 or a (row, col) pair
+        dict(kind="mask", mask=mask_buffer((0,), (1,)) + bytes(4)),
+        dict(kind="mask", mask=mask_buffer((0,), (1,)) + bytes(8)),
         dict(kind="banana"),
     ])
     def test_direct_construction_is_checked(self, fields):
@@ -205,7 +215,15 @@ class TestSelectors:
 
     def test_direct_construction_equals_classmethod(self):
         assert Selector("band", bandwidth=3) == Selector.band(3)
-        assert Selector("mask", mask_rows=(0, 1), mask_cols=(2, 1)) == Selector.custom_mask([2, 1], [0, 1])
+        assert Selector("mask", mask=mask_buffer((0, 1), (2, 1))) == Selector.custom_mask([2, 1], [0, 1])
+
+    def test_mask_pairs_are_a_read_only_view(self):
+        sel = Selector.custom_mask([2, 0, 1], [0, 3, 1])
+        pairs = sel.mask_pairs
+        assert pairs.dtype == np.int64 and pairs.tolist() == [[0, 0, 1], [2, 3, 1]]
+        assert not pairs.flags.writeable
+        with pytest.raises(ValueError):
+            pairs[0, 0] = 5
 
     def test_mask_selectors_compare_and_hash(self):
         a = Selector.custom_mask([2, 0, 1], [0, 3, 1])
@@ -215,6 +233,64 @@ class TestSelectors:
         assert a != Selector.custom_mask([0, 1], [2, 1])
         assert Selector.full_mask(4) == Selector.full_mask(4)
         assert Selector.full_mask(4) != Selector.full_mask(5)
+
+
+def _tuple_upper_pairs(rows, cols):
+    """Oracle: the tuple-based mask normalization the int64 buffer replaced,
+    kept verbatim: upper-triangle pairs in row-major order, each once."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise ValueError("mask rows/cols must be equally sized 1-D arrays")
+    lo = np.minimum(rows, cols)
+    hi = np.maximum(rows, cols)
+    # a negative index decodes to a negative row, which Selector rejects
+    base = int(np.abs(hi).max(initial=0)) + 1
+    key = np.unique(lo * base + hi)
+    return tuple((key // base).tolist()), tuple((key % base).tolist())
+
+
+def _tuple_mask_selection(K, mask_rows, mask_cols):
+    """Oracle: the mask branch of ``select_submatrix`` over those tuples, verbatim."""
+    n = K.n
+    rows, cols, _ = K.triplets()
+    mask_rows = np.array(mask_rows, dtype=np.int64)
+    mask_cols = np.array(mask_cols, dtype=np.int64)
+    if int(mask_cols.max()) >= n:
+        raise ValueError("mask index out of range")
+    keep = np.isin(rows * n + cols, mask_rows * n + mask_cols)
+    return K.restrict(keep)
+
+
+class TestMaskRoutes:
+    """A mask file and ``custom_mask`` of the same pairs hold equal buffers,
+    and both select the K^s the tuple-based code selected, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 30), seed=st.integers(0, 1000))
+    def test_file_and_custom_mask_equal_the_tuple_oracle(self, data, n, seed):
+        # pairs in any order, with repeats and in either triangle
+        entries = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                     min_size=1, max_size=3 * n))
+        rows, cols = (list(side) for side in zip(*entries))
+        # the file holds each pair once, upper triangle, in a drawn order
+        upper = data.draw(st.permutations(sorted({(min(p), max(p)) for p in entries})))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pairs.mask"
+            path.write_text(f"{n} {len(upper)}\n" + "".join(f"{i} {j} 1\n" for i, j in upper))
+            from_file = Selector.parse(f"mask:{path}")
+        custom = Selector.custom_mask(rows, cols)
+        oracle = _tuple_upper_pairs(rows, cols)
+        assert from_file.mask == custom.mask and from_file.mask_n == n
+        assert custom.mask_pairs.tolist() == [list(oracle[0]), list(oracle[1])]
+        K = gen_wishart_psd(n, seed=seed)
+        for A in (K, sparsify(K, 0.5)):
+            want = _tuple_mask_selection(A, *oracle)
+            for sel in (from_file, custom):
+                got = select_submatrix(A, sel)
+                assert got.n == want.n
+                for a, b in zip(got.triplets(), want.triplets()):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestPertExtend:
@@ -603,6 +679,45 @@ class TestBlockExtend:
         K = gen_wishart_psd(8, seed=22)
         with pytest.raises(ValueError, match="weights"):
             block_extend(K, [4, 4], ExtensionConfig(m=2), weights=[0.5, 0.2])
+
+    @pytest.mark.parametrize("weights", [[np.nan, 0.5], [np.nan, np.nan], [np.inf, -np.inf]])
+    def test_non_finite_weights_rejected_before_any_member(self, monkeypatch, weights):
+        K = gen_wishart_psd(40, seed=3)
+        monkeypatch.setattr(extension, "extend_with_submatrix", _no_member_runs)
+        with pytest.raises(ValueError, match="weights must be nonnegative and sum to one"):
+            block_extend(K, [20, 20], ExtensionConfig(m=3), weights=weights)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("sizes", [(0, 40), (-5, 45), (40, 0)])
+    def test_nonpositive_block_sizes_rejected_before_any_member(self, monkeypatch, sparse, sizes):
+        K = gen_wishart_psd(40, seed=3)
+        K = SparseSymmetric.from_dense(K) if sparse else K
+        monkeypatch.setattr(extension, "extend_with_submatrix", _no_member_runs)
+        with pytest.raises(ValueError, match="block sizes must be positive") as caught:
+            block_extend(K, sizes, ExtensionConfig(m=3))
+        assert type(caught.value) is ValueError
+
+
+def _no_member_runs(*args, **kwargs):
+    raise AssertionError("a block member was extended")
+
+
+class TestPairCount:
+    """A count of pairs that is not an integer is refused where it comes in,
+    by a TypeError that names it; NumPy integers count as integers."""
+
+    def test_fractional_m_rejected(self):
+        with pytest.raises(TypeError, match="m must be an integer, got 2.5"):
+            ExtensionConfig(m=2.5)
+        K = gen_wishart_psd(40, seed=3)
+        with pytest.raises(TypeError, match="m must be an integer"):
+            pert_extend(K, Selector.band(5), ExtensionConfig(m=2.5, order=2))
+
+    def test_numpy_integer_m_accepted(self):
+        K = gen_wishart_psd(40, seed=3)
+        got = pert_extend(K, Selector.band(5), ExtensionConfig(m=np.int64(3)))
+        want = pert_extend(K, Selector.band(5), ExtensionConfig(m=3))
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.vectors, want.vectors)
 
 
 def _clustered_kernel(n):

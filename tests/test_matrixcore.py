@@ -303,6 +303,37 @@ class TestEigPartial:
         assert np.array_equal(p1.vectors, p2.vectors)
 
 
+class TestPairCount:
+    """A count that is not an integer raises a TypeError naming it before
+    any solve (it used to crash inside ARPACK or a slice); NumPy integers
+    are integers.  At n = 400 the sparse form goes to Lanczos."""
+
+    @pytest.fixture(scope="class")
+    def D(self):
+        return gen_wishart_psd(400, seed=3)
+
+    def test_sym_eig_full(self, D):
+        with pytest.raises(TypeError, match="m must be an integer, got 2.5"):
+            sym_eig_full(D, 2.5)
+        assert np.array_equal(sym_eig_full(D, np.int64(3)).values, sym_eig_full(D, 3).values)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_sym_eig_partial(self, D, sparse):
+        A = SparseSymmetric.from_dense(D) if sparse else D
+        with pytest.raises(TypeError, match="m must be an integer, got 2.5"):
+            sym_eig_partial(A, 2.5)
+        got, want = sym_eig_partial(A, np.int64(3)), sym_eig_partial(A, 3)
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.vectors, want.vectors)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_extreme_eigvals(self, D, sparse):
+        A = SparseSymmetric.from_dense(D) if sparse else D
+        with pytest.raises(TypeError, match="k must be an integer, got 2.5"):
+            matrixcore._extreme_eigvals(A, 2.5, "LA")
+        assert np.array_equal(matrixcore._extreme_eigvals(A, np.int64(2), "LM"),
+                              matrixcore._extreme_eigvals(A, 2, "LM"))
+
+
 class TestSpectralNorm:
     def test_diagonal_max_magnitude(self):
         assert spectral_norm(SymmetricDense(np.diag([-7.0, 3.0]))) == pytest.approx(7.0)

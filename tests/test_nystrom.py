@@ -13,7 +13,7 @@ from perturbext.kernels import (
     rng_for,
     standardize,
 )
-from perturbext import extension, matrixcore
+from perturbext import extension, matrixcore, nystrom
 from perturbext.matrixcore import (
     DENSE_FALLBACK_N,
     EigengapError,
@@ -338,6 +338,18 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             ensemble_nystrom(K, 2, [np.arange(4)], weights=[0.7])
 
+    @pytest.mark.parametrize("weights", [[np.nan], [np.inf]])
+    def test_non_finite_weights_rejected_before_any_member(self, monkeypatch, weights):
+        # a NaN weight used to pass the guard and fail after every member ran
+        K = gen_wishart_psd(400, seed=3)
+        monkeypatch.setattr(nystrom, "_sampled_pairs", _no_member_runs)
+        with pytest.raises(ValueError, match="weights must be nonnegative and sum to one"):
+            ensemble_nystrom(K, 3, [[1, 2, 3]], weights=weights)
+
+
+def _no_member_runs(*args, **kwargs):
+    raise AssertionError("an ensemble member was extended")
+
 
 def _sampled_pairs_by_columns(K, k, cols, shift=0.0):
     """Reference: the sampled pairs from the formed columns C = K[:, cols] -
@@ -502,6 +514,31 @@ class TestConfig:
         from perturbext.perturbation import MuCollisionError
         with pytest.raises((MuCollisionError, SingularSampleError)):
             check_shifted_equivalence(K, 5, float(block[-1]))
+
+
+class TestPairCount:
+    """Counts that are not integers raise a TypeError naming the argument
+    before any solve; NumPy integers are integers."""
+
+    @pytest.fixture(scope="class")
+    def D(self):
+        return gen_wishart_psd(400, seed=3)
+
+    @pytest.mark.parametrize("k, l, message", [(2.5, 300, "k must be an integer, got 2.5"),
+                                               (10, 300.7, "l must be an integer, got 300.7")])
+    def test_generalized_nystrom(self, D, k, l, message):
+        with pytest.raises(TypeError, match=message):
+            generalized_nystrom(D, k, l)
+
+    def test_generalized_nystrom_numpy_integers(self, D):
+        got = generalized_nystrom(D, np.int64(4), np.int64(300))
+        want = generalized_nystrom(D, 4, 300)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_shift_mu_mean(self, D):
+        with pytest.raises(TypeError, match="k must be an integer, got 2.5"):
+            shift_mu_mean(D, 2.5)
+        assert shift_mu_mean(D, np.int64(3)) == shift_mu_mean(D, 3)
 
 
 class TestSingularGuardNorm:
