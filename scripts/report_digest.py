@@ -20,8 +20,10 @@ held in C and in F order (the two branches of the dense vector product
 that Lanczos iterates on), and the values, vectors and bound terms of
 ``pert_extend`` through a ``custom_mask`` given in a shuffled order, with
 repeated and lower-triangle pairs (on the kernel and on its sparsified
-form), all on one Gaussian kernel of 600 clustered points, and ``sym_eig_partial`` of two sparse matrices with empty rows,
-each solved on its support block.  Every input is generated from a fixed
+form), all on one Gaussian kernel of 600 clustered points, ``sym_eig_partial`` of two sparse matrices with empty rows,
+each solved on its support block, and the triplets ``build_sparse_kernel``
+keeps of the Gaussian and polynomial kernels of the 300 points the dataset
+runs read.  Every input is generated from a fixed
 seed into a temporary directory, which is removed afterwards; ``--keep
 DIR`` writes them into DIR instead and leaves them there, so that the
 reports of two checkouts can be compared by value, not only by digest:
@@ -65,6 +67,7 @@ from perturbext.extension import ExtensionConfig, Selector, block_extend, pert_e
 from perturbext.kernels import (  # noqa: E402
     KernelSpec,
     build_kernel,
+    build_sparse_kernel,
     gen_band_matrix,
     gen_clustered_dataset,
     gen_wishart_psd,
@@ -169,6 +172,13 @@ def write_api_reports(d: Path) -> None:
         pairs = sym_eig_partial(SparseSymmetric(n, rows[br], rows[bc], bv), m)
         return np.vstack([pairs.values, pairs.vectors])
 
+    # the sparse builder's (row, col, value) triplets on the 300-point
+    # dataset of the CLI runs, a size where its slabs and the whole Gram
+    # product round differently
+    data = standardize(gen_clustered_dataset(n=300, seed=3))
+    triplets = [np.column_stack((S.rows, S.cols, S.vals)) for S in (
+        build_sparse_kernel(data, spec, 0.2) for spec in (KernelSpec.gaussian(0.1), KernelSpec.polynomial(2)))]
+
     reports = {
         "api_block_extend_n200.csv": block_extend(K200, (50, 150), ExtensionConfig(m=m)).a,
         "api_block_extend_n600.csv": block_extend(K, (300, 300), ExtensionConfig(m=m)).a,
@@ -189,6 +199,7 @@ def write_api_reports(d: Path) -> None:
         # above n = 256: Lanczos through dsymv on the array and on its transpose
         "api_custom_mask.csv": np.vstack([extension(A, mask) for A in (K, sparsify(K, 0.3))]),
         "api_dense_lanczos_n300.csv": np.vstack([dense_lanczos("C"), dense_lanczos("F")]),
+        "api_sparse_kernel.csv": np.vstack(triplets),
         # above n = 256 with 400 support rows, and below it with one empty row
         "api_support_block.csv": np.vstack([
             support_block(400, np.flatnonzero(np.arange(600) % 3 != 2), 600),

@@ -15,6 +15,7 @@ from .kernels import (
     KernelOverflowError,
     KernelSpec,
     build_kernel,
+    build_sparse_kernel,
     gen_band_matrix,
     gen_clustered_dataset,
     gen_psd_separated_block,

@@ -15,7 +15,7 @@ import sys
 from . import experiments as exp
 from . import perturbation as pert
 from .extension import ExtensionConfig, Selector, pert_extend
-from .kernels import KernelSpec, build_kernel, load_dataset, sparsify, standardize
+from .kernels import KernelSpec, build_kernel, build_sparse_kernel, load_dataset, standardize
 from .matrixcore import (
     ConvergenceError,
     EigengapError,
@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--kernel", type=str, default="gaussian:1.0")
     p.add_argument("--keep", type=float, default=None,
-                   help="optionally sparsify the kernel before extending")
+                   help="keep only this fraction (0, 1] of the kernel's largest-magnitude "
+                        "entries, built without the dense n x n kernel")
     p.add_argument("--selector", type=str, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
@@ -118,10 +119,10 @@ def _load_input_matrix(args):
     if getattr(args, "sparse_matrix", None):
         return read_sparse(args.sparse_matrix)
     ds = standardize(load_dataset(args.dataset, has_header=args.has_header))
-    K = build_kernel(ds, KernelSpec.parse(args.kernel))
+    spec = KernelSpec.parse(args.kernel)
     if args.keep is not None:
-        return sparsify(K, args.keep)
-    return K
+        return build_sparse_kernel(ds, spec, args.keep)
+    return build_kernel(ds, spec)
 
 
 def _cmd_slopes(args) -> int:

@@ -16,7 +16,7 @@ from .extension import ExtensionConfig, Selector, extend_with_submatrix, kernel_
 from .kernels import (
     Dataset,
     KernelSpec,
-    build_kernel,
+    build_sparse_kernel,
     gen_band_matrix,
     gen_clustered_dataset,
     gen_psd_separated_block,
@@ -24,7 +24,6 @@ from .kernels import (
     gen_slow_decay,
     gen_unit_random_symmetric,
     rng_for,
-    sparsify,
     standardize,
 )
 from .matrixcore import (
@@ -296,9 +295,7 @@ def _sparse_trial_kernel(dataset: Dataset | None, kernel_spec: KernelSpec,
         take = min(n, dataset.n)
         idx = rng.choice(dataset.n, size=take, replace=False)
         ds = Dataset(dataset.samples[idx])
-    ds = standardize(ds)
-    K = build_kernel(ds, kernel_spec)
-    return sparsify(K, keep)
+    return build_sparse_kernel(standardize(ds), kernel_spec, keep)
 
 
 def run_sparse_experiment(dataset: Dataset | None = None,

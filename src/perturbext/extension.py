@@ -52,7 +52,11 @@ class Selector:
 
     def __post_init__(self):
         """Every construction, direct or through a classmethod, is checked
-        here, one check per kind; a failed check raises ValueError."""
+        here, one check per kind; a failed check raises ValueError.  The mask
+        is first stored as an immutable ``bytes`` copy of the buffer given,
+        so a caller who writes to that buffer later cannot change the
+        checked pairs."""
+        object.__setattr__(self, "mask", bytes(memoryview(self.mask)))
         kind, (rows, cols) = self.kind, self.mask_pairs
         if kind not in ("topleft", "band", "sparse", "blocks", "mask"):
             raise ValueError(f"unknown selector kind {kind!r}")

@@ -1,5 +1,11 @@
 """Dataset ingestion, kernel construction, sparsification and instance generators.
 
+Kernels are evaluated in slabs K[lo:hi, lo:] of the upper triangle
+(``_slab_evaluator``).  ``build_kernel`` evaluates one slab, the dense n x n
+kernel; ``build_sparse_kernel`` streams slabs of _SLAB_ROWS rows and keeps
+their largest-magnitude entries through the selection ``sparsify`` applies
+to a dense kernel, so it never holds an n x n array.
+
 All generators are driven by the counter-based Philox generator so that a
 (master seed, trial index) pair always reproduces the same matrix, no matter
 in which order trials run.
@@ -120,62 +126,130 @@ def standardize(ds: Dataset) -> Dataset:
     return Dataset(out, constant_columns=tuple(np.nonzero(constant)[0]))
 
 
-def build_kernel(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
-    """Gram matrix of the dataset under the given kernel, computed in place in
-    one Gram and one work array and averaged in place (``_average_transpose``).
-    An entry that overflows, or that an overflowing squared norm makes NaN,
-    raises KernelOverflowError naming the first such sample pair."""
+# rows of the upper triangle that build_sparse_kernel evaluates at a time; a
+# slab holds about 2 * _SLAB_ROWS * n doubles
+_SLAB_ROWS = 128
+
+
+def _slab_evaluator(ds: Dataset, spec: KernelSpec):
+    """The function (lo, hi) -> K[lo:hi, lo:], a new writable array, for the
+    kernel of ``ds`` under ``spec``.
+
+    A slab is evaluated from the Gram slab ``x[lo:hi] @ x[lo:].T`` with the
+    squared norms of all samples computed once here.  For (0, n) that
+    product is numpy's whole-Gram ``syrk`` call, symmetric bit for bit; a
+    slab with hi < n goes through ``gemm`` and may round a Gram entry
+    differently.  The Gaussian kernel is evaluated in place in the Gram
+    slab and one work array.  An entry that overflows, or that an
+    overflowing squared norm makes NaN, raises KernelOverflowError naming
+    the first such sample pair of the slab in row-major order.
+    """
     x = ds.samples
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = x @ x.T
-        if spec.kind == "gaussian":
-            sq = np.einsum("ij,ij->i", x, x)
-            gram *= 2.0
-            K = sq[:, None] + sq[None, :]
-            K -= gram
-            del gram  # the kernel is the only n x n array from here on
-            np.clip(K, 0.0, None, out=K)
-            np.fill_diagonal(K, 0.0)
-            K *= -spec.gamma
-            np.exp(K, out=K)
-        elif spec.kind == "linear":
-            K = gram
-        else:
-            K = (1.0 + gram) ** spec.degree
-    bad = ~np.isfinite(K)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise KernelOverflowError(f"{spec.kind} kernel overflow at sample pair ({i}, {j})")
+        sq = np.einsum("ij,ij->i", x, x)
+
+    def slab(lo: int, hi: int) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = x[lo:hi] @ x[lo:].T
+            if spec.kind == "gaussian":
+                gram *= 2.0
+                K = sq[lo:hi, None] + sq[None, lo:]
+                K -= gram
+                del gram  # the kernel slab is the only slab-sized array from here on
+                np.clip(K, 0.0, None, out=K)
+                np.fill_diagonal(K, 0.0)  # K[k, k] is the pair (lo + k, lo + k)
+                K *= -spec.gamma
+                np.exp(K, out=K)
+            elif spec.kind == "linear":
+                K = gram
+            else:
+                K = (1.0 + gram) ** spec.degree
+        bad = ~np.isfinite(K)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise KernelOverflowError(f"{spec.kind} kernel overflow at sample pair ({lo + i}, {lo + j})")
+        return K
+
+    return slab
+
+
+def build_kernel(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
+    """Gram matrix of the dataset under the given kernel: the dense n x n
+    array, evaluated as one slab (``_slab_evaluator``) and averaged in place
+    (``_average_transpose``).  The Gaussian kernel peaks at two n x n
+    arrays; ``build_sparse_kernel`` keeps a top fraction without ever
+    holding one.  An entry that overflows, or that an overflowing squared
+    norm makes NaN, raises KernelOverflowError naming the first such sample
+    pair."""
+    K = _slab_evaluator(ds, spec)(0, ds.n)
     return SymmetricDense._adopt(_average_transpose(K, K))
+
+
+def _keep_largest(n: int, slabs, keep_fraction: float) -> SparseSymmetric:
+    """The ceil(keep_fraction * n(n+1)/2) largest-magnitude upper-triangle
+    entries of the n x n symmetric matrix that ``slabs`` yields as
+    (lo, K[lo:hi, lo:]) in row order, mirrored; ties broken by (row, col).
+
+    The fraction is checked before the first slab is drawn.  Each slab's
+    upper triangle is copied row by row into one row-major array of the
+    n(n+1)/2 entries.  ``np.partition`` of one magnitude copy finds the
+    count-th largest without a sort.  Every entry above it is kept, and of
+    those equal to it the first in row-major order fill the count: the set
+    a stable descending sort would take.  |v| > c is tested as v > c or
+    v < -c, so no second magnitude array is formed.  The kept flat
+    positions map to (row, col) through the row offsets.
+    """
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError("keep_fraction must lie in (0, 1]")
+    # flat offset of each row's diagonal entry in the row-major upper triangle
+    starts = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
+    upper = np.empty(starts[-1])
+    for lo, block in slabs:
+        for i in range(lo, lo + block.shape[0]):
+            upper[starts[i]:starts[i + 1]] = block[i - lo, i - lo:]
+    count = int(np.ceil(keep_fraction * upper.size))
+    mag = np.abs(upper)
+    mag.partition(mag.size - count)
+    cut = mag[mag.size - count]
+    del mag
+    keep = upper > cut
+    keep |= upper < -cut
+    tied = upper == cut
+    tied |= upper == -cut
+    keep[np.flatnonzero(tied)[:count - np.count_nonzero(keep)]] = True
+    flat = np.flatnonzero(keep)
+    rows = np.searchsorted(starts, flat, side="right") - 1
+    cols = flat - starts[rows] + rows
+    return SparseSymmetric(n, rows, cols, upper[flat])
 
 
 def sparsify(K: SymmetricDense, keep_fraction: float) -> SparseSymmetric:
     """Keep the ceil(keep_fraction * count) largest-magnitude upper-triangle
-    entries (mirrored); ties broken by (row, col).
+    entries (mirrored); ties broken by (row, col).  The selection is
+    ``_keep_largest``'s, which ``build_sparse_kernel`` shares; it peaks at
+    about n^2 doubles."""
+    return _keep_largest(K.n, [(0, K.a)], keep_fraction)
 
-    The n(n+1)/2 magnitudes are gathered row by row, in row-major order, and
-    ``np.partition`` finds the count-th largest without a sort.  Every entry
-    above it is kept, and of those equal to it the first in row-major order
-    fill the count: the set a stable descending sort would take.  The kept
-    flat positions map to (row, col) through the row offsets.
+
+def build_sparse_kernel(ds: Dataset, spec: KernelSpec, keep_fraction: float) -> SparseSymmetric:
+    """The kernel of ``ds`` under ``spec`` kept at its ceil(keep_fraction *
+    n(n+1)/2) largest-magnitude upper-triangle entries, mirrored; ties
+    broken by (row, col): ``sparsify(build_kernel(ds, spec), keep_fraction)``
+    without an n x n array.
+
+    Slabs of _SLAB_ROWS rows of the upper triangle (``_slab_evaluator``)
+    stream into ``sparsify``'s selection one at a time, so the peak is the
+    row-major array of the n(n+1)/2 entries and its magnitude copy, about
+    n^2 doubles, plus one slab.  The kept set and its values are
+    ``sparsify(build_kernel(.))``'s wherever a slab's ``gemm`` rounds its
+    Gram entries as the whole-Gram ``syrk`` does.  Elsewhere the values
+    agree to rounding, and only pairs whose magnitudes equal the cut to
+    rounding can be kept on one side alone.  Overflow raises
+    KernelOverflowError naming the first bad sample pair.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must lie in (0, 1]")
-    n = K.n
-    # flat offset of each row's diagonal entry in the row-major upper triangle
-    starts = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
-    mag = np.empty(starts[-1])
-    for i in range(n):
-        np.abs(K.a[i, i:], out=mag[starts[i]:starts[i + 1]])
-    count = int(np.ceil(keep_fraction * mag.size))
-    cut = np.partition(mag, mag.size - count)[mag.size - count]
-    keep = mag > cut
-    tied = np.flatnonzero(mag == cut)
-    keep[tied[:count - np.count_nonzero(keep)]] = True
-    flat = np.flatnonzero(keep)
-    rows = np.searchsorted(starts, flat, side="right") - 1
-    cols = flat - starts[rows] + rows
-    return SparseSymmetric(n, rows, cols, K.a[rows, cols])
+    n, slab = ds.n, _slab_evaluator(ds, spec)
+    slabs = ((lo, slab(lo, min(lo + _SLAB_ROWS, n))) for lo in range(0, n, _SLAB_ROWS))
+    return _keep_largest(n, slabs, keep_fraction)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,18 @@ class TestSelectors:
         assert Selector.full_mask(4) == Selector.full_mask(4)
         assert Selector.full_mask(4) != Selector.full_mask(5)
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview, lambda b: np.frombuffer(b, np.int64).copy()])
+    def test_mutable_mask_buffer_is_copied(self, wrap):
+        # the selector keeps the pairs it checked, whatever the caller later
+        # writes into the buffer it passed
+        buffer = wrap(bytearray(mask_buffer((0, 1), (2, 1))))
+        sel = Selector("mask", mask=buffer)
+        np.frombuffer(buffer, np.uint8)[0] = 9
+        assert sel.mask_pairs.tolist() == [[0, 1], [2, 1]]
+        assert type(sel.mask) is bytes and not sel.mask_pairs.flags.writeable
+        built = Selector.custom_mask([2, 1], [0, 1])
+        assert sel == built and hash(sel) == hash(built)
+
 
 def _tuple_upper_pairs(rows, cols):
     """Oracle: the tuple-based mask normalization the int64 buffer replaced,

@@ -14,6 +14,7 @@ from perturbext.kernels import (
     KernelOverflowError,
     KernelSpec,
     build_kernel,
+    build_sparse_kernel,
     gen_band_matrix,
     gen_clustered_dataset,
     gen_rank_m_spectrum,
@@ -24,7 +25,7 @@ from perturbext.kernels import (
     sparsify,
     standardize,
 )
-from perturbext.matrixcore import SparseSymmetric, SymmetricDense, spectral_norm, sym_eig_full
+from perturbext.matrixcore import SparseSymmetric, SymmetricDense, _average_transpose, spectral_norm, sym_eig_full
 
 
 class TestLoadDataset:
@@ -311,6 +312,163 @@ class TestInPlaceKernelMatchesOracle:
         K, kernel_peak = peak(lambda: build_kernel(ds, KernelSpec.gaussian(0.1)))
         _, sparsify_peak = peak(lambda: sparsify(K, 0.1))
         assert kernel_peak <= 2.1 and sparsify_peak <= 1.6
+
+
+def _build_kernel_whole_gram(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
+    """build_kernel as it was before it evaluated its entries as one slab,
+    verbatim: the oracle that the slab body must match bit for bit."""
+    x = ds.samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ x.T
+        if spec.kind == "gaussian":
+            sq = np.einsum("ij,ij->i", x, x)
+            gram *= 2.0
+            K = sq[:, None] + sq[None, :]
+            K -= gram
+            del gram  # the kernel is the only n x n array from here on
+            np.clip(K, 0.0, None, out=K)
+            np.fill_diagonal(K, 0.0)
+            K *= -spec.gamma
+            np.exp(K, out=K)
+        elif spec.kind == "linear":
+            K = gram
+        else:
+            K = (1.0 + gram) ** spec.degree
+    bad = ~np.isfinite(K)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise KernelOverflowError(f"{spec.kind} kernel overflow at sample pair ({i}, {j})")
+    return SymmetricDense._adopt(_average_transpose(K, K))
+
+
+def _sparsify_by_magnitude_rows(K: SymmetricDense, keep_fraction: float) -> SparseSymmetric:
+    """sparsify as it was before it shared its selection with
+    build_sparse_kernel, verbatim: the oracle of both."""
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError("keep_fraction must lie in (0, 1]")
+    n = K.n
+    # flat offset of each row's diagonal entry in the row-major upper triangle
+    starts = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
+    mag = np.empty(starts[-1])
+    for i in range(n):
+        np.abs(K.a[i, i:], out=mag[starts[i]:starts[i + 1]])
+    count = int(np.ceil(keep_fraction * mag.size))
+    cut = np.partition(mag, mag.size - count)[mag.size - count]
+    keep = mag > cut
+    tied = np.flatnonzero(mag == cut)
+    keep[tied[:count - np.count_nonzero(keep)]] = True
+    flat = np.flatnonzero(keep)
+    rows = np.searchsorted(starts, flat, side="right") - 1
+    cols = flat - starts[rows] + rows
+    return SparseSymmetric(n, rows, cols, K.a[rows, cols])
+
+
+def _kernel_from_slabs(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
+    """The dense kernel whose upper triangle is the builder's slabs, mirrored."""
+    n, h = ds.n, kernels._SLAB_ROWS
+    slab, a = kernels._slab_evaluator(ds, spec), np.zeros((n, n))
+    for lo in range(0, n, h):
+        a[lo:lo + h, lo:] = slab(lo, min(lo + h, n))
+    return SymmetricDense(np.triu(a) + np.triu(a, 1).T)
+
+
+_H = kernels._SLAB_ROWS
+# sizes around the slab edges
+_SLAB_EDGE_N = st.one_of(st.integers(1, 400), st.sampled_from([_H - 1, _H, _H + 1, 2 * _H + 1]))
+
+
+class TestSparseKernelBuilder:
+    """build_sparse_kernel against sparsify(build_kernel(.)), kept verbatim
+    above: the same kept pairs and values to rounding, and bit for bit the
+    shared selection of the dense kernel its own slabs make."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SLAB_EDGE_N, st.sampled_from([1, 3, 81]), st.sampled_from(["gaussian", "polynomial", "linear"]),
+           st.floats(1e-3, 1.0, exclude_min=True), st.integers(0, 3), st.integers(0, 10_000))
+    def test_matches_dense_oracle(self, n, d, kind, fraction, repeats, seed):
+        rng = rng_for(seed)
+        x = rng.standard_normal((n, d))
+        # duplicated samples tie kernel entries exactly
+        x[:min(repeats, n)] = x[-1]
+        ds, spec = Dataset(x), KernelSpec(kind, gamma=1.0 / d, degree=1 + seed % 3)
+        got = build_sparse_kernel(ds, spec, fraction)
+        want = _sparsify_by_magnitude_rows(_build_kernel_whole_gram(ds, spec), fraction)
+        # values agree to 1e-13 relative to the largest; (1 + x_i . x_j) ** p
+        # near zero is cancellation, so an entry's own relative error is no bound
+        tol = 1e-13 * np.max(np.abs(want.vals))
+        # the whole-Gram syrk may round two products of duplicated samples
+        # apart where a slab's gemm ties them, or the other way: then a pair
+        # whose magnitude equals the cut to rounding is kept on one side only
+        got_key, want_key = got.rows * n + got.cols, want.rows * n + want.cols
+        both, in_want = np.isin(got_key, want_key), np.isin(want_key, got_key)
+        assert got_key.size == want_key.size
+        cut = np.min(np.abs(want.vals))
+        assert np.all(np.abs(np.abs(got.vals[~both]) - cut) <= tol)
+        assert np.all(np.abs(np.abs(want.vals[~in_want]) - cut) <= tol)
+        assert np.all(np.abs(got.vals[both] - want.vals[in_want]) <= tol)
+        _assert_same_triplets(got, sparsify(_kernel_from_slabs(ds, spec), fraction))
+
+    @settings(max_examples=30, deadline=None)
+    @given(_SLAB_EDGE_N, st.sampled_from([1, 3, 81]), st.sampled_from(["gaussian", "polynomial", "linear"]),
+           st.integers(0, 10_000))
+    def test_build_kernel_is_bit_for_bit(self, n, d, kind, seed):
+        ds = Dataset(rng_for(seed).standard_normal((n, d)))
+        spec = KernelSpec(kind, gamma=1.0 / d, degree=1 + seed % 3)
+        assert np.array_equal(build_kernel(ds, spec).a, _build_kernel_whole_gram(ds, spec).a)
+
+    @pytest.mark.parametrize("n", [50, 1000])
+    def test_trial_kernel_is_bit_for_bit(self, n):
+        # the kernel of the sparse experiment, keep = 0.1, at the slab height
+        ds = standardize(gen_clustered_dataset(n=n, seed=5))
+        spec = KernelSpec.gaussian(0.1)
+        _assert_same_triplets(build_sparse_kernel(ds, spec, 0.1),
+                              _sparsify_by_magnitude_rows(_build_kernel_whole_gram(ds, spec), 0.1))
+
+    @pytest.mark.parametrize("kind, pair", [
+        # rows 200 and 300 overflow their squared norms: their distance is
+        # inf - inf, not a number
+        ("gaussian", (200, 300)),
+        # (1 + x_i . x_j) ** 3 overflows first at row 140, in the second slab,
+        # paired with itself: the rows before it are zero
+        ("polynomial", (140, 140)),
+    ])
+    def test_overflow_names_the_first_pair(self, kind, pair):
+        samples = rng_for(9).standard_normal((400, 3))
+        if kind == "gaussian":
+            samples[[200, 300]] = [1e200, 0.0, 0.0]
+        else:
+            samples[:140] = 0.0
+            samples[140:142] = 1e120
+        ds, spec = Dataset(samples), KernelSpec(kind, gamma=0.5, degree=3)
+        with pytest.raises(KernelOverflowError) as want:
+            _build_kernel_whole_gram(ds, spec)
+        for build in (lambda: build_kernel(ds, spec), lambda: build_sparse_kernel(ds, spec, 0.1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(KernelOverflowError) as got:
+                    build()
+            assert str(got.value) == str(want.value) == f"{kind} kernel overflow at sample pair {pair}"
+
+    def test_invalid_fraction_before_any_slab(self, monkeypatch):
+        # a slab drawn would call None and raise TypeError
+        monkeypatch.setattr(kernels, "_slab_evaluator", lambda ds, spec: None)
+        for fraction in (0.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="keep_fraction"):
+                build_sparse_kernel(Dataset(np.eye(3)), KernelSpec.linear(), fraction)
+
+    def test_peak_below_one_square(self):
+        # the row-major upper triangle and the magnitude copy the selection
+        # partitions, about n^2 doubles, where sparsify(build_kernel(.)) peaks
+        # at 2.0
+        n = 1000
+        ds = standardize(gen_clustered_dataset(n=n, seed=6))
+        tracemalloc.start()
+        try:
+            build_sparse_kernel(ds, KernelSpec.gaussian(0.1), 0.1)
+            peak = tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1
 
 
 class TestGaussianOverflow:

@@ -18,7 +18,7 @@ EXPECTED = sorted(
                                     "block_extend_n600_sparse_order2", "bounds", "bounds_n200",
                                     "bounds_topleft", "custom_mask",
                                     "dense_lanczos_n300", "ensemble_nystrom", "generalized_nystrom_l300",
-                                    "shifted_nystrom", "support_block")]
+                                    "shifted_nystrom", "sparse_kernel", "support_block")]
     + ["slopes.csv", "band.csv", "band_order2.csv", "sparse.csv", "verify.csv",
        "verify_mu_zero.csv", "eig.values", "eig.vectors"]
     + [f"{run}.{part}" for run in ("ext_sparse", "ext_sparse_mask", "ext_band", "ext_data_sparse",
