@@ -21,9 +21,10 @@ that Lanczos iterates on), and the values, vectors and bound terms of
 ``pert_extend`` through a ``custom_mask`` given in a shuffled order, with
 repeated and lower-triangle pairs (on the kernel and on its sparsified
 form), all on one Gaussian kernel of 600 clustered points, ``sym_eig_partial`` of two sparse matrices with empty rows,
-each solved on its support block, and the triplets ``build_sparse_kernel``
+each solved on its support block, the triplets ``build_sparse_kernel``
 keeps of the Gaussian and polynomial kernels of the 300 points the dataset
-runs read.  Every input is generated from a fixed
+runs read, and ``kernel_approx`` of a seeded 257-row factor pair with values
+of both signs.  Every input is generated from a fixed
 seed into a temporary directory, which is removed afterwards; ``--keep
 DIR`` writes them into DIR instead and leaves them there, so that the
 reports of two checkouts can be compared by value, not only by digest:
@@ -63,7 +64,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from perturbext.cli import main as cli_main  # noqa: E402
-from perturbext.extension import ExtensionConfig, Selector, block_extend, pert_extend  # noqa: E402
+from perturbext.extension import ExtensionConfig, Selector, block_extend, kernel_approx, pert_extend  # noqa: E402
 from perturbext.kernels import (  # noqa: E402
     KernelSpec,
     build_kernel,
@@ -188,6 +189,10 @@ def write_api_reports(d: Path) -> None:
             block_extend(sparsify(K, 0.3), (200, 400),
                          ExtensionConfig(m=m, order=2, mu=MuPolicy.mean())).a,
         "api_ensemble_nystrom.csv": ensemble_nystrom(K, m, subsets).a,
+        # 257 rows, two slabs and one more row, of a rank-8 factor pair
+        # whose values take both signs
+        "api_kernel_approx.csv": kernel_approx(np.array([4.0, -3.0, 2.5, -1.5, 1.0, -0.5, 0.25, -0.125]),
+                                               np.random.default_rng(5).standard_normal((257, 8))).a,
         "api_shifted_nystrom.csv": np.vstack(shifted_nystrom(K, m)),
         "api_generalized_nystrom_l300.csv": np.vstack(generalized_nystrom(K, m, 300)),
         "api_bounds.csv": bounds(K),

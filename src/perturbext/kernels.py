@@ -164,13 +164,17 @@ def _slab_evaluator(ds: Dataset, spec: KernelSpec):
                 K = gram
             else:
                 K = (1.0 + gram) ** spec.degree
-        bad = ~np.isfinite(K)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise KernelOverflowError(f"{spec.kind} kernel overflow at sample pair ({lo + i}, {lo + j})")
+        if not np.isfinite(K).all():
+            raise _overflow(spec, K, lo)
         return K
 
     return slab
+
+
+def _overflow(spec: KernelSpec, K: np.ndarray, lo: int = 0) -> KernelOverflowError:
+    """The error naming the first non-finite entry of a slab K[lo:hi, lo:], row-major."""
+    i, j = np.argwhere(~np.isfinite(K))[0]
+    return KernelOverflowError(f"{spec.kind} kernel overflow at sample pair ({lo + i}, {lo + j})")
 
 
 def build_kernel(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
@@ -180,9 +184,15 @@ def build_kernel(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
     arrays; ``build_sparse_kernel`` keeps a top fraction without ever
     holding one.  An entry that overflows, or that an overflowing squared
     norm makes NaN, raises KernelOverflowError naming the first such sample
-    pair."""
+    pair, as does the first entry whose symmetric average overflows (both
+    halves above DBL_MAX / 2)."""
     K = _slab_evaluator(ds, spec)(0, ds.n)
-    return SymmetricDense._adopt(_average_transpose(K, K))
+    with np.errstate(over="ignore"):  # an overflowing average is named below
+        _average_transpose(K, K)
+    try:
+        return SymmetricDense._adopt(K)
+    except ValueError:  # the slab was finite, so only an average can be infinite
+        raise _overflow(spec, K) from None
 
 
 def _keep_largest(n: int, slabs, keep_fraction: float) -> SparseSymmetric:

@@ -142,6 +142,13 @@ class SymmetricDense:
         rows."""
         return np.arange(self.n), self
 
+    def nonzero_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.a.any(axis=0))
+
+    def selection_of(self, K):
+        """(None, None): no matrix selects a dense one (``SparseSymmetric.selection_of``)."""
+        return None, None
+
     def is_zero(self) -> bool:
         """Whether no entry is nonzero.  The array is scanned in blocks of
         rows and the scan stops at the first block holding a nonzero."""
@@ -217,7 +224,8 @@ class SparseSymmetric:
     matrix that remembers its parent, so that ``add_scaled`` of the parent
     minus it is the parent restricted to ``~keep``, with no merge.  A
     selection K^s of a sparse K and its E = K - K^s are so both restrictions
-    of K.  A ``block_selection`` of either type also keeps its block.
+    of K.  A ``block_selection`` of either type also keeps its block, from
+    which it builds its n-row triplets on first read (``__getattr__``).
     """
 
     __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_magnitude", "_parent", "_keep", "_block")
@@ -235,15 +243,26 @@ class SparseSymmetric:
         keep = vals != 0.0
         # a mask index always copies, so the arrays frozen below are never
         # the caller's, even when the order above is a view
-        self._set(n, rows[keep], cols[keep], vals[keep])
+        self._set(n, (rows[keep], cols[keep], vals[keep]))
 
-    def _set(self, n: int, rows, cols, vals, parent=None, keep=None) -> None:
-        """Set the fields from sorted, nonzero triplets that no caller holds
-        for writing; a restriction also keeps its parent and mask."""
+    def _set(self, n: int, triplets, parent=None, keep=None, block=None) -> None:
+        """Set the fields from sorted, nonzero triplets that no caller holds for writing; a
+        restriction also keeps its parent and mask, a block selection its (rows, block)."""
         self._n = int(n)
-        self.rows, self.cols, self.vals = _frozen(rows, cols, vals)
-        self._csr = self._magnitude = self._block = None
-        self._parent, self._keep = parent, keep
+        if triplets is not None:
+            self.rows, self.cols, self.vals = _frozen(*triplets)
+        self._csr = self._magnitude = None
+        self._parent, self._keep, self._block = parent, keep, block
+
+    def __getattr__(self, name):
+        """Python calls this only for an unset slot: a block selection's
+        triplets, its kept block's moved to its rows, on first read."""
+        if name not in ("rows", "cols", "vals"):
+            raise AttributeError(name)
+        rows, block = self._block
+        br, bc, bv = block.triplets(cache=False)  # a dense block keeps no copy
+        self.rows, self.cols, self.vals = _frozen(rows[br], rows[bc], bv)
+        return getattr(self, name)
 
     def _csr_form(self) -> sp.csr_array:
         """The CSR form of the full matrix, built from the triplets on first
@@ -295,7 +314,7 @@ class SparseSymmetric:
         # gathering by index is several times faster than by a scattered mask
         taken = np.flatnonzero(keep)
         obj = SparseSymmetric.__new__(SparseSymmetric)
-        obj._set(self._n, self.rows[taken], self.cols[taken], self.vals[taken], self, keep)
+        obj._set(self._n, (self.rows[taken], self.cols[taken], self.vals[taken]), self, keep)
         return obj
 
     def support_block(self):
@@ -305,8 +324,18 @@ class SparseSymmetric:
         counts its rows from the triplets in O(n + nnz), building no CSR."""
         if self._block is not None and self._block[0].size < self._n:
             return self._block
-        rows = np.flatnonzero(np.bincount(np.concatenate((self.rows, self.cols)), minlength=self._n))
+        rows = self.nonzero_rows()
         return rows, self.principal_block(rows) if 0 < rows.size < self._n else self
+
+    def nonzero_rows(self) -> np.ndarray:
+        return np.flatnonzero(np.bincount(np.concatenate((self.rows, self.cols)), minlength=self._n))
+
+    def selection_of(self, K):
+        """(keep, rows) if K built this matrix: K's mask of its own triplets
+        (None for a dense K) and a block selection's kept rows (else None)."""
+        if self._parent is not K:
+            return None, None
+        return self._keep, None if self._block is None else self._block[0]
 
     def is_zero(self) -> bool:
         return self.vals.size == 0
@@ -326,9 +355,9 @@ class SparseSymmetric:
         """
         if self.n != B.n:
             raise ValueError("dimension mismatch")
-        # only a sparse B can be a restriction of self
-        if c == -1.0 and getattr(B, "_parent", None) is self:
-            return self.restrict(~B._keep)
+        keep = B.selection_of(self)[0]
+        if c == -1.0 and keep is not None:
+            return self.restrict(~keep)
         b_rows, b_cols, b_vals = B.triplets()
         rows = np.concatenate([self.rows, b_rows])
         cols = np.concatenate([self.cols, b_cols])
@@ -402,18 +431,19 @@ def _frozen(*arrays):
 
 
 def _block_selection(K, rows, keep=None) -> "SparseSymmetric":
-    """K's principal block on the set ``rows``, gathered once, as the n-row K^s of its
-    triplets moved to ``rows``.  K^s keeps K, a sparse K's mask ``keep`` of its own triplets
-    (as ``restrict`` does) and (rows, block) cut to the rows that store a nonzero, if any."""
+    """K's principal block on the set ``rows``, gathered once, as the n-row K^s whose triplets
+    are the block's moved to ``rows``, built on first read.  K^s keeps K, a sparse K's mask
+    ``keep`` of its own triplets (as ``restrict`` does) and (rows, block) cut to the rows that
+    store a nonzero, if any, which is all the block path reads."""
     rows = np.unique(np.asarray(rows, dtype=np.int64))
     block = K.principal_block(rows)
-    # the kept block is solved, never read for its triplets: a dense one does not cache them
-    br, bc, bv = block.triplets(cache=False)
-    cut = np.flatnonzero(np.bincount(br, minlength=rows.size) + np.bincount(bc, minlength=rows.size))
+    cut = block.nonzero_rows()
     obj = SparseSymmetric.__new__(SparseSymmetric)
-    obj._set(K.n, rows[br], rows[bc], bv, K, keep)
     if cut.size:
-        obj._block = (rows, block) if cut.size == rows.size else (rows[cut], block.principal_block(cut))
+        kept = (rows, block) if cut.size == rows.size else (rows[cut], block.principal_block(cut))
+        obj._set(K.n, None, K, keep, kept)
+    else:
+        obj._set(K.n, (rows[:0], rows[:0], np.zeros(0)), K, keep)
     return obj
 
 

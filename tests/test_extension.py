@@ -584,6 +584,34 @@ class TestKernelApprox:
         approx_nys = kernel_approx(*nystrom_extend(K, m))
         assert np.max(np.abs(approx_pert.a - approx_nys.a)) <= 1e-10 * spectral_norm(K)
 
+    H = extension._APPROX_ROWS
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.sampled_from([H - 1, H, H + 1, 2 * H + 1]), st.integers(1, 2 * H + 2)),
+           m=st.integers(1, 40), seed=st.integers(0, 10_000))
+    def test_upper_triangle_slabs_match_averaged_product(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        # values of both signs over a few orders of magnitude
+        values = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 3, m)
+        vectors = rng.standard_normal((n, m))
+        got, want = kernel_approx(values, vectors).a, _kernel_approx_reference(values, vectors).a
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_overflowing_product_rejected(self):
+        vectors = np.full((2 * self.H + 1, 3), 1e160)
+        for approx in (kernel_approx, _kernel_approx_reference):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="finite"):
+                    approx(np.array([1.0, -1.0, 2.0]), vectors)
+
+
+def _kernel_approx_reference(values, vectors):
+    """kernel_approx as it was before it computed only the upper triangle:
+    the whole product, averaged with its transpose in place."""
+    p = (vectors * values[None, :]) @ vectors.T
+    return SymmetricDense._adopt(matrixcore._average_transpose(p, p))
+
 
 def _block_extend_reference(K, block_sizes, cfg: ExtensionConfig, weights=None, members=None):
     """block_extend as it selected each member's K^s by one mask per member
@@ -1076,6 +1104,122 @@ class TestBuiltBlockPath:
         assert np.array_equal(res.source_pairs.vectors, pairs.vectors)
         assert np.array_equal(res.values, values)
         assert np.array_equal(res.vectors, vectors)
+
+
+def _eager_block_selection(K, rows):
+    """K.block_selection(rows)'s triplets as it gathered them before they
+    were deferred: the block's moved to ``rows`` at once."""
+    rows = np.unique(np.asarray(rows, dtype=np.int64))
+    br, bc, bv = K.principal_block(rows).triplets(cache=False)
+    return SparseSymmetric(K.n, rows[br], rows[bc], bv)
+
+
+def _unset_triplet_slots(Ks):
+    """The triplet slots of Ks that hold nothing, read past ``__getattr__``."""
+    unset = []
+    for name in ("rows", "cols", "vals"):
+        try:
+            getattr(SparseSymmetric, name).__get__(Ks, SparseSymmetric)
+        except AttributeError:
+            unset.append(name)
+    return unset
+
+
+class TestDeferredBlockTriplets:
+    """A block selection builds its n-row triplets on first read, the arrays
+    the eager gather gave; every reader sees them, and ``block_extend`` on a
+    dense K reads none."""
+
+    kernel = staticmethod(TestBuiltBlockPath.kernel)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("rows", [np.arange(50, 350), np.arange(400), np.r_[3:9, 120:200, 7]],
+                             ids=["range", "all", "unsorted"])
+    def test_fresh_selection_holds_no_triplets_until_read(self, sparse, rows):
+        K = self.kernel(400, sparse)
+        Ks = K.block_selection(rows)
+        assert _unset_triplet_slots(Ks) == ["rows", "cols", "vals"]
+        want = _eager_block_selection(K, rows)
+        got = Ks.vals
+        assert _unset_triplet_slots(Ks) == []
+        assert got is Ks.triplets()[2]
+        for a, b in zip(Ks.triplets(), want.triplets()):
+            assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("l", [150, 400], ids=["block", "all-rows"])
+    @pytest.mark.parametrize("zero_rows", [True, False], ids=["zero-rows", "no-zero-rows"])
+    def test_every_reader_matches_the_eager_gather(self, sparse, l, zero_rows):
+        # without zero rows, topleft:n keeps a block of all n rows, and
+        # support_block counts the rows from the n-row triplets
+        K = self.kernel(400, sparse) if zero_rows else _clustered_kernel(400)
+        if sparse and not zero_rows:
+            K = sparsify(K, 0.3)
+        rows = np.arange(l)
+        want = _eager_block_selection(K, rows)
+        x = np.random.default_rng(4).standard_normal((400, 3))
+        readers = {
+            "trace": lambda A: A.trace(),
+            "frobenius_norm": lambda A: A.frobenius_norm(),
+            "nnz": lambda A: A.nnz,
+            "matvec": lambda A: A.matvec(x),
+            "to_dense": lambda A: A.to_dense().a,
+            "E": lambda A: K.add_scaled(A, -1.0).to_dense().a,
+            "support_rows": lambda A: A.support_block()[0],
+        }
+        for name, read in readers.items():
+            # a fresh selection per reader, so that each one is the first read
+            assert np.array_equal(read(K.block_selection(rows)), read(want)), name
+        cfg = ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())
+        got = extend_with_submatrix(K, K.block_selection(rows), cfg)
+        assert np.array_equal(got.bound_terms, pert_extend(K, Selector.top_left(l), cfg).bound_terms)
+
+    def test_empty_block_has_empty_triplets(self):
+        K = SymmetricDense(np.diag(np.r_[np.zeros(5), np.ones(5)]))
+        Ks = K.block_selection(np.arange(5))
+        assert _unset_triplet_slots(Ks) == [] and Ks.is_zero()
+        assert Ks.selection_of(K) == (None, None)
+
+    @pytest.mark.parametrize("sizes", [(200, 200), (100, 300)])
+    def test_block_extend_on_dense_K_reads_no_triplets(self, monkeypatch, sizes):
+        K = self.kernel(400, False)
+        members = []
+
+        def recording(K_, Ks, cfg_):
+            members.append(Ks)
+            return extend_with_submatrix(K_, Ks, cfg_)
+
+        def failing(self, cache=True):
+            raise AssertionError("SymmetricDense.triplets was called")
+
+        monkeypatch.setattr(extension, "extend_with_submatrix", recording)
+        monkeypatch.setattr(SymmetricDense, "triplets", failing)
+        block_extend(K, sizes, ExtensionConfig(m=4))
+        assert len(members) == 2
+        assert all(_unset_triplet_slots(Ks) == ["rows", "cols", "vals"] for Ks in members)
+
+
+class TestSelectionOf:
+    """``selection_of(K)`` answers whether K built a matrix, and with what."""
+
+    def test_what_each_builder_keeps(self):
+        D = _clustered_kernel(60)
+        S = sparsify(D, 0.5)
+        rows = np.arange(10, 40)
+        keep = S.rows < 30
+        assert D.selection_of(D) == (None, None)
+        assert S.selection_of(S) == (None, None)
+        restricted = S.restrict(keep)
+        got_keep, got_rows = restricted.selection_of(S)
+        assert np.array_equal(got_keep, keep) and got_rows is None
+        assert restricted.selection_of(D) == (None, None)
+        assert D.restrict(D.triplets()[0] < 30).selection_of(D) == (None, None)
+        dense_keep, dense_rows = D.block_selection(rows).selection_of(D)
+        assert dense_keep is None and np.array_equal(dense_rows, rows)
+        sparse_keep, sparse_rows = S.block_selection(rows).selection_of(S)
+        assert np.array_equal(sparse_keep, np.isin(S.rows, rows) & np.isin(S.cols, rows))
+        assert np.array_equal(sparse_rows, S.block_selection(rows).support_block()[0])
+        assert D.block_selection(rows).selection_of(SymmetricDense(D.a)) == (None, None)
 
 
 class TestCsrBuilds:

@@ -492,6 +492,34 @@ class TestGaussianOverflow:
             assert np.array_equal(K.a, _build_kernel_out_of_place(ds, KernelSpec.gaussian(0.5)).a)
 
 
+class TestAverageOverflow:
+    """An entry above DBL_MAX / 2 overflows the symmetric average of
+    ``build_kernel`` although the kernel itself is finite."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("samples, pair", [
+        ([[1.0], [9.5e153]], (1, 1)),
+        # rows 2 and 3 overflow, and so does their pair (2, 3); row 2's own
+        # entry comes first in row-major order
+        ([[1.0], [2.0], [9.5e153], [-9.5e153]], (2, 2)),
+    ])
+    def test_typed_error_names_the_first_pair(self, samples, pair):
+        ds = Dataset(np.array(samples))
+        with pytest.raises(KernelOverflowError, match=rf"linear kernel overflow at sample pair \({pair[0]}, {pair[1]}\)"):
+            build_kernel(ds, KernelSpec.linear())
+        # the sparse builder does not average, and keeps the finite entry
+        S = build_sparse_kernel(ds, KernelSpec.linear(), 1.0)
+        assert np.isfinite(S.vals).all() and S.vals.max() == 9.5e153 ** 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entry_just_below_the_limit_keeps_its_bits(self):
+        ds = Dataset(np.array([[1.0], [9.4e153], [-3.0]]))
+        K = build_kernel(ds, KernelSpec.linear())
+        with np.errstate(over="ignore"):
+            assert np.array_equal(K.a, _build_kernel_whole_gram(ds, KernelSpec.linear()).a)
+        assert K.a[1, 1] == 9.4e153 ** 2
+
+
 def _gen_band_matrix_reference(n: int, seed: int = 0) -> SparseSymmetric:
     """gen_band_matrix in its dense form: one draw and one power over all
     n(n - 1)/2 pairs.  The block-wise generator must reproduce it bit for bit."""
