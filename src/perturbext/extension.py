@@ -97,10 +97,6 @@ class Selector:
         return cls("mask", mask=_upper_pairs(rows, cols))
 
     @classmethod
-    def full_mask(cls, n: int) -> "Selector":
-        return cls("mask", mask=np.array(np.triu_indices(n), dtype=np.int64).tobytes())
-
-    @classmethod
     def parse(cls, text: str) -> "Selector":
         """Grammar: topleft:<l> | band:<p> | sparse:<q> | blocks:<s1,s2,...> | mask:<file>."""
         head, sep, arg = text.partition(":")
@@ -321,30 +317,22 @@ def kernel_approx(values: np.ndarray, vectors: np.ndarray) -> SymmetricDense:
     return SymmetricDense._adopt(p)
 
 
-def _weighted_combination(members, q: int, weights=None) -> SymmetricDense:
-    """sum_j weights[j] * kernel_approx(*members[j]), formed as one product.
-
-    ``members`` yields the q factor pairs (values, vectors) one at a time; it
-    is consumed only after ``weights`` (uniform by default) is checked to be
-    q nonnegative values summing to one.  The weighted values and the stacked
-    vectors make one factor pair of rank sum_j m_j, so the n x n matrix is
-    formed once, never per member.
+def _uniform_mean(members) -> SymmetricDense:
+    """The mean of kernel_approx(*member) over the q factor pairs (values,
+    vectors) that ``members`` yields, formed as one product: the values times
+    1 / q and the stacked vectors make one factor pair of rank sum_j m_j, so
+    the n x n matrix is formed once, never per member.
     """
-    weights = np.full(q, 1.0 / q) if weights is None else np.asarray(weights, dtype=float)
-    # written so that a NaN weight fails both tests
-    if weights.size != q or not np.all(weights >= 0) or not abs(weights.sum() - 1.0) <= 1e-12:
-        raise ValueError("weights must be nonnegative and sum to one")
     values, vectors = zip(*members)
-    return kernel_approx(np.concatenate([w * v for w, v in zip(weights, values)]),
-                         np.hstack(vectors))
+    return kernel_approx(np.concatenate(values) * (1.0 / len(values)), np.hstack(vectors))
 
 
-def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> SymmetricDense:
-    """Per-block extension of a block-diagonal selection, combined by weighted mean.
+def block_extend(K, block_sizes, cfg: ExtensionConfig) -> SymmetricDense:
+    """Per-block extension of a block-diagonal selection, combined by their mean.
 
     Each diagonal block (zero-padded to full size) is extended independently
-    and turned into a rank-m kernel approximation; the result is the weighted
-    sum of the per-block approximations.  Uniform weights by default.
+    and turned into a rank-m kernel approximation; the result is the uniform
+    mean of the per-block approximations.
 
     Member j's K^s is ``K.block_selection`` of block j's rows, so
     ``sym_eig_partial`` solves that block itself (densely or by Lanczos, by
@@ -361,5 +349,4 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig, weights=None) -> Symmetri
         res = extend_with_submatrix(K, K.block_selection(np.arange(bounds[j], bounds[j + 1])), cfg)
         return res.values, res.vectors
 
-    q = len(block_sizes)
-    return _weighted_combination(map(member, range(q)), q, weights)
+    return _uniform_mean(map(member, range(len(block_sizes))))

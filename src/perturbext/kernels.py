@@ -187,8 +187,7 @@ def build_kernel(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
     pair, as does the first entry whose symmetric average overflows (both
     halves above DBL_MAX / 2)."""
     K = _slab_evaluator(ds, spec)(0, ds.n)
-    with np.errstate(over="ignore"):  # an overflowing average is named below
-        _average_transpose(K, K)
+    _average_transpose(K, K)  # an overflowing average is named below
     try:
         return SymmetricDense._adopt(K)
     except ValueError:  # the slab was finite, so only an average can be infinite

@@ -64,7 +64,7 @@ class SymmetricDense:
     and never writes to the input; an input that is already symmetric is
     copied once, so the caller's array is never frozen.  Finiteness is
     checked on the stored array, so an average whose a + a.T overflows is
-    rejected too.
+    rejected too, with no numpy warning.
     """
 
     __slots__ = ("a", "_triplets", "_magnitude")
@@ -280,10 +280,6 @@ class SparseSymmetric:
         diag = int(np.count_nonzero(self.rows == self.cols))
         return 2 * (self.vals.size - diag) + diag
 
-    @property
-    def nnz_stored(self) -> int:
-        return int(self.vals.size)
-
     def trace(self) -> float:
         return float(self.vals[self.rows == self.cols].sum())
 
@@ -410,10 +406,6 @@ class SparseSymmetric:
     def to_dense(self) -> SymmetricDense:
         return SymmetricDense._adopt(self._csr_form().toarray())
 
-    @classmethod
-    def from_dense(cls, K: SymmetricDense) -> "SparseSymmetric":
-        return cls(K.n, *K.triplets())
-
     def __repr__(self):
         return f"SparseSymmetric(n={self.n}, nnz={self.nnz})"
 
@@ -454,15 +446,17 @@ def _average_transpose(src: np.ndarray, out: np.ndarray) -> np.ndarray:
     once and (u + v.T) * 0.5 written to both places, so the temporaries
     stay one tile in size and ``out`` may be src itself, averaged in place.
     x * 0.5 and x / 2 round the same value and the sum commutes, so the
-    result equals (src + src.T) / 2 bit for bit.
+    result equals (src + src.T) / 2 bit for bit.  A sum that overflows is
+    left as inf without a warning, for the caller's finiteness check to reject.
     """
     n, t = src.shape[0], _AVERAGE_TILE
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            s = src[i:i + t, j:j + t] + src[j:j + t, i:i + t].T
-            s *= 0.5
-            out[i:i + t, j:j + t] = s
-            out[j:j + t, i:i + t] = s.T
+    with np.errstate(over="ignore"):
+        for i in range(0, n, t):
+            for j in range(i, n, t):
+                s = src[i:i + t, j:j + t] + src[j:j + t, i:i + t].T
+                s *= 0.5
+                out[i:i + t, j:j + t] = s
+                out[j:j + t, i:i + t] = s.T
     return out
 
 
@@ -646,6 +640,13 @@ def _dense_eigvalsh(A) -> np.ndarray:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
 
 
+def _solves_densely(n: int, k: int) -> bool:
+    """The one size rule of the eigensolvers: k pairs of an n-row matrix come
+    from dense LAPACK up to DENSE_FALLBACK_N rows, or when k > n - 2 leaves
+    Lanczos no room, and from seeded Lanczos otherwise."""
+    return n <= DENSE_FALLBACK_N or k > n - 2
+
+
 def _lanczos(A, k: int, which: str, seed: int, vectors: bool):
     """``eigsh`` on a linear operator whose product is ``A.matvec``: k extreme
     pairs (values only unless ``vectors``), from the seeded start vector, in
@@ -667,15 +668,14 @@ def _lanczos(A, k: int, which: str, seed: int, vectors: bool):
 def sym_eig_partial(A, m: int) -> EigenPairs:
     """The m leading eigenpairs by algebraic value: the one partial solve.
 
-    A matrix whose nonzeros lie in 0 < r < n rows (``A.support_block()``)
-    is solved on that r-row principal block and padded with zeros, since
-    Lanczos on the n-row matrix exhausts its Krylov space and restarts from
-    state that differs from call to call: dense LAPACK up to
-    DENSE_FALLBACK_N rows (or m > r - 2), seeded Lanczos for m + 1 pairs
-    above.  Its other n - r eigenvalues are exactly zero, so a leading pair
-    that would be one of them raises EigengapError.  Any other matrix is
-    solved densely up to n = 256 (or m > n - 2); above that one without
-    nonzeros raises EigengapError and the rest go to Lanczos on the matrix.
+    Dense LAPACK or seeded Lanczos for m + 1 pairs, by one size rule
+    (``_solves_densely``).  A matrix whose nonzeros lie in 0 < r < n rows
+    (``A.support_block()``) is solved on that r-row principal block and
+    padded with zeros, since Lanczos on the n-row matrix exhausts its Krylov
+    space and restarts from state that differs from call to call.  Its other
+    n - r eigenvalues are exactly zero, so a leading pair that would be one
+    of them raises EigengapError.  Any other matrix is solved as it is; off
+    the dense path one without nonzeros raises EigengapError.
     Off that dense path a gap below GAP_TOL between pair m and pair m + 1
     (the next value or, when padded, a zero, whichever is larger) raises
     EigengapError, since it makes the leading subspace ill-posed.
@@ -689,13 +689,13 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     rows, block = A.support_block()
     if block is A:
-        if n <= DENSE_FALLBACK_N or m > n - 2:
+        if _solves_densely(n, m):
             return sym_eig_full(A, m)
         if A.is_zero():
             raise EigengapError(f"matrix has no nonzeros: pairs {m} and {m + 1} tie at 0")
     r = block.n
     padded = r < n
-    if r <= DENSE_FALLBACK_N or m > r - 2:
+    if _solves_densely(r, m):
         # only the kept columns are sign-fixed, so they equal those of the
         # full decomposition bit for bit; w is the block's whole spectrum
         found = sym_eig_full(block, min(m, r))
@@ -724,18 +724,15 @@ def _extreme_eigvals(A, k: int, which: str) -> np.ndarray:
     value (``which="LA"``) or by magnitude (``"LM"``), in that order, without
     eigenvectors.
 
-    A matrix without nonzeros gives k zeros at once.  Otherwise, like
-    ``sym_eig_partial``, small problems (n <= 256, or k > n - 2) go to dense
-    LAPACK and larger ones to a seeded Lanczos iteration on the stored
-    array; no eigengap is checked, since no subspace is returned.
+    A matrix without nonzeros gives k zeros at once.  Otherwise the size
+    rule of ``sym_eig_partial`` (``_solves_densely``) picks dense LAPACK or
+    a seeded Lanczos iteration on the stored array; no eigengap is checked,
+    since no subspace is returned.
     """
     n, k = A.n, _count(k, "k")
     if A.is_zero():
         return np.zeros(k)
-    if n > DENSE_FALLBACK_N and k <= n - 2:
-        w = _lanczos(A, k, which, 1, vectors=False)
-    else:
-        w = _dense_eigvalsh(A)
+    w = _dense_eigvalsh(A) if _solves_densely(n, k) else _lanczos(A, k, which, 1, vectors=False)
     key = -w if which == "LA" else -np.abs(w)
     return w[np.argsort(key, kind="stable")[:k]]
 
@@ -856,12 +853,14 @@ def read_dense(path) -> SymmetricDense:
 
 
 def write_sparse(path, S: SparseSymmetric) -> None:
-    """Header line 'n nnz_stored', then 0-based 'i j value' triples, i <= j."""
-    fields = [None] * (3 * S.nnz_stored)
+    """Header line 'n count' (the dimension and the number of stored
+    triples), then 0-based 'i j value' triples, i <= j."""
+    count = S.vals.size
+    fields = [None] * (3 * count)
     fields[0::3], fields[1::3], fields[2::3] = S.rows.tolist(), S.cols.tolist(), S.vals.tolist()
     with open(path, "w") as fh:
-        fh.write(f"{S.n} {S.nnz_stored}\n")
-        _write_lines(fh, "%d %d %.17g\n", fields, 3, S.nnz_stored)
+        fh.write(f"{S.n} {count}\n")
+        _write_lines(fh, "%d %d %.17g\n", fields, 3, count)
 
 
 _TRIPLET_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
@@ -877,7 +876,7 @@ def _read_triplets(path):
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
-            raise ValueError(f"{path}: expected header 'n nnz_stored'")
+            raise ValueError(f"{path}: expected header 'n count'")
         n, count = int(header[0]), int(header[1])
         with warnings.catch_warnings():
             # a body without triplets is checked against the header below

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import perturbation as pert
-from .extension import ExtensionConfig, Selector, _weighted_combination, pert_extend
+from .extension import ExtensionConfig, Selector, _uniform_mean, pert_extend
 from .matrixcore import (
     SymmetricDense,
     _count,
@@ -117,14 +117,14 @@ def shifted_nystrom(K, k: int, mu: float | None = None):
     return _sampled_pairs(K, k, np.arange(k), shift=float(mu))
 
 
-def ensemble_nystrom(K, k: int, subsets, weights=None) -> SymmetricDense:
-    """Weighted mean of independent Nystrom kernel approximations.
+def ensemble_nystrom(K, k: int, subsets) -> SymmetricDense:
+    """Uniform mean of independent Nystrom kernel approximations.
 
     Each subset is a list of distinct column indices (length >= k); the
     member approximation extends the k leading pairs of that subset's block
     (generalized method when the subset is larger than k).  The members'
-    (values, vectors) pairs are weighted and stacked into one factor pair,
-    so the n x n matrix is formed once, not once per member.
+    (values, vectors) pairs are scaled by 1 / q and stacked into one factor
+    pair, so the n x n matrix is formed once, not once per member.
     """
     n = K.n
     subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
@@ -138,7 +138,7 @@ def ensemble_nystrom(K, k: int, subsets, weights=None) -> SymmetricDense:
             raise ValueError(f"subset indices must lie in [0, {n})")
         return _sampled_pairs(K, k, subset)
 
-    return _weighted_combination(map(member, subsets), len(subsets), weights)
+    return _uniform_mean(map(member, subsets))
 
 
 # ---------------------------------------------------------------------------

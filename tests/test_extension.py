@@ -12,7 +12,7 @@ from perturbext.cli import main as cli_main
 from perturbext.extension import (
     ExtensionConfig,
     Selector,
-    _weighted_combination,
+    _uniform_mean,
     block_extend,
     extend_with_submatrix,
     kernel_approx,
@@ -65,7 +65,7 @@ def mask_buffer(rows, cols):
 class TestSelectors:
     def test_full_mask_is_identity_selection(self):
         K = gen_wishart_psd(12, seed=1)
-        Ks = select_submatrix(K, Selector.full_mask(12))
+        Ks = select_submatrix(K, Selector.custom_mask(*np.triu_indices(12)))
         assert np.array_equal(to_full(Ks), K.a)
 
     def test_band_zero_keeps_diagonal_only(self):
@@ -106,7 +106,7 @@ class TestSelectors:
         # dense K of the same entries does
         a = np.round(gen_wishart_psd(30, seed=6).a * 4) / 4
         a = SymmetricDense(np.where(np.abs(a) <= 1.0, np.sign(a), a))
-        S = SparseSymmetric.from_dense(a)
+        S = SparseSymmetric(a.n, *a.triplets())
         first = S.magnitude_profile()[0]
         for q in (0.05, 0.3, 0.31, 0.7, 1.0):
             dense_sel = select_submatrix(a, Selector.sparse_top_q(q))
@@ -231,8 +231,8 @@ class TestSelectors:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Selector.custom_mask([0, 1], [2, 1])
-        assert Selector.full_mask(4) == Selector.full_mask(4)
-        assert Selector.full_mask(4) != Selector.full_mask(5)
+        assert Selector.custom_mask(*np.triu_indices(4)) == Selector.custom_mask(*np.triu_indices(4))
+        assert Selector.custom_mask(*np.triu_indices(4)) != Selector.custom_mask(*np.triu_indices(5))
 
     @pytest.mark.parametrize("wrap", [bytearray, memoryview, lambda b: np.frombuffer(b, np.int64).copy()])
     def test_mutable_mask_buffer_is_copied(self, wrap):
@@ -308,7 +308,7 @@ class TestMaskRoutes:
 class TestPertExtend:
     def test_full_mask_reproduces_exact_pairs(self):
         K = gen_wishart_psd(30, seed=8)
-        res = pert_extend(K, Selector.full_mask(30), ExtensionConfig(m=6))
+        res = pert_extend(K, Selector.custom_mask(*np.triu_indices(30)), ExtensionConfig(m=6))
         exact = sym_eig_full(K)
         assert principal_angle(res.vectors, exact.vectors[:, :6]) <= 1e-8
         assert np.max(np.abs(res.values - exact.values[:6])) <= 1e-10
@@ -352,7 +352,7 @@ class TestPertExtend:
         # on the dense-LAPACK (n=20) and the Lanczos (n=300) size
         for n, p in ((20, 4), (300, 40)):
             K = gen_wishart_psd(n, seed=23)
-            S = SparseSymmetric.from_dense(K)
+            S = SparseSymmetric(K.n, *K.triplets())
             for cfg in (ExtensionConfig(m=4), ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())):
                 dense = extend_with_submatrix(K, select_submatrix(K, Selector.band(p)), cfg)
                 sparse = extend_with_submatrix(S, select_submatrix(S, Selector.band(p)), cfg)
@@ -364,7 +364,7 @@ class TestPertExtend:
     def test_one_e_product_per_extension(self, monkeypatch, sparse):
         # the vector and the value update share E V; order 1 never applies K^s
         K = gen_wishart_psd(40, seed=24)
-        K = SparseSymmetric.from_dense(K) if sparse else K
+        K = SparseSymmetric(K.n, *K.triplets()) if sparse else K
         calls = []
         original = type(K).matvec
 
@@ -380,7 +380,7 @@ class TestPertExtend:
 class TestValueUpdates:
     def test_full_selection_keeps_values(self):
         K = gen_wishart_psd(15, seed=11)
-        Ks = select_submatrix(K, Selector.full_mask(15))
+        Ks = select_submatrix(K, Selector.custom_mask(*np.triu_indices(15)))
         res = extend_with_submatrix(K, Ks, ExtensionConfig(m=4))
         assert np.array_equal(res.values, res.source_pairs.values)
 
@@ -413,7 +413,7 @@ class TestValueUpdates:
 class TestBounds:
     def test_full_selection_bound_zero(self):
         K = gen_wishart_psd(15, seed=14)
-        res = pert_extend(K, Selector.full_mask(15), ExtensionConfig(m=4))
+        res = pert_extend(K, Selector.custom_mask(*np.triu_indices(15)), ExtensionConfig(m=4))
         finite = np.isfinite(res.bound_terms)
         assert np.all(res.bound_terms[finite] == 0.0)
 
@@ -447,7 +447,7 @@ class TestBounds:
         monkeypatch.setattr(matrixcore, "sym_eig_full", refuse)
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        for A in (K, SparseSymmetric.from_dense(K)):
+        for A in (K, SparseSymmetric(K.n, *K.triplets())):
             for cfg in (ExtensionConfig(m=4), ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())):
                 res = extend_with_submatrix(A, select_submatrix(A, Selector.band(40)), cfg)
                 assert np.all(np.isfinite(res.bound_terms[:-1]))
@@ -459,7 +459,7 @@ class TestBounds:
         # ones, first-order terms (Cauchy-Schwarz tail) are at least those
         m = 4
         wishart = gen_wishart_psd(300, seed=25)
-        cases = ((wishart, 40), (SparseSymmetric.from_dense(wishart), 40),
+        cases = ((wishart, 40), (SparseSymmetric(wishart.n, *wishart.triplets()), 40),
                  (gen_band_matrix(400, seed=26), 20))
         for A, p in cases:
             Ks = select_submatrix(A, Selector.band(p))
@@ -490,7 +490,7 @@ class TestBounds:
             a[i, j] += delta
             a[j, i] += delta
             Kp = SymmetricDense(a, symmetrize=True)
-            Ks = SparseSymmetric.from_dense(K)
+            Ks = SparseSymmetric(K.n, *K.triplets())
             res = extend_with_submatrix(Kp, Ks, ExtensionConfig(m=m))
             exact = sym_eig_full(Kp).vectors[:, :m]
             for col in range(m):
@@ -554,7 +554,7 @@ class TestHugeMu:
 class TestKernelApprox:
     def test_full_reconstruction(self):
         K = gen_wishart_psd(12, seed=16)
-        res = pert_extend(K, Selector.full_mask(12), ExtensionConfig(m=12))
+        res = pert_extend(K, Selector.custom_mask(*np.triu_indices(12)), ExtensionConfig(m=12))
         approx = kernel_approx(res.values, res.vectors)
         scale = spectral_norm(K)
         assert np.max(np.abs(approx.a - K.a)) <= 1e-8 * scale
@@ -613,7 +613,7 @@ def _kernel_approx_reference(values, vectors):
     return SymmetricDense._adopt(matrixcore._average_transpose(p, p))
 
 
-def _block_extend_reference(K, block_sizes, cfg: ExtensionConfig, weights=None, members=None):
+def _block_extend_reference(K, block_sizes, cfg: ExtensionConfig, members=None):
     """block_extend as it selected each member's K^s by one mask per member
     over all stored triplets of K; the members' K^s go to ``members``.  Such
     a hand-built K^s takes the general path, so the per-block selection must
@@ -633,8 +633,7 @@ def _block_extend_reference(K, block_sizes, cfg: ExtensionConfig, weights=None, 
         res = extend_with_submatrix(K, Ks_j, cfg)
         return res.values, res.vectors
 
-    q = len(block_sizes)
-    return _weighted_combination(map(member, range(q)), q, weights)
+    return _uniform_mean(map(member, range(len(block_sizes))))
 
 
 class TestBlockSelection:
@@ -657,7 +656,7 @@ class TestBlockSelection:
         K = self.kernel(n, 31 + n)
         assert np.any(K.a[:sizes[0], :sizes[0]] == 0.0)
         if sparse:
-            K = SparseSymmetric.from_dense(K)
+            K = SparseSymmetric(K.n, *K.triplets())
         cfg = ExtensionConfig(m=m)
         expected_members = []
         expected = _block_extend_reference(K, sizes, cfg, members=expected_members)
@@ -682,7 +681,7 @@ class TestBlockSelection:
 class TestBlockExtend:
     def test_single_block_equals_full_topleft(self):
         K = gen_wishart_psd(18, seed=19)
-        combined = block_extend(K, [18], ExtensionConfig(m=4), weights=[1.0])
+        combined = block_extend(K, [18], ExtensionConfig(m=4))
         res = pert_extend(K, Selector.top_left(18), ExtensionConfig(m=4))
         assert np.max(np.abs(combined.a - kernel_approx(res.values, res.vectors).a)) <= 1e-12
 
@@ -696,15 +695,15 @@ class TestBlockExtend:
         a[:6, :6] = blocks[0]
         a[6:, 6:] = blocks[1]
         K = SymmetricDense(a, symmetrize=True)
-        combined = block_extend(K, [6, 6], ExtensionConfig(m=6), weights=[0.5, 0.5])
-        # each member reconstructs its block exactly, so the weighted sum is
-        # the weighted block-diagonal
+        combined = block_extend(K, [6, 6], ExtensionConfig(m=6))
+        # each member reconstructs its block exactly, so the mean of the two
+        # is half the block-diagonal
         assert np.max(np.abs(combined.a - 0.5 * a)) <= 1e-10
 
-    def test_two_blocks_equal_weighted_average_of_members(self):
+    def test_two_blocks_equal_mean_of_members(self):
         K = gen_wishart_psd(16, seed=21)
         cfg = ExtensionConfig(m=3)
-        combined = block_extend(K, [8, 8], cfg, weights=[0.25, 0.75])
+        combined = block_extend(K, [8, 8], cfg)
         members = []
         rows, cols = np.triu_indices(16)
         for lo, hi in ((0, 8), (8, 16)):
@@ -712,26 +711,14 @@ class TestBlockExtend:
             Ks = SparseSymmetric(16, rows[keep], cols[keep], K.a[rows[keep], cols[keep]])
             res = extend_with_submatrix(K, Ks, cfg)
             members.append(kernel_approx(res.values, res.vectors).a)
-        expected = 0.25 * members[0] + 0.75 * members[1]
+        expected = 0.5 * members[0] + 0.5 * members[1]
         assert np.max(np.abs(combined.a - expected)) <= 1e-12
-
-    def test_bad_weights_rejected(self):
-        K = gen_wishart_psd(8, seed=22)
-        with pytest.raises(ValueError, match="weights"):
-            block_extend(K, [4, 4], ExtensionConfig(m=2), weights=[0.5, 0.2])
-
-    @pytest.mark.parametrize("weights", [[np.nan, 0.5], [np.nan, np.nan], [np.inf, -np.inf]])
-    def test_non_finite_weights_rejected_before_any_member(self, monkeypatch, weights):
-        K = gen_wishart_psd(40, seed=3)
-        monkeypatch.setattr(extension, "extend_with_submatrix", _no_member_runs)
-        with pytest.raises(ValueError, match="weights must be nonnegative and sum to one"):
-            block_extend(K, [20, 20], ExtensionConfig(m=3), weights=weights)
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("sizes", [(0, 40), (-5, 45), (40, 0)])
     def test_nonpositive_block_sizes_rejected_before_any_member(self, monkeypatch, sparse, sizes):
         K = gen_wishart_psd(40, seed=3)
-        K = SparseSymmetric.from_dense(K) if sparse else K
+        K = SparseSymmetric(K.n, *K.triplets()) if sparse else K
         monkeypatch.setattr(extension, "extend_with_submatrix", _no_member_runs)
         with pytest.raises(ValueError, match="block sizes must be positive") as caught:
             block_extend(K, sizes, ExtensionConfig(m=3))
@@ -834,7 +821,7 @@ class TestBlockMemberPairs:
     def test_members_match_solve_of_full_selection(self, monkeypatch, sparse, sizes):
         K = _clustered_kernel(600)
         if sparse:
-            K = SparseSymmetric.from_dense(K)
+            K = SparseSymmetric(K.n, *K.triplets())
         cfg = ExtensionConfig(m=4)
         expected = _block_extend_reference(K, sizes, cfg, members=[])
         combined, members = self.recorded_block_extend(monkeypatch, K, sizes, cfg)
@@ -993,7 +980,7 @@ class TestBlockMemberProduct:
             monkeypatch.setattr(cls, "add_scaled", counting)
         combined, members = TestBlockMemberPairs.recorded_block_extend(monkeypatch, K, sizes, cfg)
         assert calls == []
-        want = _weighted_combination(iter(expected), len(sizes)).a
+        want = _uniform_mean(iter(expected)).a
         for (_, res), (values, vectors) in zip(members, expected):
             if sparse:
                 assert np.array_equal(res.values, values)
@@ -1239,7 +1226,8 @@ class TestCsrBuilds:
         return builds
 
     def test_read_and_extend_builds_none_for_K(self, monkeypatch, tmp_path):
-        K = SparseSymmetric.from_dense(_clustered_kernel(300))
+        D = _clustered_kernel(300)
+        K = SparseSymmetric(D.n, *D.triplets())
         write_sparse(tmp_path / "K.txt", K)
         builds = self.count_builds(monkeypatch)
         K = read_sparse(tmp_path / "K.txt")
@@ -1249,14 +1237,14 @@ class TestCsrBuilds:
         Ks = select_submatrix(K, sel)
         E = K.add_scaled(Ks, -1.0)
         # one build for K^s (its solve), one for E (its norm), none for K
-        assert sorted(rows.size for rows in builds) == sorted((Ks.nnz_stored, E.nnz_stored))
+        assert sorted(rows.size for rows in builds) == sorted((Ks.vals.size, E.vals.size))
         assert not any(rows is K.rows for rows in builds)
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_block_member_builds_none(self, monkeypatch, sparse):
         K = _clustered_kernel(600)
         if sparse:
-            K = SparseSymmetric.from_dense(K)
+            K = SparseSymmetric(K.n, *K.triplets())
         builds = self.count_builds(monkeypatch)
         _, members = TestBlockMemberPairs.recorded_block_extend(
             monkeypatch, K, (300, 300), ExtensionConfig(m=4))
@@ -1411,7 +1399,7 @@ class TestCallersSolveNoNorm:
     def test_block_extend(self, monkeypatch, sparse):
         K = _clustered_kernel(600)
         if sparse:
-            K = SparseSymmetric.from_dense(K)
+            K = SparseSymmetric(K.n, *K.triplets())
         _no_norm_solves(monkeypatch)
         assert block_extend(K, (300, 300), ExtensionConfig(m=4)).n == 600
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -53,6 +55,13 @@ class TestTypes:
         # every input entry is finite, but a + a.T is not
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             SymmetricDense(np.full((2, 2), 1e308), symmetrize=True)
+
+    def test_dense_symmetrize_overflow_raises_without_warning(self):
+        # an entry above DBL_MAX / 2 overflows its own average
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                SymmetricDense(np.array([[9.5e307, 1.0], [1.0, 1.0]]), symmetrize=True)
 
     def test_dense_symmetrize_is_exact(self):
         rng = np.random.default_rng(0)
@@ -141,18 +150,18 @@ class TestTypes:
     def test_sparse_nnz_counts_pairs_twice(self):
         S = SparseSymmetric(4, [0, 0, 2], [0, 1, 3], [1.0, 2.0, 3.0])
         assert S.nnz == 1 + 2 + 2
-        assert S.nnz_stored == 3
+        assert S.vals.size == 3
 
     def test_sparse_drops_exact_zeros(self):
         S = SparseSymmetric(3, [0, 1], [1, 2], [0.0, 2.0])
-        assert S.nnz_stored == 1
+        assert S.vals.size == 1
 
     def test_sparse_roundtrip_dense(self):
         S = SparseSymmetric(3, [0, 0, 1], [0, 2, 1], [1.0, -2.0, 3.0])
         D = S.to_dense()
         expected = np.array([[1.0, 0, -2], [0, 3, 0], [-2, 0, 0]])
         assert np.array_equal(D.a, expected)
-        back = SparseSymmetric.from_dense(D)
+        back = SparseSymmetric(D.n, *D.triplets())
         assert np.array_equal(back.vals, np.array([1.0, -2.0, 3.0]))
 
     def test_eigenpairs_reject_ascending(self):
@@ -319,7 +328,7 @@ class TestPairCount:
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_sym_eig_partial(self, D, sparse):
-        A = SparseSymmetric.from_dense(D) if sparse else D
+        A = SparseSymmetric(D.n, *D.triplets()) if sparse else D
         with pytest.raises(TypeError, match="m must be an integer, got 2.5"):
             sym_eig_partial(A, 2.5)
         got, want = sym_eig_partial(A, np.int64(3)), sym_eig_partial(A, 3)
@@ -327,7 +336,7 @@ class TestPairCount:
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_extreme_eigvals(self, D, sparse):
-        A = SparseSymmetric.from_dense(D) if sparse else D
+        A = SparseSymmetric(D.n, *D.triplets()) if sparse else D
         with pytest.raises(TypeError, match="k must be an integer, got 2.5"):
             matrixcore._extreme_eigvals(A, 2.5, "LA")
         assert np.array_equal(matrixcore._extreme_eigvals(A, np.int64(2), "LM"),
@@ -426,7 +435,7 @@ class TestDenseLanczos:
     def test_lanczos_products_take_nonzero_vectors(self, monkeypatch, kind):
         # a product on a block or on a probing zero vector would show here
         A = self.planted(300, "C")
-        A = A if kind == "dense" else SparseSymmetric.from_dense(A)
+        A = A if kind == "dense" else SparseSymmetric(A.n, *A.triplets())
         matvec, seen = type(A).matvec, []
 
         def recording(self, x):
@@ -530,11 +539,20 @@ def protocol_case(name):
 class TestProtocol:
     """Both matrix types answer every protocol query identically."""
 
+    def test_both_types_expose_the_same_members(self):
+        # apart from their storage fields: the dense array, the sparse triplets
+        def public(cls, storage):
+            names = {name for name in dir(cls) if not name.startswith("_")}
+            assert storage <= names
+            return names - storage
+
+        assert public(SymmetricDense, {"a"}) == public(SparseSymmetric, {"rows", "cols", "vals"})
+
     @pytest.mark.parametrize("name", ["random", "zeros_and_empty_row", "all_zero", "n300"])
     def test_dense_and_sparse_forms_agree(self, name):
         M = protocol_case(name)
         n = M.n
-        forms = (M, SparseSymmetric.from_dense(M))
+        forms = (M, SparseSymmetric(M.n, *M.triplets()))
         cols = np.array([n - 1, 0, n // 2])
         for A in forms:
             assert A.n == n
@@ -565,7 +583,7 @@ class TestProtocol:
         b[0, -1] = b[-1, 0] = 0.25
         B = SymmetricDense(b)
         for A in forms:
-            for other in (B, SparseSymmetric.from_dense(B)):
+            for other in (B, SparseSymmetric(B.n, *B.triplets())):
                 result = A.add_scaled(other, -1.0)
                 assert type(result) is type(A)
                 assert np.array_equal(result.to_dense().a, M.a - b)
@@ -805,7 +823,8 @@ class TestSupportBlockRule:
     ROWS200 = np.delete(np.arange(200), 100)
 
     def test_lanczos_receives_only_the_block(self, monkeypatch):
-        B = SparseSymmetric.from_dense(gen_wishart_psd(400, seed=3))
+        W = gen_wishart_psd(400, seed=3)
+        B = SparseSymmetric(W.n, *W.triplets())
         S = on_rows(B, self.ROWS600, 600)
         values, vectors = padded_block_solve(B, self.ROWS600, 600, 4)
         seen = []
@@ -851,7 +870,7 @@ class TestSupportBlockRule:
         # random state, from which a restart would draw
         x = np.random.default_rng(rank).standard_normal((300, rank))
         A = SymmetricDense(x @ x.T, symmetrize=True)
-        A = SparseSymmetric.from_dense(A) if sparse else A
+        A = SparseSymmetric(A.n, *A.triplets()) if sparse else A
         other = random_symmetric(300, 5).a
         for m in range(1, rank + 1):
             first = sym_eig_partial(A, m)
@@ -890,7 +909,7 @@ class TestPrincipalBlock:
         cols = np.array([7, 2, 19, 11, 0, 25])
         expected = A.to_dense().a[:, cols][cols]
         expected[np.arange(cols.size), np.arange(cols.size)] -= shift
-        for K in (A, SparseSymmetric.from_dense(A)):
+        for K in (A, SparseSymmetric(A.n, *A.triplets())):
             block = K.principal_block(cols, shift)
             assert type(block) is type(K)
             assert np.array_equal(block.to_dense().a, expected)
@@ -929,7 +948,8 @@ class TestCachedForms:
         import scipy.sparse.linalg as spla
 
         a = random_symmetric(400, 5).a
-        S = SparseSymmetric.from_dense(SymmetricDense(np.where(np.abs(a) > 1.5, a, 0.0)))
+        D = SymmetricDense(np.where(np.abs(a) > 1.5, a, 0.0))
+        S = SparseSymmetric(D.n, *D.triplets())
         v0 = np.linspace(1.0, 2.0, S.n)
         x = np.linspace(-1.0, 1.0, S.n)
         op = spla.LinearOperator((S.n, S.n), matvec=S.matvec, dtype=float)
@@ -948,7 +968,7 @@ class TestPrincipalBlockFromTriplets:
         a[np.arange(0, 40, 2), np.arange(0, 40, 2)] = 0.0
         a[3, 3] = 0.75
         A = SymmetricDense(a)
-        S = SparseSymmetric.from_dense(A)
+        S = SparseSymmetric(A.n, *A.triplets())
         builds = []
         monkeypatch.setattr(matrixcore, "_mirrored_csr",
                             lambda *args: builds.append(args) or (None, None))
@@ -972,7 +992,8 @@ class TestBlockCsrCut:
         a = random_symmetric(n, seed).a
         a = np.where(np.abs(a) > 0.8, a, 0.0)
         a[5, :] = a[:, 5] = 0.0
-        return SparseSymmetric.from_dense(SymmetricDense(a))
+        D = SymmetricDense(a)
+        return SparseSymmetric(D.n, *D.triplets())
 
     @pytest.mark.parametrize("cols", [
         np.arange(60), np.arange(10, 45), np.array([7]), np.array([2, 5, 9, 30, 31, 58]),
@@ -1018,7 +1039,7 @@ def _old_write_rows(path, rows):
 
 def _old_write_sparse(path, S):
     with open(path, "w") as fh:
-        fh.write(f"{S.n} {S.nnz_stored}\n")
+        fh.write(f"{S.n} {S.vals.size}\n")
         for i, j, v in zip(S.rows, S.cols, S.vals):
             fh.write(f"{i} {j} {v:.17g}\n")
 

@@ -13,7 +13,7 @@ from perturbext.kernels import (
     rng_for,
     standardize,
 )
-from perturbext import extension, matrixcore, nystrom
+from perturbext import extension, matrixcore
 from perturbext.matrixcore import (
     DENSE_FALLBACK_N,
     EigengapError,
@@ -107,7 +107,8 @@ class TestPartialBlockSolve:
     def kernels(self):
         x = rng_for(31).standard_normal((self.n, 2))
         K = build_kernel(standardize(Dataset(x)), KernelSpec.gaussian(0.5))
-        return K, SparseSymmetric.from_dense(SymmetricDense(np.where(K.a > 1e-3, K.a, 0.0)))
+        D = SymmetricDense(np.where(K.a > 1e-3, K.a, 0.0))
+        return K, SparseSymmetric(D.n, *D.triplets())
 
     def test_generalized_matches_full_eigh(self, monkeypatch):
         assert self.l > DENSE_FALLBACK_N
@@ -208,7 +209,7 @@ class TestGeneralized:
         # product, a GEMM for a dense K and a CSR product for a sparse one,
         # agrees to round-off
         K = gen_wishart_psd(300, seed=27)
-        S = SparseSymmetric.from_dense(K)
+        S = SparseSymmetric(K.n, *K.triplets())
         subsets = [np.sort(rng_for(s).choice(300, size=30, replace=False)) for s in (28, 29)]
         for run in (lambda A: generalized_nystrom(A, 5, 40), lambda A: shifted_nystrom(A, 5, 0.5)):
             (dense_vals, dense_vecs), (sparse_vals, sparse_vecs) = run(K), run(S)
@@ -266,7 +267,7 @@ class TestShifted:
         monkeypatch.setattr(matrixcore, "sym_eig_full", refuse)
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        for A in (K, SparseSymmetric.from_dense(K)):
+        for A in (K, SparseSymmetric(K.n, *K.triplets())):
             assert shift_mu_mean(A, 6) == pytest.approx(expected, rel=1e-12)
 
     def test_frobenius_improvement_on_slow_decay(self):
@@ -291,7 +292,7 @@ class TestEnsemble:
     def test_single_member_is_plain_nystrom(self):
         n, k = 24, 4
         K = gen_wishart_psd(n, seed=10)
-        approx = ensemble_nystrom(K, k, [np.arange(n)], weights=[1.0])
+        approx = ensemble_nystrom(K, k, [np.arange(n)])
         vals, vecs = generalized_nystrom(K, k, n)
         expected = kernel_approx(vals, vecs)
         assert np.max(np.abs(approx.a - expected.a)) <= 1e-12
@@ -300,9 +301,8 @@ class TestEnsemble:
         n, k = 20, 3
         K = gen_wishart_psd(n, seed=11)
         subset = np.arange(5)
-        single = ensemble_nystrom(K, k, [subset], weights=[1.0])
-        repeated = ensemble_nystrom(K, k, [subset, subset, subset],
-                                    weights=[0.2, 0.5, 0.3])
+        single = ensemble_nystrom(K, k, [subset])
+        repeated = ensemble_nystrom(K, k, [subset, subset, subset])
         assert np.max(np.abs(single.a - repeated.a)) <= 1e-12
 
     def test_uniform_weights_match_member_mean(self):
@@ -325,30 +325,13 @@ class TestEnsemble:
         assert np.max(np.abs(approx.a - expected)) <= 1e-12
 
     def test_matches_block_extension_on_partition(self):
-        # block-diagonal selection combined by weights equals the ensemble
+        # block-diagonal selection combined by their mean equals the ensemble
         # built from the same index groups
         n, k = 24, 3
         K = gen_wishart_psd(n, seed=14)
         combined = block_extend(K, [12, 12], ExtensionConfig(m=k))
         ens = ensemble_nystrom(K, k, [np.arange(12), np.arange(12, 24)])
         assert np.max(np.abs(combined.a - ens.a)) <= 1e-10
-
-    def test_invalid_weights(self):
-        K = gen_wishart_psd(10, seed=15)
-        with pytest.raises(ValueError):
-            ensemble_nystrom(K, 2, [np.arange(4)], weights=[0.7])
-
-    @pytest.mark.parametrize("weights", [[np.nan], [np.inf]])
-    def test_non_finite_weights_rejected_before_any_member(self, monkeypatch, weights):
-        # a NaN weight used to pass the guard and fail after every member ran
-        K = gen_wishart_psd(400, seed=3)
-        monkeypatch.setattr(nystrom, "_sampled_pairs", _no_member_runs)
-        with pytest.raises(ValueError, match="weights must be nonnegative and sum to one"):
-            ensemble_nystrom(K, 3, [[1, 2, 3]], weights=weights)
-
-
-def _no_member_runs(*args, **kwargs):
-    raise AssertionError("an ensemble member was extended")
 
 
 def _sampled_pairs_by_columns(K, k, cols, shift=0.0):
@@ -373,7 +356,8 @@ class TestSampledColumnsProduct:
     def kernel(cls, sparse):
         x = rng_for(41).standard_normal((cls.n, 3))
         K = build_kernel(standardize(Dataset(x)), KernelSpec.gaussian(0.5))
-        return SparseSymmetric.from_dense(SymmetricDense(np.where(K.a > 1e-3, K.a, 0.0))) if sparse else K
+        D = SymmetricDense(np.where(K.a > 1e-3, K.a, 0.0))
+        return SparseSymmetric(D.n, *D.triplets()) if sparse else K
 
     @pytest.fixture(scope="class", params=[False, True], ids=["dense", "sparse"])
     def K(self, request):
@@ -459,10 +443,10 @@ class TestCombinationMemory:
         # the members alone, without the combination that forms the result
         peaks = []
 
-        def members_only(members, q, weights=None):
+        def members_only(members):
             peaks.append(self.peak_in_n2_doubles(lambda: list(members)))
 
-        monkeypatch.setattr(extension, "_weighted_combination", members_only)
+        monkeypatch.setattr(extension, "_uniform_mean", members_only)
         block_extend(K, (self.n // 8,) * 8, ExtensionConfig(m=5))
         assert peaks[0] < 0.25
 
@@ -494,8 +478,6 @@ class TestConfig:
             nystrom_extend(K, 0)
         with pytest.raises(ValueError):
             generalized_nystrom(K, 5, 3)
-        with pytest.raises(ValueError, match="weights"):
-            ensemble_nystrom(K, 2, [np.arange(4), np.arange(4, 8)], weights=(0.9, 0.3))
         for subset in ([-1, 2, 3], [0, 1, 10]):
             with pytest.raises(ValueError, match="subset indices"):
                 ensemble_nystrom(K, 2, [subset])
@@ -549,7 +531,7 @@ class TestSingularGuardNorm:
         K = build_kernel(standardize(Dataset(x)), KernelSpec.gaussian(0.5))
         monkeypatch.setattr("perturbext.nystrom.spectral_norm",
                             lambda A: pytest.fail("spectral_norm called"))
-        for A in (K, SparseSymmetric.from_dense(K)):
+        for A in (K, SparseSymmetric(K.n, *K.triplets())):
             l = 300
             assert l > DENSE_FALLBACK_N
             vals, vecs = generalized_nystrom(A, 4, l)
