@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print the size of the package: the lines of each module of
 ``src/perturbext``, split into code, docstring, comment and blank lines,
-and the member count of each matrix type.
+the member count of each matrix type and the field count of each config
+type.
 
 Every line falls in exactly one class, so the four counts of a module add
 up to its lines:
@@ -12,12 +13,16 @@ up to its lines:
 - blank: the line holds only white space.
 
 The members of a matrix type are the functions defined in its class body:
-methods, properties, class methods and dunders alike.  Nothing is imported;
-the counts come from ``tokenize`` and ``ast`` alone.
+methods, properties, class methods and dunders alike.  The fields of a
+config type are the annotated names in its class body, the values a caller
+can set on a dataclass.  Nothing is imported; the counts come from
+``tokenize`` and ``ast`` alone.
 
 Usage: python scripts/code_size.py [--src DIR]
 Output: a header line, one line per module sorted by name, a ``total``
-line, then '<type> members <count>' for SymmetricDense and SparseSymmetric.
+line, then '<type> members <count>' for SymmetricDense and SparseSymmetric
+and '<type> fields <count>' for Selector, KernelSpec, MuPolicy and
+ExtensionConfig.
 """
 
 import argparse
@@ -29,6 +34,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "perturbext"
 MATRIX_TYPES = ("SymmetricDense", "SparseSymmetric")
+CONFIG_TYPES = ("Selector", "KernelSpec", "MuPolicy", "ExtensionConfig")
 COLUMNS = ("code", "docstring", "comment", "blank")
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -66,11 +72,12 @@ def line_counts(text: str) -> dict:
     return counts
 
 
-def member_counts(text: str) -> dict:
-    """Functions defined directly in the body of each matrix type's class."""
-    return {node.name: sum(isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) for item in node.body)
+def body_counts(text: str, names, kinds) -> dict:
+    """Statements of the given ``ast`` kinds directly in the body of each
+    class named in ``names``."""
+    return {node.name: sum(isinstance(item, kinds) for item in node.body)
             for node in ast.parse(text).body
-            if isinstance(node, ast.ClassDef) and node.name in MATRIX_TYPES}
+            if isinstance(node, ast.ClassDef) and node.name in names}
 
 
 def main(argv=None) -> int:
@@ -83,17 +90,20 @@ def main(argv=None) -> int:
     row = "{:<18}" + "{:>10}" * (len(COLUMNS) + 1)
     print(row.format("module", *COLUMNS, "lines"))
     total = dict.fromkeys(COLUMNS, 0)
-    members = {}
+    members, fields = {}, {}
     for path in modules:
         text = path.read_text()
         counts = line_counts(text)
         for key in COLUMNS:
             total[key] += counts[key]
-        members.update(member_counts(text))
+        members.update(body_counts(text, MATRIX_TYPES, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        fields.update(body_counts(text, CONFIG_TYPES, ast.AnnAssign))
         print(row.format(path.name, *counts.values(), sum(counts.values())))
     print(row.format("total", *total.values(), sum(total.values())))
     for name in MATRIX_TYPES:
         print(f"{name} members {members.get(name, 0)}")
+    for name in CONFIG_TYPES:
+        print(f"{name} fields {fields.get(name, 0)}")
     return 0
 
 

@@ -371,7 +371,7 @@ def run_verification(n: int = 200, m: int = 20, trials: int = 50, seed: int = 0,
         delta = 0.5
         base = gen_rank_m_spectrum(n, m, tail_value=0.0, seed=derive_seed(seed, 31, trial))
         shifted = SymmetricDense(base.a + delta * np.eye(n), symmetrize=True)
-        detected = pert.is_lowrank_plus_shift(shifted, m, tolerance=1e-8)
+        detected = pert.is_lowrank_plus_shift(shifted, m)
         detect_err = abs((detected if detected is not None else np.inf) - delta)
         E = SymmetricDense(1e-6 * gen_unit_random_symmetric(n, derive_seed(seed, 32, trial)).a)
         known = sym_eig_full(shifted, m)

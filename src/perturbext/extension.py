@@ -23,6 +23,7 @@ from .matrixcore import (
     SparseSymmetric,
     SymmetricDense,
     _count,
+    _indices,
     read_mask,
     spectral_norm,
     sym_eig_partial,
@@ -31,104 +32,104 @@ from .matrixcore import (
 
 @dataclass(frozen=True)
 class Selector:
-    """Declarative description of which entries of K form K^s.
+    """Declarative description of which entries of K form K^s: a kind and
+    its one parameter.
 
-    Kinds: 'topleft' (leading l x l block), 'band' (|i - j| <= p, diagonal
-    always included), 'sparse' (largest-magnitude entries covering fraction q
-    of the stored nonzeros), 'blocks' (block-diagonal partition), 'mask'
-    (explicit symmetric index set: upper-triangle pairs, row-major from every
-    classmethod, in one int64 buffer compared and hashed by value and viewed
-    by ``mask_pairs``).  A file mask keeps its header n, which K's must equal.
+    Kinds: 'topleft' (leading l x l block; param l), 'band' (|i - j| <= p,
+    diagonal always included; param p), 'sparse' (largest-magnitude entries
+    covering fraction q of the stored nonzeros; param q), 'blocks'
+    (block-diagonal partition; param the tuple of block sizes), 'mask'
+    (explicit symmetric index set; param (n, pairs): the header n of a mask
+    file, which K's must equal, or 0 for any n, and the pairs as one int64
+    buffer of their k rows, then their k cols, upper triangle and row-major
+    from every classmethod, compared and hashed by value and viewed by
+    ``mask_pairs``).
     """
 
     kind: str
-    size: int = 0                      # topleft: l
-    bandwidth: int = 0                 # band: p
-    fraction: float = 0.0              # sparse: q
-    block_sizes: tuple = ()            # blocks
-    mask: bytes = b""                  # mask: its k int64 rows, then its k cols
-    mask_n: int = 0                    # mask: the file's header n, 0 for any n
+    param: object
 
     def __post_init__(self):
         """Every construction, direct or through a classmethod, is checked
-        here, one check per kind; a failed check raises ValueError.  The mask
-        is first stored as an immutable ``bytes`` copy of the buffer given,
-        so a caller who writes to that buffer later cannot change the
-        checked pairs."""
-        object.__setattr__(self, "mask", bytes(memoryview(self.mask)))
-        kind, (rows, cols) = self.kind, self.mask_pairs
-        if kind not in ("topleft", "band", "sparse", "blocks", "mask"):
-            raise ValueError(f"unknown selector kind {kind!r}")
-        if kind == "topleft" and not self.size >= 1:
+        here, one check per kind, and the parameter stored in one form: l
+        and p as ints, q as a float, the sizes as a tuple of ints, a mask as
+        (int, bytes).  A parameter of the wrong type (for q, anything
+        ``np.isfinite`` rejects, such as a string) raises TypeError, an
+        out-of-range one ValueError.  The mask buffer is stored as an
+        immutable ``bytes`` copy, so a caller who writes to the buffer later
+        cannot change the checked pairs."""
+        kind, param = self.kind, self.param
+        if kind == "topleft" and (param := _count(param, "topleft l")) < 1:
             raise ValueError("topleft selector needs l >= 1")
-        if kind == "band" and not self.bandwidth >= 0:
+        if kind == "band" and (param := _count(param, "band p")) < 0:
             raise ValueError("band selector needs p >= 0")
-        if kind == "sparse" and not 0.0 < self.fraction <= 1.0:
+        if kind == "sparse" and not (np.isfinite(param) and 0.0 < (param := float(param)) <= 1.0):
             raise ValueError("sparse selector needs q in (0, 1]")
-        if kind == "blocks" and not (self.block_sizes and min(self.block_sizes) >= 1):
+        if kind == "blocks" and min(param := tuple(_count(s, "block size") for s in param), default=0) < 1:
             raise ValueError("block sizes must be positive")
-        if kind == "mask" and not (rows.size and rows.min() >= 0 and np.all(rows <= cols)
-                                   and 16 * rows.size == len(self.mask) and self.mask_n >= 0):
-            raise ValueError("a mask needs one or more pairs 0 <= row <= col, as many rows as "
-                             "cols, and mask_n >= 0")
+        if kind == "mask":
+            n, pairs = param
+            param = n, pairs = _count(n, "mask n"), bytes(memoryview(pairs))
+            rows, cols = np.frombuffer(pairs, np.int64, len(pairs) // 16 * 2).reshape(2, -1)
+            if not (n >= 0 and 16 * rows.size == len(pairs) > 0 and rows.min() >= 0 and np.all(rows <= cols)):
+                raise ValueError("a mask needs pairs 0 <= row <= col, as many rows as cols, and n >= 0")
+        elif kind not in ("topleft", "band", "sparse", "blocks"):
+            raise ValueError(f"unknown selector kind {kind!r}")
+        object.__setattr__(self, "param", param)
 
     @property
     def mask_pairs(self) -> np.ndarray:
-        return np.frombuffer(self.mask, np.int64, len(self.mask) // 16 * 2).reshape(2, -1)
+        """A mask's pairs as a read-only (2, k) int64 view of its buffer: rows, then cols."""
+        return np.frombuffer(self.param[1], np.int64).reshape(2, -1)
 
     @classmethod
     def top_left(cls, l: int) -> "Selector":
-        return cls("topleft", size=int(l))
+        return cls("topleft", l)
 
     @classmethod
     def band(cls, p: int) -> "Selector":
-        return cls("band", bandwidth=int(p))
+        return cls("band", p)
 
     @classmethod
     def sparse_top_q(cls, q: float) -> "Selector":
-        return cls("sparse", fraction=float(q))
+        return cls("sparse", q)
 
     @classmethod
     def block_diag(cls, sizes) -> "Selector":
-        return cls("blocks", block_sizes=tuple(int(s) for s in sizes))
+        return cls("blocks", sizes)
 
     @classmethod
     def custom_mask(cls, rows, cols) -> "Selector":
-        return cls("mask", mask=_upper_pairs(rows, cols))
+        """The mask of the entries (rows[k], cols[k]), given in any order and
+        triangle, each stored once as an upper-triangle pair in row-major
+        order.  Indices of another kind than integer raise TypeError."""
+        rows, cols = _indices(rows, "mask rows"), _indices(cols, "mask cols")
+        if rows.shape != cols.shape or rows.ndim != 1:
+            raise ValueError("mask rows/cols must be equally sized 1-D arrays")
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        # a negative index decodes to a negative row, which the check rejects
+        base = int(np.abs(hi).max(initial=0)) + 1
+        key = np.unique(lo * base + hi)
+        return cls("mask", (0, np.concatenate((key // base, key % base)).tobytes()))
 
     @classmethod
     def parse(cls, text: str) -> "Selector":
         """Grammar: topleft:<l> | band:<p> | sparse:<q> | blocks:<s1,s2,...> | mask:<file>."""
         head, sep, arg = text.partition(":")
-        if not sep:
+        if not sep or head not in _PARSED_PARAM:
             raise ValueError(f"cannot parse selector {text!r}")
-        if head == "topleft":
-            return cls.top_left(int(arg))
-        if head == "band":
-            return cls.band(int(arg))
-        if head == "sparse":
-            return cls.sparse_top_q(float(arg))
-        if head == "blocks":
-            return cls.block_diag(int(s) for s in arg.split(","))
-        if head == "mask":
-            n, rows, cols = read_mask(arg)
-            return cls("mask", mask=np.concatenate((rows, cols)).tobytes(), mask_n=n)
-        raise ValueError(f"unknown selector kind {head!r}")
+        return cls(head, _PARSED_PARAM[head](arg))
 
 
-def _upper_pairs(rows, cols) -> bytes:
-    """The mask entries (rows[k], cols[k]), in any order and triangle, each once
-    as an upper-triangle pair in row-major order: a ``Selector.mask`` buffer."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if rows.shape != cols.shape or rows.ndim != 1:
-        raise ValueError("mask rows/cols must be equally sized 1-D arrays")
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    # a negative index decodes to a negative row, which Selector rejects
-    base = int(np.abs(hi).max(initial=0)) + 1
-    key = np.unique(lo * base + hi)
-    return np.concatenate((key // base, key % base)).tobytes()
+def _mask_file(path) -> tuple:
+    """A mask file's (header n, pair buffer): the parameter of its Selector."""
+    n, rows, cols = read_mask(path)
+    return n, np.concatenate((rows, cols)).tobytes()
+
+
+# the parameter of each Selector kind, read from the text after its colon
+_PARSED_PARAM = {"topleft": int, "band": int, "sparse": float, "mask": _mask_file,
+                 "blocks": lambda arg: [int(size) for size in arg.split(",")]}
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class ExtensionConfig:
     def __post_init__(self):
         if _count(self.m, "m") < 1:
             raise ValueError("need m >= 1")
-        if self.order not in (1, 2):
+        if _count(self.order, "order") not in (1, 2):
             raise ValueError("order must be 1 or 2")
 
 
@@ -182,7 +183,7 @@ class ExtensionResult:
     @cached_property
     def bound_terms(self) -> np.ndarray:
         pairs = self.source_pairs
-        E = self._K.add_scaled(self._Ks, -1.0)
+        E = self._K.minus(self._Ks)
         terms = pert.bound_terms(pairs.values, _bound_tail(self._Ks, pairs, self._mu, self._order),
                                  self._mu, spectral_norm(E), self._order)
         terms.setflags(write=False)
@@ -208,29 +209,29 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     """
     n = K.n
     if sel.kind == "topleft":
-        if sel.size > n:
-            raise ValueError(f"topleft size {sel.size} exceeds dimension {n}")
-        return K.block_selection(np.arange(sel.size))
+        if sel.param > n:
+            raise ValueError(f"topleft size {sel.param} exceeds dimension {n}")
+        return K.block_selection(np.arange(sel.param))
     rows, cols, _ = K.triplets()
     if sel.kind == "band":
-        if sel.bandwidth > n - 1:
-            raise ValueError(f"bandwidth {sel.bandwidth} exceeds {n - 1}")
-        keep = (cols - rows) <= sel.bandwidth
+        if sel.param > n - 1:
+            raise ValueError(f"bandwidth {sel.param} exceeds {n - 1}")
+        keep = (cols - rows) <= sel.param
     elif sel.kind == "sparse":
         # K keeps its order and cumulative weights, so a sweep over q sorts
         # it once
         order, cum = K.magnitude_profile()
-        target = np.ceil(sel.fraction * (cum[-1] if cum.size else 0))
+        target = np.ceil(sel.param * (cum[-1] if cum.size else 0))
         count = int(np.searchsorted(cum, target) + 1)
         keep = np.zeros(rows.size, dtype=bool)
         keep[order[:count]] = True
     elif sel.kind == "blocks":
-        block_of = np.searchsorted(_block_bounds(sel.block_sizes, n), np.arange(n), side="right") - 1
+        block_of = np.searchsorted(_block_bounds(sel.param, n), np.arange(n), side="right") - 1
         keep = block_of[rows] == block_of[cols]
     else:  # mask, the one kind left that Selector admits
-        mask_rows, mask_cols = sel.mask_pairs
-        if sel.mask_n and sel.mask_n != n:
-            raise ValueError(f"mask is for dimension {sel.mask_n}, matrix has dimension {n}")
+        mask_n, (mask_rows, mask_cols) = sel.param[0], sel.mask_pairs
+        if mask_n and mask_n != n:
+            raise ValueError(f"mask is for dimension {mask_n}, matrix has dimension {n}")
         if int(mask_cols.max()) >= n:
             raise ValueError("mask index out of range")
         keep = np.isin(rows * n + cols, mask_rows * n + mask_cols)
@@ -276,7 +277,7 @@ def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> Exten
         EV = K.columns_matvec(rows, pairs.vectors)
         EV[rows] = 0.0
     else:
-        EV = K.add_scaled(Ks, -1.0).matvec(pairs.vectors)
+        EV = K.minus(Ks).matvec(pairs.vectors)
     problem = pert.PerturbationProblem(base=Ks, known=pairs, EV=EV)
     mu = cfg.mu.resolve(problem)
     update = pert.truncated_first_order if cfg.order == 1 else pert.truncated_second_order
@@ -342,7 +343,7 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig) -> SymmetricDense:
     """
     n = K.n
     # checked as a blocks selector checks them, before any member runs
-    block_sizes = Selector.block_diag(block_sizes).block_sizes
+    block_sizes = Selector.block_diag(block_sizes).param
     bounds = _block_bounds(block_sizes, n)
 
     def member(j):

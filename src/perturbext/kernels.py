@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import SparseSymmetric, SymmetricDense, _average_transpose, _dense_eigvalsh, read_rows
+from .matrixcore import SparseSymmetric, SymmetricDense, _average_transpose, _count, _dense_eigvalsh, read_rows
 
 
 class KernelOverflowError(OverflowError, ValueError):
@@ -57,27 +57,39 @@ class Dataset:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian(gamma), Polynomial(degree) with the +1 offset, or plain Linear."""
+    """Gaussian (param gamma), Polynomial with the +1 offset (param the
+    degree) or plain Linear (param None).
+
+    The parameter is checked at construction and stored in one form: gamma
+    as a float, the degree as a Python int (``_count``), so that
+    (1 + gram) ** degree rounds as an integer power.  A parameter of the
+    wrong type (for gamma, anything ``np.isfinite`` rejects, such as a
+    string) raises TypeError; an out-of-range one, or any parameter for a
+    linear kernel, raises ValueError.
+    """
 
     kind: str
-    gamma: float = 1.0
-    degree: int = 1
+    param: object = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "polynomial", "linear"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and not (np.isfinite(self.gamma) and self.gamma > 0):
+        kind, param = self.kind, self.param
+        if kind == "gaussian" and not (np.isfinite(param) and (param := float(param)) > 0):
             raise ValueError("gaussian kernel needs gamma > 0")
-        if self.kind == "polynomial" and self.degree < 1:
+        if kind == "polynomial" and (param := _count(param, "degree")) < 1:
             raise ValueError("polynomial kernel needs degree >= 1")
+        if kind == "linear" and param is not None:
+            raise ValueError(f"a linear kernel takes no parameter, got {param!r}")
+        if kind not in ("gaussian", "polynomial", "linear"):
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        object.__setattr__(self, "param", param)
 
     @classmethod
     def gaussian(cls, gamma: float) -> "KernelSpec":
-        return cls("gaussian", gamma=gamma)
+        return cls("gaussian", gamma)
 
     @classmethod
     def polynomial(cls, degree: int) -> "KernelSpec":
-        return cls("polynomial", degree=degree)
+        return cls("polynomial", degree)
 
     @classmethod
     def linear(cls) -> "KernelSpec":
@@ -158,12 +170,12 @@ def _slab_evaluator(ds: Dataset, spec: KernelSpec):
                 del gram  # the kernel slab is the only slab-sized array from here on
                 np.clip(K, 0.0, None, out=K)
                 np.fill_diagonal(K, 0.0)  # K[k, k] is the pair (lo + k, lo + k)
-                K *= -spec.gamma
+                K *= -spec.param
                 np.exp(K, out=K)
             elif spec.kind == "linear":
                 K = gram
             else:
-                K = (1.0 + gram) ** spec.degree
+                K = (1.0 + gram) ** spec.param
         if not np.isfinite(K).all():
             raise _overflow(spec, K, lo)
         return K

@@ -163,14 +163,14 @@ class SymmetricDense:
             return blas.dsymv(1.0, self.a if self.a.flags.f_contiguous else self.a.T, x)
         return self.a @ x
 
-    def add_scaled(self, B, c: float) -> "SymmetricDense":
-        """self + c * B as a dense matrix: a copy of the array with c * B added
+    def minus(self, B) -> "SymmetricDense":
+        """self - B as a dense matrix: a copy of the array with B subtracted
         at B's stored positions only, so a sparse B is never densified."""
         if self.n != B.n:
             raise ValueError("dimension mismatch")
         a = np.array(self.a)
         rows, cols, vals = B.triplets()
-        a[rows, cols] += c * vals
+        a[rows, cols] -= vals
         a[cols, rows] = a[rows, cols]
         return SymmetricDense._adopt(a)
 
@@ -183,7 +183,7 @@ class SymmetricDense:
     def principal_block(self, cols, shift: float = 0.0) -> "SymmetricDense":
         """A[cols, cols] - shift * I as a new dense matrix, equal to the rows
         ``cols`` of A[:, cols] with the shift taken off the diagonal."""
-        cols = np.asarray(cols, dtype=np.int64)
+        cols = _indices(cols, "cols")
         span = _span(cols)
         block = self.a[np.ix_(cols, cols)] if span is cols else self.a[span, span].copy()
         block[np.arange(cols.size), np.arange(cols.size)] -= shift
@@ -211,7 +211,9 @@ class SparseSymmetric:
     Only entries with row <= col are stored; the full matrix is implied by
     symmetry.  ``nnz`` counts structural nonzeros of the full matrix
     (off-diagonal pairs twice, diagonal once).  Exact zeros are dropped at
-    construction so nnz is meaningful.
+    construction so nnz is meaningful.  Index arrays here, and in either
+    type's ``principal_block`` and ``block_selection``, must be of an
+    integer kind: a float index raises TypeError (``_indices``).
 
     The mirrored CSR form of the full matrix is built the first time
     something iterates on the matrix (``matvec``, ``columns_matvec``,
@@ -221,8 +223,8 @@ class SparseSymmetric:
     one that exists, bit for bit the one it would build.
 
     ``restrict(keep)`` gives the stored entries where ``keep`` is set as a
-    matrix that remembers its parent, so that ``add_scaled`` of the parent
-    minus it is the parent restricted to ``~keep``, with no merge.  A
+    matrix that remembers its parent, so that the parent's ``minus`` of it is
+    the parent restricted to ``~keep``, with no merge.  A
     selection K^s of a sparse K and its E = K - K^s are so both restrictions
     of K.  A ``block_selection`` of either type also keeps its block, from
     which it builds its n-row triplets on first read (``__getattr__``).
@@ -231,8 +233,7 @@ class SparseSymmetric:
     __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_magnitude", "_parent", "_keep", "_block")
 
     def __init__(self, n: int, rows, cols, vals):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        rows, cols = _indices(rows, "rows"), _indices(cols, "cols")
         vals = np.asarray(vals, dtype=float)
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise ValueError("triplet arrays must be 1-D and equally sized")
@@ -340,24 +341,24 @@ class SparseSymmetric:
         """Apply the matrix to a vector or to a block of columns."""
         return self._csr_form() @ x
 
-    def add_scaled(self, B, c: float) -> "SparseSymmetric":
-        """self + c * B as a sparse matrix, B read through its triplets.
+    def minus(self, B) -> "SparseSymmetric":
+        """self - B as a sparse matrix, B read through its triplets.
 
         Entries that cancel to exactly 0.0 are dropped, so K - K^s for a
         selection K^s of a sparse K stores only the unselected entries.  When
-        B is ``self.restrict(keep)`` and c is -1, that is ``self.restrict(~keep)``
-        with no merge: the selected entries cancel to exactly 0.0 and the rest
-        keep their values, as the merge would give them.
+        B is ``self.restrict(keep)``, that is ``self.restrict(~keep)`` with no
+        merge: the selected entries cancel to exactly 0.0 and the rest keep
+        their values, as the merge would give them.
         """
         if self.n != B.n:
             raise ValueError("dimension mismatch")
         keep = B.selection_of(self)[0]
-        if c == -1.0 and keep is not None:
+        if keep is not None:
             return self.restrict(~keep)
         b_rows, b_cols, b_vals = B.triplets()
         rows = np.concatenate([self.rows, b_rows])
         cols = np.concatenate([self.cols, b_cols])
-        vals = np.concatenate([self.vals, c * b_vals])
+        vals = np.concatenate([self.vals, -b_vals])
         key = rows * self.n + cols
         uniq, inv = np.unique(key, return_inverse=True)
         merged = np.zeros(uniq.size)
@@ -369,7 +370,7 @@ class SparseSymmetric:
         triplets through a map from each row to its place in ``cols``, equal
         to the dense block's entries bit for bit.  Without a shift it takes
         its CSR cut from A's, if A has one (``csr[a:b, a:b]`` for a range)."""
-        cols = np.asarray(cols, dtype=np.int64)
+        cols = _indices(cols, "cols")
         l = cols.size
         place = np.full(self._n, -1, dtype=np.int64)
         place[cols] = np.arange(l)
@@ -427,7 +428,7 @@ def _block_selection(K, rows, keep=None) -> "SparseSymmetric":
     are the block's moved to ``rows``, built on first read.  K^s keeps K, a sparse K's mask
     ``keep`` of its own triplets (as ``restrict`` does) and (rows, block) cut to the rows that
     store a nonzero, if any, which is all the block path reads."""
-    rows = np.unique(np.asarray(rows, dtype=np.int64))
+    rows = np.unique(_indices(rows, "rows"))
     block = K.principal_block(rows)
     cut = block.nonzero_rows()
     obj = SparseSymmetric.__new__(SparseSymmetric)
@@ -497,6 +498,16 @@ def _count(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _indices(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array.  An array of another kind than integer,
+    unless it is empty, raises a TypeError that names ``name``: a float index
+    is never truncated."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"{name} must hold integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _row_major_order(n: int, rows: np.ndarray, cols: np.ndarray):

@@ -22,6 +22,7 @@ from .matrixcore import (
     SymmetricDense,
     _count,
     _extreme_eigvals,
+    _indices,
     spectral_norm,
     sym_eig_partial,
 )
@@ -120,14 +121,15 @@ def shifted_nystrom(K, k: int, mu: float | None = None):
 def ensemble_nystrom(K, k: int, subsets) -> SymmetricDense:
     """Uniform mean of independent Nystrom kernel approximations.
 
-    Each subset is a list of distinct column indices (length >= k); the
+    Each subset is a list of distinct integer column indices (length >= k,
+    else ValueError; a float index raises TypeError naming the subset); the
     member approximation extends the k leading pairs of that subset's block
     (generalized method when the subset is larger than k).  The members'
     (values, vectors) pairs are scaled by 1 / q and stacked into one factor
     pair, so the n x n matrix is formed once, not once per member.
     """
     n = K.n
-    subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
+    subsets = [_indices(s, f"subset {j}") for j, s in enumerate(subsets)]
     if not subsets:
         raise ValueError("need at least one subset")
 

@@ -40,6 +40,9 @@ class MuPolicy:
 
     'zero' suits (near) low-rank matrices, 'mean' uses the mean of the
     unknown eigenvalues derived from the trace, 'explicit' is caller-chosen.
+    Only 'explicit' takes a ``value``, finite, stored as a float (anything
+    ``np.isfinite`` rejects, such as a string, raises TypeError); 'zero' and
+    'mean' keep value 0.0, and any other value for them raises ValueError.
     """
 
     kind: str
@@ -48,8 +51,11 @@ class MuPolicy:
     def __post_init__(self):
         if self.kind not in ("zero", "mean", "explicit"):
             raise ValueError(f"unknown mu policy {self.kind!r}")
-        if self.kind == "explicit" and not np.isfinite(self.value):
+        if self.kind != "explicit" and self.value != 0.0:
+            raise ValueError(f"mu policy {self.kind!r} takes no value, got {self.value!r}")
+        if not np.isfinite(self.value):
             raise ValueError("explicit mu must be finite")
+        object.__setattr__(self, "value", float(self.value))
 
     @classmethod
     def zero(cls) -> "MuPolicy":
@@ -61,26 +67,22 @@ class MuPolicy:
 
     @classmethod
     def explicit(cls, value: float) -> "MuPolicy":
-        return cls("explicit", float(value))
+        return cls("explicit", value)
 
     @classmethod
     def parse(cls, text: str) -> "MuPolicy":
         """Parse 'zero', 'mean', or a float literal."""
-        if text == "zero":
-            return cls.zero()
-        if text == "mean":
-            return cls.mean()
+        if text in ("zero", "mean"):
+            return cls(text)
         try:
             return cls.explicit(float(text))
         except ValueError as exc:
             raise ValueError(f"cannot parse mu policy {text!r}") from exc
 
     def resolve(self, problem: "PerturbationProblem") -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "explicit":
-            return self.value
-        return mu_mean(problem.base.trace(), problem.known.values, problem.n)
+        if self.kind == "mean":
+            return mu_mean(problem.base.trace(), problem.known.values, problem.n)
+        return self.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,11 +261,15 @@ def mu_mean(trace_base: float, known_values: np.ndarray, n: int) -> float:
     return float((trace_base - np.sum(known_values)) / (n - m))
 
 
-def is_lowrank_plus_shift(A, m: int, tolerance: float = 1e-10):
-    """Return delta if A, a SymmetricDense or SparseSymmetric, equals
-    (rank-m part) + delta * I within tolerance.
+# how closely the trailing eigenvalues must agree for is_lowrank_plus_shift
+SHIFT_TOL = 1e-8
 
-    Checks whether the n - m trailing eigenvalues agree to ``tolerance``;
+
+def is_lowrank_plus_shift(A, m: int):
+    """Return delta if A, a SymmetricDense or SparseSymmetric, equals
+    (rank-m part) + delta * I within SHIFT_TOL.
+
+    Checks whether the n - m trailing eigenvalues agree to SHIFT_TOL;
     returns their mean if so, None otherwise.  Diagnostic only: computes the
     full spectrum, values only.  Raises TypeError for an A of another type,
     ValueError for m >= n and ConvergenceError when LAPACK fails.
@@ -272,6 +278,6 @@ def is_lowrank_plus_shift(A, m: int, tolerance: float = 1e-10):
     if m >= A.n:
         raise ValueError("need m < n trailing values to inspect")
     tail = _dense_eigvalsh(A)[::-1][m:]
-    if tail.max() - tail.min() <= tolerance:
+    if tail.max() - tail.min() <= SHIFT_TOL:
         return float(tail.mean())
     return None

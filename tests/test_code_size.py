@@ -1,6 +1,6 @@
 """``scripts/code_size.py`` stays runnable: one line per module whose four
-counts add up to the module's lines, a total, and the member count of
-each matrix type."""
+counts add up to the module's lines, a total, the member count of each
+matrix type and the field count of each config type."""
 
 import subprocess
 import sys
@@ -27,10 +27,27 @@ def test_counts_partition_every_module():
         assert sum(counts) == lines == len((ROOT / "src" / "perturbext" / name).read_text().splitlines())
         assert counts[0] > 0
     assert table["total"] == [sum(table[name][i] for name in MODULES) for i in range(5)]
-    members = [line.split() for line in rows[len(MODULES) + 1:]]
-    assert [(name, word) for name, word, _ in members] == [("SymmetricDense", "members"),
-                                                          ("SparseSymmetric", "members")]
-    assert all(int(count) > 0 for *_, count in members)
+    counts = [line.split() for line in rows[len(MODULES) + 1:]]
+    assert [(name, word) for name, word, _ in counts] == [
+        ("SymmetricDense", "members"), ("SparseSymmetric", "members"), ("Selector", "fields"),
+        ("KernelSpec", "fields"), ("MuPolicy", "fields"), ("ExtensionConfig", "fields")]
+    assert all(int(count) > 0 for *_, count in counts)
+
+
+def test_fields_are_the_annotated_names_of_the_class_body(tmp_path):
+    (tmp_path / "configs.py").write_text(
+        "class Selector:\n"
+        "    kind: str\n"
+        "    param: object = None\n"
+        "    LIMIT = 3\n"
+        "    def check(self) -> None:\n"
+        "        local: int = 0\n"
+        "class MuPolicy:\n"
+        "    kind: str\n")
+    done = run_script("--src", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-4:] == ["Selector fields 2", "KernelSpec fields 0", "MuPolicy fields 1",
+                                             "ExtensionConfig fields 0"]
 
 
 def test_missing_package_is_a_usage_error(tmp_path):

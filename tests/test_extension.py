@@ -58,7 +58,7 @@ def to_full(S):
 
 
 def mask_buffer(rows, cols):
-    """A ``Selector.mask`` buffer: the int64 rows, then the cols, as given."""
+    """A mask ``Selector``'s pair buffer: the int64 rows, then the cols, as given."""
     return np.array([*rows, *cols], dtype=np.int64).tobytes()
 
 
@@ -172,10 +172,10 @@ class TestSelectors:
         assert np.all(full[~mask] == 0)
 
     def test_parse_grammar(self):
-        assert Selector.parse("topleft:5").size == 5
-        assert Selector.parse("band:3").bandwidth == 3
-        assert Selector.parse("sparse:0.25").fraction == 0.25
-        assert Selector.parse("blocks:2,3,4").block_sizes == (2, 3, 4)
+        assert Selector.parse("topleft:5").param == 5
+        assert Selector.parse("band:3").param == 3
+        assert Selector.parse("sparse:0.25").param == 0.25
+        assert Selector.parse("blocks:2,3,4").param == (2, 3, 4)
         with pytest.raises(ValueError):
             Selector.parse("banana:9")
         with pytest.raises(ValueError):
@@ -189,24 +189,39 @@ class TestSelectors:
         assert sel.kind == "mask"
         assert sel.mask_pairs[0].tolist() == [0, 1]
 
-    @pytest.mark.parametrize("fields", [
-        dict(kind="sparse", fraction=float("nan")), dict(kind="sparse", fraction=2.0),
-        dict(kind="sparse", fraction=-1.0), dict(kind="sparse"),
-        dict(kind="blocks", block_sizes=(30, -1, 31)), dict(kind="blocks"),
-        dict(kind="band", bandwidth=-1), dict(kind="topleft", size=0), dict(kind="topleft"),
-        dict(kind="mask"), dict(kind="mask", mask=mask_buffer((0, 1), (1,))),
-        dict(kind="mask", mask=mask_buffer((2,), (1,))),
-        dict(kind="mask", mask=mask_buffer((-1,), (1,))),
-        dict(kind="mask", mask=mask_buffer((0,), (1,)), mask_n=-1),
+    @pytest.mark.parametrize("kind, param", [
+        ("sparse", float("nan")), ("sparse", 2.0), ("sparse", -1.0), ("sparse", 0.0),
+        ("blocks", (30, -1, 31)), ("blocks", ()),
+        ("band", -1), ("topleft", 0),
+        ("mask", (0, b"")), ("mask", (0, mask_buffer((0, 1), (1,)))),
+        ("mask", (0, mask_buffer((2,), (1,)))),
+        ("mask", (0, mask_buffer((-1,), (1,)))),
+        ("mask", (-1, mask_buffer((0,), (1,)))),
         # a buffer that ends inside an int64 or a (row, col) pair
-        dict(kind="mask", mask=mask_buffer((0,), (1,)) + bytes(4)),
-        dict(kind="mask", mask=mask_buffer((0,), (1,)) + bytes(8)),
-        dict(kind="banana"),
+        ("mask", (0, mask_buffer((0,), (1,)) + bytes(4))),
+        ("mask", (0, mask_buffer((0,), (1,)) + bytes(8))),
+        # a mask parameter is exactly (n, pairs)
+        ("mask", (0, mask_buffer((0,), (1,)), 5)),
+        ("banana", 1),
     ])
-    def test_direct_construction_is_checked(self, fields):
+    def test_direct_construction_is_checked(self, kind, param):
         with pytest.raises(ValueError) as caught:
-            Selector(**fields)
+            Selector(kind, param)
         assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize("kind, param", [
+        ("topleft", 2.0), ("topleft", "3"), ("band", 1.5), ("band", None), ("sparse", None),
+        ("sparse", "0.5"), ("sparse", [0.5]), ("blocks", 5), ("blocks", (2, 3.0)), ("mask", 3),
+        ("mask", (0.0, mask_buffer((0,), (1,)))), ("mask", (0, [0, 1])),
+    ])
+    def test_parameter_of_the_wrong_type_raises_type_error(self, kind, param):
+        with pytest.raises(TypeError):
+            Selector(kind, param)
+
+    @pytest.mark.parametrize("kind", ["topleft", "band", "sparse", "blocks", "mask"])
+    def test_construction_without_parameter_raises_type_error(self, kind):
+        with pytest.raises(TypeError):
+            Selector(kind)
 
     @pytest.mark.parametrize("rows, cols", [([], []), ([-1, 2], [3, 1]), ([-2], [-1]), ([0, 1], [1])])
     def test_bad_custom_mask_raises(self, rows, cols):
@@ -214,8 +229,16 @@ class TestSelectors:
             Selector.custom_mask(rows, cols)
 
     def test_direct_construction_equals_classmethod(self):
-        assert Selector("band", bandwidth=3) == Selector.band(3)
-        assert Selector("mask", mask=mask_buffer((0, 1), (2, 1))) == Selector.custom_mask([2, 1], [0, 1])
+        assert Selector("band", 3) == Selector.band(3)
+        assert Selector("mask", (0, mask_buffer((0, 1), (2, 1)))) == Selector.custom_mask([2, 1], [0, 1])
+
+    def test_parameter_is_stored_in_one_form(self):
+        for sel, param in [(Selector.top_left(np.int64(4)), 4), (Selector.band(np.int32(2)), 2),
+                           (Selector.sparse_top_q(1), 1.0), (Selector.block_diag(np.array([2, 3])), (2, 3)),
+                           (Selector("mask", (np.int64(3), bytearray(mask_buffer((0,), (1,))))),
+                            (3, mask_buffer((0,), (1,))))]:
+            assert sel.param == param and type(sel.param) is type(param)
+        assert hash(Selector.top_left(np.int64(4))) == hash(Selector.top_left(4))
 
     def test_mask_pairs_are_a_read_only_view(self):
         sel = Selector.custom_mask([2, 0, 1], [0, 3, 1])
@@ -239,12 +262,30 @@ class TestSelectors:
         # the selector keeps the pairs it checked, whatever the caller later
         # writes into the buffer it passed
         buffer = wrap(bytearray(mask_buffer((0, 1), (2, 1))))
-        sel = Selector("mask", mask=buffer)
+        sel = Selector("mask", (0, buffer))
         np.frombuffer(buffer, np.uint8)[0] = 9
         assert sel.mask_pairs.tolist() == [[0, 1], [2, 1]]
-        assert type(sel.mask) is bytes and not sel.mask_pairs.flags.writeable
+        assert type(sel.param[1]) is bytes and not sel.mask_pairs.flags.writeable
         built = Selector.custom_mask([2, 1], [0, 1])
         assert sel == built and hash(sel) == hash(built)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Selector("band", size=5), TypeError),
+    (lambda: Selector.top_left(2.7), TypeError),
+    (lambda: Selector.block_diag([2.5, 3.9]), TypeError),
+    (lambda: Selector.custom_mask([0.7], [1.2]), TypeError),
+    (lambda: KernelSpec.polynomial(2.5), TypeError),
+    (lambda: KernelSpec("linear", gamma=7.0), TypeError),
+    (lambda: MuPolicy("zero", 3.0), ValueError),
+], ids=["band-size", "topleft-float", "blocks-floats", "mask-floats", "poly-float", "linear-gamma",
+        "zero-mu-value"])
+def test_a_value_the_kind_ignores_or_truncates_is_rejected(build, error):
+    """A config holds only its kind's one parameter, of its type: a value
+    the kind would ignore, or a float it would truncate to a count or an
+    index, raises a typed error instead of building another config."""
+    with pytest.raises(error):
+        build()
 
 
 def _tuple_upper_pairs(rows, cols):
@@ -293,7 +334,7 @@ class TestMaskRoutes:
             from_file = Selector.parse(f"mask:{path}")
         custom = Selector.custom_mask(rows, cols)
         oracle = _tuple_upper_pairs(rows, cols)
-        assert from_file.mask == custom.mask and from_file.mask_n == n
+        assert from_file.param == (n, custom.param[1]) and custom.param[0] == 0
         assert custom.mask_pairs.tolist() == [list(oracle[0]), list(oracle[1])]
         K = gen_wishart_psd(n, seed=seed)
         for A in (K, sparsify(K, 0.5)):
@@ -464,7 +505,7 @@ class TestBounds:
         for A, p in cases:
             Ks = select_submatrix(A, Selector.band(p))
             spectrum = sym_eig_full(Ks).values
-            norm_e = spectral_norm(A.add_scaled(Ks, -1.0))
+            norm_e = spectral_norm(A.minus(Ks))
             for mu in (MuPolicy.zero(), MuPolicy.mean()):
                 res1 = extend_with_submatrix(A, Ks, ExtensionConfig(m=m, mu=mu))
                 res2 = extend_with_submatrix(A, Ks, ExtensionConfig(m=m, order=2, mu=mu))
@@ -522,7 +563,7 @@ def _terms_before_guard(res, mu, order):
     gap = np.abs(values - values[-1])
     out = np.full(m, np.inf)
     ok = gap >= 1e-12
-    out[ok] = total / (gap[ok] * np.abs(values[ok] - mu) ** order) * spectral_norm(K.add_scaled(Ks, -1.0))
+    out[ok] = total / (gap[ok] * np.abs(values[ok] - mu) ** order) * spectral_norm(K.minus(Ks))
     return out
 
 
@@ -740,6 +781,10 @@ class TestPairCount:
         with pytest.raises(TypeError, match="m must be an integer"):
             pert_extend(K, Selector.band(5), ExtensionConfig(m=2.5, order=2))
 
+    def test_fractional_order_rejected(self):
+        with pytest.raises(TypeError, match="order must be an integer, got 1.0"):
+            ExtensionConfig(m=3, order=1.0)
+
     def test_numpy_integer_m_accepted(self):
         K = gen_wishart_psd(40, seed=3)
         got = pert_extend(K, Selector.band(5), ExtensionConfig(m=np.int64(3)))
@@ -754,7 +799,7 @@ def _clustered_kernel(n):
 def _formed_E_reference(K, Ks, pairs, cfg):
     """(values, vectors) of the update from the given pairs of K^s and an
     E = K - K^s formed explicitly."""
-    problem = PerturbationProblem(base=Ks, known=pairs, EV=K.add_scaled(Ks, -1.0).matvec(pairs.vectors))
+    problem = PerturbationProblem(base=Ks, known=pairs, EV=K.minus(Ks).matvec(pairs.vectors))
     mu = cfg.mu.resolve(problem)
     update = truncated_first_order if cfg.order == 1 else truncated_second_order
     return classical_eigval_update(problem), update(problem, mu)
@@ -974,10 +1019,10 @@ class TestBlockMemberProduct:
                     for j in range(len(sizes))]
         calls = []
         for cls in (SymmetricDense, SparseSymmetric):
-            def counting(self, B, c, _orig=cls.add_scaled):
+            def counting(self, B, _orig=cls.minus):
                 calls.append(B)
-                return _orig(self, B, c)
-            monkeypatch.setattr(cls, "add_scaled", counting)
+                return _orig(self, B)
+            monkeypatch.setattr(cls, "minus", counting)
         combined, members = TestBlockMemberPairs.recorded_block_extend(monkeypatch, K, sizes, cfg)
         assert calls == []
         want = _uniform_mean(iter(expected)).a
@@ -1151,7 +1196,7 @@ class TestDeferredBlockTriplets:
             "nnz": lambda A: A.nnz,
             "matvec": lambda A: A.matvec(x),
             "to_dense": lambda A: A.to_dense().a,
-            "E": lambda A: K.add_scaled(A, -1.0).to_dense().a,
+            "E": lambda A: K.minus(A).to_dense().a,
             "support_rows": lambda A: A.support_block()[0],
         }
         for name, read in readers.items():
@@ -1235,7 +1280,7 @@ class TestCsrBuilds:
         sel = Selector.sparse_top_q(0.3)
         pert_extend(K, sel, ExtensionConfig(m=4))
         Ks = select_submatrix(K, sel)
-        E = K.add_scaled(Ks, -1.0)
+        E = K.minus(Ks)
         # one build for K^s (its solve), one for E (its norm), none for K
         assert sorted(rows.size for rows in builds) == sorted((Ks.vals.size, E.vals.size))
         assert not any(rows is K.rows for rows in builds)
@@ -1276,7 +1321,7 @@ class TestDeferredBoundTerms:
         values = res.source_pairs.values
         mu = 0.0 if cfg.mu.kind == "zero" else mu_mean(Ks.trace(), values, K.n)
         return bound_terms(values, extension._bound_tail(Ks, res.source_pairs, mu, cfg.order), mu,
-                           spectral_norm(K.add_scaled(Ks, -1.0)), cfg.order)
+                           spectral_norm(K.minus(Ks)), cfg.order)
 
     @pytest.mark.parametrize("n", [120, 300])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
@@ -1340,7 +1385,7 @@ class TestBoundTailFromTheSolve:
             monkeypatch.setattr(np.linalg, name, counting)
         res.bound_terms
         assert len(solved) == 1
-        assert np.array_equal(solved[0], K.add_scaled(Ks, -1.0).to_dense().a)
+        assert np.array_equal(solved[0], K.minus(Ks).to_dense().a)
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("mu", [MuPolicy.zero(), MuPolicy.mean()], ids=["zero", "mean"])
@@ -1350,7 +1395,7 @@ class TestBoundTailFromTheSolve:
         res = extend_with_submatrix(K, Ks, ExtensionConfig(m=m, order=order, mu=mu))
         pairs = res.source_pairs
         mu = 0.0 if mu.kind == "zero" else mu_mean(Ks.trace(), pairs.values, K.n)
-        norm_e = spectral_norm(K.add_scaled(Ks, -1.0))
+        norm_e = spectral_norm(K.minus(Ks))
         block = K.principal_block(np.arange(l)).a
         exact = np.concatenate((np.linalg.eigvalsh(block)[::-1][m:], np.zeros(K.n - l)))
         expected = bound_terms(pairs.values, exact, mu, norm_e, order)
@@ -1435,11 +1480,11 @@ class TestMaskedSelections:
         if k_csr_first:
             K.matvec(np.ones(K.n))
         Ks = select_submatrix(K, _SELECTORS[kind])
-        E = K.add_scaled(Ks, -1.0)
+        E = K.minus(Ks)
         # the general code: the selected triplets, and the merge of K with a
         # copy of K^s that is not a restriction of K
         keep = np.isin(K.rows * K.n + K.cols, Ks.rows * K.n + Ks.cols)
-        general_E = K.add_scaled(SparseSymmetric(K.n, *Ks.triplets()), -1.0)
+        general_E = K.minus(SparseSymmetric(K.n, *Ks.triplets()))
         for got, (rows, cols, vals) in ((Ks, (K.rows[keep], K.cols[keep], K.vals[keep])),
                                         (E, general_E.triplets())):
             for a, b in zip(got.triplets(), (rows, cols, vals)):
@@ -1467,12 +1512,12 @@ class TestMaskedSelections:
         Ks = select_submatrix(K, Selector.sparse_top_q(0.5))
         perturbed = SparseSymmetric(K.n, Ks.rows, Ks.cols, Ks.vals * (1.0 + 1e-9))
         other = select_submatrix(SparseSymmetric(K.n, *K.triplets()), Selector.sparse_top_q(0.5))
-        for B, c in ((perturbed, -1.0), (other, -1.0), (Ks, -0.5), (Ks, 1.0)):
-            got = K.add_scaled(B, c)
-            assert np.array_equal(got.to_dense().a, K.to_dense().a + c * B.to_dense().a)
+        for B in (perturbed, other):
+            got = K.minus(B)
+            assert np.array_equal(got.to_dense().a, K.to_dense().a - B.to_dense().a)
         # only the restriction of K itself, subtracted, is a restriction
-        assert K.add_scaled(perturbed, -1.0).nnz == K.nnz
-        assert K.add_scaled(Ks, -1.0).nnz == K.nnz - Ks.nnz
+        assert K.minus(perturbed).nnz == K.nnz
+        assert K.minus(Ks).nnz == K.nnz - Ks.nnz
 
     def test_sparse_trial_builds_each_csr_once(self, monkeypatch):
         builds = TestCsrBuilds.count_builds(monkeypatch)

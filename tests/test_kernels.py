@@ -135,8 +135,29 @@ class TestBuildKernel:
         assert KernelSpec.parse("gaussian:0.5") == KernelSpec.gaussian(0.5)
         assert KernelSpec.parse("poly:3") == KernelSpec.polynomial(3)
         assert KernelSpec.parse("linear") == KernelSpec.linear()
-        with pytest.raises(ValueError):
-            KernelSpec.parse("rbf:1")
+        for text in ("rbf:1", "linear:3", "poly:2.5"):
+            with pytest.raises(ValueError):
+                KernelSpec.parse(text)
+
+    @pytest.mark.parametrize("kind, param, error", [
+        ("rbf", None, ValueError), ("gaussian", 0.0, ValueError), ("gaussian", -1.0, ValueError),
+        ("gaussian", float("nan"), ValueError), ("gaussian", float("inf"), ValueError),
+        ("polynomial", 0, ValueError), ("linear", 7.0, ValueError),
+        ("gaussian", None, TypeError), ("gaussian", "0.1", TypeError), ("polynomial", None, TypeError),
+        ("polynomial", 2.0, TypeError),
+        ("polynomial", "2", TypeError),
+    ])
+    def test_construction_is_checked(self, kind, param, error):
+        with pytest.raises(error) as caught:
+            KernelSpec(kind, param)
+        assert type(caught.value) is error
+
+    def test_parameter_is_stored_in_one_form(self):
+        # the degree stays a Python int: (1 + gram) ** degree is an integer power
+        for spec, param in [(KernelSpec.polynomial(np.int64(2)), 2), (KernelSpec.gaussian(1), 1.0),
+                            (KernelSpec.gaussian(np.float32(0.5)), 0.5), (KernelSpec.linear(), None)]:
+            assert spec.param == param and type(spec.param) is type(param)
+        assert KernelSpec.polynomial(np.int64(2)) == KernelSpec.polynomial(2)
 
 
 class TestSparsify:
@@ -218,6 +239,11 @@ class TestSparsifyMatchesStableSort:
         assert S.vals.size == run_end
 
 
+def _spec(kind, gamma, degree):
+    """The KernelSpec of ``kind`` with the one parameter that kind takes."""
+    return KernelSpec(kind, {"gaussian": gamma, "polynomial": degree}.get(kind))
+
+
 def _build_kernel_out_of_place(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
     """build_kernel as it was before the Gaussian kernel was computed in place,
     verbatim: the oracle that the in-place body must match bit for bit."""
@@ -227,14 +253,14 @@ def _build_kernel_out_of_place(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
         d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
         np.clip(d2, 0.0, None, out=d2)
         np.fill_diagonal(d2, 0.0)
-        K = np.exp(-spec.gamma * d2)
+        K = np.exp(-spec.param * d2)
         return SymmetricDense(K, symmetrize=True)
     with np.errstate(over="ignore"):
         gram = x @ x.T
         if spec.kind == "linear":
             K = gram
         else:
-            K = (1.0 + gram) ** spec.degree
+            K = (1.0 + gram) ** spec.param
     bad = ~np.isfinite(K)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -271,7 +297,7 @@ class TestInPlaceKernelMatchesOracle:
         x = rng_for(seed).standard_normal((n, d))
         # repeated rows tie kernel entries, zero distances among them
         x[:min(repeats, n)] = x[0]
-        spec = KernelSpec(kind, gamma=gamma, degree=1 + seed % 3)
+        spec = _spec(kind, gamma, 1 + seed % 3)
         got, want = build_kernel(Dataset(x), spec), _build_kernel_out_of_place(Dataset(x), spec)
         assert got.a.dtype == want.a.dtype and np.array_equal(got.a, want.a)
         assert not got.a.flags.writeable and got.a.flags.c_contiguous
@@ -328,12 +354,12 @@ def _build_kernel_whole_gram(ds: Dataset, spec: KernelSpec) -> SymmetricDense:
             del gram  # the kernel is the only n x n array from here on
             np.clip(K, 0.0, None, out=K)
             np.fill_diagonal(K, 0.0)
-            K *= -spec.gamma
+            K *= -spec.param
             np.exp(K, out=K)
         elif spec.kind == "linear":
             K = gram
         else:
-            K = (1.0 + gram) ** spec.degree
+            K = (1.0 + gram) ** spec.param
     bad = ~np.isfinite(K)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -390,7 +416,7 @@ class TestSparseKernelBuilder:
         x = rng.standard_normal((n, d))
         # duplicated samples tie kernel entries exactly
         x[:min(repeats, n)] = x[-1]
-        ds, spec = Dataset(x), KernelSpec(kind, gamma=1.0 / d, degree=1 + seed % 3)
+        ds, spec = Dataset(x), _spec(kind, 1.0 / d, 1 + seed % 3)
         got = build_sparse_kernel(ds, spec, fraction)
         want = _sparsify_by_magnitude_rows(_build_kernel_whole_gram(ds, spec), fraction)
         # values agree to 1e-13 relative to the largest; (1 + x_i . x_j) ** p
@@ -413,7 +439,7 @@ class TestSparseKernelBuilder:
            st.integers(0, 10_000))
     def test_build_kernel_is_bit_for_bit(self, n, d, kind, seed):
         ds = Dataset(rng_for(seed).standard_normal((n, d)))
-        spec = KernelSpec(kind, gamma=1.0 / d, degree=1 + seed % 3)
+        spec = _spec(kind, 1.0 / d, 1 + seed % 3)
         assert np.array_equal(build_kernel(ds, spec).a, _build_kernel_whole_gram(ds, spec).a)
 
     @pytest.mark.parametrize("n", [50, 1000])
@@ -439,7 +465,7 @@ class TestSparseKernelBuilder:
         else:
             samples[:140] = 0.0
             samples[140:142] = 1e120
-        ds, spec = Dataset(samples), KernelSpec(kind, gamma=0.5, degree=3)
+        ds, spec = Dataset(samples), _spec(kind, 0.5, 3)
         with pytest.raises(KernelOverflowError) as want:
             _build_kernel_whole_gram(ds, spec)
         for build in (lambda: build_kernel(ds, spec), lambda: build_sparse_kernel(ds, spec, 0.1)):

@@ -584,7 +584,7 @@ class TestProtocol:
         B = SymmetricDense(b)
         for A in forms:
             for other in (B, SparseSymmetric(B.n, *B.triplets())):
-                result = A.add_scaled(other, -1.0)
+                result = A.minus(other)
                 assert type(result) is type(A)
                 assert np.array_equal(result.to_dense().a, M.a - b)
 
@@ -597,17 +597,17 @@ class TestUtilities:
     def test_trace_diagonal(self):
         assert SymmetricDense(np.diag([1.0, 2.0, 3.0])).trace() == 6.0
 
-    def test_add_scaled_cancels(self):
+    def test_minus_cancels(self):
         A = random_symmetric(8, 3)
-        Z = A.add_scaled(A, -1.0)
+        Z = A.minus(A)
         assert np.all(Z.a == 0)
 
-    def test_add_scaled_sparse(self):
+    def test_minus_sparse(self):
         S = SparseSymmetric(3, [0, 1], [1, 2], [2.0, 3.0])
-        Z = S.add_scaled(S, -1.0)
+        Z = S.minus(S)
         assert Z.nnz == 0
 
-    def test_add_scaled_dense_minus_sparse_keeps_sparse_operand(self, monkeypatch):
+    def test_dense_minus_sparse_keeps_sparse_operand(self, monkeypatch):
         A = random_symmetric(8, 4)
         S = SparseSymmetric(8, [0, 1, 3, 5], [0, 4, 3, 7], [1.5, -2.0, 0.25, 3.0])
         expected = A.a - S.to_dense().a
@@ -616,21 +616,36 @@ class TestUtilities:
             raise AssertionError("sparse operand densified")
 
         monkeypatch.setattr(SparseSymmetric, "to_dense", refuse)
-        assert np.array_equal(A.add_scaled(S, -1.0).a, expected)
+        assert np.array_equal(A.minus(S).a, expected)
 
-    def test_add_scaled_dense_result_is_frozen_and_fresh(self):
+    def test_minus_dense_result_is_frozen_and_fresh(self):
         A = random_symmetric(8, 5)
         S = SparseSymmetric(8, [0, 2], [3, 2], [1.0, -4.0])
         for B in (S, A):
-            E = A.add_scaled(B, -1.0)
+            E = A.minus(B)
             assert not E.a.flags.writeable
             assert not np.shares_memory(E.a, A.a)
 
-    def test_add_scaled_overflow_raises(self):
+    def test_minus_overflow_raises(self):
+        # 1e308 - (-1e308) overflows
         A = SymmetricDense(np.full((3, 3), 1e308))
-        for B in (A, SparseSymmetric(3, [0], [1], [1e308])):
+        for B in (SymmetricDense(-A.a), SparseSymmetric(3, [0], [1], [-1e308])):
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-                A.add_scaled(B, 1.0)
+                A.minus(B)
+
+    @pytest.mark.parametrize("build", [
+        lambda D, S: SparseSymmetric(3, [0.7], [1.2], [1.0]),
+        lambda D, S: D.principal_block([0.5, 2.9]),
+        lambda D, S: S.principal_block(np.array([0.0, 2.0])),
+        lambda D, S: D.block_selection([0.2, 1.7]),
+        lambda D, S: S.block_selection([0.2, 1.7]),
+    ], ids=["sparse-triplets", "dense-block", "sparse-block", "dense-selection", "sparse-selection"])
+    def test_float_indices_raise_type_error(self, build):
+        # a float index is refused, never truncated to a row
+        D = SymmetricDense(2.0 * np.eye(3))
+        S = SparseSymmetric(3, *D.triplets())
+        with pytest.raises(TypeError, match="must hold integers, got dtype float64"):
+            build(D, S)
 
     def test_principal_block_is_frozen_and_fresh(self):
         A = random_symmetric(8, 6)
@@ -658,7 +673,7 @@ class TestUtilities:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            SymmetricDense(np.eye(2)).add_scaled(SymmetricDense(np.eye(3)), 1.0)
+            SymmetricDense(np.eye(2)).minus(SymmetricDense(np.eye(3)))
 
     def test_nnz_dense(self):
         assert SymmetricDense(np.diag([1.0, 0.0, 2.0])).nnz == 2

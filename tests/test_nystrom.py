@@ -512,6 +512,13 @@ class TestPairCount:
         with pytest.raises(TypeError, match=message):
             generalized_nystrom(D, k, l)
 
+    def test_ensemble_subset_of_floats(self, D):
+        # a float index is refused, never truncated to a column
+        with pytest.raises(TypeError, match="subset 1 must hold integers, got dtype float64"):
+            ensemble_nystrom(D, 2, [[0, 1, 2], [0.5, 1, 2]])
+        with pytest.raises(TypeError, match="subset 0"):
+            ensemble_nystrom(D, 2, [np.array([0.0, 1.0, 2.0])])
+
     def test_generalized_nystrom_numpy_integers(self, D):
         got = generalized_nystrom(D, np.int64(4), np.int64(300))
         want = generalized_nystrom(D, 4, 300)

@@ -334,16 +334,33 @@ class TestMuSelection:
         with pytest.raises(ValueError):
             MuPolicy.parse("bogus")
 
+    @pytest.mark.parametrize("kind, value, error", [
+        ("median", 0.0, ValueError), ("explicit", float("nan"), ValueError),
+        ("explicit", float("inf"), ValueError), ("zero", 3.0, ValueError), ("mean", -1.0, ValueError),
+        ("zero", None, ValueError), ("explicit", None, TypeError), ("explicit", "1", TypeError),
+        ("explicit", [0.5], TypeError),
+    ])
+    def test_construction_is_checked(self, kind, value, error):
+        with pytest.raises(error) as caught:
+            MuPolicy(kind, value)
+        assert type(caught.value) is error
+
+    def test_value_is_a_float(self):
+        assert MuPolicy.zero().value == 0.0 and MuPolicy.mean().value == 0.0
+        for policy in (MuPolicy.explicit(1), MuPolicy.explicit(np.float32(0.25)), MuPolicy("zero", 0)):
+            assert type(policy.value) is float
+        assert MuPolicy.explicit(1) == MuPolicy.explicit(1.0)
+
 
 class TestLowrankPlusShift:
     def test_detects_shift(self):
         A0 = gen_rank_m_spectrum(25, 5, tail_value=0.0, seed=32)
         A = SymmetricDense(A0.a + 0.5 * np.eye(25), symmetrize=True)
-        assert is_lowrank_plus_shift(A, 5, tolerance=1e-8) == pytest.approx(0.5, abs=1e-10)
+        assert is_lowrank_plus_shift(A, 5) == pytest.approx(0.5, abs=1e-10)
 
     def test_detects_exact_lowrank(self):
         A = gen_rank_m_spectrum(25, 5, tail_value=0.0, seed=33)
-        assert is_lowrank_plus_shift(A, 5, tolerance=1e-8) == pytest.approx(0.0, abs=1e-10)
+        assert is_lowrank_plus_shift(A, 5) == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_values_only_solve_matches_full_decomposition(self, seed):
@@ -351,7 +368,7 @@ class TestLowrankPlusShift:
         A = SymmetricDense(gen_rank_m_spectrum(60, 6, tail_value=0.0, seed=seed).a + 0.25 * np.eye(60),
                            symmetrize=True)
         tail = sym_eig_full(A).values[6:]
-        assert is_lowrank_plus_shift(A, 6, tolerance=1e-8) == pytest.approx(tail.mean(), abs=1e-12)
+        assert is_lowrank_plus_shift(A, 6) == pytest.approx(tail.mean(), abs=1e-12)
 
     def test_bad_input_raises_typed_errors(self, monkeypatch):
         A = gen_rank_m_spectrum(10, 2, tail_value=0.0, seed=1)
@@ -369,7 +386,7 @@ class TestLowrankPlusShift:
 
     def test_generic_matrix_rejected(self):
         A = gen_unit_random_symmetric(25, seed=34)
-        assert is_lowrank_plus_shift(A, 5, tolerance=1e-8) is None
+        assert is_lowrank_plus_shift(A, 5) is None
 
 
 class TestTraceIdentities:
