@@ -36,7 +36,11 @@ OpenBLAS and OpenMP at one thread unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS is already set; compare two checkouts at the same setting.
 
 Usage: python scripts/report_digest.py [--keep DIR] [--against DIR]
-Output: one '<sha256>  <file>' line per report, sorted by file name.  With
+Output: a header line naming what the bytes depend on besides the code
+(``environment``: the numpy and scipy versions and the OpenBLAS core each
+one's bundled library runs), then one '<sha256>  <file>' line per report,
+sorted by file name.  ``scripts/report_digest.expected`` pins this output,
+and a test compares a run with it.  With
 ``--against`` it is instead one line per report whose values moved:
 '<file>  max abs <a>  max rel <r>', where a is the largest absolute change
 of a number and r is a over the largest finite magnitude in the kept
@@ -47,6 +51,7 @@ The exit code is 1 if any command exits nonzero, else 0.
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -62,6 +67,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 from perturbext.cli import main as cli_main  # noqa: E402
 from perturbext.extension import ExtensionConfig, Selector, block_extend, kernel_approx, pert_extend  # noqa: E402
@@ -214,6 +220,26 @@ def write_api_reports(d: Path) -> None:
         write_rows(d / name, rows)
 
 
+def _openblas_core(package, symbol: str) -> str:
+    """The OpenBLAS core that the library bundled with ``package`` (in its
+    ``<name>.libs`` directory) runs, read through ctypes from ``symbol``;
+    'unknown' when no bundled library has it."""
+    for lib in sorted((Path(package.__file__).parent.parent / f"{package.__name__}.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def environment() -> str:
+    """The header line of the digest: the numpy and scipy versions and the
+    OpenBLAS core of each one's bundled library."""
+    return (f"# numpy {np.__version__}, scipy {scipy.__version__}; OpenBLAS core "
+            f"{_openblas_core(np, 'scipy_openblas_get_corename64_')} (numpy), "
+            f"{_openblas_core(scipy, 'scipy_openblas_get_corename')} (scipy)")
+
+
 def _fields(path: Path) -> list:
     """The comma- or blank-separated fields of a report, numbers as floats
     and everything else as text."""
@@ -274,6 +300,8 @@ def main(argv=None) -> int:
                 failed = 1
         write_api_reports(d)
         inputs = {"band.dense", "band.sparse", "band.mask", "clustered.csv"}
+        if not args.against:
+            print(environment())
         for path in sorted(p for p in d.iterdir() if p.name not in inputs):
             if not args.against:
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")

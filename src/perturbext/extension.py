@@ -5,8 +5,8 @@ A selector describes which entries of the kernel K form the submatrix K^s
 then extended toward those of K by treating E = K - K^s as a perturbation.
 E is subtracted once and stored as a matrix of K's own type: dense for a
 dense K, triplet-sparse (holding only the unselected entries) for a sparse K.
-The pairs of every K^s come from ``sym_eig_partial``.  A K^s that K built
-by ``K.block_selection`` (``topleft``, block-extension members) forms no E:
+The pairs of every K^s come from ``sym_eig_partial``.  A K^s that
+``block_selection`` built from K (``topleft``, block-extension members) forms no E:
 E V is K[:, rows] V[rows] (``K.columns_matvec``) with rows zeroed.
 """
 
@@ -24,6 +24,7 @@ from .matrixcore import (
     SymmetricDense,
     _count,
     _indices,
+    block_selection,
     read_mask,
     spectral_norm,
     sym_eig_partial,
@@ -201,9 +202,10 @@ def _block_bounds(block_sizes: tuple, n: int) -> np.ndarray:
 def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     """Materialize K^s: K restricted to the selected index set, zero elsewhere.
 
-    ``topleft:l`` is ``K.block_selection`` of the first l rows, a gather of that
-    block alone.  Every other kind is a mask over K's stored triplets (read off
-    a mask selector's buffer through ``sel.mask_pairs``, without a copy),
+    ``topleft:l`` is ``block_selection`` of the first l rows, a gather of
+    that block alone and no restriction of K.  Every other kind is a mask
+    over K's stored triplets (read off a mask selector's buffer through
+    ``sel.mask_pairs``, without a copy),
     handed to ``K.restrict``: a dense K gives a new sparse matrix of the
     selected nonzeros, a sparse K a restriction of K, so E = K - K^s needs no merge.
     """
@@ -211,7 +213,7 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     if sel.kind == "topleft":
         if sel.param > n:
             raise ValueError(f"topleft size {sel.param} exceeds dimension {n}")
-        return K.block_selection(np.arange(sel.param))
+        return block_selection(K, np.arange(sel.param))
     rows, cols, _ = K.triplets()
     if sel.kind == "band":
         if sel.param > n - 1:
@@ -261,7 +263,7 @@ def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> Exten
 
     The cfg.m leading pairs of K^s come from ``sym_eig_partial(Ks, cfg.m)``,
     which solves a K^s with empty rows on its support block.  E V takes one
-    of two forms.  For a K^s built by this K's ``block_selection`` on fewer
+    of two forms.  For a K^s that ``block_selection`` built from this K on fewer
     than n rows that store a nonzero, it is ``K.columns_matvec(rows, V)``
     with ``rows`` zeroed, and no E is formed.  For any other K^s, even one
     equal to such a block, E = K - K^s is formed.  A K^s of another
@@ -335,7 +337,7 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig) -> SymmetricDense:
     and turned into a rank-m kernel approximation; the result is the uniform
     mean of the per-block approximations.
 
-    Member j's K^s is ``K.block_selection`` of block j's rows, so
+    Member j's K^s is ``block_selection`` of block j's rows, so
     ``sym_eig_partial`` solves that block itself (densely or by Lanczos, by
     its own size rule) and E V comes from the block's columns alone:
     no member forms E or any other n x n array.  The combination forms the
@@ -347,7 +349,7 @@ def block_extend(K, block_sizes, cfg: ExtensionConfig) -> SymmetricDense:
     bounds = _block_bounds(block_sizes, n)
 
     def member(j):
-        res = extend_with_submatrix(K, K.block_selection(np.arange(bounds[j], bounds[j + 1])), cfg)
+        res = extend_with_submatrix(K, block_selection(K, np.arange(bounds[j], bounds[j + 1])), cfg)
         return res.values, res.vectors
 
     return _uniform_mean(map(member, range(len(block_sizes))))

@@ -137,13 +137,10 @@ class SymmetricDense:
         return self._magnitude
 
     def support_block(self):
-        """(rows that may hold a nonzero, the matrix solved for them): all n
-        and the matrix itself, since a dense matrix is not searched for empty
-        rows."""
-        return np.arange(self.n), self
-
-    def nonzero_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.a.any(axis=0))
+        """(rows, block): the r rows that hold a nonzero and, when 0 < r < n,
+        the principal block on them, else the matrix itself."""
+        rows = np.flatnonzero(self.a.any(axis=0))
+        return rows, self.principal_block(rows) if 0 < rows.size < self.n else self
 
     def selection_of(self, K):
         """(None, None): no matrix selects a dense one (``SparseSymmetric.selection_of``)."""
@@ -180,18 +177,12 @@ class SymmetricDense:
         rows, cols, vals = self.triplets()
         return SparseSymmetric(self.n, rows[keep], cols[keep], vals[keep])
 
-    def principal_block(self, cols, shift: float = 0.0) -> "SymmetricDense":
-        """A[cols, cols] - shift * I as a new dense matrix, equal to the rows
-        ``cols`` of A[:, cols] with the shift taken off the diagonal."""
+    def principal_block(self, cols) -> "SymmetricDense":
+        """A[cols, cols] as a new dense matrix, equal to the rows ``cols`` of A[:, cols]."""
         cols = _indices(cols, "cols")
         span = _span(cols)
         block = self.a[np.ix_(cols, cols)] if span is cols else self.a[span, span].copy()
-        block[np.arange(cols.size), np.arange(cols.size)] -= shift
         return SymmetricDense._adopt(block)
-
-    def block_selection(self, rows) -> "SparseSymmetric":
-        """K^s, the principal block on the set ``rows``: ``_block_selection``."""
-        return _block_selection(self, rows)
 
     def columns_matvec(self, rows, x: np.ndarray) -> np.ndarray:
         """A[:, rows] x[rows] as (x[rows]^T A[rows, :])^T, one product with the
@@ -212,7 +203,7 @@ class SparseSymmetric:
     symmetry.  ``nnz`` counts structural nonzeros of the full matrix
     (off-diagonal pairs twice, diagonal once).  Exact zeros are dropped at
     construction so nnz is meaningful.  Index arrays here, and in either
-    type's ``principal_block`` and ``block_selection``, must be of an
+    type's ``principal_block`` and in ``block_selection``, must be of an
     integer kind: a float index raises TypeError (``_indices``).
 
     The mirrored CSR form of the full matrix is built the first time
@@ -225,9 +216,10 @@ class SparseSymmetric:
     ``restrict(keep)`` gives the stored entries where ``keep`` is set as a
     matrix that remembers its parent, so that the parent's ``minus`` of it is
     the parent restricted to ``~keep``, with no merge.  A
-    selection K^s of a sparse K and its E = K - K^s are so both restrictions
-    of K.  A ``block_selection`` of either type also keeps its block, from
-    which it builds its n-row triplets on first read (``__getattr__``).
+    masked selection K^s of a sparse K and its E = K - K^s are so both
+    restrictions of K.  A ``block_selection`` is not a restriction, so its E
+    comes from the merge; it keeps its block, from which it builds its n-row
+    triplets on first read (``__getattr__``).
     """
 
     __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_magnitude", "_parent", "_keep", "_block")
@@ -321,15 +313,12 @@ class SparseSymmetric:
         counts its rows from the triplets in O(n + nnz), building no CSR."""
         if self._block is not None and self._block[0].size < self._n:
             return self._block
-        rows = self.nonzero_rows()
+        rows = np.flatnonzero(np.bincount(np.concatenate((self.rows, self.cols)), minlength=self._n))
         return rows, self.principal_block(rows) if 0 < rows.size < self._n else self
 
-    def nonzero_rows(self) -> np.ndarray:
-        return np.flatnonzero(np.bincount(np.concatenate((self.rows, self.cols)), minlength=self._n))
-
     def selection_of(self, K):
-        """(keep, rows) if K built this matrix: K's mask of its own triplets
-        (None for a dense K) and a block selection's kept rows (else None)."""
+        """(keep, rows) if K built this matrix: a sparse K's ``restrict`` mask
+        (else None) and a block selection's kept rows (else None)."""
         if self._parent is not K:
             return None, None
         return self._keep, None if self._block is None else self._block[0]
@@ -365,11 +354,11 @@ class SparseSymmetric:
         np.add.at(merged, inv, vals)
         return SparseSymmetric(self.n, uniq // self.n, uniq % self.n, merged)
 
-    def principal_block(self, cols, shift: float = 0.0) -> "SparseSymmetric":
-        """A[cols, cols] - shift * I for distinct ``cols``, from the stored
-        triplets through a map from each row to its place in ``cols``, equal
-        to the dense block's entries bit for bit.  Without a shift it takes
-        its CSR cut from A's, if A has one (``csr[a:b, a:b]`` for a range)."""
+    def principal_block(self, cols) -> "SparseSymmetric":
+        """A[cols, cols] for distinct ``cols``, from the stored triplets
+        through a map from each row to its place in ``cols``, equal to the
+        dense block's entries bit for bit.  It takes its CSR cut from A's, if
+        A has one (``csr[a:b, a:b]`` for a range)."""
         cols = _indices(cols, "cols")
         l = cols.size
         place = np.full(self._n, -1, dtype=np.int64)
@@ -380,25 +369,12 @@ class SparseSymmetric:
         inside = (r >= 0) & (c >= 0)
         r, c, v = r[inside], c[inside], self.vals[inside]
         # cols out of order can put an entry below the block's diagonal
-        r, c = np.minimum(r, c), np.maximum(r, c)
-        if shift:
-            diag = r == c
-            v = np.where(diag, v - shift, v)
-            empty = np.ones(l, dtype=bool)
-            empty[r[diag]] = False
-            fill = np.flatnonzero(empty)
-            r, c = np.concatenate([r, fill]), np.concatenate([c, fill])
-            v = np.concatenate([v, np.full(fill.size, -shift)])
-        block = SparseSymmetric(l, r, c, v)
-        if self._csr is not None and not shift:
+        block = SparseSymmetric(l, np.minimum(r, c), np.maximum(r, c), v)
+        if self._csr is not None:
             span = _span(cols)
             block._csr = self._csr[span, span] if span is not cols else self._csr[np.ix_(cols, cols)]
             block._csr.sort_indices()
         return block
-
-    def block_selection(self, rows) -> "SparseSymmetric":
-        """``_block_selection``, which is also a restriction of this matrix."""
-        return _block_selection(self, rows, *_frozen(np.isin(self.rows, rows) & np.isin(self.cols, rows)))
 
     def columns_matvec(self, rows, x: np.ndarray) -> np.ndarray:
         """A[:, rows] x[rows] for an x that vanishes off ``rows``: the CSR product A x."""
@@ -423,20 +399,18 @@ def _frozen(*arrays):
     return arrays
 
 
-def _block_selection(K, rows, keep=None) -> "SparseSymmetric":
-    """K's principal block on the set ``rows``, gathered once, as the n-row K^s whose triplets
-    are the block's moved to ``rows``, built on first read.  K^s keeps K, a sparse K's mask
-    ``keep`` of its own triplets (as ``restrict`` does) and (rows, block) cut to the rows that
-    store a nonzero, if any, which is all the block path reads."""
+def block_selection(K, rows) -> SparseSymmetric:
+    """K^s, K's principal block on the set ``rows``, gathered once, as the n-row matrix whose
+    triplets are the block's moved to ``rows``, built on first read.  K^s keeps K and the
+    block's ``support_block`` moved to K's rows, if it stores a nonzero, which is all the
+    block path reads.  It is not a restriction of K, so ``K.minus(K^s)`` takes the merge."""
     rows = np.unique(_indices(rows, "rows"))
-    block = K.principal_block(rows)
-    cut = block.nonzero_rows()
+    cut, block = K.principal_block(rows).support_block()
     obj = SparseSymmetric.__new__(SparseSymmetric)
     if cut.size:
-        kept = (rows, block) if cut.size == rows.size else (rows[cut], block.principal_block(cut))
-        obj._set(K.n, None, K, keep, kept)
+        obj._set(K.n, None, K, block=(rows[cut], block))
     else:
-        obj._set(K.n, (rows[:0], rows[:0], np.zeros(0)), K, keep)
+        obj._set(K.n, (rows[:0], rows[:0], np.zeros(0)), K)
     return obj
 
 
@@ -493,8 +467,11 @@ def _require_matrix(A) -> None:
 
 
 def _count(value, name: str) -> int:
-    """``operator.index(value)``: NumPy integers pass, and the TypeError of a float names ``name``."""
+    """``operator.index(value)``: NumPy integers pass, and the TypeError of a
+    float or of a bool (``operator.index`` takes a bool as 0 or 1) names ``name``."""
     try:
+        if type(value) is bool:
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None

@@ -19,6 +19,7 @@ import numpy as np
 from . import perturbation as pert
 from .extension import ExtensionConfig, Selector, _uniform_mean, pert_extend
 from .matrixcore import (
+    SparseSymmetric,
     SymmetricDense,
     _count,
     _extreme_eigvals,
@@ -39,7 +40,9 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
     C u_i' / lambda_i', where l = len(cols) and C = K[:, cols] - shift *
     I[:, cols] holds the sampled columns, never formed: C U is
     ``K.columns_matvec`` of U placed on the rows ``cols``, shift * U taken off
-    them.  The block keeps K's matrix type and its k pairs come from
+    them.  The block is ``K.principal_block(cols)``, less shift * I as a
+    diagonal sparse matrix when the shift is nonzero (``minus``), so it
+    keeps K's matrix type; its k pairs come from
     ``sym_eig_partial``, the eigensolver of the extension side, which solves
     a small block densely and a larger one by seeded Lanczos on the stored
     block, where a vanishing gap between pairs k and k + 1 raises
@@ -54,7 +57,9 @@ def _sampled_pairs(K, k: int, cols, shift: float = 0.0):
     l = len(cols)
     if not 1 <= k <= l <= n:
         raise ValueError(f"need 1 <= k <= l <= n, got k={k}, l={l}, n={n}")
-    block = K.principal_block(cols, shift)
+    block = K.principal_block(cols)
+    if shift:
+        block = block.minus(SparseSymmetric(l, np.arange(l), np.arange(l), np.full(l, shift)))
     # an all-zero block is rejected before the solve, since Lanczos cannot
     # start on it
     if block.is_zero():

@@ -35,6 +35,7 @@ from perturbext.matrixcore import (
     EigenPairs,
     SparseSymmetric,
     SymmetricDense,
+    block_selection,
     principal_angle,
     read_sparse,
     spectral_norm,
@@ -785,6 +786,24 @@ class TestPairCount:
         with pytest.raises(TypeError, match="order must be an integer, got 1.0"):
             ExtensionConfig(m=3, order=1.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda K: Selector.top_left(True),
+        lambda K: Selector.band(False),
+        lambda K: Selector.block_diag([True, 39]),
+        lambda K: ExtensionConfig(m=True),
+        lambda K: ExtensionConfig(m=2, order=True),
+        lambda K: ExtensionConfig(m=np.True_),
+        lambda K: KernelSpec.polynomial(True),
+        lambda K: matrixcore.sym_eig_partial(K, True),
+        lambda K: matrixcore.sym_eig_full(K, True),
+        lambda K: nystrom_extend(K, True),
+    ], ids=["topleft", "band", "blocks", "m", "order", "numpy-bool-m", "degree", "partial", "full",
+            "nystrom"])
+    def test_bool_rejected(self, build):
+        # operator.index takes a Python bool as 0 or 1; a count refuses it
+        with pytest.raises(TypeError, match=r"must be an integer, got (np\.)?(True|False)"):
+            build(gen_wishart_psd(40, seed=3))
+
     def test_numpy_integer_m_accepted(self):
         K = gen_wishart_psd(40, seed=3)
         got = pert_extend(K, Selector.band(5), ExtensionConfig(m=np.int64(3)))
@@ -1041,8 +1060,9 @@ class TestBlockMemberProduct:
 
 class TestBuiltBlockPath:
     """The block path is taken exactly for a K^s that K built itself with
-    ``block_selection``: K's block is gathered once and is the only matrix
-    solved, K V and support rows are never formed, and the source pairs are
+    ``block_selection``: K's block is gathered once, its support rows are
+    counted once, on the block, and it is the only matrix solved; K V and
+    the n-row K^s's support rows are never formed, and the source pairs are
     those of K's block on the rows that store a nonzero, bit for bit."""
 
     @staticmethod
@@ -1082,7 +1102,7 @@ class TestBuiltBlockPath:
         with monkeypatch.context() as patch:
             calls, solved = self.counted(patch, K)
             res = pert_extend(K, Selector.top_left(l), cfg)
-        assert calls == ["principal_block"]
+        assert calls == ["principal_block", "support_block"]
         assert len(solved) == 1 and solved[0] is res._Ks._block[1]
         Ks = SparseSymmetric(K.n, *select_submatrix(K, Selector.top_left(l)).triplets())
         expected = _padded_block_pairs(K, Ks, cfg.m)
@@ -1107,7 +1127,7 @@ class TestBuiltBlockPath:
             patch.setattr(extension, "extend_with_submatrix", recording)
             calls, solved = self.counted(patch, K)
             block_extend(K, sizes, cfg)
-        assert calls == ["principal_block"] * len(sizes)
+        assert calls == ["principal_block", "support_block"] * len(sizes)
         assert len(solved) == len(members)
         assert all(A is Ks._block[1] for A, (Ks, _) in zip(solved, members))
         for Ks, res in members:
@@ -1122,12 +1142,12 @@ class TestBuiltBlockPath:
     def test_equal_block_not_built_by_K_takes_general_path(self, sparse, n, cfg, builder):
         K = self.kernel(n, sparse)
         rows = np.arange(n // 3, n)
-        own = K.block_selection(rows)
+        own = block_selection(K, rows)
         if builder == "hand":
             Ks = SparseSymmetric(K.n, *own.triplets())
         else:
             K2 = SparseSymmetric(K.n, *K.triplets()) if sparse else SymmetricDense(K.a)
-            Ks = K2.block_selection(rows)
+            Ks = block_selection(K2, rows)
         for a, b in zip(Ks.triplets(), own.triplets()):
             assert np.array_equal(a, b)
         res = extend_with_submatrix(K, Ks, cfg)
@@ -1139,7 +1159,7 @@ class TestBuiltBlockPath:
 
 
 def _eager_block_selection(K, rows):
-    """K.block_selection(rows)'s triplets as it gathered them before they
+    """block_selection(K, rows)'s triplets as it gathered them before they
     were deferred: the block's moved to ``rows`` at once."""
     rows = np.unique(np.asarray(rows, dtype=np.int64))
     br, bc, bv = K.principal_block(rows).triplets(cache=False)
@@ -1169,7 +1189,7 @@ class TestDeferredBlockTriplets:
                              ids=["range", "all", "unsorted"])
     def test_fresh_selection_holds_no_triplets_until_read(self, sparse, rows):
         K = self.kernel(400, sparse)
-        Ks = K.block_selection(rows)
+        Ks = block_selection(K, rows)
         assert _unset_triplet_slots(Ks) == ["rows", "cols", "vals"]
         want = _eager_block_selection(K, rows)
         got = Ks.vals
@@ -1201,14 +1221,14 @@ class TestDeferredBlockTriplets:
         }
         for name, read in readers.items():
             # a fresh selection per reader, so that each one is the first read
-            assert np.array_equal(read(K.block_selection(rows)), read(want)), name
+            assert np.array_equal(read(block_selection(K, rows)), read(want)), name
         cfg = ExtensionConfig(m=4, order=2, mu=MuPolicy.mean())
-        got = extend_with_submatrix(K, K.block_selection(rows), cfg)
+        got = extend_with_submatrix(K, block_selection(K, rows), cfg)
         assert np.array_equal(got.bound_terms, pert_extend(K, Selector.top_left(l), cfg).bound_terms)
 
     def test_empty_block_has_empty_triplets(self):
         K = SymmetricDense(np.diag(np.r_[np.zeros(5), np.ones(5)]))
-        Ks = K.block_selection(np.arange(5))
+        Ks = block_selection(K, np.arange(5))
         assert _unset_triplet_slots(Ks) == [] and Ks.is_zero()
         assert Ks.selection_of(K) == (None, None)
 
@@ -1246,12 +1266,23 @@ class TestSelectionOf:
         assert np.array_equal(got_keep, keep) and got_rows is None
         assert restricted.selection_of(D) == (None, None)
         assert D.restrict(D.triplets()[0] < 30).selection_of(D) == (None, None)
-        dense_keep, dense_rows = D.block_selection(rows).selection_of(D)
+        dense_keep, dense_rows = block_selection(D, rows).selection_of(D)
         assert dense_keep is None and np.array_equal(dense_rows, rows)
-        sparse_keep, sparse_rows = S.block_selection(rows).selection_of(S)
-        assert np.array_equal(sparse_keep, np.isin(S.rows, rows) & np.isin(S.cols, rows))
-        assert np.array_equal(sparse_rows, S.block_selection(rows).support_block()[0])
-        assert D.block_selection(rows).selection_of(SymmetricDense(D.a)) == (None, None)
+        sparse_keep, sparse_rows = block_selection(S, rows).selection_of(S)
+        assert sparse_keep is None
+        assert np.array_equal(sparse_rows, block_selection(S, rows).support_block()[0])
+        assert block_selection(D, rows).selection_of(SymmetricDense(D.a)) == (None, None)
+
+    @pytest.mark.parametrize("rows", [np.arange(10, 40), np.r_[50:55, 3:9, 7, 44]], ids=["range", "unsorted"])
+    def test_sparse_block_selection_E_is_the_restriction_to_the_rest(self, rows):
+        # a block selection is no restriction, and E = K - K^s comes from the
+        # merge; it is K restricted to the triplets outside rows x rows, the
+        # E a block selection that was a restriction gave, with no byte moved
+        S = TestBuiltBlockPath.kernel(60, True)
+        E = S.minus(block_selection(S, rows))
+        want = S.restrict(~(np.isin(S.rows, rows) & np.isin(S.cols, rows)))
+        for got, expected in zip(E.triplets(), want.triplets()):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 class TestCsrBuilds:

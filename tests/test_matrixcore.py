@@ -23,6 +23,7 @@ from perturbext.matrixcore import (
     RankDeficientError,
     SparseSymmetric,
     SymmetricDense,
+    block_selection,
     canonical_signs,
     principal_angle,
     read_dense,
@@ -40,6 +41,12 @@ def random_symmetric(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     return SymmetricDense(a, symmetrize=True)
+
+
+def shift_identity(l, shift):
+    """shift * I as an l-row diagonal sparse matrix, which a principal block's
+    ``minus`` takes off its diagonal."""
+    return SparseSymmetric(l, np.arange(l), np.arange(l), np.full(l, shift))
 
 
 class TestTypes:
@@ -554,6 +561,7 @@ class TestProtocol:
         n = M.n
         forms = (M, SparseSymmetric(M.n, *M.triplets()))
         cols = np.array([n - 1, 0, n // 2])
+        support = np.flatnonzero(M.a.any(axis=1))
         for A in forms:
             assert A.n == n
             assert A.nnz == np.count_nonzero(M.a)
@@ -567,15 +575,25 @@ class TestProtocol:
             unit[cols, np.arange(cols.size)] = 1.0
             assert np.array_equal(A.columns_matvec(cols, unit), M.a[:, cols])
             expected_block = M.a[np.ix_(cols, cols)] - 0.75 * np.eye(cols.size)
-            assert np.array_equal(A.principal_block(cols, 0.75).to_dense().a, expected_block)
+            assert np.array_equal(A.principal_block(cols).minus(shift_identity(3, 0.75)).to_dense().a,
+                                  expected_block)
             assert np.array_equal(A.matvec(np.eye(n)), M.a)
             assert np.array_equal(A.to_dense().a, M.a)
             assert A.is_zero() == (not M.a.any())
-            # every row holding a nonzero is in the support; a dense form
-            # reports all n rows, a sparse form exactly those
-            assert np.isin(np.flatnonzero(M.a.any(axis=1)), A.support_block()[0]).all()
-        assert np.array_equal(forms[0].support_block()[0], np.arange(n))
-        assert np.array_equal(forms[1].support_block()[0], np.flatnonzero(M.a.any(axis=1)))
+            # one support rule: exactly the rows holding a nonzero, and the
+            # principal block on them unless they are none or all n
+            rows, block = A.support_block()
+            assert np.array_equal(rows, support)
+            if 0 < support.size < n:
+                assert type(block) is type(A)
+                assert np.array_equal(block.to_dense().a, M.a[np.ix_(support, support)])
+            else:
+                assert block is A
+        # every case has at most 256 support rows, so both forms take one
+        # dense solve of equal blocks
+        dense, sparse = (sym_eig_partial(A, 2) for A in forms)
+        for part in ("values", "vectors", "rest"):
+            assert np.array_equal(getattr(dense, part), getattr(sparse, part)), part
 
         # B is part of M plus one entry outside it, so A - B both cancels
         # and fills entries
@@ -637,8 +655,8 @@ class TestUtilities:
         lambda D, S: SparseSymmetric(3, [0.7], [1.2], [1.0]),
         lambda D, S: D.principal_block([0.5, 2.9]),
         lambda D, S: S.principal_block(np.array([0.0, 2.0])),
-        lambda D, S: D.block_selection([0.2, 1.7]),
-        lambda D, S: S.block_selection([0.2, 1.7]),
+        lambda D, S: block_selection(D, [0.2, 1.7]),
+        lambda D, S: block_selection(S, [0.2, 1.7]),
     ], ids=["sparse-triplets", "dense-block", "sparse-block", "dense-selection", "sparse-selection"])
     def test_float_indices_raise_type_error(self, build):
         # a float index is refused, never truncated to a row
@@ -660,12 +678,11 @@ class TestUtilities:
         # gathered one bit for bit, never a view of A
         A = random_symmetric(8, 6)
         x = np.random.default_rng(1).standard_normal((8, 2))
-        product, block = A.columns_matvec(cols, x), A.principal_block(cols, 0.5)
+        product, block = A.columns_matvec(cols, x), A.principal_block(cols)
         assert product.flags.writeable
         assert not np.shares_memory(product, A.a) and not np.shares_memory(block.a, A.a)
         assert np.array_equal(product, (x[cols].T @ np.ascontiguousarray(A.a[list(cols)])).T)
-        expected = A.a[np.ix_(list(cols), list(cols))] - 0.5 * np.eye(cols.size)
-        assert np.array_equal(block.a, expected)
+        assert np.array_equal(block.a, A.a[np.ix_(list(cols), list(cols))])
 
     def test_frobenius_sparse_matches_dense(self):
         S = SparseSymmetric(4, [0, 0, 1, 3], [0, 2, 1, 3], [1.0, 2.0, -1.0, 4.0])
@@ -917,15 +934,15 @@ class TestPartialDegenerateGap:
 class TestPrincipalBlock:
     @pytest.mark.parametrize("shift", [0.0, 0.75])
     def test_equals_rows_of_sampled_columns(self, shift):
-        # the block is bit-identical to the rows cols of A[:, cols] with
-        # the shift taken off the diagonal, and keeps A's type
+        # the block, less shift * I, is bit-identical to the rows cols of
+        # A[:, cols] with the shift taken off the diagonal, and keeps A's type
         A = random_symmetric(30, 23)
         A = SymmetricDense(np.where(np.abs(A.a) > 0.5, A.a, 0.0))
         cols = np.array([7, 2, 19, 11, 0, 25])
         expected = A.to_dense().a[:, cols][cols]
         expected[np.arange(cols.size), np.arange(cols.size)] -= shift
         for K in (A, SparseSymmetric(A.n, *A.triplets())):
-            block = K.principal_block(cols, shift)
+            block = K.principal_block(cols).minus(shift_identity(cols.size, shift))
             assert type(block) is type(K)
             assert np.array_equal(block.to_dense().a, expected)
 
@@ -988,14 +1005,80 @@ class TestPrincipalBlockFromTriplets:
         monkeypatch.setattr(matrixcore, "_mirrored_csr",
                             lambda *args: builds.append(args) or (None, None))
         cols = np.array([31, 3, 17, 0, 8, 22, 39, 12])
-        block = S.principal_block(cols, shift)
+        block = S.principal_block(cols).minus(shift_identity(cols.size, shift))
         assert builds == []
         expected = a[np.ix_(cols, cols)] - shift * np.eye(cols.size)
         monkeypatch.undo()
         assert np.array_equal(block.to_dense().a, expected)
         assert np.count_nonzero(block.to_dense().a) == block.nnz
         with pytest.raises(ValueError, match="distinct"):
-            S.principal_block([3, 8, 3], shift)
+            S.principal_block([3, 8, 3])
+
+
+def _old_dense_shifted_block(self, cols, shift):
+    """The body of ``SymmetricDense.principal_block(cols, shift)`` from before
+    ``shift`` was removed, copied verbatim: the oracle of a shifted block."""
+    cols = matrixcore._indices(cols, "cols")
+    span = matrixcore._span(cols)
+    block = self.a[np.ix_(cols, cols)] if span is cols else self.a[span, span].copy()
+    block[np.arange(cols.size), np.arange(cols.size)] -= shift
+    return SymmetricDense._adopt(block)
+
+
+def _old_sparse_shifted_block(self, cols, shift):
+    """The body of ``SparseSymmetric.principal_block(cols, shift)`` from before
+    ``shift`` was removed, copied verbatim: the oracle of a shifted block."""
+    cols = matrixcore._indices(cols, "cols")
+    l = cols.size
+    place = np.full(self._n, -1, dtype=np.int64)
+    place[cols] = np.arange(l)
+    if not np.array_equal(place[cols], np.arange(l)):
+        raise ValueError("principal_block needs distinct cols")
+    r, c = place[self.rows], place[self.cols]
+    inside = (r >= 0) & (c >= 0)
+    r, c, v = r[inside], c[inside], self.vals[inside]
+    # cols out of order can put an entry below the block's diagonal
+    r, c = np.minimum(r, c), np.maximum(r, c)
+    if shift:
+        diag = r == c
+        v = np.where(diag, v - shift, v)
+        empty = np.ones(l, dtype=bool)
+        empty[r[diag]] = False
+        fill = np.flatnonzero(empty)
+        r, c = np.concatenate([r, fill]), np.concatenate([c, fill])
+        v = np.concatenate([v, np.full(fill.size, -shift)])
+    block = SparseSymmetric(l, r, c, v)
+    if self._csr is not None and not shift:
+        span = matrixcore._span(cols)
+        block._csr = self._csr[span, span] if span is not cols else self._csr[np.ix_(cols, cols)]
+        block._csr.sort_indices()
+    return block
+
+
+class TestShiftedBlock:
+    """A shifted block is ``principal_block(cols).minus(shift * I)``: bit for
+    bit the block the shift parameter of ``principal_block`` once gave."""
+
+    @pytest.mark.parametrize("shift", [0.75, -2.0])
+    @pytest.mark.parametrize("cols", [np.array([31, 3, 17, 0, 8, 22, 39, 12]), np.arange(4, 20)],
+                             ids=["unsorted", "range"])
+    def test_equals_the_old_shifted_block(self, shift, cols):
+        # even rows have an empty diagonal entry, and row 3 one that a shift
+        # of 0.75 cancels
+        a = random_symmetric(40, 9).a
+        a = np.where(np.abs(a) > 0.9, a, 0.0)
+        a[np.arange(0, 40, 2), np.arange(0, 40, 2)] = 0.0
+        a[3, 3] = 0.75
+        D = SymmetricDense(a)
+        S = SparseSymmetric(D.n, *D.triplets())
+        S.matvec(np.ones(S.n))  # the CSR an unshifted block would cut
+        got = D.principal_block(cols).minus(shift_identity(cols.size, shift))
+        assert got.a.tobytes() == _old_dense_shifted_block(D, cols, shift).a.tobytes()
+        got = S.principal_block(cols).minus(shift_identity(cols.size, shift))
+        want = _old_sparse_shifted_block(S, cols, shift)
+        assert got.n == want.n and got._csr is None and want._csr is None
+        for x, y in zip(got.triplets(), want.triplets()):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 class TestBlockCsrCut:
@@ -1035,12 +1118,12 @@ class TestBlockCsrCut:
     def test_shifted_block_builds_its_own(self):
         S = self.sparse()
         S.matvec(np.ones(S.n))
-        assert S.principal_block(np.arange(10), 0.5)._csr is None
+        assert S.principal_block(np.arange(10)).minus(shift_identity(10, 0.5))._csr is None
 
     def test_dense_block_selection_keeps_no_triplets(self):
         # K^s shares the block's values; the block itself is only solved
         K = random_symmetric(40, 13)
-        Ks = K.block_selection(np.arange(5, 30))
+        Ks = block_selection(K, np.arange(5, 30))
         rows, block = Ks._block
         assert block._triplets is None
         assert np.array_equal(Ks.to_dense().a[np.ix_(rows, rows)], block.a)

@@ -340,7 +340,8 @@ def _sampled_pairs_by_columns(K, k, cols, shift=0.0):
     n, l = K.n, len(cols)
     C = np.array(K.to_dense().a[:, cols], order="C")
     C[cols, np.arange(l)] -= shift
-    pairs = sym_eig_partial(K.principal_block(cols, shift), k)
+    shifts = SparseSymmetric(l, np.arange(l), np.arange(l), np.full(l, shift))
+    pairs = sym_eig_partial(K.principal_block(cols).minus(shifts), k)
     lam = pairs.values
     return (n / l) * lam + shift, np.sqrt(l / n) * (C @ pairs.vectors) / lam[None, :]
 

@@ -1,5 +1,7 @@
 """The refactor check ``scripts/report_digest.py`` stays runnable: it exits 0
-and prints one digest line for each report it is meant to cover."""
+and prints one digest line for each report it is meant to cover, and those
+lines are the ones ``scripts/report_digest.expected`` pins, so a report whose
+bytes move fails Tier-1."""
 
 import hashlib
 import os
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
+PINNED = SCRIPT.with_suffix(".expected")
 
 EXPECTED = sorted(
     [f"api_{name}.csv" for name in ("block_extend_n200", "block_extend_n600",
@@ -44,21 +47,34 @@ def kept(tmp_path_factory):
     return keep, done
 
 
+def digests(lines):
+    """{report: digest} of the '<sha256>  <file>' lines."""
+    return {name: digest for digest, name in (line.split("  ") for line in lines)}
+
+
 def test_report_digest_lists_every_report():
     done = run_script()
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
+    header, *lines = done.stdout.splitlines()
     names = [m.group(1) for m in map(re.compile(r"[0-9a-f]{64}  (\S+)").fullmatch, lines) if m]
     assert len(names) == len(lines)
     assert names == EXPECTED
+    # the pinned digest holds only where the bytes were pinned: a build of
+    # another version or BLAS core fails here, naming both
+    pinned_header, *pinned = PINNED.read_text().splitlines()
+    assert header == pinned_header, f"digest pinned under {pinned_header!r}, this run is under {header!r}"
+    got, want = digests(lines), digests(pinned)
+    moved = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    assert not moved, f"reports that differ from {PINNED.name}: {', '.join(moved)}"
 
 
 def test_keep_writes_the_reports_it_digests(kept):
     keep, done = kept
-    for line in done.stdout.splitlines():
-        digest, name = line.split("  ")
+    header, *lines = done.stdout.splitlines()
+    assert header == PINNED.read_text().splitlines()[0]
+    for name, digest in digests(lines).items():
         assert hashlib.sha256((keep / name).read_bytes()).hexdigest() == digest
-    assert sorted(line.split("  ")[1] for line in done.stdout.splitlines()) == EXPECTED
+    assert sorted(line.split("  ")[1] for line in lines) == EXPECTED
     # a directory that already holds files is refused before any run
     again = run_script("--keep", str(keep))
     assert again.returncode == 2 and "not empty" in again.stderr
