@@ -25,7 +25,9 @@ from .matrixcore import (
     _count,
     _indices,
     block_selection,
+    magnitude_profile,
     read_mask,
+    restriction,
     spectral_norm,
     sym_eig_partial,
 )
@@ -206,8 +208,8 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     that block alone and no restriction of K.  Every other kind is a mask
     over K's stored triplets (read off a mask selector's buffer through
     ``sel.mask_pairs``, without a copy),
-    handed to ``K.restrict``: a dense K gives a new sparse matrix of the
-    selected nonzeros, a sparse K a restriction of K, so E = K - K^s needs no merge.
+    handed to ``restriction``, whose result remembers K for either type; a
+    sparse K's E = K - K^s then needs no merge.
     """
     n = K.n
     if sel.kind == "topleft":
@@ -222,7 +224,7 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     elif sel.kind == "sparse":
         # K keeps its order and cumulative weights, so a sweep over q sorts
         # it once
-        order, cum = K.magnitude_profile()
+        order, cum = magnitude_profile(K)
         target = np.ceil(sel.param * (cum[-1] if cum.size else 0))
         count = int(np.searchsorted(cum, target) + 1)
         keep = np.zeros(rows.size, dtype=bool)
@@ -237,7 +239,7 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
         if int(mask_cols.max()) >= n:
             raise ValueError("mask index out of range")
         keep = np.isin(rows * n + cols, mask_rows * n + mask_cols)
-    return K.restrict(keep)
+    return restriction(K, keep)
 
 
 def _bound_tail(Ks: SparseSymmetric, pairs: EigenPairs, mu: float, order: int):

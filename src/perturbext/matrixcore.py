@@ -2,10 +2,12 @@
 
 Everything downstream works with exactly two concrete matrix types, dense
 and triplet-sparse, both immutable after construction.  Each type carries
-the whole matrix protocol as its own methods, so no caller asks which of
-the two it holds.  Eigenvalues are always
-ordered descending by algebraic value and eigenvector signs are fixed so
-that independently computed decompositions can be compared entrywise.
+the whole matrix protocol as its own methods, and the functions built on
+it (``block_selection``, ``restriction``, ``magnitude_profile``) have one
+body for both, so no caller asks which of the two it holds.  Eigenvalues
+are always ordered descending by algebraic value and eigenvector signs
+are fixed so that independently computed decompositions can be compared
+entrywise.
 """
 
 from __future__ import annotations
@@ -130,12 +132,6 @@ class SymmetricDense:
             self._triplets = found
         return found
 
-    def magnitude_profile(self):
-        """``_magnitude_profile`` of the triplets, formed on first use and kept."""
-        if self._magnitude is None:
-            self._magnitude = _magnitude_profile(*self.triplets())
-        return self._magnitude
-
     def support_block(self):
         """(rows, block): the r rows that hold a nonzero and, when 0 < r < n,
         the principal block on them, else the matrix itself."""
@@ -171,15 +167,9 @@ class SymmetricDense:
         a[cols, rows] = a[rows, cols]
         return SymmetricDense._adopt(a)
 
-    def restrict(self, keep) -> "SparseSymmetric":
-        """The nonzeros of ``triplets()`` where the boolean ``keep`` is set, as
-        a new sparse matrix."""
-        rows, cols, vals = self.triplets()
-        return SparseSymmetric(self.n, rows[keep], cols[keep], vals[keep])
-
     def principal_block(self, cols) -> "SymmetricDense":
         """A[cols, cols] as a new dense matrix, equal to the rows ``cols`` of A[:, cols]."""
-        cols = _indices(cols, "cols")
+        cols = _block_cols(cols, self.n)
         span = _span(cols)
         block = self.a[np.ix_(cols, cols)] if span is cols else self.a[span, span].copy()
         return SymmetricDense._adopt(block)
@@ -204,7 +194,8 @@ class SparseSymmetric:
     (off-diagonal pairs twice, diagonal once).  Exact zeros are dropped at
     construction so nnz is meaningful.  Index arrays here, and in either
     type's ``principal_block`` and in ``block_selection``, must be of an
-    integer kind: a float index raises TypeError (``_indices``).
+    integer kind: a float index raises TypeError (``_indices``).  A block's
+    cols must be distinct and in [0, n), else ValueError (``_block_cols``).
 
     The mirrored CSR form of the full matrix is built the first time
     something iterates on the matrix (``matvec``, ``columns_matvec``,
@@ -213,10 +204,10 @@ class SparseSymmetric:
     summed or counted never builds it; a principal block cuts its CSR from
     one that exists, bit for bit the one it would build.
 
-    ``restrict(keep)`` gives the stored entries where ``keep`` is set as a
-    matrix that remembers its parent, so that the parent's ``minus`` of it is
-    the parent restricted to ``~keep``, with no merge.  A
-    masked selection K^s of a sparse K and its E = K - K^s are so both
+    ``restriction(K, keep)`` gives K's stored entries where ``keep`` is set
+    as a matrix that remembers K, for either type of K; a sparse K's
+    ``minus`` of it is ``restriction(K, ~keep)``, with no merge.  A masked
+    selection K^s of a sparse K and its E = K - K^s are so both
     restrictions of K.  A ``block_selection`` is not a restriction, so its E
     comes from the merge; it keeps its block, from which it builds its n-row
     triplets on first read (``__getattr__``).
@@ -238,14 +229,16 @@ class SparseSymmetric:
         # the caller's, even when the order above is a view
         self._set(n, (rows[keep], cols[keep], vals[keep]))
 
-    def _set(self, n: int, triplets, parent=None, keep=None, block=None) -> None:
-        """Set the fields from sorted, nonzero triplets that no caller holds for writing; a
-        restriction also keeps its parent and mask, a block selection its (rows, block)."""
+    def _set(self, n: int, triplets, parent=None, keep=None, block=None) -> "SparseSymmetric":
+        """Set the fields from sorted, nonzero triplets that no caller holds for writing, and
+        return the matrix; a restriction also keeps its parent and mask, a block selection
+        its (rows, block)."""
         self._n = int(n)
         if triplets is not None:
             self.rows, self.cols, self.vals = _frozen(*triplets)
         self._csr = self._magnitude = None
         self._parent, self._keep, self._block = parent, keep, block
+        return self
 
     def __getattr__(self, name):
         """Python calls this only for an unset slot: a block selection's
@@ -286,26 +279,6 @@ class SparseSymmetric:
         (fields, so ``cache`` changes nothing)."""
         return self.rows, self.cols, self.vals
 
-    def magnitude_profile(self):
-        """``_magnitude_profile`` of the stored triplets, formed on first use
-        and kept, so repeated selections of the largest entries of one matrix
-        sort it once."""
-        if self._magnitude is None:
-            self._magnitude = _magnitude_profile(self.rows, self.cols, self.vals)
-        return self._magnitude
-
-    def restrict(self, keep) -> "SparseSymmetric":
-        """The stored entries where the boolean ``keep`` (one per triplet) is
-        set, as a new matrix that remembers (self, keep): no sort and no
-        check."""
-        keep = np.array(keep, dtype=bool)
-        keep.setflags(write=False)
-        # gathering by index is several times faster than by a scattered mask
-        taken = np.flatnonzero(keep)
-        obj = SparseSymmetric.__new__(SparseSymmetric)
-        obj._set(self._n, (self.rows[taken], self.cols[taken], self.vals[taken]), self, keep)
-        return obj
-
     def support_block(self):
         """(rows, block): the r rows that store a nonzero and, when 0 < r < n,
         the principal block on them, else the matrix itself.  A
@@ -317,8 +290,8 @@ class SparseSymmetric:
         return rows, self.principal_block(rows) if 0 < rows.size < self._n else self
 
     def selection_of(self, K):
-        """(keep, rows) if K built this matrix: a sparse K's ``restrict`` mask
-        (else None) and a block selection's kept rows (else None)."""
+        """(keep, rows) if K built this matrix: a ``restriction``'s mask (else
+        None) and a block selection's kept rows (else None)."""
         if self._parent is not K:
             return None, None
         return self._keep, None if self._block is None else self._block[0]
@@ -335,15 +308,15 @@ class SparseSymmetric:
 
         Entries that cancel to exactly 0.0 are dropped, so K - K^s for a
         selection K^s of a sparse K stores only the unselected entries.  When
-        B is ``self.restrict(keep)``, that is ``self.restrict(~keep)`` with no
-        merge: the selected entries cancel to exactly 0.0 and the rest keep
-        their values, as the merge would give them.
+        B is ``restriction(self, keep)``, that is ``restriction(self, ~keep)``
+        with no merge: the selected entries cancel to exactly 0.0 and the rest
+        keep their values, as the merge would give them.
         """
         if self.n != B.n:
             raise ValueError("dimension mismatch")
         keep = B.selection_of(self)[0]
         if keep is not None:
-            return self.restrict(~keep)
+            return restriction(self, ~keep)
         b_rows, b_cols, b_vals = B.triplets()
         rows = np.concatenate([self.rows, b_rows])
         cols = np.concatenate([self.cols, b_cols])
@@ -359,12 +332,10 @@ class SparseSymmetric:
         through a map from each row to its place in ``cols``, equal to the
         dense block's entries bit for bit.  It takes its CSR cut from A's, if
         A has one (``csr[a:b, a:b]`` for a range)."""
-        cols = _indices(cols, "cols")
+        cols = _block_cols(cols, self._n)
         l = cols.size
         place = np.full(self._n, -1, dtype=np.int64)
         place[cols] = np.arange(l)
-        if not np.array_equal(place[cols], np.arange(l)):
-            raise ValueError("principal_block needs distinct cols")
         r, c = place[self.rows], place[self.cols]
         inside = (r >= 0) & (c >= 0)
         r, c, v = r[inside], c[inside], self.vals[inside]
@@ -408,10 +379,38 @@ def block_selection(K, rows) -> SparseSymmetric:
     cut, block = K.principal_block(rows).support_block()
     obj = SparseSymmetric.__new__(SparseSymmetric)
     if cut.size:
-        obj._set(K.n, None, K, block=(rows[cut], block))
-    else:
-        obj._set(K.n, (rows[:0], rows[:0], np.zeros(0)), K)
-    return obj
+        return obj._set(K.n, None, K, block=(rows[cut], block))
+    return obj._set(K.n, (rows[:0], rows[:0], np.zeros(0)), K)
+
+
+def restriction(K, keep) -> SparseSymmetric:
+    """K's stored triplets where ``keep``, one bool per triplet of
+    ``K.triplets()``, is set, as a sparse matrix that remembers (K, keep),
+    for either type of K: its ``selection_of(K)`` reads (keep, None).  The
+    triplets are gathered in their sorted order, so nothing is sorted or
+    checked again.  A ``keep`` of another dtype or length raises ValueError."""
+    rows, cols, vals = K.triplets()
+    keep = np.array(keep)
+    if keep.dtype != bool or keep.shape != vals.shape:
+        raise ValueError(f"keep needs one bool per triplet ({vals.size}), got {keep.dtype} {keep.shape}")
+    keep.setflags(write=False)
+    # gathering by index is several times faster than by a scattered mask
+    taken = np.flatnonzero(keep)
+    obj = SparseSymmetric.__new__(SparseSymmetric)
+    return obj._set(K.n, (rows[taken], cols[taken], vals[taken]), K, keep)
+
+
+def magnitude_profile(K):
+    """(order, cum) of K's upper-triangle triplets: their stable order by
+    descending |value|, and cum[k] the nonzeros of the full matrix
+    (symmetric pairs twice) that the k + 1 largest of them hold.  Formed on
+    first use and kept in K, so repeated selections of the largest entries
+    of one matrix sort it once."""
+    if K._magnitude is None:
+        rows, cols, vals = K.triplets()
+        order = np.argsort(-np.abs(vals), kind="stable")
+        K._magnitude = _frozen(order, np.cumsum(np.where(rows == cols, 1, 2)[order]))
+    return K._magnitude
 
 
 def _average_transpose(src: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -433,14 +432,6 @@ def _average_transpose(src: np.ndarray, out: np.ndarray) -> np.ndarray:
                 out[i:i + t, j:j + t] = s
                 out[j:j + t, i:i + t] = s.T
     return out
-
-
-def _magnitude_profile(rows, cols, vals):
-    """(order, cum) of upper-triangle triplets: their stable order by
-    descending |value|, and cum[k] the nonzeros of the full matrix
-    (symmetric pairs twice) that the k + 1 largest of them hold."""
-    order = np.argsort(-np.abs(vals), kind="stable")
-    return _frozen(order, np.cumsum(np.where(rows == cols, 1, 2)[order]))
 
 
 def _mirrored_csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> sp.csr_array:
@@ -485,6 +476,17 @@ def _indices(values, name: str) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "iu":
         raise TypeError(f"{name} must hold integers, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
+
+
+def _block_cols(values, n: int) -> np.ndarray:
+    """``_indices(values, "cols")``, raising ValueError unless the cols are
+    distinct and in [0, n): one sort, O(l log l), finds the least, the
+    largest and any repeat (``np.unique`` took 3-10 times as long)."""
+    cols = _indices(values, "cols")
+    s = np.sort(cols)
+    if s.size and (s[0] < 0 or s[-1] >= n or np.any(s[1:] == s[:-1])):
+        raise ValueError(f"principal_block needs distinct cols in [0, {n})")
+    return cols
 
 
 def _row_major_order(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -679,7 +681,7 @@ def sym_eig_partial(A, m: int) -> EigenPairs:
     if block is A:
         if _solves_densely(n, m):
             return sym_eig_full(A, m)
-        if A.is_zero():
+        if not rows.size:
             raise EigengapError(f"matrix has no nonzeros: pairs {m} and {m + 1} tie at 0")
     r = block.n
     padded = r < n

@@ -1,6 +1,7 @@
 """``scripts/code_size.py`` stays runnable: one line per module whose four
 counts add up to the module's lines, a total, the member count of each
-matrix type and the field count of each config type."""
+matrix type and the field count of each config type.  Neither matrix type
+may grow past its member ceiling."""
 
 import subprocess
 import sys
@@ -32,6 +33,22 @@ def test_counts_partition_every_module():
         ("SymmetricDense", "members"), ("SparseSymmetric", "members"), ("Selector", "fields"),
         ("KernelSpec", "fields"), ("MuPolicy", "fields"), ("ExtensionConfig", "fields")]
     assert all(int(count) > 0 for *_, count in counts)
+
+
+# the most members each matrix type may have (ROADMAP item 13); a change
+# that must add one raises its number here and says why in CHANGES.md
+MEMBER_CEILING = {"SymmetricDense": 16, "SparseSymmetric": 18}
+
+
+def test_matrix_types_stay_under_their_member_ceiling():
+    done = run_script()
+    assert done.returncode == 0, done.stderr
+    members = {name: int(count) for name, word, count in map(str.split, done.stdout.splitlines()[-6:])
+               if word == "members"}
+    assert list(members) == list(MEMBER_CEILING)
+    over = [f"{name} has {members[name]} members, more than {limit}"
+            for name, limit in MEMBER_CEILING.items() if members[name] > limit]
+    assert not over, "; ".join(over)
 
 
 def test_fields_are_the_annotated_names_of_the_class_body(tmp_path):

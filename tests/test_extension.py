@@ -36,8 +36,10 @@ from perturbext.matrixcore import (
     SparseSymmetric,
     SymmetricDense,
     block_selection,
+    magnitude_profile,
     principal_angle,
     read_sparse,
+    restriction,
     spectral_norm,
     sym_eig_full,
     write_sparse,
@@ -108,13 +110,13 @@ class TestSelectors:
         a = np.round(gen_wishart_psd(30, seed=6).a * 4) / 4
         a = SymmetricDense(np.where(np.abs(a) <= 1.0, np.sign(a), a))
         S = SparseSymmetric(a.n, *a.triplets())
-        first = S.magnitude_profile()[0]
+        first = magnitude_profile(S)[0]
         for q in (0.05, 0.3, 0.31, 0.7, 1.0):
             dense_sel = select_submatrix(a, Selector.sparse_top_q(q))
             sparse_sel = select_submatrix(S, Selector.sparse_top_q(q))
             for name in ("rows", "cols", "vals"):
                 assert np.array_equal(getattr(dense_sel, name), getattr(sparse_sel, name))
-        assert S.magnitude_profile()[0] is first
+        assert magnitude_profile(S)[0] is first
         assert not first.flags.writeable
 
     def test_topleft_matches_block(self):
@@ -313,7 +315,7 @@ def _tuple_mask_selection(K, mask_rows, mask_cols):
     if int(mask_cols.max()) >= n:
         raise ValueError("mask index out of range")
     keep = np.isin(rows * n + cols, mask_rows * n + mask_cols)
-    return K.restrict(keep)
+    return restriction(K, keep)
 
 
 class TestMaskRoutes:
@@ -1261,11 +1263,13 @@ class TestSelectionOf:
         keep = S.rows < 30
         assert D.selection_of(D) == (None, None)
         assert S.selection_of(S) == (None, None)
-        restricted = S.restrict(keep)
+        restricted = restriction(S, keep)
         got_keep, got_rows = restricted.selection_of(S)
         assert np.array_equal(got_keep, keep) and got_rows is None
         assert restricted.selection_of(D) == (None, None)
-        assert D.restrict(D.triplets()[0] < 30).selection_of(D) == (None, None)
+        dense_keep = D.triplets()[0] < 30
+        got_keep, got_rows = restriction(D, dense_keep).selection_of(D)
+        assert np.array_equal(got_keep, dense_keep) and got_rows is None
         dense_keep, dense_rows = block_selection(D, rows).selection_of(D)
         assert dense_keep is None and np.array_equal(dense_rows, rows)
         sparse_keep, sparse_rows = block_selection(S, rows).selection_of(S)
@@ -1280,7 +1284,7 @@ class TestSelectionOf:
         # E a block selection that was a restriction gave, with no byte moved
         S = TestBuiltBlockPath.kernel(60, True)
         E = S.minus(block_selection(S, rows))
-        want = S.restrict(~(np.isin(S.rows, rows) & np.isin(S.cols, rows)))
+        want = restriction(S, ~(np.isin(S.rows, rows) & np.isin(S.cols, rows)))
         for got, expected in zip(E.triplets(), want.triplets()):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 

@@ -25,10 +25,12 @@ from perturbext.matrixcore import (
     SymmetricDense,
     block_selection,
     canonical_signs,
+    magnitude_profile,
     principal_angle,
     read_dense,
     read_mask,
     read_sparse,
+    restriction,
     spectral_norm,
     sym_eig_full,
     sym_eig_partial,
@@ -569,7 +571,7 @@ class TestProtocol:
             np.testing.assert_array_max_ulp(A.frobenius_norm(), np.linalg.norm(M.a), maxulp=1)
             for got, want in zip(A.triplets(), forms[0].triplets()):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert np.array_equal(A.magnitude_profile()[0], forms[0].magnitude_profile()[0])
+            assert np.array_equal(magnitude_profile(A)[0], magnitude_profile(forms[0])[0])
             # the columns themselves, read through the product with I[:, cols]
             unit = np.zeros((n, cols.size))
             unit[cols, np.arange(cols.size)] = 1.0
@@ -925,8 +927,10 @@ class TestPartialDegenerateGap:
 
     @pytest.mark.parametrize("A", [SparseSymmetric(300, [], [], []), SymmetricDense(np.zeros((300, 300)))],
                              ids=["sparse", "dense"])
-    def test_iterative_path_rejects_zero_matrix(self, A):
-        # every pair ties at 0; Lanczos cannot even start on it
+    def test_iterative_path_rejects_zero_matrix(self, monkeypatch, A):
+        # every pair ties at 0; Lanczos cannot even start on it.  The empty
+        # support rows say so, with no second scan of the entries
+        monkeypatch.setattr(type(A), "is_zero", lambda self: pytest.fail("is_zero was called"))
         with pytest.raises(EigengapError, match="no nonzeros"):
             sym_eig_partial(A, 2)
 
@@ -965,14 +969,14 @@ class TestCachedForms:
         monkeypatch.setattr(np, "triu", lambda *a, **k: calls.append(a))
         assert A.triplets() is first and calls == []
         assert all(not arr.flags.writeable for arr in first)
-        order = A.magnitude_profile()[0]
-        assert A.magnitude_profile()[0] is order and not order.flags.writeable
+        order = magnitude_profile(A)[0]
+        assert magnitude_profile(A)[0] is order and not order.flags.writeable
         for fresh in (SymmetricDense(A.a), SymmetricDense._adopt(np.array(A.a))):
             assert fresh._triplets is None and fresh._magnitude is None
 
     def test_magnitude_profile_counts_pairs_twice(self):
         S = SparseSymmetric(4, [0, 0, 1, 2], [0, 3, 2, 2], [1.0, -5.0, 2.0, 3.0])
-        order, cum = S.magnitude_profile()
+        order, cum = magnitude_profile(S)
         assert order.tolist() == [1, 3, 2, 0]
         assert cum.tolist() == [2, 3, 5, 6] and cum[-1] == S.nnz
 
@@ -1127,6 +1131,97 @@ class TestBlockCsrCut:
         rows, block = Ks._block
         assert block._triplets is None
         assert np.array_equal(Ks.to_dense().a[np.ix_(rows, rows)], block.a)
+
+
+def dense_and_sparse(a):
+    """The matrix of the symmetric array a in both types."""
+    D = SymmetricDense(a)
+    return D, SparseSymmetric(D.n, *D.triplets())
+
+
+class TestBlockIndices:
+    """A principal block, and so a block selection, takes distinct indices in
+    [0, n) on both types; anything else raises ValueError, never wraps,
+    empties or repeats a row."""
+
+    FOUR = np.arange(16.0).reshape(4, 4) + np.arange(16.0).reshape(4, 4).T
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("cols", [[-1, 0], [0, 4], [4], [3, 3], [2, 0, 2]],
+                             ids=["negative", "n", "only-n", "repeat", "repeat-apart"])
+    def test_principal_block_rejects(self, kind, cols):
+        K = dense_and_sparse(self.FOUR)[kind]
+        with pytest.raises(ValueError, match=r"distinct cols in \[0, 4\)"):
+            K.principal_block(cols)
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("rows", [[-1, 0], [0, 4], [-3]], ids=["negative", "n", "only-negative"])
+    def test_block_selection_rejects_rows_out_of_range(self, kind, rows):
+        K = dense_and_sparse(self.FOUR)[kind]
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            block_selection(K, rows)
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["dense", "sparse"])
+    def test_block_selection_takes_a_set(self, kind):
+        # rows name a set: a repeat collapses, as np.unique makes it
+        K = dense_and_sparse(random_symmetric(9, 2).a)[kind]
+        repeated, distinct = block_selection(K, [6, 1, 6, 3]), block_selection(K, [1, 3, 6])
+        for got, want in zip(repeated.triplets(), distinct.triplets()):
+            assert np.array_equal(got, want)
+
+
+def _sparse_case(n, seed, density):
+    """A random symmetric n x n array with about ``density`` of its entries nonzero."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a = np.where(rng.random((n, n)) < density, a, 0.0)
+    return np.triu(a) + np.triu(a, 1).T
+
+
+class TestRestriction:
+    """``restriction(K, keep)`` has one body for both types: it gathers K's
+    triplets at ``keep`` and remembers (K, keep)."""
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("keep", [
+        lambda size: np.ones(size - 1, dtype=bool),
+        lambda size: np.ones(size + 1, dtype=bool),
+        lambda size: np.ones(size),
+        lambda size: np.arange(size),
+        lambda size: np.ones((1, size), dtype=bool),
+        lambda size: [True, False, True],
+    ], ids=["short", "long", "float", "int", "2-D", "list"])
+    def test_wrong_keep_raises(self, kind, keep):
+        K = dense_and_sparse(_sparse_case(5, 1, 0.5))[kind]
+        size = K.triplets()[2].size
+        assert size > 3
+        with pytest.raises(ValueError, match=f"one bool per triplet \\({size}\\)"):
+            restriction(K, keep(size))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10_000), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_equals_the_constructor(self, n, seed, density, share):
+        a = _sparse_case(n, seed, density)
+        keep_rng = np.random.default_rng(seed + 1)
+        for K in dense_and_sparse(a):
+            keep = keep_rng.random(K.triplets()[2].size) < share
+            want = SparseSymmetric(n, *(x[keep] for x in K.triplets()))
+            got = restriction(K, keep)
+            assert got.n == n
+            for g, w in zip(got.triplets(), want.triplets()):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                assert not g.flags.writeable
+            got_keep, got_rows = got.selection_of(K)
+            assert np.array_equal(got_keep, keep) and got_rows is None
+            assert not got_keep.flags.writeable and not np.shares_memory(got_keep, keep)
+            if type(K) is SparseSymmetric:
+                # the shortcut E equals the general merge, byte for byte
+                shortcut, merged = K.minus(got), K.minus(want)
+                assert want.selection_of(K) == (None, None)
+                for g, w in zip(shortcut.triplets(), merged.triplets()):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            else:
+                assert np.array_equal(K.minus(got).a, K.minus(want).a)
 
 
 def _old_write_rows(path, rows):
