@@ -3,7 +3,10 @@
 Subcommands: slopes, band, sparse, verify, extend, eig.  Exit status is 0 on
 success, 1 when a verification fails or a numerical error aborts a run or
 fails a sweep point (the sweep still writes the other points' rows), 2 on
-usage or I/O errors and on inputs too large for memory.  Identical
+usage or I/O errors and on inputs too large for memory.  A flag that only a
+dataset reads (``extend``'s ``--has-header``, ``--kernel`` and ``--keep``,
+``sparse``'s ``--has-header``) given without ``--dataset`` is a usage error,
+never silently ignored.  Identical
 command lines with identical seeds produce byte-identical report files.
 """
 
@@ -28,6 +31,10 @@ from .matrixcore import (
 from .nystrom import SingularSampleError
 
 USAGE_ERROR, VERIFY_ERROR = 2, 1
+
+# per command, the flags that only a --dataset reads; they are absent from
+# the parsed arguments unless given (argparse.SUPPRESS), at any value
+_DATASET_ONLY = {"extend": ("has_header", "kernel", "keep"), "sparse": ("has_header",)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--dataset", type=str, default=None,
                    help="CSV dataset path (synthetic clustered data when omitted)")
-    p.add_argument("--has-header", action="store_true")
+    p.add_argument("--has-header", action="store_true", default=argparse.SUPPRESS)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--kernel", type=str, default="gaussian:0.1")
@@ -85,9 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--matrix", type=str, help="dense matrix file")
     src.add_argument("--sparse-matrix", type=str, help="sparse matrix file")
     src.add_argument("--dataset", type=str, help="CSV dataset (kernel is built first)")
-    p.add_argument("--has-header", action="store_true")
-    p.add_argument("--kernel", type=str, default="gaussian:1.0")
-    p.add_argument("--keep", type=float, default=None,
+    p.add_argument("--has-header", action="store_true", default=argparse.SUPPRESS)
+    p.add_argument("--kernel", type=str, default=argparse.SUPPRESS, help="gaussian:1.0 when omitted")
+    p.add_argument("--keep", type=float, default=argparse.SUPPRESS,
                    help="keep only this fraction (0, 1] of the kernel's largest-magnitude "
                         "entries, built without the dense n x n kernel")
     p.add_argument("--selector", type=str, required=True)
@@ -118,9 +125,9 @@ def _load_input_matrix(args):
         return read_dense(args.matrix)
     if getattr(args, "sparse_matrix", None):
         return read_sparse(args.sparse_matrix)
-    ds = standardize(load_dataset(args.dataset, has_header=args.has_header))
-    spec = KernelSpec.parse(args.kernel)
-    if args.keep is not None:
+    ds = standardize(load_dataset(args.dataset, has_header="has_header" in args))
+    spec = KernelSpec.parse(getattr(args, "kernel", "gaussian:1.0"))
+    if "keep" in args:
         return build_sparse_kernel(ds, spec, args.keep)
     return build_kernel(ds, spec)
 
@@ -151,7 +158,7 @@ def _cmd_band(args) -> int:
 
 
 def _cmd_sparse(args) -> int:
-    dataset = load_dataset(args.dataset, has_header=args.has_header) if args.dataset else None
+    dataset = load_dataset(args.dataset, has_header="has_header" in args) if args.dataset else None
     rows = exp.run_sparse_experiment(dataset, KernelSpec.parse(args.kernel), args.m,
                                      _parse_grid(args.q_grid), trials=args.trials,
                                      seed=args.seed, n=args.n, keep=args.keep,
@@ -213,6 +220,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for name in _DATASET_ONLY.get(args.command, ()):
+            if name in args and args.dataset is None:
+                parser.error(f"--{name.replace('_', '-')} is read only with --dataset")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

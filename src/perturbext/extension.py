@@ -4,10 +4,13 @@ A selector describes which entries of the kernel K form the submatrix K^s
 (all other entries zero).  The leading eigenpairs of K^s are computed and
 then extended toward those of K by treating E = K - K^s as a perturbation.
 E is subtracted once and stored as a matrix of K's own type: dense for a
-dense K, triplet-sparse (holding only the unselected entries) for a sparse K.
-The pairs of every K^s come from ``sym_eig_partial``.  A K^s that
-``block_selection`` built from K (``topleft``, block-extension members) forms no E:
-E V is K[:, rows] V[rows] (``K.columns_matvec``) with rows zeroed.
+dense K, triplet-sparse (holding only the unselected entries) for a sparse K,
+where E of any selection K's builders made is a restriction of K, not a
+merge.  The pairs of every K^s come from ``sym_eig_partial``.  A K^s that
+``block_selection`` built from K (``topleft``, block-extension members) forms
+no E for E V: it is K[:, rows] V[rows] (``K.columns_matvec``) with rows
+zeroed.  Which builder made a K^s is read from the record it left
+(``matrixcore._selection``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .matrixcore import (
     SymmetricDense,
     _count,
     _indices,
+    _selection,
     block_selection,
     magnitude_profile,
     read_mask,
@@ -208,7 +212,7 @@ def select_submatrix(K, sel: Selector) -> SparseSymmetric:
     that block alone and no restriction of K.  Every other kind is a mask
     over K's stored triplets (read off a mask selector's buffer through
     ``sel.mask_pairs``, without a copy),
-    handed to ``restriction``, whose result remembers K for either type; a
+    handed to ``restriction``, whose result records K for either type; a
     sparse K's E = K - K^s then needs no merge.
     """
     n = K.n
@@ -265,18 +269,20 @@ def extend_with_submatrix(K, Ks: SparseSymmetric, cfg: ExtensionConfig) -> Exten
 
     The cfg.m leading pairs of K^s come from ``sym_eig_partial(Ks, cfg.m)``,
     which solves a K^s with empty rows on its support block.  E V takes one
-    of two forms.  For a K^s that ``block_selection`` built from this K on fewer
-    than n rows that store a nonzero, it is ``K.columns_matvec(rows, V)``
-    with ``rows`` zeroed, and no E is formed.  For any other K^s, even one
-    equal to such a block, E = K - K^s is formed.  A K^s of another
-    dimension than K's raises ValueError; ``bound_terms`` form E on first read.
+    of two forms.  For a K^s that ``block_selection`` built from this K, as
+    its record (``_selection``) shows, on 0 < r < n rows that store a
+    nonzero, it is ``K.columns_matvec(rows, V)`` with ``rows`` zeroed, and no
+    E is formed.  For any other K^s, even one equal to such a block, E =
+    K - K^s is formed, as a restriction of a sparse K for any K^s K built.
+    A K^s of another dimension than K's raises ValueError; ``bound_terms``
+    form E on first read.
     """
     n = K.n
     if Ks.n != n:
         raise ValueError("dimension mismatch")
     pairs = sym_eig_partial(Ks, cfg.m)
-    rows = Ks.selection_of(K)[1]
-    if rows is not None and rows.size < n:
+    rows = _selection(Ks, K)[1]
+    if rows is not None and 0 < rows.size < n:
         # V vanishes off rows and E on rows x rows
         EV = K.columns_matvec(rows, pairs.vectors)
         EV[rows] = 0.0

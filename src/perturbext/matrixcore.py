@@ -4,7 +4,10 @@ Everything downstream works with exactly two concrete matrix types, dense
 and triplet-sparse, both immutable after construction.  Each type carries
 the whole matrix protocol as its own methods, and the functions built on
 it (``block_selection``, ``restriction``, ``magnitude_profile``) have one
-body for both, so no caller asks which of the two it holds.  Eigenvalues
+body for both, so no caller asks which of the two it holds.  The two
+selection builders record what their K^s took from K; only this module's
+``_selection`` reads that record, for ``SparseSymmetric.minus`` and the
+E V step of ``extension.extend_with_submatrix``.  Eigenvalues
 are always ordered descending by algebraic value and eigenvector signs
 are fixed so that independently computed decompositions can be compared
 entrywise.
@@ -138,10 +141,6 @@ class SymmetricDense:
         rows = np.flatnonzero(self.a.any(axis=0))
         return rows, self.principal_block(rows) if 0 < rows.size < self.n else self
 
-    def selection_of(self, K):
-        """(None, None): no matrix selects a dense one (``SparseSymmetric.selection_of``)."""
-        return None, None
-
     def is_zero(self) -> bool:
         """Whether no entry is nonzero.  The array is scanned in blocks of
         rows and the scan stops at the first block holding a nonzero."""
@@ -204,13 +203,13 @@ class SparseSymmetric:
     summed or counted never builds it; a principal block cuts its CSR from
     one that exists, bit for bit the one it would build.
 
-    ``restriction(K, keep)`` gives K's stored entries where ``keep`` is set
-    as a matrix that remembers K, for either type of K; a sparse K's
-    ``minus`` of it is ``restriction(K, ~keep)``, with no merge.  A masked
-    selection K^s of a sparse K and its E = K - K^s are so both
-    restrictions of K.  A ``block_selection`` is not a restriction, so its E
-    comes from the merge; it keeps its block, from which it builds its n-row
-    triplets on first read (``__getattr__``).
+    ``restriction(K, keep)`` and ``block_selection(K, rows)`` build a K^s
+    from K, for either type of K, and record what it took: (K, keep) or
+    (K, the block's rows and block).  Only this module reads the record
+    (``_selection``).  A sparse K's ``minus`` of either K^s is a restriction
+    of K, with no merge, so a selection K^s of a sparse K and its E = K - K^s
+    are both K's entries.  A block selection builds its n-row triplets from
+    its block on first read (``__getattr__``).
     """
 
     __slots__ = ("_n", "rows", "cols", "vals", "_csr", "_magnitude", "_parent", "_keep", "_block")
@@ -284,17 +283,10 @@ class SparseSymmetric:
         the principal block on them, else the matrix itself.  A
         ``block_selection`` gives the (rows, block) it kept; any other matrix
         counts its rows from the triplets in O(n + nnz), building no CSR."""
-        if self._block is not None and self._block[0].size < self._n:
+        if self._block is not None and 0 < self._block[0].size < self._n:
             return self._block
         rows = np.flatnonzero(np.bincount(np.concatenate((self.rows, self.cols)), minlength=self._n))
         return rows, self.principal_block(rows) if 0 < rows.size < self._n else self
-
-    def selection_of(self, K):
-        """(keep, rows) if K built this matrix: a ``restriction``'s mask (else
-        None) and a block selection's kept rows (else None)."""
-        if self._parent is not K:
-            return None, None
-        return self._keep, None if self._block is None else self._block[0]
 
     def is_zero(self) -> bool:
         return self.vals.size == 0
@@ -307,14 +299,20 @@ class SparseSymmetric:
         """self - B as a sparse matrix, B read through its triplets.
 
         Entries that cancel to exactly 0.0 are dropped, so K - K^s for a
-        selection K^s of a sparse K stores only the unselected entries.  When
-        B is ``restriction(self, keep)``, that is ``restriction(self, ~keep)``
-        with no merge: the selected entries cancel to exactly 0.0 and the rest
-        keep their values, as the merge would give them.
+        selection K^s of a sparse K stores only the unselected entries.  A B
+        that ``restriction`` or ``block_selection`` built from this matrix
+        (``_selection``) needs no merge: its E is ``restriction(self, ~keep)``,
+        for a block selection with keep set on the triplets inside rows x rows
+        (O(n + nnz), no sort).  The selected entries cancel to exactly 0.0 and
+        the rest keep their values, as the merge would give them; the merge
+        serves only a B this matrix did not build.
         """
         if self.n != B.n:
             raise ValueError("dimension mismatch")
-        keep = B.selection_of(self)[0]
+        keep, rows = _selection(B, self)
+        if rows is not None:
+            inside = np.bincount(rows, minlength=self._n) > 0
+            keep = inside[self.rows] & inside[self.cols]
         if keep is not None:
             return restriction(self, ~keep)
         b_rows, b_cols, b_vals = B.triplets()
@@ -372,23 +370,22 @@ def _frozen(*arrays):
 
 def block_selection(K, rows) -> SparseSymmetric:
     """K^s, K's principal block on the set ``rows``, gathered once, as the n-row matrix whose
-    triplets are the block's moved to ``rows``, built on first read.  K^s keeps K and the
-    block's ``support_block`` moved to K's rows, if it stores a nonzero, which is all the
-    block path reads.  It is not a restriction of K, so ``K.minus(K^s)`` takes the merge."""
+    triplets are the block's moved to ``rows``, built on first read (at once for a block
+    without nonzeros).  K^s records K and the block's ``support_block`` moved to K's rows,
+    which is all the block path reads; a sparse K's ``minus`` of it is the restriction of K
+    to the triplets outside those rows x rows, with no merge."""
     rows = np.unique(_indices(rows, "rows"))
     cut, block = K.principal_block(rows).support_block()
-    obj = SparseSymmetric.__new__(SparseSymmetric)
-    if cut.size:
-        return obj._set(K.n, None, K, block=(rows[cut], block))
-    return obj._set(K.n, (rows[:0], rows[:0], np.zeros(0)), K)
+    empty = None if cut.size else (cut, cut, np.zeros(0))
+    return SparseSymmetric.__new__(SparseSymmetric)._set(K.n, empty, K, block=(rows[cut], block))
 
 
 def restriction(K, keep) -> SparseSymmetric:
     """K's stored triplets where ``keep``, one bool per triplet of
-    ``K.triplets()``, is set, as a sparse matrix that remembers (K, keep),
-    for either type of K: its ``selection_of(K)`` reads (keep, None).  The
-    triplets are gathered in their sorted order, so nothing is sorted or
-    checked again.  A ``keep`` of another dtype or length raises ValueError."""
+    ``K.triplets()``, is set, as a sparse matrix that records (K, keep)
+    for either type of K.  The triplets are gathered in their sorted order,
+    so nothing is sorted or checked again.  A ``keep`` of another dtype or
+    length raises ValueError."""
     rows, cols, vals = K.triplets()
     keep = np.array(keep)
     if keep.dtype != bool or keep.shape != vals.shape:
@@ -398,6 +395,18 @@ def restriction(K, keep) -> SparseSymmetric:
     taken = np.flatnonzero(keep)
     obj = SparseSymmetric.__new__(SparseSymmetric)
     return obj._set(K.n, (rows[taken], cols[taken], vals[taken]), K, keep)
+
+
+def _selection(Ks, K):
+    """(keep, rows), the record of what Ks took from K when K built it: a
+    ``restriction``'s frozen mask, or the rows on which a
+    ``block_selection``'s block stores a nonzero (none for an empty block),
+    the other None.  A matrix that neither builder made from K, every dense
+    one included, has no record: (None, None).  Only
+    ``SparseSymmetric.minus`` and ``extension.extend_with_submatrix`` read it."""
+    if getattr(Ks, "_parent", None) is not K:
+        return None, None
+    return Ks._keep, None if Ks._block is None else Ks._block[0]
 
 
 def magnitude_profile(K):

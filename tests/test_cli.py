@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from perturbext import cli, experiments as exp
 from perturbext.cli import main
-from perturbext.kernels import gen_wishart_psd, gen_band_matrix
+from perturbext.kernels import gen_wishart_psd, gen_band_matrix, sparsify
 from perturbext.matrixcore import read_dense, write_dense, write_sparse
 
 
@@ -129,6 +129,32 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("source, flags, name", [
+        ("--sparse-matrix", ["--keep", "0.3", "--kernel", "poly:2", "--has-header"], "--has-header"),
+        ("--matrix", ["--keep", "0.5"], "--keep"),
+        ("--matrix", ["--keep", "0"], "--keep"),
+        ("--matrix", ["--kernel", "gaussian:1.0"], "--kernel"),
+        ("--sparse-matrix", ["--has-header"], "--has-header"),
+    ], ids=["sparse-all-three", "dense-keep", "dense-keep-zero", "dense-kernel-default", "sparse-header"])
+    def test_dataset_flags_without_dataset_are_usage_errors(self, tmp_path, capsys, source, flags, name):
+        # a flag that only a dataset reads is refused, not ignored, without one
+        path = tmp_path / "K.txt"
+        K = gen_wishart_psd(20, seed=1)
+        if source == "--matrix":
+            write_dense(path, K)
+        else:
+            write_sparse(path, sparsify(K, 0.5))
+        argv = ["extend", source, str(path), "--selector", "band:1", "--m", "2", "--out", str(tmp_path / "o")]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert f"error: {name} is read only with --dataset" in err and "Traceback" not in err
+        assert not (tmp_path / "o.values").exists()
+        assert main(argv) == 0
+
+    def test_sparse_has_header_without_dataset_is_usage_error(self, capsys):
+        assert main(["sparse", "--n", "40", "--m", "3", "--trials", "1", "--has-header"]) == 2
+        assert "error: --has-header is read only with --dataset" in capsys.readouterr().err
 
     def test_mu_collision_is_numerical_error(self, dense_matrix_file, tmp_path, capsys):
         # explicit mu equal to the top submatrix eigenvalue hits the guard
@@ -360,6 +386,20 @@ class TestDatasetInputs:
         assert code == 0
         assert (tmp_path / "d.values").exists()
 
+    def test_header_and_default_kernel_apply_to_a_dataset(self, tmp_path):
+        # --has-header skips the first line, and no --kernel is gaussian:1.0
+        rows = "\n".join(",".join(f"{v:.6f}" for v in row)
+                         for row in np.random.default_rng(5).standard_normal((30, 3)))
+        plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
+        plain.write_text(rows + "\n")
+        headed.write_text("a,b,c\n" + rows + "\n")
+        common = ["--selector", "band:3", "--m", "2"]
+        assert main(["extend", "--dataset", str(plain), "--kernel", "gaussian:1.0", "--out",
+                     str(tmp_path / "p")] + common) == 0
+        assert main(["extend", "--dataset", str(headed), "--has-header", "--out", str(tmp_path / "h")] + common) == 0
+        for ext in (".values", ".vectors", ".bounds"):
+            assert (tmp_path / ("p" + ext)).read_bytes() == (tmp_path / ("h" + ext)).read_bytes()
+
     def test_sparse_command_with_dataset_file(self, tmp_path):
         rng = np.random.default_rng(4)
         rows = "\n".join(",".join(f"{v:.6f}" for v in row)
@@ -477,6 +517,8 @@ class TestExitCodeContract:
         # one option takes a head with a fuzzed argument, the others stay valid
         head = data.draw(st.sampled_from(self.HEADS[option]))
         options = dict(self.VALID, **{option: arg if head is None else f"{head}:{arg}"})
+        if source == "--matrix" and option != "--kernel":
+            del options["--kernel"]  # only a dataset reads it; given, it exits 2
         argv = ["extend", source, str(fuzz_inputs / ("K.txt" if source == "--matrix" else "data.csv")),
                 "--out", str(fuzz_inputs / "o")]
         assert main(argv + [x for item in options.items() for x in item]) in (0, 1, 2)

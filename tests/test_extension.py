@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from perturbext import extension, matrixcore
+from perturbext import extension, matrixcore, nystrom
 from perturbext.cli import main as cli_main
 from perturbext.extension import (
     ExtensionConfig,
@@ -1232,7 +1232,15 @@ class TestDeferredBlockTriplets:
         K = SymmetricDense(np.diag(np.r_[np.zeros(5), np.ones(5)]))
         Ks = block_selection(K, np.arange(5))
         assert _unset_triplet_slots(Ks) == [] and Ks.is_zero()
-        assert Ks.selection_of(K) == (None, None)
+        # the record holds no row, so E V is no block product and the
+        # support rows are counted, none
+        keep, rows = matrixcore._selection(Ks, K)
+        assert keep is None and rows.size == 0 and Ks.support_block()[1] is Ks
+        S = SparseSymmetric(10, *K.triplets())
+        E = S.minus(block_selection(S, np.arange(5)))
+        assert np.array_equal(matrixcore._selection(E, S)[0], np.ones(5, dtype=bool))
+        for got, want in zip(E.triplets(), S.triplets()):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("sizes", [(200, 200), (100, 300)])
     def test_block_extend_on_dense_K_reads_no_triplets(self, monkeypatch, sizes):
@@ -1253,40 +1261,97 @@ class TestDeferredBlockTriplets:
         assert all(_unset_triplet_slots(Ks) == ["rows", "cols", "vals"] for Ks in members)
 
 
-class TestSelectionOf:
-    """``selection_of(K)`` answers whether K built a matrix, and with what."""
+def _merge_reference(K, Ks):
+    """K - K^s from the general merge: K^s copied into a matrix K did not
+    build, so ``minus`` cannot read a record."""
+    return K.minus(SparseSymmetric(K.n, *Ks.triplets()))
 
-    def test_what_each_builder_keeps(self):
+
+def _assert_same_bytes(got, want):
+    """Equal triplets and CSR arrays, dtype and bytes."""
+    got_csr, want_csr = got._csr_form(), want._csr_form()
+    for g, w in zip((*got.triplets(), got_csr.data, got_csr.indices, got_csr.indptr),
+                    (*want.triplets(), want_csr.data, want_csr.indices, want_csr.indptr)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+class TestSelectionRecord:
+    """What a K^s took from K is a record that ``restriction`` and
+    ``block_selection`` leave and only ``matrixcore._selection`` reads; no
+    matrix type answers it."""
+
+    def test_what_each_builder_records(self):
         D = _clustered_kernel(60)
         S = sparsify(D, 0.5)
         rows = np.arange(10, 40)
         keep = S.rows < 30
-        assert D.selection_of(D) == (None, None)
-        assert S.selection_of(S) == (None, None)
+        for A in (D, S):
+            assert not hasattr(A, "selection_of")
+            assert matrixcore._selection(A, A) == (None, None)
         restricted = restriction(S, keep)
-        got_keep, got_rows = restricted.selection_of(S)
+        got_keep, got_rows = matrixcore._selection(restricted, S)
         assert np.array_equal(got_keep, keep) and got_rows is None
-        assert restricted.selection_of(D) == (None, None)
+        assert matrixcore._selection(restricted, D) == (None, None)
         dense_keep = D.triplets()[0] < 30
-        got_keep, got_rows = restriction(D, dense_keep).selection_of(D)
+        got_keep, got_rows = matrixcore._selection(restriction(D, dense_keep), D)
         assert np.array_equal(got_keep, dense_keep) and got_rows is None
-        dense_keep, dense_rows = block_selection(D, rows).selection_of(D)
+        dense_keep, dense_rows = matrixcore._selection(block_selection(D, rows), D)
         assert dense_keep is None and np.array_equal(dense_rows, rows)
-        sparse_keep, sparse_rows = block_selection(S, rows).selection_of(S)
+        sparse_keep, sparse_rows = matrixcore._selection(block_selection(S, rows), S)
         assert sparse_keep is None
         assert np.array_equal(sparse_rows, block_selection(S, rows).support_block()[0])
-        assert block_selection(D, rows).selection_of(SymmetricDense(D.a)) == (None, None)
+        assert matrixcore._selection(block_selection(D, rows), SymmetricDense(D.a)) == (None, None)
 
     @pytest.mark.parametrize("rows", [np.arange(10, 40), np.r_[50:55, 3:9, 7, 44]], ids=["range", "unsorted"])
     def test_sparse_block_selection_E_is_the_restriction_to_the_rest(self, rows):
-        # a block selection is no restriction, and E = K - K^s comes from the
-        # merge; it is K restricted to the triplets outside rows x rows, the
-        # E a block selection that was a restriction gave, with no byte moved
+        # K restricted to the triplets outside rows x rows, found from the
+        # record without a merge, is the merge's E with no byte moved
         S = TestBuiltBlockPath.kernel(60, True)
         E = S.minus(block_selection(S, rows))
-        want = restriction(S, ~(np.isin(S.rows, rows) & np.isin(S.cols, rows)))
-        for got, expected in zip(E.triplets(), want.triplets()):
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        outside = ~(np.isin(S.rows, rows) & np.isin(S.cols, rows))
+        assert np.array_equal(matrixcore._selection(E, S)[0], outside)
+        _assert_same_bytes(E, restriction(S, outside))
+        _assert_same_bytes(E, _merge_reference(S, block_selection(S, rows)))
+
+    SELECTIONS = {
+        "band": lambda K: select_submatrix(K, Selector.band(4)),
+        "sparse": lambda K: select_submatrix(K, Selector.sparse_top_q(0.4)),
+        "blocks": lambda K: select_submatrix(K, Selector.block_diag((20, 25, 15))),
+        "mask": lambda K: select_submatrix(K, Selector.custom_mask(np.r_[0:30, 5], np.r_[3:33, 50])),
+        "topleft": lambda K: select_submatrix(K, Selector.top_left(25)),
+        "block-unsorted-repeated": lambda K: block_selection(K, np.r_[50:55, 3:9, 7, 44, 3, 52]),
+        "block-empty": lambda K: block_selection(K, [7, 25]),
+        "block-all-rows": lambda K: block_selection(K, np.arange(60)),
+    }
+
+    @pytest.mark.parametrize("name", list(SELECTIONS))
+    def test_sparse_E_of_a_selection_is_a_restriction(self, monkeypatch, name):
+        S = TestBuiltBlockPath.kernel(60, True)
+        assert S.principal_block([7, 25]).is_zero()
+        Ks = self.SELECTIONS[name](S)
+        want = _merge_reference(S, Ks)
+        assert matrixcore._selection(want, S) == (None, None)
+        calls = []
+        restrict = matrixcore.restriction
+        monkeypatch.setattr(matrixcore, "restriction", lambda K, keep: calls.append(K) or restrict(K, keep))
+        E = S.minus(Ks)
+        assert calls == [S] and matrixcore._selection(E, S)[0] is not None
+        _assert_same_bytes(E, want)
+
+    def test_other_operands_take_the_merge(self, monkeypatch):
+        S = TestBuiltBlockPath.kernel(60, True)
+        copy = SparseSymmetric(60, *S.triplets())
+        built_from_copy = [select_submatrix(copy, Selector.band(4)), block_selection(copy, np.arange(25))]
+
+        def failing(K, keep):
+            raise AssertionError("restriction was called")
+
+        monkeypatch.setattr(matrixcore, "restriction", failing)
+        for Ks in built_from_copy + [SparseSymmetric(60, *Ks.triplets()) for Ks in built_from_copy]:
+            assert matrixcore._selection(S.minus(Ks), S) == (None, None)
+        # nystrom's shifted sparse block: the block less shift * I
+        values, vectors = nystrom.shifted_nystrom(S, 3, mu=0.25)
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))
 
 
 class TestCsrBuilds:

@@ -23,6 +23,7 @@ from perturbext.matrixcore import (
     RankDeficientError,
     SparseSymmetric,
     SymmetricDense,
+    _selection,
     block_selection,
     canonical_signs,
     magnitude_profile,
@@ -1180,7 +1181,7 @@ def _sparse_case(n, seed, density):
 
 class TestRestriction:
     """``restriction(K, keep)`` has one body for both types: it gathers K's
-    triplets at ``keep`` and remembers (K, keep)."""
+    triplets at ``keep`` and records (K, keep), which ``_selection`` reads."""
 
     @pytest.mark.parametrize("kind", [0, 1], ids=["dense", "sparse"])
     @pytest.mark.parametrize("keep", [
@@ -1211,13 +1212,13 @@ class TestRestriction:
             for g, w in zip(got.triplets(), want.triplets()):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
                 assert not g.flags.writeable
-            got_keep, got_rows = got.selection_of(K)
+            got_keep, got_rows = _selection(got, K)
             assert np.array_equal(got_keep, keep) and got_rows is None
             assert not got_keep.flags.writeable and not np.shares_memory(got_keep, keep)
             if type(K) is SparseSymmetric:
                 # the shortcut E equals the general merge, byte for byte
                 shortcut, merged = K.minus(got), K.minus(want)
-                assert want.selection_of(K) == (None, None)
+                assert _selection(want, K) == (None, None)
                 for g, w in zip(shortcut.triplets(), merged.triplets()):
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
             else:
